@@ -22,7 +22,6 @@ from .arena import (
     normalize,
     parse_game,
     serialize_game,
-    subgame,
 )
 from .parity import ParityGame, attractor, solve_parity
 from .liminf import integerize, liminf_to_parity, omega_I, parity_to_liminf, solve_liminf

@@ -11,11 +11,12 @@ concurrent tasks; the operations in this module are pure functions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from itertools import chain
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 
 class GameError(Exception):
@@ -39,11 +40,7 @@ class UnknownVertexReference(DocumentError):
 
 
 class DeadEndVertexError(DocumentError):
-    """A vertex has no outgoing edge.
-
-    Raised while validating input documents, and also by `subgame` when a
-    removal strands a vertex; in the latter case it signals a solver bug.
-    """
+    """A vertex has no outgoing edge (zero-test edges count as exits)."""
 
     def __init__(self, vertex: str):
         super().__init__(f"vertex {vertex!r} has no outgoing edge")
@@ -187,24 +184,41 @@ def format_ext(x: ExtRational) -> str:
 
 
 class Edge(NamedTuple):
+    """An edge between vertex indices; parity and zero-test edges carry
+    weight 0."""
+
     src: int
     dst: int
-    weight: int
+    weight: int = 0
 
 
-@dataclass(frozen=True)
-class GameGraph:
-    """Finite arena: named vertices with owners, integer-weighted edges.
+# former names of the parity, counter and zero-test edge types
+PEdge = CEdge = ZEdge = Edge
+
+
+def _by_vertex(n: int, edges: Sequence[Edge], end: int) -> tuple[tuple[int, ...], ...]:
+    """Edge indices grouped by source (end 0) or target (end 1), in
+    edge-list order."""
+    buckets: list[list[int]] = [[] for _ in range(n)]
+    for i, e in enumerate(edges):
+        buckets[e[end]].append(i)
+    return tuple(tuple(b) for b in buckets)
+
+
+class Arena:
+    """Shared core of the graph types: named vertices with owners, edges
+    and an initial vertex, one validator and the adjacency views.
 
     Vertex identifiers are strings in documents; internally vertices are
     dense indices in document order, which is also the universal tie-break
-    order for strategy choices.
+    order for strategy choices.  Subclasses are frozen dataclasses that
+    list their fields; `COLUMNS` names the optional columns a type has
+    ("priority", "weight", "zero_edges") and `PAYOFF` the payoff of its
+    documents, None where documents carry a separate objective.
     """
 
-    names: tuple[str, ...]
-    owner: tuple[Player, ...]
-    edges: tuple[Edge, ...]
-    initial: int
+    COLUMNS: tuple[str, ...] = ()
+    PAYOFF: Optional[str] = None
 
     def __post_init__(self):
         n = len(self.names)
@@ -214,13 +228,19 @@ class GameGraph:
             raise MalformedDocument("duplicate vertex identifiers")
         if len(self.owner) != n:
             raise MalformedDocument("owner list does not match vertex list")
+        if "priority" in self.COLUMNS:
+            if len(self.priority) != n:
+                raise MalformedDocument("priority list does not match vertex list")
+            for p in self.priority:
+                if type(p) is not int or p < 0:
+                    raise MalformedDocument(f"priority {p!r} is not a non-negative integer")
         if not 0 <= self.initial < n:
             raise UnknownVertexReference(f"initial vertex index {self.initial}")
         has_out = [False] * n
-        for e in self.edges:
+        for e in chain(self.edges, getattr(self, "zero_edges", ())):
             if not (0 <= e.src < n and 0 <= e.dst < n):
                 raise UnknownVertexReference(f"edge {e} references a missing vertex")
-            if not isinstance(e.weight, int) or isinstance(e.weight, bool):
+            if type(e.weight) is not int:
                 raise MalformedDocument(f"edge weight {e.weight!r} is not an integer")
             has_out[e.src] = True
         for v, ok in enumerate(has_out):
@@ -233,38 +253,86 @@ class GameGraph:
 
     @cached_property
     def out_edges(self) -> tuple[tuple[int, ...], ...]:
-        """Edge indices grouped by source vertex, in edge-list order."""
-        buckets: list[list[int]] = [[] for _ in range(self.n)]
-        for i, e in enumerate(self.edges):
-            buckets[e.src].append(i)
-        return tuple(tuple(b) for b in buckets)
+        return _by_vertex(self.n, self.edges, 0)
 
     @cached_property
     def in_edges(self) -> tuple[tuple[int, ...], ...]:
-        buckets: list[list[int]] = [[] for _ in range(self.n)]
-        for i, e in enumerate(self.edges):
-            buckets[e.dst].append(i)
-        return tuple(tuple(b) for b in buckets)
+        return _by_vertex(self.n, self.edges, 1)
 
     @cached_property
-    def index_of(self) -> Mapping[str, int]:
-        return {name: i for i, name in enumerate(self.names)}
+    def out_zero(self) -> tuple[tuple[int, ...], ...]:
+        """Zero-test edge indices grouped by source vertex."""
+        return _by_vertex(self.n, getattr(self, "zero_edges", ()), 0)
+
+
+@dataclass(frozen=True)
+class GameGraph(Arena):
+    """Finite arena with integer-weighted edges."""
+
+    names: tuple[str, ...]
+    owner: tuple[Player, ...]
+    edges: tuple[Edge, ...]
+    initial: int
+
+    COLUMNS = ("weight",)
 
     def swap_owners(self) -> "GameGraph":
-        return GameGraph(
-            names=self.names,
-            owner=tuple(o.opponent for o in self.owner),
-            edges=self.edges,
-            initial=self.initial,
-        )
+        return replace(self, owner=tuple(o.opponent for o in self.owner))
 
     def negate_weights(self) -> "GameGraph":
-        return GameGraph(
-            names=self.names,
-            owner=self.owner,
-            edges=tuple(Edge(e.src, e.dst, -e.weight) for e in self.edges),
-            initial=self.initial,
-        )
+        return replace(self, edges=tuple(Edge(e.src, e.dst, -e.weight) for e in self.edges))
+
+
+@dataclass(frozen=True)
+class ParityGame(Arena):
+    """Min-parity game: a priority per vertex, unweighted edges."""
+
+    names: tuple[str, ...]
+    owner: tuple[Player, ...]
+    edges: tuple[Edge, ...]
+    priority: tuple[int, ...]
+    initial: int
+
+    COLUMNS = ("priority",)
+    PAYOFF = "parity"
+
+
+@dataclass(frozen=True)
+class OneCounterParityGame(Arena):
+    """Parity game over configurations (vertex, counter in Z).
+
+    Counter edges add their weight to the counter; zero-test edges are
+    enabled only when the counter is exactly 0.  Negative counter values
+    are allowed.  A vertex may have zero-test edges as its only exits.
+    """
+
+    names: tuple[str, ...]
+    owner: tuple[Player, ...]
+    priority: tuple[int, ...]
+    edges: tuple[Edge, ...]
+    zero_edges: tuple[Edge, ...]
+    initial: int
+
+    COLUMNS = ("priority", "weight", "zero_edges")
+    PAYOFF = "ocpg"
+
+
+def fresh_namer(taken: Iterable[str]) -> Callable[[str], str]:
+    """Name generator for vertices added by a reduction: `base` itself, or
+    the first of `base_1`, `base_2`, ... that is neither in `taken` nor
+    handed out before."""
+    taken = set(taken)
+
+    def fresh(base: str) -> str:
+        name = base
+        suffix = 0
+        while name in taken:
+            suffix += 1
+            name = f"{base}_{suffix}"
+        taken.add(name)
+        return name
+
+    return fresh
 
 
 @dataclass(frozen=True)
@@ -475,6 +543,8 @@ class Regions:
 # documents
 
 _PAYOFF_BY_NAME = {p.value: p for p in Payoff}
+_ARENA_BY_PAYOFF = {cls.PAYOFF: cls for cls in (ParityGame, OneCounterParityGame)}
+_OWNER_BY_NAME = {p.value: p for p in Player}
 
 
 def _expect_keys(obj: dict, required: Sequence[str], context: str) -> None:
@@ -483,12 +553,17 @@ def _expect_keys(obj: dict, required: Sequence[str], context: str) -> None:
             raise MalformedDocument(f"{context}: missing key {key!r}")
 
 
-def _parse_vertices(doc: dict):
-    _expect_keys(doc, ("vertices", "edges", "initial"), "game document")
+def _expect_list(value, context: str) -> list:
+    if not isinstance(value, list):
+        raise MalformedDocument(f"{context} must be a list, got {value!r}")
+    return value
+
+
+def _read_vertices(entries, with_priority: bool):
     names: list[str] = []
     owners: list[Player] = []
-    priorities: list[Optional[int]] = []
-    for entry in doc["vertices"]:
+    priorities: list[int] = []
+    for entry in _expect_list(entries, "vertices"):
         if not isinstance(entry, dict):
             raise MalformedDocument(f"bad vertex entry {entry!r}")
         _expect_keys(entry, ("id", "owner"), "vertex")
@@ -499,71 +574,59 @@ def _parse_vertices(doc: dict):
         if owner not in ("eve", "adam"):
             raise MalformedDocument(f"vertex {name!r}: owner must be 'eve' or 'adam'")
         names.append(name)
-        owners.append(Player(owner))
-        priorities.append(entry.get("priority"))
+        owners.append(_OWNER_BY_NAME[owner])
+        if with_priority:
+            if entry.get("priority") is None:
+                raise MalformedDocument(f"vertex {name!r}: missing priority")
+            priorities.append(entry["priority"])
     return names, owners, priorities
 
 
-def _parse_edges(doc: dict, index_of: Mapping[str, int], weight_required: bool):
+def _read_edges(entries, index_of: Mapping[str, int], weighted: bool, what: str) -> list[Edge]:
+    """Edges of a document; a weight is required on `weighted` edges and
+    ignored, once checked, on the others."""
     edges: list[Edge] = []
-    for entry in doc["edges"]:
+    for entry in _expect_list(entries, what + "s"):
         if not isinstance(entry, dict):
-            raise MalformedDocument(f"bad edge entry {entry!r}")
-        _expect_keys(entry, ("src", "dst"), "edge")
+            raise MalformedDocument(f"bad {what} entry {entry!r}")
+        _expect_keys(entry, ("src", "dst"), what)
         try:
             src = index_of[entry["src"]]
             dst = index_of[entry["dst"]]
         except KeyError as exc:
-            raise UnknownVertexReference(f"edge references unknown vertex {exc.args[0]!r}")
-        weight = entry.get("weight", None)
+            raise UnknownVertexReference(f"{what} references unknown vertex {exc.args[0]!r}")
+        except TypeError:
+            raise MalformedDocument(f"{what} {entry!r}: vertex ids must be strings")
+        weight = entry.get("weight")
         if weight is None:
-            if weight_required:
-                raise MalformedDocument(f"edge {entry!r}: missing weight")
+            if weighted:
+                raise MalformedDocument(f"{what} {entry!r}: missing weight")
             weight = 0
-        if not isinstance(weight, int) or isinstance(weight, bool):
-            raise MalformedDocument(f"edge {entry!r}: weight must be an integer")
-        edges.append(Edge(src, dst, weight))
+        elif type(weight) is not int:
+            raise MalformedDocument(f"{what} {entry!r}: weight must be an integer")
+        edges.append(Edge(src, dst, weight if weighted else 0))
     return edges
 
 
-def _parse_interval(entry: dict) -> Interval:
+def _read_flag(entry: dict, key: str, default: bool) -> bool:
+    value = entry.get(key, default)
+    if not isinstance(value, bool):
+        raise MalformedDocument(f"interval {key} {value!r} is not a boolean")
+    return value
+
+
+def _read_interval(entry) -> Interval:
     if not isinstance(entry, dict):
         raise MalformedDocument(f"bad interval entry {entry!r}")
     _expect_keys(entry, ("lo", "hi"), "interval")
     lo = parse_ext(entry["lo"])
     hi = parse_ext(entry["hi"])
-    lo_open = bool(entry.get("lo_open", isinstance(lo, Infinity)))
-    hi_open = bool(entry.get("hi_open", isinstance(hi, Infinity)))
+    lo_open = _read_flag(entry, "lo_open", isinstance(lo, Infinity))
+    hi_open = _read_flag(entry, "hi_open", isinstance(hi, Infinity))
     return Interval(lo, hi, lo_open, hi_open)
 
 
-def parse_game(text: str) -> tuple[GameGraph, Objective]:
-    """Parse and validate a game document.
-
-    Documents with payoff "parity" are not payoff games; they are handled
-    by `parity.parse_parity_game` and accepted only by the reduce/check
-    commands.
-    """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise MalformedDocument("document root must be an object")
-    names, owners, _ = _parse_vertices(doc)
-    graph_index = {name: i for i, name in enumerate(names)}
-    edges = _parse_edges(doc, graph_index, weight_required=True)
-    if doc["initial"] not in graph_index:
-        raise UnknownVertexReference(f"initial vertex {doc['initial']!r} not listed")
-
-    _expect_keys(doc, ("objective",), "game document")
-    obj = doc["objective"]
-    if not isinstance(obj, dict):
-        raise MalformedDocument("objective must be an object")
-    _expect_keys(obj, ("payoff",), "objective")
-    payoff_name = obj["payoff"]
-    if payoff_name == "parity":
-        raise UnsupportedObjective("parity documents are only accepted by reduce/check")
+def _read_objective(obj: dict, payoff_name: str) -> Objective:
     if payoff_name not in _PAYOFF_BY_NAME:
         raise MalformedDocument(f"unknown payoff {payoff_name!r}")
     payoff = _PAYOFF_BY_NAME[payoff_name]
@@ -573,15 +636,69 @@ def parse_game(text: str) -> tuple[GameGraph, Objective]:
         lam = parse_rational(obj["lambda"])
     elif "lambda" in obj:
         raise MalformedDocument("'lambda' is only meaningful for the discounted payoff")
-    intervals = IntervalUnion(tuple(_parse_interval(e) for e in obj.get("intervals", [])))
-
-    graph = GameGraph(
-        names=tuple(names),
-        owner=tuple(owners),
-        edges=tuple(edges),
-        initial=graph_index[doc["initial"]],
+    intervals = _expect_list(obj.get("intervals", []), "intervals")
+    return Objective(
+        payoff=payoff,
+        intervals=IntervalUnion(tuple(_read_interval(e) for e in intervals)),
+        lam=lam,
     )
-    return graph, Objective(payoff=payoff, intervals=intervals, lam=lam)
+
+
+def read_document(
+    text: str,
+) -> Union[tuple[GameGraph, Objective], ParityGame, OneCounterParityGame]:
+    """Decode and validate a document, dispatching on its payoff.
+
+    Payoff "parity" gives a ParityGame (edge weights are ignored), "ocpg"
+    a OneCounterParityGame, and every `Payoff` value a game graph with its
+    objective.  A malformed document raises a DocumentError.
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedDocument(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise MalformedDocument("document root must be an object")
+    _expect_keys(doc, ("vertices", "edges", "initial", "objective"), "game document")
+    obj = doc["objective"]
+    if not isinstance(obj, dict):
+        raise MalformedDocument("objective must be an object")
+    _expect_keys(obj, ("payoff",), "objective")
+    payoff_name = obj["payoff"]
+    if not isinstance(payoff_name, str):
+        raise MalformedDocument(f"payoff {payoff_name!r} is not a string")
+    cls = _ARENA_BY_PAYOFF.get(payoff_name, GameGraph)
+    objective = _read_objective(obj, payoff_name) if cls is GameGraph else None
+
+    names, owners, priorities = _read_vertices(doc["vertices"], "priority" in cls.COLUMNS)
+    index_of = {name: i for i, name in enumerate(names)}
+    initial = doc["initial"]
+    if not isinstance(initial, str):
+        raise MalformedDocument(f"initial vertex {initial!r} is not a vertex id")
+    if initial not in index_of:
+        raise UnknownVertexReference(f"initial vertex {initial!r} not listed")
+    columns = {
+        "names": tuple(names),
+        "owner": tuple(owners),
+        "edges": tuple(_read_edges(doc["edges"], index_of, "weight" in cls.COLUMNS, "edge")),
+        "initial": index_of[initial],
+    }
+    if "priority" in cls.COLUMNS:
+        columns["priority"] = tuple(priorities)
+    if "zero_edges" in cls.COLUMNS:
+        zero_edges = _read_edges(doc.get("zero_edges", []), index_of, False, "zero edge")
+        columns["zero_edges"] = tuple(zero_edges)
+    game = cls(**columns)
+    return game if objective is None else (game, objective)
+
+
+def parse_game(text: str) -> tuple[GameGraph, Objective]:
+    """Parse and validate a payoff game document; parity and one-counter
+    documents, read by `read_document`, are rejected as unsupported."""
+    parsed = read_document(text)
+    if isinstance(parsed, Arena):
+        raise UnsupportedObjective(f"{parsed.PAYOFF} documents are not payoff games")
+    return parsed
 
 
 def _interval_to_doc(j: Interval) -> dict:
@@ -593,24 +710,39 @@ def _interval_to_doc(j: Interval) -> dict:
     }
 
 
-def serialize_game(g: GameGraph, o: Objective, comment: Optional[str] = None) -> str:
-    doc: dict = {}
-    if comment is not None:
-        doc["comment"] = comment
-    doc["vertices"] = [
-        {"id": name, "owner": owner.value} for name, owner in zip(g.names, g.owner)
-    ]
-    doc["edges"] = [
-        {"src": g.names[e.src], "dst": g.names[e.dst], "weight": e.weight}
-        for e in g.edges
-    ]
-    doc["initial"] = g.names[g.initial]
-    objective: dict = {"payoff": o.payoff.value}
-    if o.lam is not None:
-        objective["lambda"] = format_rational(o.lam)
-    objective["intervals"] = [_interval_to_doc(j) for j in o.intervals.intervals]
-    doc["objective"] = objective
+def write_document(
+    game: Arena, objective: Optional[Objective] = None, comment: Optional[str] = None
+) -> str:
+    """Document text of a game, read back by `read_document`.
+
+    Only the columns the game's type has are written; a game graph's
+    document takes its payoff and intervals from `objective`.
+    """
+    names = game.names
+    doc: dict = {} if comment is None else {"comment": comment}
+    doc["vertices"] = [{"id": name, "owner": owner.value} for name, owner in zip(names, game.owner)]
+    if "priority" in game.COLUMNS:
+        for entry, prio in zip(doc["vertices"], game.priority):
+            entry["priority"] = prio
+    doc["edges"] = [{"src": names[e.src], "dst": names[e.dst]} for e in game.edges]
+    if "weight" in game.COLUMNS:
+        for entry, e in zip(doc["edges"], game.edges):
+            entry["weight"] = e.weight
+    if "zero_edges" in game.COLUMNS:
+        doc["zero_edges"] = [{"src": names[z.src], "dst": names[z.dst]} for z in game.zero_edges]
+    doc["initial"] = names[game.initial]
+    if objective is None:
+        doc["objective"] = {"payoff": game.PAYOFF}
+    else:
+        doc["objective"] = {"payoff": objective.payoff.value}
+        if objective.lam is not None:
+            doc["objective"]["lambda"] = format_rational(objective.lam)
+        doc["objective"]["intervals"] = [_interval_to_doc(j) for j in objective.intervals.intervals]
     return json.dumps(doc, indent=2) + "\n"
+
+
+def serialize_game(g: GameGraph, o: Objective, comment: Optional[str] = None) -> str:
+    return write_document(g, o, comment)
 
 
 # ---------------------------------------------------------------------------
@@ -629,43 +761,6 @@ def normalize(g: GameGraph, o: Objective) -> tuple[GameGraph, Objective]:
         intervals=o.intervals.negate(),
         lam=None,
     )
-
-
-def subgame(g: GameGraph, remove: Iterable[int]) -> GameGraph:
-    """Induced game on vertices minus `remove`; re-validates invariants.
-
-    Raises DeadEndVertexError when removal strands a vertex, which in
-    solver context signals a bug rather than bad input.  If the initial
-    vertex is removed the lowest surviving index becomes initial (solvers
-    compute regions for every vertex, so this choice is inert).
-    """
-    sub, _, _ = subgame_with_map(g, remove)
-    return sub
-
-
-def subgame_with_map(
-    g: GameGraph, remove: Iterable[int]
-) -> tuple[GameGraph, tuple[int, ...], tuple[int, ...]]:
-    """`subgame` plus vertex and edge maps back to the original indices."""
-    removed = set(remove)
-    keep = [v for v in range(g.n) if v not in removed]
-    if not keep:
-        raise MalformedDocument("cannot remove every vertex")
-    new_index = {v: i for i, v in enumerate(keep)}
-    edge_map = []
-    edges = []
-    for i, e in enumerate(g.edges):
-        if e.src in new_index and e.dst in new_index:
-            edges.append(Edge(new_index[e.src], new_index[e.dst], e.weight))
-            edge_map.append(i)
-    initial = new_index.get(g.initial, 0)
-    sub = GameGraph(
-        names=tuple(g.names[v] for v in keep),
-        owner=tuple(g.owner[v] for v in keep),
-        edges=tuple(edges),
-        initial=initial,
-    )
-    return sub, tuple(keep), tuple(edge_map)
 
 
 def max_abs_weight(g: GameGraph) -> int:

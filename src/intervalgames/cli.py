@@ -11,7 +11,6 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -22,19 +21,21 @@ from .arena import (
     GameGraph,
     MalformedDocument,
     Objective,
+    OneCounterParityGame,
+    ParityGame,
     Payoff,
     UnsupportedObjective,
     Verdict,
     normalize,
-    parse_game,
     parse_rational,
+    read_document,
     serialize_game,
 )
-from .discounted import horizon, solve_ds_interval, subset_sum_to_ds
+from .discounted import _min_decision_width, horizon, solve_ds_interval, subset_sum_to_ds
 from .liminf import liminf_to_parity, parity_to_liminf, solve_liminf
 from .meanpayoff import parity_to_mp, solve_mp_interval
 from .oracle import brute_force_finite_horizon_ds, brute_force_positional
-from .parity import parse_parity_game, serialize_parity_game, solve_parity
+from .parity import serialize_parity_game, solve_parity
 from .totalsum import (
     countdown_to_total,
     serialize_ocpg,
@@ -52,25 +53,17 @@ class OracleDisagreement(GameError):
 
 
 def _load_document(path: str):
-    """Returns ("game", (graph, objective)) or ("parity", parity_game)."""
+    """Returns (graph, objective) for a payoff game or a ParityGame."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise MalformedDocument(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"{path}: not valid JSON: {exc}") from exc
-    payoff = None
-    if isinstance(doc, dict) and isinstance(doc.get("objective"), dict):
-        payoff = doc["objective"].get("payoff")
-    if payoff == "parity":
-        return "parity", parse_parity_game(text)
-    if payoff == "ocpg":
+    parsed = read_document(text)
+    if isinstance(parsed, OneCounterParityGame):
         raise UnsupportedObjective(
             "one-counter documents are reduction outputs and cannot be solved directly"
         )
-    return "game", parse_game(text)
+    return parsed
 
 
 def _solve_game(
@@ -105,8 +98,8 @@ def _solve_game(
 
 
 def cmd_solve(args) -> int:
-    kind, parsed = _load_document(args.file)
-    if kind == "parity":
+    parsed = _load_document(args.file)
+    if isinstance(parsed, ParityGame):
         raise UnsupportedObjective(
             "parity documents are only accepted by reduce/check"
         )
@@ -129,9 +122,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    kind, parsed = _load_document(args.file)
+    parsed = _load_document(args.file)
     target = args.to
-    if kind == "parity":
+    if isinstance(parsed, ParityGame):
         p = parsed
         if target == "liminf":
             g, iu = parity_to_liminf(p)
@@ -249,11 +242,11 @@ def _check_expectation(path: str, verdict: Optional[Verdict], error: Optional[Ga
     return None
 
 
-def _oracle_suite(kind: str, parsed) -> list[str]:
+def _oracle_suite(parsed) -> list[str]:
     """Cross-check the production solver against the matching oracle on
     one instance; returns report lines, raises OracleDisagreement."""
     lines = []
-    if kind == "parity":
+    if isinstance(parsed, ParityGame):
         p = parsed
         solved = solve_parity(p)
         reference = brute_force_positional(p)
@@ -264,7 +257,8 @@ def _oracle_suite(kind: str, parsed) -> list[str]:
     g, o = parsed
     gn, on = normalize(g, o)
     if on.payoff is Payoff.DISCOUNTED:
-        depth = horizon(gn, on.lam, _ds_width(on)) + 1 if _ds_width(on) else 1
+        width = _min_decision_width(on.intervals)
+        depth = horizon(gn, on.lam, width) + 1 if width else 1
         reference = brute_force_finite_horizon_ds(gn, on.lam, on.intervals, depth)
         regions = solve_ds_interval(gn, on.lam, on.intervals)
         if reference != regions.win_eve:
@@ -295,15 +289,9 @@ def _oracle_suite(kind: str, parsed) -> list[str]:
     return lines
 
 
-def _ds_width(o: Objective) -> Optional[Fraction]:
-    from .discounted import _min_decision_width
-
-    return _min_decision_width(o.intervals)
-
-
-def _stability_suite(kind: str, parsed, path: str) -> list[str]:
+def _stability_suite(parsed) -> list[str]:
     lines = []
-    if kind == "parity":
+    if isinstance(parsed, ParityGame):
         a = solve_parity(parsed)
         b = solve_parity(parsed)
         if a.win_eve != b.win_eve:
@@ -342,10 +330,10 @@ def _stability_suite(kind: str, parsed, path: str) -> list[str]:
 
 
 def cmd_check(args) -> int:
-    kind, parsed = _load_document(args.file)
+    parsed = _load_document(args.file)
     verdict: Optional[Verdict] = None
     solve_error: Optional[GameError] = None
-    if kind == "game":
+    if not isinstance(parsed, ParityGame):
         g, o = parsed
         try:
             verdict, _, _ = _solve_game(g, o, None, 0)
@@ -361,9 +349,9 @@ def cmd_check(args) -> int:
         lines.append(f"solve error (expected): {solve_error}")
     if solve_error is None:
         if args.suite == "oracle":
-            lines += _oracle_suite(kind, parsed)
+            lines += _oracle_suite(parsed)
         else:
-            lines += _stability_suite(kind, parsed, args.file)
+            lines += _stability_suite(parsed)
     for line in lines:
         print(line)
     return 0

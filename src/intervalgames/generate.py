@@ -19,11 +19,11 @@ from .arena import (
     MINUS_INF,
     PLUS_INF,
     Objective,
+    ParityGame,
     Payoff,
     Player,
 )
-from .parity import ParityGame, PEdge
-from .totalsum import CEdge, CountdownInstance
+from .totalsum import CountdownInstance
 from .discounted import SubsetSumInstance
 
 
@@ -66,7 +66,7 @@ def random_parity_game(
     return ParityGame(
         names=g.names,
         owner=g.owner,
-        edges=tuple(PEdge(e.src, e.dst) for e in g.edges),
+        edges=g.edges,  # weight 0 throughout
         priority=tuple(rng.randint(0, max_priority) for _ in range(n_vertices)),
         initial=0,
     )
@@ -128,7 +128,7 @@ def random_countdown(
     for v in range(n_vertices):
         for _ in range(rng.randint(1, 2)):
             edges.append(
-                CEdge(v, rng.choice(other[v]), -rng.randint(1, max_weight))
+                Edge(v, rng.choice(other[v]), -rng.randint(1, max_weight))
             )
     return CountdownInstance(
         names=names, owner=owner, edges=tuple(edges), initial=0, credit=credit

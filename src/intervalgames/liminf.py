@@ -22,11 +22,13 @@ from .arena import (
     IntervalUnion,
     MINUS_INF,
     PLUS_INF,
+    ParityGame,
     Player,
     Regions,
     UnsupportedObjective,
+    fresh_namer,
 )
-from .parity import ParityGame, PEdge, solve_parity
+from .parity import solve_parity
 
 
 class EmptyObjective(UnsupportedObjective):
@@ -125,25 +127,15 @@ def liminf_to_parity(g: GameGraph, iu: IntervalUnion) -> ParityGame:
     """
     pm = integerize(iu)
     r = pm.r
-    taken = set(g.names)
-    sub_names = []
-    for k, e in enumerate(g.edges):
-        base = f"e{k}"
-        name = base
-        suffix = 0
-        while name in taken:
-            suffix += 1
-            name = f"{base}_{suffix}"
-        taken.add(name)
-        sub_names.append(name)
-    names = list(g.names) + sub_names
+    fresh = fresh_namer(g.names)
+    names = list(g.names) + [fresh(f"e{k}") for k in range(len(g.edges))]
     owner = list(g.owner) + [Player.EVE] * len(g.edges)
     priority = [2 * r + 1] * g.n + [omega_I(e.weight, pm) for e in g.edges]
     edges = []
     for k, e in enumerate(g.edges):
         sub = g.n + k
-        edges.append(PEdge(e.src, sub))
-        edges.append(PEdge(sub, e.dst))
+        edges.append(Edge(e.src, sub))
+        edges.append(Edge(sub, e.dst))
     return ParityGame(
         names=tuple(names),
         owner=tuple(owner),

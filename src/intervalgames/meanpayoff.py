@@ -23,13 +23,14 @@ from .arena import (
     Interval,
     IntervalUnion,
     MINUS_INF,
+    ParityGame,
     Player,
     Regions,
     UnsupportedObjective,
     complement_intervals,
-    subgame_with_map,
+    fresh_namer,
 )
-from .parity import ParityGame, attractor_with_strategy
+from .parity import attractor_with_strategy
 
 
 class PriorityOutOfRange(UnsupportedObjective):
@@ -53,100 +54,110 @@ class ThresholdQuery:
 PositionalStrategy = dict[int, int]
 
 
-def _energy_win(g: GameGraph) -> tuple[frozenset[int], PositionalStrategy]:
-    """Vertices from which Eve keeps the running sum bounded below, which
-    is exactly where she forces mean-payoff >= 0; also her positional
-    strategy.  Least-fixpoint progress measure, values capped at n*W."""
-    n = g.n
-    cap = n * max((abs(e.weight) for e in g.edges), default=0)
-    top = cap + 1
-    f = [0] * n
-
-    def lift(v: int) -> int:
-        best: Optional[int] = None
-        eve = g.owner[v] is Player.EVE
+def _energy_win(
+    g: GameGraph, alive: frozenset[int], player: Player, scale: int, offset: int
+) -> tuple[frozenset[int], PositionalStrategy]:
+    """Vertices of `alive` from which `player` keeps the running sum of the
+    rescaled weights scale*w + offset bounded below while play stays in
+    `alive`, which is exactly where she forces mean-payoff >= 0 there;
+    also her positional strategy.  Least-fixpoint progress measure, values
+    capped at |alive|*W for W the largest rescaled weight inside `alive`."""
+    owner = g.owner
+    # (edge index, successor, rescaled weight) per alive vertex, in edge order
+    succ: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
+    pred: list[list[int]] = [[] for _ in range(g.n)]
+    cap = 0
+    for v in alive:
+        out = succ[v]
         for j in g.out_edges[v]:
             e = g.edges[j]
-            fu = f[e.dst]
-            val = top if fu >= top else max(0, fu - e.weight)
-            if val > cap:
-                val = top
-            if best is None:
-                best = val
-            elif eve:
-                if val < best:
-                    best = val
-            else:
-                if val > best:
-                    best = val
-        return best if best is not None else top
+            if e.dst in alive:
+                w = scale * e.weight + offset
+                out.append((j, e.dst, w))
+                pred[e.dst].append(v)
+                if abs(w) > cap:
+                    cap = abs(w)
+    cap *= len(alive)
+    top = cap + 1
+    f = [0] * g.n
 
-    pending = set(range(n))
+    pending = set(alive)
     while pending:
         v = pending.pop()
-        new = lift(v)
-        if new > f[v]:
-            f[v] = new
-            for j in g.in_edges[v]:
-                u = g.edges[j].src
+        out = succ[v]
+        if owner[v] is player:
+            best = top
+            for _, u, w in out:
+                fu = f[u]
+                val = top if fu >= top else (fu - w if fu > w else 0)
+                if val < best:
+                    best = val
+        else:
+            best = 0 if out else top
+            for _, u, w in out:
+                fu = f[u]
+                val = top if fu >= top else (fu - w if fu > w else 0)
+                if val > best:
+                    best = val
+        if best > cap:
+            best = top
+        if best > f[v]:
+            f[v] = best
+            for u in pred[v]:
                 if f[u] < top:
                     pending.add(u)
-    win = frozenset(v for v in range(n) if f[v] < top)
+    win = frozenset(v for v in alive if f[v] < top)
     strategy: PositionalStrategy = {}
     for v in win:
-        if g.owner[v] is not Player.EVE:
+        if owner[v] is not player:
             continue
-        for j in g.out_edges[v]:
-            e = g.edges[j]
-            fu = f[e.dst]
-            val = top if fu >= top else max(0, fu - e.weight)
-            if val > cap:
-                val = top
-            if val <= f[v]:
+        for j, u, w in succ[v]:
+            fu = f[u]
+            if fu < top and max(0, fu - w) <= f[v]:
                 strategy[v] = j
                 break
         assert v in strategy, "progress measure without a witnessing edge"
     return win, strategy
 
 
-def _rescaled_ge0(g: GameGraph, a: Fraction, strict: bool) -> GameGraph:
-    # MP >= p/q  <=>  MP(q*n*w - p*n) >= 0; strict thresholds shift by one
-    # unit, valid because cycle means have denominator <= n
-    n = g.n
-    q, p = a.denominator, a.numerator
-    shift = 1 if strict else 0
-    edges = tuple(
-        Edge(e.src, e.dst, q * n * e.weight - p * n - shift) for e in g.edges
-    )
-    return GameGraph(names=g.names, owner=g.owner, edges=edges, initial=g.initial)
-
-
-def mp_threshold(g: GameGraph, query: ThresholdQuery) -> Regions:
+def mp_threshold(
+    g: GameGraph, query: ThresholdQuery, alive: Optional[frozenset[int]] = None
+) -> Regions:
     """Exact partition for "Eve forces MP ~ a" with positional witnesses
-    for both players embedded in the result."""
+    for both players embedded in the result.
+
+    Play is restricted to `alive` (by default every vertex); every vertex
+    of `alive` must keep an edge into it.
+    """
+    alive = frozenset(range(g.n)) if alive is None else alive
     a, cmp = query.threshold, query.cmp
+    sign = 1
     if cmp in (Cmp.LE, Cmp.LT):
         # Eve minimizing: negate weights and flip the comparison
-        flipped = ThresholdQuery(-a, Cmp.GE if cmp is Cmp.LE else Cmp.GT)
-        return mp_threshold(g.negate_weights(), flipped)
-    strict = cmp is Cmp.GT
-    win_eve, eve_strategy = _energy_win(_rescaled_ge0(g, a, strict))
+        sign, a = -1, -a
+    strict = 1 if cmp in (Cmp.GT, Cmp.LT) else 0
+    # MP >= p/q  <=>  MP(q*n*w - p*n) >= 0; strict thresholds shift by one
+    # unit, valid because cycle means have denominator <= n
+    n = len(alive)
+    scale, offset = sign * a.denominator * n, a.numerator * n
+    win_eve, eve_strategy = _energy_win(g, alive, Player.EVE, scale, -offset - strict)
     # Adam's side: he forces the complementary strict/non-strict threshold
-    # in the owner-swapped, weight-negated game
-    dual = g.swap_owners().negate_weights()
-    win_adam, adam_strategy = _energy_win(_rescaled_ge0(dual, -a, not strict))
+    # on negated weights
+    win_adam, adam_strategy = _energy_win(g, alive, Player.ADAM, -scale, offset - 1 + strict)
     regions = Regions(
         win_eve=win_eve,
         win_adam=win_adam,
         eve_strategy=eve_strategy,
         adam_strategy=adam_strategy,
     )
-    regions.check_partition(g.n)
+    regions.check_partition(n)
     return regions
 
 
-def _close_removal(g: GameGraph, removed: set[int]) -> tuple[frozenset[int], dict[int, int]]:
-    """Close a set of Adam-won vertices under Adam's attractor.
+def _close_removal(
+    g: GameGraph, removed: frozenset[int], alive: frozenset[int]
+) -> tuple[frozenset[int], dict[int, int]]:
+    """Close a set of Adam-won vertices under Adam's attractor in `alive`.
 
     Every removed vertex is one from which Adam defeats the (prefix
     independent) objective, so he also wins wherever he can force the play
@@ -157,10 +168,12 @@ def _close_removal(g: GameGraph, removed: set[int]) -> tuple[frozenset[int], dic
     has already won.  Returns the closed set and the attractor edges for
     newly added Adam vertices.
     """
-    return attractor_with_strategy(g, removed, Player.ADAM)
+    return attractor_with_strategy(g, removed, Player.ADAM, alive)
 
 
-def solve_mp_interval(g: GameGraph, iu: IntervalUnion) -> Regions:
+def solve_mp_interval(
+    g: GameGraph, iu: IntervalUnion, alive: Optional[frozenset[int]] = None
+) -> Regions:
     """Winning regions for "mean-payoff lands in the union".
 
     Peels Adam-winning regions to a fixpoint: Adam wins outright where he
@@ -168,14 +181,16 @@ def solve_mp_interval(g: GameGraph, iu: IntervalUnion) -> Regions:
     whose objective also admits everything below the first interval.  The
     recursion swaps players and complements when the union is unbounded
     below; it terminates because each step drops one finite boundary.
+    `alive` is as in `mp_threshold`.
     """
+    alive = frozenset(range(g.n)) if alive is None else alive
     if iu.is_empty:
-        return Regions(win_eve=frozenset(), win_adam=frozenset(range(g.n)))
+        return Regions(win_eve=frozenset(), win_adam=alive)
     a = iu.inf
     if a == MINUS_INF:
-        swapped = solve_mp_interval(g.swap_owners(), complement_intervals(iu))
-        regions = Regions(win_eve=swapped.win_adam, win_adam=swapped.win_eve)
-        regions.check_partition(g.n)
+        dual = solve_mp_interval(g.swap_owners(), complement_intervals(iu), alive)
+        regions = Regions(win_eve=dual.win_adam, win_adam=dual.win_eve)
+        regions.check_partition(len(alive))
         return regions
     assert isinstance(a, Fraction)
     strict = iu.intervals[0].lo_open  # a in I iff the first interval is closed at a
@@ -183,19 +198,17 @@ def solve_mp_interval(g: GameGraph, iu: IntervalUnion) -> Regions:
         (Interval(MINUS_INF, a, True, False),) + iu.intervals
     )
     adam_total: frozenset[int] = frozenset()
-    while len(adam_total) < g.n:
-        current, vmap, _ = subgame_with_map(g, adam_total)
-        thr = mp_threshold(current, ThresholdQuery(a, Cmp.GT if strict else Cmp.GE))
-        rec = solve_mp_interval(current, recursive_iu)
-        new = {vmap[v] for v in thr.win_adam | rec.win_adam}
+    while len(adam_total) < len(alive):
+        current = alive - adam_total
+        query = ThresholdQuery(a, Cmp.GT if strict else Cmp.GE)
+        thr = mp_threshold(g, query, current)
+        rec = solve_mp_interval(g, recursive_iu, current)
+        new = thr.win_adam | rec.win_adam
         if not new:
             break
-        adam_total, _ = _close_removal(g, set(adam_total) | new)
-    regions = Regions(
-        win_eve=frozenset(range(g.n)) - adam_total,
-        win_adam=adam_total,
-    )
-    regions.check_partition(g.n)
+        adam_total, _ = _close_removal(g, adam_total | new, alive)
+    regions = Regions(win_eve=alive - adam_total, win_adam=adam_total)
+    regions.check_partition(len(alive))
     return regions
 
 
@@ -204,40 +217,34 @@ def solve_mp_single(g: GameGraph, interval: Interval) -> Regions:
     lower and upper threshold games until nothing changes.  Adam's
     composed strategy is positional and is returned on his region."""
     lo, hi = interval.lo, interval.hi
+    everything = frozenset(range(g.n))
     adam_total: frozenset[int] = frozenset()
     adam_strategy: PositionalStrategy = {}
     while len(adam_total) < g.n:
-        current, vmap, emap = subgame_with_map(g, adam_total)
-        removed: set[int] = set()
-        level_strategy: dict[int, int] = {}  # original indices
+        current = everything - adam_total
+        removed: frozenset[int] = frozenset()
+        level_strategy: PositionalStrategy = {}
         if not isinstance(lo, Infinity):
             low = mp_threshold(
-                current, ThresholdQuery(lo, Cmp.GT if interval.lo_open else Cmp.GE)
+                g, ThresholdQuery(lo, Cmp.GT if interval.lo_open else Cmp.GE), current
             )
-            removed |= low.win_adam
-            for v in low.win_adam:
-                if current.owner[v] is Player.ADAM:
-                    level_strategy[vmap[v]] = emap[low.adam_strategy[v]]
-        if not isinstance(hi, Infinity) and len(removed) < current.n:
-            sub, vmap2, emap2 = subgame_with_map(current, removed)
+            removed = low.win_adam
+            level_strategy.update(low.adam_strategy)
+        if not isinstance(hi, Infinity) and len(removed) < len(current):
             high = mp_threshold(
-                sub, ThresholdQuery(hi, Cmp.LT if interval.hi_open else Cmp.LE)
+                g, ThresholdQuery(hi, Cmp.LT if interval.hi_open else Cmp.LE), current - removed
             )
-            removed |= {vmap2[v] for v in high.win_adam}
-            for v in high.win_adam:
-                if sub.owner[v] is Player.ADAM:
-                    level_strategy[vmap[vmap2[v]]] = emap[emap2[high.adam_strategy[v]]]
+            removed |= high.win_adam
+            level_strategy.update(high.adam_strategy)
         if not removed:
             break
-        new_total, attractor_strategy = _close_removal(
-            g, set(adam_total) | {vmap[v] for v in removed}
-        )
+        new_total, attractor_strategy = _close_removal(g, adam_total | removed, everything)
         adam_strategy.update(level_strategy)
         for v, j in attractor_strategy.items():
             adam_strategy.setdefault(v, j)
         adam_total = new_total
     regions = Regions(
-        win_eve=frozenset(range(g.n)) - adam_total,
+        win_eve=everything - adam_total,
         win_adam=adam_total,
         adam_strategy=adam_strategy,
     )
@@ -262,16 +269,7 @@ def parity_to_mp(p: ParityGame) -> tuple[GameGraph, IntervalUnion]:
     intervals = tuple(
         Interval(Fraction(k), Fraction(k + 1), False, True) for k in range(0, m + 1, 2)
     )
-    taken = set(p.names)
-
-    def fresh(base: str) -> str:
-        name = base
-        suffix = 0
-        while name in taken:
-            suffix += 1
-            name = f"{base}_{suffix}"
-        taken.add(name)
-        return name
+    fresh = fresh_namer(p.names)
 
     names = list(p.names)
     owner = list(p.owner)

@@ -7,117 +7,30 @@ on their winning regions; ties are broken toward the lowest-index edge.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from .arena import (
-    DeadEndVertexError,
     MalformedDocument,
+    ParityGame,
+    PEdge,  # noqa: F401  (re-exported)
     Player,
     Regions,
-    UnknownVertexReference,
-    _parse_edges,
-    _parse_vertices,
+    read_document,
+    write_document,
 )
-
-
-class PEdge(NamedTuple):
-    src: int
-    dst: int
-
-
-@dataclass(frozen=True)
-class ParityGame:
-    names: tuple[str, ...]
-    owner: tuple[Player, ...]
-    edges: tuple[PEdge, ...]
-    priority: tuple[int, ...]
-    initial: int
-
-    def __post_init__(self):
-        n = len(self.names)
-        if n == 0:
-            raise MalformedDocument("a parity game needs at least one vertex")
-        if len(set(self.names)) != n:
-            raise MalformedDocument("duplicate vertex identifiers")
-        if len(self.owner) != n or len(self.priority) != n:
-            raise MalformedDocument("owner/priority lists do not match vertex list")
-        for p in self.priority:
-            if not isinstance(p, int) or isinstance(p, bool) or p < 0:
-                raise MalformedDocument(f"priority {p!r} is not a non-negative integer")
-        if not 0 <= self.initial < n:
-            raise UnknownVertexReference(f"initial vertex index {self.initial}")
-        has_out = [False] * n
-        for e in self.edges:
-            if not (0 <= e.src < n and 0 <= e.dst < n):
-                raise UnknownVertexReference(f"edge {e} references a missing vertex")
-            has_out[e.src] = True
-        for v, ok in enumerate(has_out):
-            if not ok:
-                raise DeadEndVertexError(self.names[v])
-
-    @property
-    def n(self) -> int:
-        return len(self.names)
-
-    @cached_property
-    def out_edges(self) -> tuple[tuple[int, ...], ...]:
-        buckets: list[list[int]] = [[] for _ in range(self.n)]
-        for i, e in enumerate(self.edges):
-            buckets[e.src].append(i)
-        return tuple(tuple(b) for b in buckets)
-
-    @cached_property
-    def in_edges(self) -> tuple[tuple[int, ...], ...]:
-        buckets: list[list[int]] = [[] for _ in range(self.n)]
-        for i, e in enumerate(self.edges):
-            buckets[e.dst].append(i)
-        return tuple(tuple(b) for b in buckets)
 
 
 def parse_parity_game(text: str) -> ParityGame:
     """Parse a parity document: the game format with payoff "parity" and a
     per-vertex priority; edge weights are ignored."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise MalformedDocument("document root must be an object")
-    obj = doc.get("objective")
-    if not isinstance(obj, dict) or obj.get("payoff") != "parity":
+    parsed = read_document(text)
+    if not isinstance(parsed, ParityGame):
         raise MalformedDocument("not a parity document")
-    names, owners, priorities = _parse_vertices(doc)
-    for name, p in zip(names, priorities):
-        if p is None:
-            raise MalformedDocument(f"vertex {name!r}: parity documents need a priority")
-    index_of = {name: i for i, name in enumerate(names)}
-    edges = _parse_edges(doc, index_of, weight_required=False)
-    if doc["initial"] not in index_of:
-        raise UnknownVertexReference(f"initial vertex {doc['initial']!r} not listed")
-    return ParityGame(
-        names=tuple(names),
-        owner=tuple(owners),
-        edges=tuple(PEdge(e.src, e.dst) for e in edges),
-        priority=tuple(priorities),
-        initial=index_of[doc["initial"]],
-    )
+    return parsed
 
 
 def serialize_parity_game(p: ParityGame, comment: Optional[str] = None) -> str:
-    doc: dict = {}
-    if comment is not None:
-        doc["comment"] = comment
-    doc["vertices"] = [
-        {"id": name, "owner": owner.value, "priority": prio}
-        for name, owner, prio in zip(p.names, p.owner, p.priority)
-    ]
-    doc["edges"] = [{"src": p.names[e.src], "dst": p.names[e.dst]} for e in p.edges]
-    doc["initial"] = p.names[p.initial]
-    doc["objective"] = {"payoff": "parity"}
-    return json.dumps(doc, indent=2) + "\n"
+    return write_document(p, comment=comment)
 
 
 def attractor(
@@ -128,9 +41,9 @@ def attractor(
 ) -> frozenset[int]:
     """Least set from which `player` can force reaching `target`.
 
-    Works on any graph-like object exposing owner/edges/out_edges/in_edges
-    (ParityGame or GameGraph).  `within` restricts play to a subset of
-    vertices (edges leaving it do not exist); by default all vertices.
+    Works on every `Arena` (game graphs and parity games alike).
+    `within` restricts play to a subset of vertices (edges leaving it do
+    not exist); by default all vertices.
     """
     attr, _ = attractor_with_strategy(game, target, player, within)
     return attr

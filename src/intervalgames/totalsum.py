@@ -17,14 +17,12 @@ countdown family.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping, Optional
 
 from .arena import (
-    DeadEndVertexError,
+    CEdge,  # noqa: F401  (re-exported)
     Edge,
     GameError,
     GameGraph,
@@ -33,96 +31,25 @@ from .arena import (
     IntervalUnion,
     MINUS_INF,
     MalformedDocument,
+    OneCounterParityGame,
     PLUS_INF,
+    ParityGame,
     Player,
-    UnknownVertexReference,
     UnsupportedObjective,
     Verdict,
+    ZEdge,  # noqa: F401  (re-exported)
+    fresh_namer,
     max_abs_weight,
-    _parse_edges,
-    _parse_vertices,
+    read_document,
+    write_document,
 )
 from .liminf import PriorityMap, integerize, omega_I
-from .parity import ParityGame, PEdge, solve_parity
+from .parity import solve_parity
 
 
 class NoFiniteEndpoint(UnsupportedObjective):
     """The region structure has no finite boundary to anchor the counter
     gadget (the objective misses the integers entirely or covers them)."""
-
-
-class CEdge(NamedTuple):
-    src: int
-    dst: int
-    weight: int
-
-
-class ZEdge(NamedTuple):
-    src: int
-    dst: int
-
-
-@dataclass(frozen=True)
-class OneCounterParityGame:
-    """Parity game over configurations (vertex, counter in Z).
-
-    Counter edges add their weight to the counter; zero-test edges are
-    enabled only when the counter is exactly 0.  Negative counter values
-    are allowed.  A vertex may have zero-test edges as its only exits.
-    """
-
-    names: tuple[str, ...]
-    owner: tuple[Player, ...]
-    priority: tuple[int, ...]
-    edges: tuple[CEdge, ...]
-    zero_edges: tuple[ZEdge, ...]
-    initial: int
-
-    def __post_init__(self):
-        n = len(self.names)
-        if n == 0:
-            raise MalformedDocument("a one-counter game needs at least one vertex")
-        if len(set(self.names)) != n:
-            raise MalformedDocument("duplicate vertex identifiers")
-        if len(self.owner) != n or len(self.priority) != n:
-            raise MalformedDocument("owner/priority lists do not match vertex list")
-        for p in self.priority:
-            if not isinstance(p, int) or isinstance(p, bool) or p < 0:
-                raise MalformedDocument(f"priority {p!r} is not a non-negative integer")
-        if not 0 <= self.initial < n:
-            raise UnknownVertexReference(f"initial vertex index {self.initial}")
-        has_out = [False] * n
-        for e in self.edges:
-            if not (0 <= e.src < n and 0 <= e.dst < n):
-                raise UnknownVertexReference(f"edge {e} references a missing vertex")
-            if not isinstance(e.weight, int) or isinstance(e.weight, bool):
-                raise MalformedDocument(f"counter weight {e.weight!r} is not an integer")
-            has_out[e.src] = True
-        for z in self.zero_edges:
-            if not (0 <= z.src < n and 0 <= z.dst < n):
-                raise UnknownVertexReference(f"zero edge {z} references a missing vertex")
-            has_out[z.src] = True
-        for v, ok in enumerate(has_out):
-            if not ok:
-                raise DeadEndVertexError(self.names[v])
-
-    @property
-    def n(self) -> int:
-        return len(self.names)
-
-    @cached_property
-    def out_edges(self) -> tuple[tuple[int, ...], ...]:
-        buckets: list[list[int]] = [[] for _ in range(self.n)]
-        for i, e in enumerate(self.edges):
-            buckets[e.src].append(i)
-        return tuple(tuple(b) for b in buckets)
-
-    @cached_property
-    def out_zero(self) -> tuple[tuple[int, ...], ...]:
-        buckets: list[list[int]] = [[] for _ in range(self.n)]
-        for i, z in enumerate(self.zero_edges):
-            buckets[z.src].append(i)
-        return tuple(tuple(b) for b in buckets)
 
 
 @dataclass(frozen=True)
@@ -133,7 +60,7 @@ class CountdownInstance:
 
     names: tuple[str, ...]
     owner: tuple[Player, ...]
-    edges: tuple[CEdge, ...]
+    edges: tuple[Edge, ...]
     initial: int
     credit: int
 
@@ -218,16 +145,7 @@ def totalsum_to_ocpg(g: GameGraph, iu: IntervalUnion) -> OneCounterParityGame:
     ):
         raise NoFiniteEndpoint("objective has no finite region boundary")
 
-    taken = set()
-
-    def fresh(base: str) -> str:
-        name = base
-        suffix = 0
-        while name in taken:
-            suffix += 1
-            name = f"{base}_{suffix}"
-        taken.add(name)
-        return name
+    fresh = fresh_namer(())
 
     names: list[str] = []
     owner: list[Player] = []
@@ -260,26 +178,26 @@ def totalsum_to_ocpg(g: GameGraph, iu: IntervalUnion) -> OneCounterParityGame:
     owner.append(Player.EVE)
     priority.append(top_priority)
 
-    edges: list[CEdge] = []
+    edges: list[Edge] = []
     for k, e in enumerate(g.edges):
         for i in regions:
-            edges.append(CEdge(copy_index[(e.src, 1, i)], edge_vertex[k], e.weight))
+            edges.append(Edge(copy_index[(e.src, 1, i)], edge_vertex[k], e.weight))
     for k, e in enumerate(g.edges):
         for i in regions:
-            edges.append(CEdge(edge_vertex[k], copy_index[(e.dst, 0, i)], 0))
+            edges.append(Edge(edge_vertex[k], copy_index[(e.dst, 0, i)], 0))
     for v in range(g.n):
         for i in regions:
             m_i, mx_i = bounds[i]
             src = copy_index[(v, 0, i)]
             if isinstance(m_i, int):
-                edges.append(CEdge(src, v_bot, -m_i))
+                edges.append(Edge(src, v_bot, -m_i))
             if isinstance(mx_i, int):
-                edges.append(CEdge(src, v_top, -mx_i))
-            edges.append(CEdge(src, copy_index[(v, 1, i)], 0))
-    edges.append(CEdge(v_bot, v_bot, -1))
-    edges.append(CEdge(v_top, v_top, +1))
-    edges.append(CEdge(v_zero, v_zero, 0))
-    zero_edges = (ZEdge(v_bot, v_zero), ZEdge(v_top, v_zero))
+                edges.append(Edge(src, v_top, -mx_i))
+            edges.append(Edge(src, copy_index[(v, 1, i)], 0))
+    edges.append(Edge(v_bot, v_bot, -1))
+    edges.append(Edge(v_top, v_top, +1))
+    edges.append(Edge(v_zero, v_zero, 0))
+    zero_edges = (Edge(v_bot, v_zero), Edge(v_top, v_zero))
 
     return OneCounterParityGame(
         names=tuple(names),
@@ -365,7 +283,7 @@ def solve_ocpg_bounded(
         flat = ParityGame(
             names=p.names,
             owner=p.owner,
-            edges=tuple(PEdge(e.src, e.dst) for e in p.edges),
+            edges=tuple(Edge(e.src, e.dst) for e in p.edges),
             priority=p.priority,
             initial=p.initial,
         )
@@ -454,17 +372,17 @@ def solve_ocpg_bounded(
             if not out:
                 v, _ = configs[ci]
                 target = stuck_eve if p.owner[v] is Player.EVE else stuck_adam
-                edges.append(PEdge(ci, target))
+                edges.append(Edge(ci, target))
                 continue
             for kind, val in out:
                 if kind == "cfg":
-                    edges.append(PEdge(ci, val))
+                    edges.append(Edge(ci, val))
                 elif val is not None:
-                    edges.append(PEdge(ci, pin_sink[val]))
+                    edges.append(Edge(ci, pin_sink[val]))
                 else:
-                    edges.append(PEdge(ci, open_v))
+                    edges.append(Edge(ci, open_v))
         for sink in list(pin_sink.values()) + [open_v, stuck_eve, stuck_adam]:
-            edges.append(PEdge(sink, sink))
+            edges.append(Edge(sink, sink))
         return ParityGame(
             names=tuple(names),
             owner=tuple(owner),
@@ -578,16 +496,7 @@ def countdown_to_total(cd: CountdownInstance) -> tuple[GameGraph, IntervalUnion]
     {0}.  (A credit-guessing variant for unit weights would add a +1 loop
     on the entry vertex; it is a trivial variant and not provided.)
     """
-    taken = set(cd.names)
-
-    def fresh(base: str) -> str:
-        name = base
-        suffix = 0
-        while name in taken:
-            suffix += 1
-            name = f"{base}_{suffix}"
-        taken.add(name)
-        return name
+    fresh = fresh_namer(cd.names)
 
     names = list(cd.names)
     owner = list(cd.owner)
@@ -598,7 +507,7 @@ def countdown_to_total(cd: CountdownInstance) -> tuple[GameGraph, IntervalUnion]
     names.append(fresh("stop"))
     owner.append(Player.EVE)
 
-    edges = [Edge(e.src, e.dst, e.weight) for e in cd.edges]
+    edges = list(cd.edges)
     for e in cd.edges:
         if cd.owner[e.src] is Player.EVE:
             edges.append(Edge(e.src, v_stop, e.weight))
@@ -619,54 +528,11 @@ def countdown_to_total(cd: CountdownInstance) -> tuple[GameGraph, IntervalUnion]
 # one-counter documents (emitted by the reduce command)
 
 def serialize_ocpg(p: OneCounterParityGame, comment: Optional[str] = None) -> str:
-    doc: dict = {}
-    if comment is not None:
-        doc["comment"] = comment
-    doc["vertices"] = [
-        {"id": name, "owner": owner.value, "priority": prio}
-        for name, owner, prio in zip(p.names, p.owner, p.priority)
-    ]
-    doc["edges"] = [
-        {"src": p.names[e.src], "dst": p.names[e.dst], "weight": e.weight}
-        for e in p.edges
-    ]
-    doc["zero_edges"] = [
-        {"src": p.names[z.src], "dst": p.names[z.dst]} for z in p.zero_edges
-    ]
-    doc["initial"] = p.names[p.initial]
-    doc["objective"] = {"payoff": "ocpg"}
-    return json.dumps(doc, indent=2) + "\n"
+    return write_document(p, comment=comment)
 
 
 def parse_ocpg(text: str) -> OneCounterParityGame:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise MalformedDocument("document root must be an object")
-    obj = doc.get("objective")
-    if not isinstance(obj, dict) or obj.get("payoff") != "ocpg":
+    parsed = read_document(text)
+    if not isinstance(parsed, OneCounterParityGame):
         raise MalformedDocument("not a one-counter parity document")
-    names, owners, priorities = _parse_vertices(doc)
-    for name, p in zip(names, priorities):
-        if p is None:
-            raise MalformedDocument(f"vertex {name!r}: missing priority")
-    index_of = {name: i for i, name in enumerate(names)}
-    edges = _parse_edges(doc, index_of, weight_required=True)
-    zero_edges = []
-    for entry in doc.get("zero_edges", []):
-        try:
-            zero_edges.append(ZEdge(index_of[entry["src"]], index_of[entry["dst"]]))
-        except KeyError as exc:
-            raise UnknownVertexReference(f"zero edge references {exc.args[0]!r}")
-    if doc["initial"] not in index_of:
-        raise UnknownVertexReference(f"initial vertex {doc['initial']!r} not listed")
-    return OneCounterParityGame(
-        names=tuple(names),
-        owner=tuple(owners),
-        priority=tuple(priorities),
-        edges=tuple(CEdge(e.src, e.dst, e.weight) for e in edges),
-        zero_edges=tuple(zero_edges),
-        initial=index_of[doc["initial"]],
-    )
+    return parsed

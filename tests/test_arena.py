@@ -25,7 +25,6 @@ from intervalgames.arena import (
     normalize,
     parse_game,
     serialize_game,
-    subgame,
 )
 from intervalgames.generate import random_game, random_objective
 
@@ -232,28 +231,6 @@ def test_contains_endpoint_flags_and_infinities():
         (Interval(F(0), F(1), True, False), Interval(F(2), PLUS_INF, False, True))
     )
     assert not contains(band, F(3, 2))
-
-
-def test_subgame_identity_and_dead_end():
-    rng = make_rng(7)
-    g = random_game(rng, 4)
-    assert subgame(g, ()) == g
-
-    cyc = GameGraph(
-        ("a", "b"),
-        (Player.EVE, Player.ADAM),
-        (Edge(0, 1, 0), Edge(1, 0, 0), Edge(1, 1, 3)),
-        0,
-    )
-    reduced = subgame(cyc, {0})
-    assert reduced.names == ("b",)
-    assert reduced.edges == (Edge(0, 0, 3),)
-
-    pure_cycle = GameGraph(
-        ("a", "b"), (Player.EVE, Player.ADAM), (Edge(0, 1, 0), Edge(1, 0, 0)), 0
-    )
-    with pytest.raises(DeadEndVertexError):
-        subgame(pure_cycle, {0})
 
 
 def test_max_abs_weight():

@@ -38,6 +38,43 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 3
     assert "singleton intervals unsupported for discounted sum" in err
 
+    # fields of the wrong JSON type are document errors, never tracebacks
+    loop = {
+        "vertices": [{"id": "a", "owner": "eve"}],
+        "edges": [{"src": "a", "dst": "a", "weight": 1}],
+        "initial": "a",
+        "objective": {
+            "payoff": "liminf",
+            "intervals": [{"lo": "1", "hi": "2", "lo_open": False, "hi_open": False}],
+        },
+    }
+    parity = {
+        "vertices": [{"id": "a", "owner": "eve", "priority": 0}],
+        "edges": [{"src": "a", "dst": "a"}],
+        "initial": "a",
+        "objective": {"payoff": "parity"},
+    }
+    good = tmp_path / "loop.game"
+    good.write_text(json.dumps(loop))
+    code, out, _ = run(capsys, "solve", good)
+    assert code == 0 and out.strip() == "EVE"
+    cases = [
+        (loop, lambda d: d.update(vertices=5), ("solve",)),
+        (loop, lambda d: d.update(edges=5), ("solve",)),
+        (loop, lambda d: d["objective"].update(intervals=5), ("solve",)),
+        (loop, lambda d: d.update(initial=["q"]), ("solve",)),
+        (loop, lambda d: d["objective"].update(payoff=["liminf"]), ("solve",)),
+        (loop, lambda d: d["edges"][0].update(src=["a"]), ("solve",)),
+        (loop, lambda d: d["objective"]["intervals"][0].update(lo_open="false"), ("solve",)),
+        (parity, lambda d: d.update(initial=["a"]), ("reduce", "--to", "liminf")),
+    ]
+    for base, edit, command in cases:
+        doc = json.loads(json.dumps(base))
+        edit(doc)
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(capsys, command[0], bad, *command[1:])
+        assert code == 2 and "error" in err and "Traceback" not in err, doc
+
 
 def test_corpus_golden_run(capsys):
     for game in sorted(CORPUS.glob("*.game")):

@@ -73,6 +73,15 @@ def test_threshold_strategies_cover_regions():
         for v in res.win_adam:
             if g.owner[v] is Player.ADAM:
                 assert v in res.adam_strategy
+        # every strategy edge leaves its vertex and stays in the region
+        for region, strategy in (
+            (res.win_eve, res.eve_strategy),
+            (res.win_adam, res.adam_strategy),
+        ):
+            for v, j in strategy.items():
+                assert v in region
+                assert g.edges[j].src == v
+                assert g.edges[j].dst in region
 
 
 def test_interval_solver_empty_union():

@@ -2,7 +2,14 @@ from intervalgames.arena import Edge, Player
 from intervalgames.generate import random_parity_game
 from intervalgames.oracle import Lasso, brute_force_positional, play_value
 from intervalgames.arena import Payoff
-from intervalgames.parity import ParityGame, PEdge, attractor, solve_parity
+from intervalgames.parity import (
+    ParityGame,
+    PEdge,
+    attractor,
+    parse_parity_game,
+    serialize_parity_game,
+    solve_parity,
+)
 
 from conftest import make_rng
 
@@ -124,3 +131,13 @@ def test_agreement_with_positional_enumeration():
         reference = brute_force_positional(p)
         assert reference.exact
         assert solved.win_eve == reference.win_eve
+
+
+def test_parity_document_round_trip():
+    rng = make_rng(24)
+    for _ in range(100):
+        p = random_parity_game(rng, rng.randint(1, 8), rng.randint(0, 6))
+        text = serialize_parity_game(p)
+        again = parse_parity_game(text)
+        assert again == p
+        assert serialize_parity_game(again) == text

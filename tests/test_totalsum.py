@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from intervalgames.arena import (
     Interval,
     IntervalUnion,
     MINUS_INF,
+    MalformedDocument,
     PLUS_INF,
     Payoff,
     Player,
@@ -264,3 +266,11 @@ def test_ocpg_document_round_trip():
     text = serialize_ocpg(p)
     again = parse_ocpg(text)
     assert again == p
+
+
+def test_ocpg_document_rejects_untyped_zero_edges():
+    p = totalsum_to_ocpg(adam_loop(1), IntervalUnion((Interval(F(0), F(1)),)))
+    doc = json.loads(serialize_ocpg(p))
+    doc["zero_edges"] = [5]
+    with pytest.raises(MalformedDocument):
+        parse_ocpg(json.dumps(doc))
