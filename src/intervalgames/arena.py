@@ -192,10 +192,6 @@ class Edge(NamedTuple):
     weight: int = 0
 
 
-# former names of the parity, counter and zero-test edge types
-PEdge = CEdge = ZEdge = Edge
-
-
 def _by_vertex(n: int, edges: Sequence[Edge], end: int) -> tuple[tuple[int, ...], ...]:
     """Edge indices grouped by source (end 0) or target (end 1), in
     edge-list order."""

@@ -30,18 +30,14 @@ from .arena import (
     parse_rational,
     read_document,
     serialize_game,
+    write_document,
 )
 from .discounted import _min_decision_width, horizon, solve_ds_interval, subset_sum_to_ds
 from .liminf import liminf_to_parity, parity_to_liminf, solve_liminf
 from .meanpayoff import parity_to_mp, solve_mp_interval
 from .oracle import brute_force_finite_horizon_ds, brute_force_positional
-from .parity import serialize_parity_game, solve_parity
-from .totalsum import (
-    countdown_to_total,
-    serialize_ocpg,
-    solve_total_interval,
-    totalsum_to_ocpg,
-)
+from .parity import solve_parity
+from .totalsum import countdown_to_total, solve_total_interval, totalsum_to_ocpg
 
 
 class IncompatibleReduction(UnsupportedObjective):
@@ -146,14 +142,14 @@ def cmd_reduce(args) -> int:
             raise IncompatibleReduction(
                 f"cannot reduce payoff {o.payoff.value!r} to a parity game"
             )
-        sys.stdout.write(serialize_parity_game(liminf_to_parity(g, o.intervals)))
+        sys.stdout.write(write_document(liminf_to_parity(g, o.intervals)))
         return 0
     if target == "ocpg":
         if o.payoff is not Payoff.TOTAL_INF:
             raise IncompatibleReduction(
                 f"cannot reduce payoff {o.payoff.value!r} to a one-counter game"
             )
-        sys.stdout.write(serialize_ocpg(totalsum_to_ocpg(g, o.intervals)))
+        sys.stdout.write(write_document(totalsum_to_ocpg(g, o.intervals)))
         return 0
     raise IncompatibleReduction(f"cannot reduce a payoff game to {target!r}")
 
@@ -166,6 +162,8 @@ def cmd_generate(args) -> int:
         lam = parse_rational(args.discount)
         if not 0 < lam < 1:
             raise BadParameters(f"discount factor {args.discount} not in (0,1)")
+        if args.max_value < 0:
+            raise BadParameters("subset-sum needs --max-value >= 0")
         instance = generate.random_subset_sum(
             rng, args.pairs, target=args.target, max_value=args.max_value
         )
@@ -187,6 +185,8 @@ def cmd_generate(args) -> int:
             raise BadParameters("countdown needs --vertices >= 2")
         if args.credit is None or args.credit < 1:
             raise BadParameters("countdown needs --credit >= 1")
+        if args.max_weight < 1:
+            raise BadParameters("countdown needs --max-weight >= 1")
         cd = generate.random_countdown(
             rng, args.vertices, args.credit, max_weight=args.max_weight
         )
@@ -201,12 +201,18 @@ def cmd_generate(args) -> int:
     if args.kind == "random-parity":
         if args.vertices is None or args.vertices < 1:
             raise BadParameters("random-parity needs --vertices >= 1")
+        if args.max_priority < 0:
+            raise BadParameters("random-parity needs --max-priority >= 0")
         p = generate.random_parity_game(rng, args.vertices, args.max_priority)
-        sys.stdout.write(serialize_parity_game(p))
+        sys.stdout.write(write_document(p))
         return 0
     if args.kind == "random-arena":
         if args.vertices is None or args.vertices < 1:
             raise BadParameters("random-arena needs --vertices >= 1")
+        if args.max_weight < 0:
+            raise BadParameters("random-arena needs --max-weight >= 0")
+        if args.intervals < 0:
+            raise BadParameters("random-arena needs --intervals >= 0")
         try:
             payoff = Payoff(args.payoff)
         except ValueError:

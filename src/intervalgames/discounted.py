@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .arena import (
+    BadParameters,
     Edge,
     GameError,
     GameGraph,
@@ -51,23 +52,17 @@ class SubsetSumInstance:
 
 @dataclass(frozen=True)
 class DsValueTable:
-    """Per-vertex optimal values and the two extremal Eve strategies.
+    """Per-vertex optimal values.
 
     minmax/maxmin are the values of the ordinary discounted games (Eve
-    maximizing resp. minimizing); maxmax/minmin fix the corresponding Eve
-    strategy and let Adam optimize the same direction as Eve.
+    maximizing resp. minimizing); maxmax/minmin fix the corresponding
+    optimal Eve strategy and let Adam optimize the same direction as Eve.
     """
 
     maxmax: tuple[Fraction, ...]
     minmax: tuple[Fraction, ...]
     maxmin: tuple[Fraction, ...]
     minmin: tuple[Fraction, ...]
-    sigma_max: dict[int, int]
-    sigma_min: dict[int, int]
-    tau_minmax: dict[int, int]
-    tau_maxmax: dict[int, int]
-    tau_maxmin: dict[int, int]
-    tau_minmin: dict[int, int]
 
 
 def ds_value_lasso(prefix: Sequence[int], cycle: Sequence[int], lam: Fraction) -> Fraction:
@@ -147,9 +142,9 @@ def _best_response(
     lam: Fraction,
     sigma: dict[int, int],
     adam_maximizes: bool,
-) -> tuple[list[Fraction], dict[int, int]]:
-    """Adam's optimal positional reply to a fixed Eve strategy, by policy
-    iteration with exact evaluation."""
+) -> list[Fraction]:
+    """Values under Adam's optimal positional reply to a fixed Eve
+    strategy, by policy iteration with exact evaluation."""
     adam_vertices = [v for v in range(g.n) if g.owner[v] is Player.ADAM]
     choice = dict(sigma)
     for v in adam_vertices:
@@ -157,41 +152,33 @@ def _best_response(
     while True:
         values = _profile_values(g, lam, choice)
         if not _improve(g, lam, choice, values, adam_vertices, adam_maximizes):
-            return values, {v: choice[v] for v in adam_vertices}
+            return values
 
 
 def _optimal_eve(
     g: GameGraph, lam: Fraction, eve_maximizes: bool
-) -> tuple[list[Fraction], dict[int, int], dict[int, int]]:
+) -> tuple[list[Fraction], dict[int, int]]:
     """Strategy iteration: Eve improves against Adam's exact best response
     (Adam optimizes the opposite direction) until no switch is strict."""
     eve_vertices = [v for v in range(g.n) if g.owner[v] is Player.EVE]
     sigma = {v: g.out_edges[v][0] for v in eve_vertices}
     while True:
-        values, tau = _best_response(g, lam, sigma, adam_maximizes=not eve_maximizes)
+        values = _best_response(g, lam, sigma, adam_maximizes=not eve_maximizes)
         if not _improve(g, lam, sigma, values, eve_vertices, eve_maximizes):
-            return values, sigma, tau
+            return values, sigma
 
 
 def ds_optimal_values(g: GameGraph, lam: Fraction) -> DsValueTable:
-    """The four per-vertex values and extremal strategies, all exact."""
+    """The four per-vertex values, all exact."""
     if not 0 < lam < 1:
         raise GameError(f"discount factor {lam} not in (0,1)")
-    minmax_vals, sigma_max, tau_minmax = _optimal_eve(g, lam, eve_maximizes=True)
-    maxmin_vals, sigma_min, tau_maxmin = _optimal_eve(g, lam, eve_maximizes=False)
-    maxmax_vals, tau_maxmax = _best_response(g, lam, sigma_max, adam_maximizes=True)
-    minmin_vals, tau_minmin = _best_response(g, lam, sigma_min, adam_maximizes=False)
+    minmax_vals, sigma_max = _optimal_eve(g, lam, eve_maximizes=True)
+    maxmin_vals, sigma_min = _optimal_eve(g, lam, eve_maximizes=False)
     table = DsValueTable(
-        maxmax=tuple(maxmax_vals),
+        maxmax=tuple(_best_response(g, lam, sigma_max, adam_maximizes=True)),
         minmax=tuple(minmax_vals),
         maxmin=tuple(maxmin_vals),
-        minmin=tuple(minmin_vals),
-        sigma_max=sigma_max,
-        sigma_min=sigma_min,
-        tau_minmax=tau_minmax,
-        tau_maxmax=tau_maxmax,
-        tau_maxmin=tau_maxmin,
-        tau_minmin=tau_minmin,
+        minmin=tuple(_best_response(g, lam, sigma_min, adam_maximizes=False)),
     )
     bound = Fraction(max_abs_weight(g)) / (1 - lam)
     for v in range(g.n):
@@ -245,7 +232,8 @@ def solve_ds_interval(
     computed horizon plus `extra_depth`; a node whose whole residual ball
     sits inside one interval (or one gap) is decided immediately.  At the
     stopping depth the residual ball meets at most one interval and the
-    four-value check decides the node.
+    four-value check decides the node.  A negative `extra_depth` would stop
+    short of the horizon and is rejected.
     """
     if iu.has_singleton_interval or iu.has_singleton_gap:
         raise SingletonNotSupported(
@@ -253,6 +241,8 @@ def solve_ds_interval(
         )
     if not 0 < lam < 1:
         raise GameError(f"discount factor {lam} not in (0,1)")
+    if extra_depth < 0:
+        raise BadParameters(f"horizon slack {extra_depth} must be non-negative")
     n = g.n
     if iu.is_empty:
         return Regions(win_eve=frozenset(), win_adam=frozenset(range(n)))

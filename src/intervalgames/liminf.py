@@ -57,24 +57,20 @@ class PriorityMap:
         return not self.intervals
 
 
-def _floor(x: Fraction) -> int:
-    return math.floor(x)
-
-
 def _lo_int(j: Interval) -> IntEndpoint:
     if isinstance(j.lo, Infinity):
         return MINUS_INF
     if j.lo_open:
-        return _floor(j.lo) + 1
-    return -_floor(-j.lo)  # ceil
+        return math.floor(j.lo) + 1
+    return math.ceil(j.lo)
 
 
 def _hi_int(j: Interval) -> IntEndpoint:
     if isinstance(j.hi, Infinity):
         return PLUS_INF
     if j.hi_open:
-        return -_floor(-j.hi) - 1  # ceil - 1
-    return _floor(j.hi)
+        return math.ceil(j.hi) - 1
+    return math.floor(j.hi)
 
 
 def integerize(iu: IntervalUnion) -> PriorityMap:

@@ -4,9 +4,10 @@ The threshold problem ("can Eve force the liminf average weight to be at
 least a") is solved with an energy-style progress measure after an affine
 rescale to integer weights and threshold zero.  Strict comparisons reduce
 to non-strict ones because cycle means in a game with n vertices are
-rationals with denominator at most n.  The interval solvers iterate
-threshold calls, peeling off regions Adam wins outright, and recurse on
-objectives with fewer finite interval boundaries.
+rationals with denominator at most n.  The interval solver iterates
+threshold calls, peeling off regions Adam wins outright, and recurses on
+objectives with fewer finite interval boundaries; a single interval is
+the one-piece union.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Optional
 from .arena import (
     Edge,
     GameGraph,
-    Infinity,
     Interval,
     IntervalUnion,
     MINUS_INF,
@@ -154,23 +154,6 @@ def mp_threshold(
     return regions
 
 
-def _close_removal(
-    g: GameGraph, removed: frozenset[int], alive: frozenset[int]
-) -> tuple[frozenset[int], dict[int, int]]:
-    """Close a set of Adam-won vertices under Adam's attractor in `alive`.
-
-    Every removed vertex is one from which Adam defeats the (prefix
-    independent) objective, so he also wins wherever he can force the play
-    into the set: an Adam vertex with one edge into it, or an Eve vertex
-    with no edge avoiding it.  Peeling without this closure is unsound;
-    later iterations solve subgames in which the escape edges no longer
-    exist, so they cannot see that Adam may simply step into territory he
-    has already won.  Returns the closed set and the attractor edges for
-    newly added Adam vertices.
-    """
-    return attractor_with_strategy(g, removed, Player.ADAM, alive)
-
-
 def solve_mp_interval(
     g: GameGraph, iu: IntervalUnion, alive: Optional[frozenset[int]] = None
 ) -> Regions:
@@ -206,49 +189,15 @@ def solve_mp_interval(
         new = thr.win_adam | rec.win_adam
         if not new:
             break
-        adam_total, _ = _close_removal(g, adam_total | new, alive)
+        # Adam defeats the (prefix independent) objective from every
+        # removed vertex, so he also wins wherever he can force the play
+        # into the set.  Peeling without this closure is unsound: later
+        # rounds solve subgames in which the escape edges no longer exist,
+        # so they cannot see that Adam may step into territory he has
+        # already won.
+        adam_total, _ = attractor_with_strategy(g, adam_total | new, Player.ADAM, alive)
     regions = Regions(win_eve=alive - adam_total, win_adam=adam_total)
     regions.check_partition(len(alive))
-    return regions
-
-
-def solve_mp_single(g: GameGraph, interval: Interval) -> Regions:
-    """Single-interval variant: alternately remove Adam's regions for the
-    lower and upper threshold games until nothing changes.  Adam's
-    composed strategy is positional and is returned on his region."""
-    lo, hi = interval.lo, interval.hi
-    everything = frozenset(range(g.n))
-    adam_total: frozenset[int] = frozenset()
-    adam_strategy: PositionalStrategy = {}
-    while len(adam_total) < g.n:
-        current = everything - adam_total
-        removed: frozenset[int] = frozenset()
-        level_strategy: PositionalStrategy = {}
-        if not isinstance(lo, Infinity):
-            low = mp_threshold(
-                g, ThresholdQuery(lo, Cmp.GT if interval.lo_open else Cmp.GE), current
-            )
-            removed = low.win_adam
-            level_strategy.update(low.adam_strategy)
-        if not isinstance(hi, Infinity) and len(removed) < len(current):
-            high = mp_threshold(
-                g, ThresholdQuery(hi, Cmp.LT if interval.hi_open else Cmp.LE), current - removed
-            )
-            removed |= high.win_adam
-            level_strategy.update(high.adam_strategy)
-        if not removed:
-            break
-        new_total, attractor_strategy = _close_removal(g, adam_total | removed, everything)
-        adam_strategy.update(level_strategy)
-        for v, j in attractor_strategy.items():
-            adam_strategy.setdefault(v, j)
-        adam_total = new_total
-    regions = Regions(
-        win_eve=everything - adam_total,
-        win_adam=adam_total,
-        adam_strategy=adam_strategy,
-    )
-    regions.check_partition(g.n)
     return regions
 
 

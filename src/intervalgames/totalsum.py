@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .arena import (
-    CEdge,  # noqa: F401  (re-exported)
+    BadParameters,
     Edge,
     GameError,
     GameGraph,
@@ -30,18 +30,14 @@ from .arena import (
     Interval,
     IntervalUnion,
     MINUS_INF,
-    MalformedDocument,
     OneCounterParityGame,
     PLUS_INF,
     ParityGame,
     Player,
     UnsupportedObjective,
     Verdict,
-    ZEdge,  # noqa: F401  (re-exported)
     fresh_namer,
     max_abs_weight,
-    read_document,
-    write_document,
 )
 from .liminf import PriorityMap, integerize, omega_I
 from .parity import solve_parity
@@ -230,14 +226,6 @@ def _region_bounds(pm: PriorityMap, i: int):
     return pm.intervals[j - 1][1] + 1, pm.intervals[j][0] - 1
 
 
-def _has_positive_cycle(g: GameGraph) -> bool:
-    return _has_cycle_sign(g, +1)
-
-
-def _has_negative_cycle(g: GameGraph) -> bool:
-    return _has_cycle_sign(g, -1)
-
-
 def _has_cycle_sign(g: GameGraph, sign: int) -> bool:
     """Bellman-Ford style check for a cycle with positive (sign=+1) or
     negative (sign=-1) total weight."""
@@ -278,7 +266,7 @@ def solve_ocpg_bounded(
     edges) is lost by its owner.
     """
     if bound < 1:
-        raise GameError(f"counter bound {bound} must be positive")
+        raise BadParameters(f"counter bound {bound} must be positive")
     if not p.zero_edges:
         flat = ParityGame(
             names=p.names,
@@ -458,13 +446,13 @@ def solve_total_interval(
     escape_down: dict[int, int] = {v_bot: 2 * r + 1, v_top: 2 * r}
     escape_up: dict[int, int] = {v_top: 2 * r + 1, v_bot: 2 * r}
     fabric = [v for v in range(ocpg.n) if v not in (v_top, v_bot, v_zero)]
-    if safe and not _has_positive_cycle(g):
+    if safe and not _has_cycle_sign(g, +1):
         # an escape below the clamp stays below every region boundary
         lo_first = pm.intervals[0][0]
         prio = 2 if isinstance(lo_first, Infinity) else 1
         for v in fabric:
             escape_down[v] = prio
-    if safe and not _has_negative_cycle(g):
+    if safe and not _has_cycle_sign(g, -1):
         hi_last = pm.intervals[-1][1]
         prio = 2 * r if isinstance(hi_last, Infinity) else 2 * r + 1
         for v in fabric:
@@ -523,16 +511,3 @@ def countdown_to_total(cd: CountdownInstance) -> tuple[GameGraph, IntervalUnion]
     iu = IntervalUnion((Interval(Fraction(0), Fraction(0)),))
     return g, iu
 
-
-# ---------------------------------------------------------------------------
-# one-counter documents (emitted by the reduce command)
-
-def serialize_ocpg(p: OneCounterParityGame, comment: Optional[str] = None) -> str:
-    return write_document(p, comment=comment)
-
-
-def parse_ocpg(text: str) -> OneCounterParityGame:
-    parsed = read_document(text)
-    if not isinstance(parsed, OneCounterParityGame):
-        raise MalformedDocument("not a one-counter parity document")
-    return parsed

@@ -43,7 +43,6 @@ from intervalgames.meanpayoff import (
     mp_threshold,
     parity_to_mp,
     solve_mp_interval,
-    solve_mp_single,
 )
 from intervalgames.oracle import (
     brute_force_positional,
@@ -190,9 +189,8 @@ def test_acceptance_06_single_interval_oracle():
             g = random_game(rng, rng.randint(1, 5), max_weight=2)
             a = F(rng.randint(-4, 2), 2)
             b = a + F(rng.randint(0, 4), 2)
-            interval = Interval(a, b)
-            iu = IntervalUnion((interval,))
-            solved = solve_mp_single(g, interval)
+            iu = IntervalUnion((Interval(a, b),))
+            solved = solve_mp_interval(g, iu)
             adam_vs = [v for v in range(g.n) if g.owner[v] is Player.ADAM]
             adam_wins = set()
             for tau in itertools.product(*(g.out_edges[v] for v in adam_vs)):

@@ -75,6 +75,11 @@ def test_exit_codes(capsys, tmp_path):
         code, _, err = run(capsys, command[0], bad, *command[1:])
         assert code == 2 and "error" in err and "Traceback" not in err, doc
 
+    # a search stopped short of the horizon would decide wrongly
+    for slack in ("-1", "-50"):
+        code, _, err = run(capsys, "solve", CORPUS / "fig3_n1.game", "--horizon-slack", slack)
+        assert code == 2 and "error" in err and "Traceback" not in err, slack
+
 
 def test_corpus_golden_run(capsys):
     for game in sorted(CORPUS.glob("*.game")):
@@ -147,6 +152,17 @@ def test_generate_bad_parameters(capsys):
     code, _, err = run(capsys, "generate", "countdown", "--vertices", "1",
                        "--credit", "5", "--seed", "3")
     assert code == 2
+    # flags whose value leaves a generator an empty range to draw from
+    cases = [
+        ("countdown", "--vertices", "4", "--credit", "5", "--max-weight", "0"),
+        ("random-arena", "--vertices", "3", "--max-weight", "-1"),
+        ("random-arena", "--vertices", "3", "--intervals", "-1"),
+        ("random-parity", "--vertices", "3", "--max-priority", "-1"),
+        ("subset-sum", "--pairs", "2", "--max-value", "-1"),
+    ]
+    for args in cases:
+        code, _, err = run(capsys, "generate", *args, "--seed", "3")
+        assert code == 2 and "error" in err, args
 
 
 def test_reduce_chain(capsys, tmp_path):
@@ -203,6 +219,9 @@ def test_solve_rejects_parity_documents(capsys, tmp_path):
 def test_total_sum_bound_flag(capsys):
     code, out, _ = run(capsys, "solve", CORPUS / "fig5.game", "--bound", "8")
     assert code == 0 and out.strip() == "UNKNOWN"
+    for bound in ("0", "-3"):
+        code, _, err = run(capsys, "solve", CORPUS / "fig5.game", "--bound", bound)
+        assert code == 2 and "error" in err, bound
 
 
 def test_check_parity_document(capsys, tmp_path):

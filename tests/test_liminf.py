@@ -24,7 +24,7 @@ from intervalgames.liminf import (
     solve_liminf,
 )
 from intervalgames.oracle import Lasso, brute_force_positional, play_value
-from intervalgames.parity import ParityGame, PEdge, solve_parity
+from intervalgames.parity import ParityGame, solve_parity
 
 from conftest import make_rng
 
@@ -128,13 +128,13 @@ def test_parity_round_trip_through_weights():
 
 
 def test_parity_to_liminf_singletons():
-    p = ParityGame(("v",), (Player.EVE,), (PEdge(0, 0),), (0,), 0)
+    p = ParityGame(("v",), (Player.EVE,), (Edge(0, 0),), (0,), 0)
     g, iu = parity_to_liminf(p)
     assert g.edges[0].weight == 0
     assert iu.intervals == (Interval(F(0), F(0)),)
     assert solve_liminf(g, iu).win_eve == frozenset({0})
 
-    podd = ParityGame(("v",), (Player.EVE,), (PEdge(0, 0),), (1,), 0)
+    podd = ParityGame(("v",), (Player.EVE,), (Edge(0, 0),), (1,), 0)
     g, iu = parity_to_liminf(podd)
     assert iu.is_empty
     assert solve_liminf(g, iu).win_adam == frozenset({0})

@@ -23,10 +23,9 @@ from intervalgames.meanpayoff import (
     mp_threshold,
     parity_to_mp,
     solve_mp_interval,
-    solve_mp_single,
 )
 from intervalgames.oracle import brute_force_positional, one_player_mp_achievable
-from intervalgames.parity import ParityGame, PEdge, solve_parity
+from intervalgames.parity import ParityGame, solve_parity
 
 from conftest import make_rng
 
@@ -110,16 +109,17 @@ def test_interval_matches_thresholds():
 
 
 def test_single_interval_examples():
-    assert solve_mp_single(loop(0), Interval(F(0), F(0))).win_eve == frozenset({0})
+    zero = IntervalUnion((Interval(F(0), F(0)),))
+    assert solve_mp_interval(loop(0), zero).win_eve == frozenset({0})
     swing_adam = GameGraph(
         ("v",), (Player.ADAM,), (Edge(0, 0, -1), Edge(0, 0, 1)), 0
     )
-    assert solve_mp_single(swing_adam, Interval(F(0), F(0))).win_adam == frozenset({0})
+    assert solve_mp_interval(swing_adam, zero).win_adam == frozenset({0})
     swing_eve = GameGraph(
         ("v",), (Player.EVE,), (Edge(0, 0, -1), Edge(0, 0, 1)), 0
     )
-    assert solve_mp_single(swing_eve, Interval(F(0), F(0))).win_eve == frozenset({0})
-    assert one_player_mp_achievable(swing_eve, IntervalUnion((Interval(F(0), F(0)),))) == [True]
+    assert solve_mp_interval(swing_eve, zero).win_eve == frozenset({0})
+    assert one_player_mp_achievable(swing_eve, zero) == [True]
 
 
 def test_single_interval_against_adam_positional_oracle():
@@ -128,9 +128,8 @@ def test_single_interval_against_adam_positional_oracle():
         g = random_game(rng, rng.randint(1, 5), max_weight=2)
         a = F(rng.randint(-4, 2), 2)
         b = a + F(rng.randint(0, 4), 2)
-        interval = Interval(a, b)
-        solved = solve_mp_single(g, interval)
-        iu = IntervalUnion((interval,))
+        iu = IntervalUnion((Interval(a, b),))
+        solved = solve_mp_interval(g, iu)
         adam_vs = [v for v in range(g.n) if g.owner[v] is Player.ADAM]
         slots = [g.out_edges[v] for v in adam_vs]
         adam_wins = set()
@@ -151,17 +150,6 @@ def test_single_interval_against_adam_positional_oracle():
             achievable = one_player_mp_achievable(residual, iu)
             adam_wins |= {v for v in range(g.n) if not achievable[v]}
         assert solved.win_adam == frozenset(adam_wins)
-
-
-def test_single_interval_adam_strategy_defined_on_region():
-    rng = make_rng(44)
-    for _ in range(100):
-        g = random_game(rng, rng.randint(1, 5), max_weight=2)
-        res = solve_mp_single(g, Interval(F(0), F(1)))
-        for v in res.win_adam:
-            if g.owner[v] is Player.ADAM:
-                assert v in res.adam_strategy
-                assert g.edges[res.adam_strategy[v]].src == v
 
 
 def test_duality_with_swapped_players():
@@ -185,7 +173,7 @@ def test_monotone_in_the_objective():
 
 
 def test_parity_gadget_structure():
-    p = ParityGame(("v",), (Player.EVE,), (PEdge(0, 0),), (0,), 0)
+    p = ParityGame(("v",), (Player.EVE,), (Edge(0, 0),), (0,), 0)
     g, iu = parity_to_mp(p)
     assert g.n == 4
     assert len(g.edges) == 1 + 6
@@ -194,7 +182,7 @@ def test_parity_gadget_structure():
     assert solve_parity(p).win_eve == frozenset({0})
     assert 0 in solve_mp_interval(g, iu).win_eve
 
-    podd = ParityGame(("v",), (Player.EVE,), (PEdge(0, 0),), (1,), 0)
+    podd = ParityGame(("v",), (Player.EVE,), (Edge(0, 0),), (1,), 0)
     g, iu = parity_to_mp(podd)
     assert 0 in solve_mp_interval(g, iu).win_adam
 
@@ -208,7 +196,7 @@ def test_parity_gadget_counts():
 
 
 def test_parity_priority_out_of_range():
-    p = ParityGame(("v",), (Player.EVE,), (PEdge(0, 0),), (7,), 0)
+    p = ParityGame(("v",), (Player.EVE,), (Edge(0, 0),), (7,), 0)
     with pytest.raises(PriorityOutOfRange):
         parity_to_mp(p)
 

@@ -23,7 +23,7 @@ from intervalgames.oracle import (
     one_player_mp_achievable,
     play_value,
 )
-from intervalgames.parity import ParityGame, PEdge
+from intervalgames.parity import ParityGame
 
 from conftest import make_rng
 
@@ -81,7 +81,7 @@ def test_oracle_is_deterministic():
 
 
 def test_parity_mode_exact():
-    p = ParityGame(("v",), (Player.EVE,), (PEdge(0, 0),), (0,), 0)
+    p = ParityGame(("v",), (Player.EVE,), (Edge(0, 0),), (0,), 0)
     res = brute_force_positional(p)
     assert res.exact and res.win_eve == frozenset({0})
 

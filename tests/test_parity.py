@@ -1,15 +1,8 @@
-from intervalgames.arena import Edge, Player
+from intervalgames.arena import Edge, Player, read_document, write_document
 from intervalgames.generate import random_parity_game
 from intervalgames.oracle import Lasso, brute_force_positional, play_value
 from intervalgames.arena import Payoff
-from intervalgames.parity import (
-    ParityGame,
-    PEdge,
-    attractor,
-    parse_parity_game,
-    serialize_parity_game,
-    solve_parity,
-)
+from intervalgames.parity import ParityGame, attractor_with_strategy, solve_parity
 
 from conftest import make_rng
 
@@ -19,7 +12,7 @@ def chain_game():
     return ParityGame(
         names=("v0", "v1", "t"),
         owner=(Player.EVE, Player.EVE, Player.EVE),
-        edges=(PEdge(0, 1), PEdge(1, 2), PEdge(2, 2)),
+        edges=(Edge(0, 1), Edge(1, 2), Edge(2, 2)),
         priority=(1, 1, 0),
         initial=0,
     )
@@ -27,12 +20,12 @@ def chain_game():
 
 def test_attractor_whole_vertex_set():
     p = chain_game()
-    assert attractor(p, {0, 1, 2}, Player.EVE) == frozenset({0, 1, 2})
+    assert attractor_with_strategy(p, {0, 1, 2}, Player.EVE)[0] == frozenset({0, 1, 2})
 
 
 def test_attractor_chain():
     p = chain_game()
-    assert attractor(p, {2}, Player.EVE) == frozenset({0, 1, 2})
+    assert attractor_with_strategy(p, {2}, Player.EVE)[0] == frozenset({0, 1, 2})
 
 
 def test_attractor_opponent_escape():
@@ -40,16 +33,16 @@ def test_attractor_opponent_escape():
     p = ParityGame(
         names=("a", "t", "esc"),
         owner=(Player.ADAM, Player.EVE, Player.EVE),
-        edges=(PEdge(0, 1), PEdge(0, 2), PEdge(1, 1), PEdge(2, 2)),
+        edges=(Edge(0, 1), Edge(0, 2), Edge(1, 1), Edge(2, 2)),
         priority=(0, 0, 0),
         initial=0,
     )
-    assert attractor(p, {1}, Player.EVE) == frozenset({1})
+    assert attractor_with_strategy(p, {1}, Player.EVE)[0] == frozenset({1})
 
 
 def one_vertex(priority, owner=Player.EVE):
     return ParityGame(
-        names=("v",), owner=(owner,), edges=(PEdge(0, 0),), priority=(priority,), initial=0
+        names=("v",), owner=(owner,), edges=(Edge(0, 0),), priority=(priority,), initial=0
     )
 
 
@@ -62,7 +55,7 @@ def test_adam_picks_the_odd_loop():
     p = ParityGame(
         names=("v", "w1", "w2"),
         owner=(Player.ADAM, Player.ADAM, Player.ADAM),
-        edges=(PEdge(0, 1), PEdge(0, 2), PEdge(1, 0), PEdge(2, 0)),
+        edges=(Edge(0, 1), Edge(0, 2), Edge(1, 0), Edge(2, 0)),
         priority=(3, 1, 2),
         initial=0,
     )
@@ -137,7 +130,7 @@ def test_parity_document_round_trip():
     rng = make_rng(24)
     for _ in range(100):
         p = random_parity_game(rng, rng.randint(1, 8), rng.randint(0, 6))
-        text = serialize_parity_game(p)
-        again = parse_parity_game(text)
+        text = write_document(p)
+        again = read_document(text)
         assert again == p
-        assert serialize_parity_game(again) == text
+        assert write_document(again) == text

@@ -16,6 +16,8 @@ from intervalgames.arena import (
     Player,
     Verdict,
     contains,
+    read_document,
+    write_document,
 )
 from intervalgames.generate import (
     random_countdown,
@@ -25,14 +27,10 @@ from intervalgames.generate import (
 )
 from intervalgames.oracle import Lasso, countdown_winner, play_value
 from intervalgames.totalsum import (
-    CEdge,
     CountdownInstance,
     NoFiniteEndpoint,
     OneCounterParityGame,
-    ZEdge,
     countdown_to_total,
-    parse_ocpg,
-    serialize_ocpg,
     solve_ocpg_bounded,
     solve_total_interval,
     totalsum_to_ocpg,
@@ -77,8 +75,8 @@ def test_bounded_solver_all_even_zero_weights():
         names=("a", "b"),
         owner=(Player.EVE, Player.ADAM),
         priority=(0, 2),
-        edges=(CEdge(0, 1, 0), CEdge(1, 0, 0)),
-        zero_edges=(ZEdge(0, 0),),
+        edges=(Edge(0, 1, 0), Edge(1, 0, 0)),
+        zero_edges=(Edge(0, 0),),
         initial=0,
     )
     for bound in (1, 5):
@@ -93,7 +91,7 @@ def test_bounded_solver_counter_free_game_solved_exactly():
         names=("a",),
         owner=(Player.ADAM,),
         priority=(1,),
-        edges=(CEdge(0, 0, 1),),
+        edges=(Edge(0, 0, 1),),
         zero_edges=(),
         initial=0,
     )
@@ -144,7 +142,7 @@ def test_countdown_reduction_structure():
     cd = CountdownInstance(
         names=("u", "w"),
         owner=(Player.EVE, Player.ADAM),
-        edges=(CEdge(0, 1, -2), CEdge(1, 0, -1)),
+        edges=(Edge(0, 1, -2), Edge(1, 0, -1)),
         initial=0,
         credit=4,
     )
@@ -157,10 +155,10 @@ def test_countdown_reduction_structure():
 
 
 def test_countdown_even_and_odd_credit():
-    cd = CountdownInstance(("u",), (Player.EVE,), (CEdge(0, 0, -2),), 0, 4)
+    cd = CountdownInstance(("u",), (Player.EVE,), (Edge(0, 0, -2),), 0, 4)
     g, iu = countdown_to_total(cd)
     assert solve_total_interval(g, iu).initial_verdict is Verdict.EVE
-    cd3 = CountdownInstance(("u",), (Player.EVE,), (CEdge(0, 0, -2),), 0, 3)
+    cd3 = CountdownInstance(("u",), (Player.EVE,), (Edge(0, 0, -2),), 0, 3)
     g3, iu3 = countdown_to_total(cd3)
     assert solve_total_interval(g3, iu3).initial_verdict is Verdict.ADAM
 
@@ -263,14 +261,14 @@ def test_ocpg_document_round_trip():
     rng = make_rng(66)
     g = random_game(rng, 3, max_weight=2)
     p = totalsum_to_ocpg(g, IntervalUnion((Interval(F(0), F(1)),)))
-    text = serialize_ocpg(p)
-    again = parse_ocpg(text)
+    text = write_document(p)
+    again = read_document(text)
     assert again == p
 
 
 def test_ocpg_document_rejects_untyped_zero_edges():
     p = totalsum_to_ocpg(adam_loop(1), IntervalUnion((Interval(F(0), F(1)),)))
-    doc = json.loads(serialize_ocpg(p))
+    doc = json.loads(write_document(p))
     doc["zero_edges"] = [5]
     with pytest.raises(MalformedDocument):
-        parse_ocpg(json.dumps(doc))
+        read_document(json.dumps(doc))
