@@ -29,7 +29,6 @@ from .arena import (
     normalize,
     parse_rational,
     read_document,
-    serialize_game,
     write_document,
 )
 from .discounted import _min_decision_width, horizon, solve_ds_interval, subset_sum_to_ds
@@ -124,15 +123,11 @@ def cmd_reduce(args) -> int:
         p = parsed
         if target == "liminf":
             g, iu = parity_to_liminf(p)
-            sys.stdout.write(
-                serialize_game(g, Objective(payoff=Payoff.LIMINF, intervals=iu))
-            )
+            sys.stdout.write(write_document(g, Objective(payoff=Payoff.LIMINF, intervals=iu)))
             return 0
         if target == "mp":
             g, iu = parity_to_mp(p)
-            sys.stdout.write(
-                serialize_game(g, Objective(payoff=Payoff.MP_INF, intervals=iu))
-            )
+            sys.stdout.write(write_document(g, Objective(payoff=Payoff.MP_INF, intervals=iu)))
             return 0
         raise IncompatibleReduction(f"cannot reduce a parity game to {target!r}")
     g, o = parsed
@@ -172,13 +167,8 @@ def cmd_generate(args) -> int:
             f"subset-sum instance target={instance.target} "
             f"pairs={list(instance.pairs)} scale={scale}"
         )
-        sys.stdout.write(
-            serialize_game(
-                g,
-                Objective(payoff=Payoff.DISCOUNTED, intervals=iu, lam=lam),
-                comment=comment,
-            )
-        )
+        o = Objective(payoff=Payoff.DISCOUNTED, intervals=iu, lam=lam)
+        sys.stdout.write(write_document(g, o, comment=comment))
         return 0
     if args.kind == "countdown":
         if args.vertices is None or args.vertices < 2:
@@ -192,11 +182,8 @@ def cmd_generate(args) -> int:
         )
         g, iu = countdown_to_total(cd)
         comment = f"countdown instance credit={cd.credit}"
-        sys.stdout.write(
-            serialize_game(
-                g, Objective(payoff=Payoff.TOTAL_INF, intervals=iu), comment=comment
-            )
-        )
+        o = Objective(payoff=Payoff.TOTAL_INF, intervals=iu)
+        sys.stdout.write(write_document(g, o, comment=comment))
         return 0
     if args.kind == "random-parity":
         if args.vertices is None or args.vertices < 1:
@@ -219,7 +206,7 @@ def cmd_generate(args) -> int:
             raise BadParameters(f"unknown payoff {args.payoff!r}")
         g = generate.random_game(rng, args.vertices, max_weight=args.max_weight)
         o = generate.random_objective(rng, payoff, max_pieces=args.intervals)
-        sys.stdout.write(serialize_game(g, o))
+        sys.stdout.write(write_document(g, o))
         return 0
     raise BadParameters(f"unknown generator kind {args.kind!r}")
 
@@ -295,56 +282,51 @@ def _oracle_suite(parsed) -> list[str]:
     return lines
 
 
-def _stability_suite(parsed) -> list[str]:
-    lines = []
+def _stability_suite(parsed, base) -> list[str]:
+    """Re-solve a payoff game under more slack (discounted horizon,
+    total-sum bound) or once more; `base` is its `_solve_game` result,
+    whose definite verdicts must not change."""
     if isinstance(parsed, ParityGame):
         a = solve_parity(parsed)
         b = solve_parity(parsed)
         if a.win_eve != b.win_eve:
             raise OracleDisagreement("parity solver is not deterministic")
-        lines.append("parity: deterministic")
-        return lines
+        return ["parity: deterministic"]
     g, o = parsed
-    gn, on = normalize(g, o)
-    if on.payoff is Payoff.DISCOUNTED:
-        base = solve_ds_interval(gn, on.lam, on.intervals)
-        for slack in (1, 2, 3):
-            again = solve_ds_interval(gn, on.lam, on.intervals, extra_depth=slack)
-            if again.win_eve != base.win_eve:
-                raise OracleDisagreement(f"verdict changed at horizon slack {slack}")
-        lines.append("discounted: stable under horizon slack 1..3")
-        return lines
-    if on.payoff is Payoff.TOTAL_INF:
-        base = solve_total_interval(gn, on.intervals)
-        for extra in (1, 2, 3):
-            again = solve_total_interval(gn, on.intervals, bound=base.bound + extra)
-            for name in gn.names:
-                was, now = base.verdicts[name], again.verdicts[name]
-                if was is not Verdict.UNKNOWN and now is not was:
-                    raise OracleDisagreement(
-                        f"verdict for {name} flipped from {was.value} to {now.value} "
-                        f"at bound {base.bound + extra}"
-                    )
-        lines.append("total-sum: verdicts stable under bound increase 1..3")
-        return lines
-    first = _solve_game(g, o, None, 0)
-    second = _solve_game(g, o, None, 0)
-    if first[1] != second[1]:
-        raise OracleDisagreement("solver is not deterministic")
-    lines.append(f"{on.payoff.value}: deterministic")
-    return lines
+    _, verdicts, meta = base
+    payoff = meta["payoff"]
+    if payoff == Payoff.DISCOUNTED.value:
+        variants = [(None, slack, f"horizon slack {slack}") for slack in (1, 2, 3)]
+        line = "discounted: stable under horizon slack 1..3"
+    elif payoff == Payoff.TOTAL_INF.value:
+        bounds = [meta["bound"] + extra for extra in (1, 2, 3)]
+        variants = [(b, 0, f"bound {b}") for b in bounds]
+        line = "total-sum: verdicts stable under bound increase 1..3"
+    else:
+        variants = [(None, 0, "a second solve")]
+        line = f"{payoff}: deterministic"
+    for bound, slack, label in variants:
+        _, again, _ = _solve_game(g, o, bound, slack)
+        for name, was in verdicts.items():
+            now = again[name]
+            if was is not Verdict.UNKNOWN and now is not was:
+                raise OracleDisagreement(
+                    f"verdict for {name} flipped from {was.value} to {now.value} at {label}"
+                )
+    return [line]
 
 
 def cmd_check(args) -> int:
     parsed = _load_document(args.file)
-    verdict: Optional[Verdict] = None
+    solved = None
     solve_error: Optional[GameError] = None
     if not isinstance(parsed, ParityGame):
         g, o = parsed
         try:
-            verdict, _, _ = _solve_game(g, o, None, 0)
+            solved = _solve_game(g, o, None, 0)
         except UnsupportedObjective as exc:
             solve_error = exc
+    verdict: Optional[Verdict] = solved[0] if solved else None
     complaint = _check_expectation(args.file, verdict, solve_error)
     if complaint:
         raise OracleDisagreement(complaint)
@@ -357,7 +339,7 @@ def cmd_check(args) -> int:
         if args.suite == "oracle":
             lines += _oracle_suite(parsed)
         else:
-            lines += _stability_suite(parsed)
+            lines += _stability_suite(parsed, solved)
     for line in lines:
         print(line)
     return 0

@@ -97,14 +97,19 @@ def _solve(p: ParityGame, alive: frozenset[int]):
     return region, strategy
 
 
-def solve_parity(p: ParityGame) -> Regions:
-    """Exact winning partition with positional strategies for both players."""
-    region, strategy = _solve(p, frozenset(range(p.n)))
+def solve_parity(p: ParityGame, alive: Optional[frozenset[int]] = None) -> Regions:
+    """Exact winning partition with positional strategies for both players.
+
+    Play is restricted to `alive` (by default every vertex), whose
+    vertices must each keep an edge into it; the regions partition it.
+    """
+    alive = frozenset(range(p.n)) if alive is None else alive
+    region, strategy = _solve(p, alive)
     regions = Regions(
         win_eve=frozenset(region[Player.EVE]),
         win_adam=frozenset(region[Player.ADAM]),
         eve_strategy=strategy[Player.EVE],
         adam_strategy=strategy[Player.ADAM],
     )
-    regions.check_partition(p.n)
+    regions.check_partition(len(alive))
     return regions

@@ -243,17 +243,27 @@ def _has_cycle_sign(g: GameGraph, sign: int) -> bool:
     return changed
 
 
+# The clamped game's four sinks, placed before the configurations.  A
+# self-loop sink is won by Eve iff its priority is even; LIMBO (Eve's,
+# priority 1) takes the unpinned escapes and may move to LIMBO_WIN or
+# ADAM_WINS, and the pessimistic run masks LIMBO_WIN out.
+EVE_WINS, ADAM_WINS, LIMBO, LIMBO_WIN = range(4)
+_SINK_NAMES = ("eve_wins", "adam_wins", "limbo", "limbo_win")
+_SINK_PRIORITIES = (0, 1, 1, 0)
+
+
 def solve_ocpg_bounded(
     p: OneCounterParityGame,
     bound: int,
     escape_down: Optional[Mapping[int, int]] = None,
     escape_up: Optional[Mapping[int, int]] = None,
 ) -> ThreeValuedRegions:
-    """Clamp the counter to [-bound, bound] and solve the finite parity
-    game twice: optimistically (escapes count for Eve) and pessimistically
-    (for Adam).  EVE verdicts come from the pessimistic run and ADAM
-    verdicts from the optimistic run, so both are sound for the true
-    infinite game; the rest is UNKNOWN.
+    """Clamp the counter to [-bound, bound], build the finite parity game
+    once and solve it twice: optimistically (escapes count for Eve) and
+    pessimistically (for Adam, by masking out limbo's Eve exit).  EVE
+    verdicts come from the pessimistic run and ADAM verdicts from the
+    optimistic run, so both are sound for the true infinite game; the rest
+    is UNKNOWN.
 
     `escape_down`/`escape_up` optionally pin, per escape-target vertex,
     the priority an escaping play is worth in both runs; callers use this
@@ -293,97 +303,60 @@ def solve_ocpg_bounded(
 
     escape_down = escape_down or {}
     escape_up = escape_up or {}
-    configs: list[Config] = []
-    index: dict[Config, int] = {}
+    # configuration k is vertex first + k of the clamped game
+    first = len(_SINK_NAMES)
+    configs: list[Config] = [(v, 0) for v in range(p.n)]
+    index: dict[Config, int] = {cfg: k for k, cfg in enumerate(configs)}
+    edges = [
+        Edge(EVE_WINS, EVE_WINS),
+        Edge(ADAM_WINS, ADAM_WINS),
+        Edge(LIMBO, LIMBO_WIN),
+        Edge(LIMBO, ADAM_WINS),
+        Edge(LIMBO_WIN, LIMBO_WIN),
+    ]
 
     def intern(cfg: Config) -> int:
-        i = index.get(cfg)
-        if i is None:
-            i = len(configs)
-            index[cfg] = i
+        k = index.get(cfg)
+        if k is None:
+            k = index[cfg] = len(configs)
             configs.append(cfg)
-        return i
+        return first + k
 
-    starts = [(v, 0) for v in range(p.n)]
-    for cfg in starts:
-        intern(cfg)
-    # reachable closure within the clamp; escapes carry either a proven
-    # priority or None for the run-dependent limbo
-    frontier = list(range(len(configs)))
-    moves: dict[int, list[tuple[str, Optional[int]]]] = {}
-    while frontier:
-        ci = frontier.pop()
-        v, c = configs[ci]
-        out: list[tuple[str, Optional[int]]] = []
+    # reachable closure within the clamp, walked in interning order (the
+    # list grows as the walk goes); escapes go to the sink their pinned
+    # priority wins for, or to limbo
+    for k, (v, c) in enumerate(configs):
+        ci = first + k
+        before = len(edges)
         for j in p.out_edges[v]:
             e = p.edges[j]
             c2 = c + e.weight
             if -bound <= c2 <= bound:
-                before = len(configs)
-                ti = intern((e.dst, c2))
-                if ti == before:
-                    frontier.append(ti)
-                out.append(("cfg", ti))
+                edges.append(Edge(ci, intern((e.dst, c2))))
+                continue
+            pin = (escape_down if c2 < -bound else escape_up).get(e.dst)
+            if pin is None:
+                edges.append(Edge(ci, LIMBO))
             else:
-                pinned = (escape_down if c2 < -bound else escape_up).get(e.dst)
-                out.append(("escape", pinned))
+                edges.append(Edge(ci, ADAM_WINS if pin % 2 else EVE_WINS))
         if c == 0:
             for j in p.out_zero[v]:
-                z = p.zero_edges[j]
-                before = len(configs)
-                ti = intern((z.dst, 0))
-                if ti == before:
-                    frontier.append(ti)
-                out.append(("cfg", ti))
-        moves[ci] = out
+                edges.append(Edge(ci, intern((p.zero_edges[j].dst, 0))))
+        if len(edges) == before:
+            edges.append(Edge(ci, ADAM_WINS if p.owner[v] is Player.EVE else EVE_WINS))
 
-    n_cfg = len(configs)
-    pinned_priorities = sorted(
-        {prio for out in moves.values() for kind, prio in out
-         if kind == "escape" and prio is not None}
+    game = ParityGame(
+        names=_SINK_NAMES + tuple(f"c{v}_{c}" for v, c in configs),
+        owner=(Player.EVE,) * first + tuple(p.owner[v] for v, _ in configs),
+        edges=tuple(edges),
+        priority=_SINK_PRIORITIES + tuple(p.priority[v] for v, _ in configs),
+        initial=first + p.initial,
     )
-    pin_sink = {prio: n_cfg + k for k, prio in enumerate(pinned_priorities)}
-    open_v = n_cfg + len(pin_sink)
-    stuck_eve, stuck_adam = open_v + 1, open_v + 2
+    optimistic = solve_parity(game)
+    pessimistic = solve_parity(game, frozenset(range(game.n)) - {LIMBO_WIN})
 
-    def build(open_priority: int) -> ParityGame:
-        names = [f"c{v}_{c}" for v, c in configs]
-        names += [f"pin{prio}" for prio in pinned_priorities]
-        names += ["limbo", "stuck_eve", "stuck_adam"]
-        owner = [p.owner[v] for v, _ in configs]
-        owner += [Player.EVE] * (len(pin_sink) + 2) + [Player.ADAM]
-        priority = [p.priority[v] for v, _ in configs]
-        priority += pinned_priorities + [open_priority, 1, 0]
-        edges = []
-        for ci in range(n_cfg):
-            out = moves[ci]
-            if not out:
-                v, _ = configs[ci]
-                target = stuck_eve if p.owner[v] is Player.EVE else stuck_adam
-                edges.append(Edge(ci, target))
-                continue
-            for kind, val in out:
-                if kind == "cfg":
-                    edges.append(Edge(ci, val))
-                elif val is not None:
-                    edges.append(Edge(ci, pin_sink[val]))
-                else:
-                    edges.append(Edge(ci, open_v))
-        for sink in list(pin_sink.values()) + [open_v, stuck_eve, stuck_adam]:
-            edges.append(Edge(sink, sink))
-        return ParityGame(
-            names=tuple(names),
-            owner=tuple(owner),
-            edges=tuple(edges),
-            priority=tuple(priority),
-            initial=index.get((p.initial, 0), 0),
-        )
-
-    optimistic = solve_parity(build(0))
-    pessimistic = solve_parity(build(1))
-
-    win_eve = frozenset(configs[ci] for ci in range(n_cfg) if ci in pessimistic.win_eve)
-    win_adam = frozenset(configs[ci] for ci in range(n_cfg) if ci in optimistic.win_adam)
+    win_eve = frozenset(cfg for k, cfg in enumerate(configs, first) if k in pessimistic.win_eve)
+    win_adam = frozenset(cfg for k, cfg in enumerate(configs, first) if k in optimistic.win_adam)
     unknown = frozenset(configs) - win_eve - win_adam
     assert not (win_eve & win_adam), "optimistic and pessimistic runs disagree"
     init_cfg = (p.initial, 0)
@@ -422,6 +395,8 @@ def solve_total_interval(
     outright (finite totals are integers and infinite totals need an
     unbounded interval), reported without touching the reduction.
     """
+    if bound is not None and bound < 1:
+        raise BadParameters(f"counter bound {bound} must be positive")
     pm = integerize(iu)
     if pm.is_empty:
         verdicts = {name: Verdict.ADAM for name in g.names}
@@ -434,8 +409,9 @@ def solve_total_interval(
             verdicts=verdicts,
         )
     ocpg = totalsum_to_ocpg(g, iu)
-    b = bound if bound is not None else default_bound(g, iu)
-    safe = b >= default_bound(g, iu)
+    safe_bound = default_bound(g, iu)
+    b = safe_bound if bound is None else bound
+    safe = b >= safe_bound
 
     r = pm.r
     # the pumping gadget's escapes have known winners: moving away from

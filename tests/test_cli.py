@@ -216,11 +216,28 @@ def test_solve_rejects_parity_documents(capsys, tmp_path):
     assert code == 3
 
 
-def test_total_sum_bound_flag(capsys):
+def test_total_sum_bound_flag(capsys, tmp_path):
     code, out, _ = run(capsys, "solve", CORPUS / "fig5.game", "--bound", "8")
     assert code == 0 and out.strip() == "UNKNOWN"
     for bound in ("0", "-3"):
         code, _, err = run(capsys, "solve", CORPUS / "fig5.game", "--bound", bound)
+        assert code == 2 and "error" in err, bound
+    # an objective without integers is decided before the clamp is built,
+    # and a bad bound must still be rejected
+    no_integers = tmp_path / "no_integers.game"
+    no_integers.write_text(json.dumps({
+        "vertices": [{"id": "a", "owner": "adam"}],
+        "edges": [{"src": "a", "dst": "a", "weight": 0}],
+        "initial": "a",
+        "objective": {
+            "payoff": "total-inf",
+            "intervals": [{"lo": "1/3", "hi": "2/3", "lo_open": False, "hi_open": False}],
+        },
+    }))
+    for bound in ("0", "-3"):
+        code, _, err = run(
+            capsys, "solve", no_integers, "--bound", bound, "--format", "structured"
+        )
         assert code == 2 and "error" in err, bound
 
 

@@ -101,6 +101,44 @@ def test_bounded_solver_counter_free_game_solved_exactly():
         assert not res.unknown
 
 
+def test_bounded_solver_sinks():
+    # u (Eve) steps up to s_e (Eve) or s_a (Adam), whose only exits are
+    # zero tests: at counter 1 their owners are stuck and lose
+    p = OneCounterParityGame(
+        names=("u", "s_e", "s_a"),
+        owner=(Player.EVE, Player.EVE, Player.ADAM),
+        priority=(2, 2, 2),
+        edges=(Edge(0, 1, 1), Edge(0, 2, 1)),
+        zero_edges=(Edge(1, 0), Edge(2, 0)),
+        initial=0,
+    )
+    for bound in (1, 3):
+        res = solve_ocpg_bounded(p, bound)
+        assert res.verdict((1, 1)) is Verdict.ADAM
+        assert res.verdict((2, 1)) is Verdict.EVE
+        assert res.verdict((0, 0)) is Verdict.EVE
+        assert not res.unknown
+    # Adam may leave x through the +2 loop, which escapes the clamp at
+    # bound 1; a pinned escape goes by its priority's parity, an
+    # unpinned one counts for Eve in one run and for Adam in the other
+    x = OneCounterParityGame(
+        names=("x",),
+        owner=(Player.ADAM,),
+        priority=(0,),
+        edges=(Edge(0, 0, 2),),
+        zero_edges=(Edge(0, 0),),
+        initial=0,
+    )
+    cases = [
+        ({"escape_up": {0: 3}}, Verdict.ADAM),
+        ({"escape_up": {0: 4}}, Verdict.EVE),
+        ({}, Verdict.UNKNOWN),
+        ({"escape_down": {0: 3}}, Verdict.UNKNOWN),
+    ]
+    for pins, want in cases:
+        assert solve_ocpg_bounded(x, 1, **pins).initial_verdict is want, pins
+
+
 def test_solve_total_trivial_loops():
     assert solve_total_interval(adam_loop(0), POINT_ZERO).initial_verdict is Verdict.EVE
     assert solve_total_interval(adam_loop(1), POINT_ZERO).initial_verdict is Verdict.ADAM
