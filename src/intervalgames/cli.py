@@ -221,6 +221,8 @@ def _check_expectation(path: str, verdict: Optional[Verdict], error: Optional[Ga
         expect = json.loads(sidecar.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         return f"cannot read expectation sidecar: {exc}"
+    if not isinstance(expect, dict):
+        return "cannot read expectation sidecar: not a JSON object"
     want = expect.get("winner")
     if want == "error":
         if error is None:
@@ -235,51 +237,40 @@ def _check_expectation(path: str, verdict: Optional[Verdict], error: Optional[Ga
     return None
 
 
-def _oracle_suite(parsed) -> list[str]:
+def _oracle_suite(parsed, base) -> list[str]:
     """Cross-check the production solver against the matching oracle on
-    one instance; returns report lines, raises OracleDisagreement."""
-    lines = []
+    one instance; `base` is a payoff game's `_solve_game` result.  Returns
+    report lines, raises OracleDisagreement."""
     if isinstance(parsed, ParityGame):
-        p = parsed
-        solved = solve_parity(p)
-        reference = brute_force_positional(p)
-        if reference.win_eve != solved.win_eve:
+        if brute_force_positional(parsed).win_eve != solve_parity(parsed).win_eve:
             raise OracleDisagreement("parity solver disagrees with enumeration")
-        lines.append("parity: agreement")
-        return lines
+        return ["parity: agreement"]
     g, o = parsed
     gn, on = normalize(g, o)
+    _, verdicts, _ = base
+    win_eve = frozenset(v for v, name in enumerate(gn.names) if verdicts[name] is Verdict.EVE)
+    win_adam = frozenset(v for v, name in enumerate(gn.names) if verdicts[name] is Verdict.ADAM)
     if on.payoff is Payoff.DISCOUNTED:
         width = _min_decision_width(on.intervals)
         depth = horizon(gn, on.lam, width) + 1 if width else 1
-        reference = brute_force_finite_horizon_ds(gn, on.lam, on.intervals, depth)
-        regions = solve_ds_interval(gn, on.lam, on.intervals)
-        if reference != regions.win_eve:
+        if brute_force_finite_horizon_ds(gn, on.lam, on.intervals, depth) != win_eve:
             raise OracleDisagreement("discounted solver disagrees with reference search")
-        lines.append("discounted: agreement with unpruned search")
-        return lines
+        return ["discounted: agreement with unpruned search"]
     if on.payoff is Payoff.TOTAL_INF:
-        lines.append("total-sum: no positional oracle suite (three-valued solver); skipped")
-        return lines
+        return ["total-sum: no positional oracle suite (three-valued solver); skipped"]
     reference = brute_force_positional(gn, on)
-    if on.payoff is Payoff.LIMINF:
-        regions = solve_liminf(gn, on.intervals)
-    else:
-        regions = solve_mp_interval(gn, on.intervals)
     if reference.exact:
-        if reference.win_eve != regions.win_eve:
+        if reference.win_eve != win_eve:
             raise OracleDisagreement("solver disagrees with exact positional oracle")
-        lines.append(f"{on.payoff.value}: agreement")
-    else:
-        if not reference.win_eve <= regions.win_eve:
-            raise OracleDisagreement("positional Eve bound exceeds the solved region")
-        if not reference.win_adam <= regions.win_adam:
-            raise OracleDisagreement("positional Adam bound exceeds the solved region")
-        lines.append(
-            f"{on.payoff.value}: bound-only oracle (objective may need memory); "
-            "no contradiction"
-        )
-    return lines
+        return [f"{on.payoff.value}: agreement"]
+    if not reference.win_eve <= win_eve:
+        raise OracleDisagreement("positional Eve bound exceeds the solved region")
+    if not reference.win_adam <= win_adam:
+        raise OracleDisagreement("positional Adam bound exceeds the solved region")
+    return [
+        f"{on.payoff.value}: bound-only oracle (objective may need memory); "
+        "no contradiction"
+    ]
 
 
 def _stability_suite(parsed, base) -> list[str]:
@@ -337,7 +328,7 @@ def cmd_check(args) -> int:
         lines.append(f"solve error (expected): {solve_error}")
     if solve_error is None:
         if args.suite == "oracle":
-            lines += _oracle_suite(parsed)
+            lines += _oracle_suite(parsed, solved)
         else:
             lines += _stability_suite(parsed, solved)
     for line in lines:

@@ -1,13 +1,17 @@
 """Discounted-sum interval games without singleton intervals or gaps.
 
-After finitely many steps the tail of a play contributes less than the
-narrowest interval or gap, so a depth-limited alternating search with an
-exact four-value endgame decides the winner.  All arithmetic is rational;
-there are no convergence thresholds anywhere.
+An alternating search walks (vertex, step k, accumulated sum x); every
+continuation payoff lies within lam^k * W / (1 - lam) of x.  When that ball
+holds at most one interval endpoint, winning is a threshold question there,
+decided exactly by one of the two optimal game values.  After finitely many
+steps the ball is narrower than every interval and gap, so every node
+decides.  All arithmetic is rational; there are no convergence thresholds
+anywhere.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -23,7 +27,7 @@ from .arena import (
     Player,
     Regions,
     UnsupportedObjective,
-    complement_intervals,
+    contains,
     max_abs_weight,
 )
 
@@ -52,17 +56,11 @@ class SubsetSumInstance:
 
 @dataclass(frozen=True)
 class DsValueTable:
-    """Per-vertex optimal values.
+    """Per-vertex values of the two ordinary discounted games: minmax with
+    Eve maximizing, maxmin with Eve minimizing."""
 
-    minmax/maxmin are the values of the ordinary discounted games (Eve
-    maximizing resp. minimizing); maxmax/minmin fix the corresponding
-    optimal Eve strategy and let Adam optimize the same direction as Eve.
-    """
-
-    maxmax: tuple[Fraction, ...]
     minmax: tuple[Fraction, ...]
     maxmin: tuple[Fraction, ...]
-    minmin: tuple[Fraction, ...]
 
 
 def ds_value_lasso(prefix: Sequence[int], cycle: Sequence[int], lam: Fraction) -> Fraction:
@@ -155,9 +153,7 @@ def _best_response(
             return values
 
 
-def _optimal_eve(
-    g: GameGraph, lam: Fraction, eve_maximizes: bool
-) -> tuple[list[Fraction], dict[int, int]]:
+def _optimal_eve(g: GameGraph, lam: Fraction, eve_maximizes: bool) -> list[Fraction]:
     """Strategy iteration: Eve improves against Adam's exact best response
     (Adam optimizes the opposite direction) until no switch is strict."""
     eve_vertices = [v for v in range(g.n) if g.owner[v] is Player.EVE]
@@ -165,26 +161,22 @@ def _optimal_eve(
     while True:
         values = _best_response(g, lam, sigma, adam_maximizes=not eve_maximizes)
         if not _improve(g, lam, sigma, values, eve_vertices, eve_maximizes):
-            return values, sigma
+            return values
 
 
 def ds_optimal_values(g: GameGraph, lam: Fraction) -> DsValueTable:
-    """The four per-vertex values, all exact."""
+    """Both game values at every vertex, exact; both players have optimal
+    positional strategies that attain them."""
     if not 0 < lam < 1:
         raise GameError(f"discount factor {lam} not in (0,1)")
-    minmax_vals, sigma_max = _optimal_eve(g, lam, eve_maximizes=True)
-    maxmin_vals, sigma_min = _optimal_eve(g, lam, eve_maximizes=False)
     table = DsValueTable(
-        maxmax=tuple(_best_response(g, lam, sigma_max, adam_maximizes=True)),
-        minmax=tuple(minmax_vals),
-        maxmin=tuple(maxmin_vals),
-        minmin=tuple(_best_response(g, lam, sigma_min, adam_maximizes=False)),
+        minmax=tuple(_optimal_eve(g, lam, eve_maximizes=True)),
+        maxmin=tuple(_optimal_eve(g, lam, eve_maximizes=False)),
     )
     bound = Fraction(max_abs_weight(g)) / (1 - lam)
     for v in range(g.n):
-        assert table.minmin[v] <= table.minmax[v] <= table.maxmax[v]
-        assert table.minmin[v] <= table.maxmin[v] <= table.maxmax[v]
-        assert -bound <= table.minmin[v] and table.maxmax[v] <= bound
+        assert -bound <= table.minmax[v] <= bound
+        assert -bound <= table.maxmin[v] <= bound
     return table
 
 
@@ -228,12 +220,13 @@ def solve_ds_interval(
 ) -> Regions:
     """Exact winner for every start vertex.
 
-    Alternating search over (vertex, step, accumulated value) to the
-    computed horizon plus `extra_depth`; a node whose whole residual ball
-    sits inside one interval (or one gap) is decided immediately.  At the
-    stopping depth the residual ball meets at most one interval and the
-    four-value check decides the node.  A negative `extra_depth` would stop
-    short of the horizon and is rejected.
+    Alternating search over (vertex, step, accumulated value).  A node whose
+    residual ball holds at most one finite interval endpoint is decided by
+    one game value: maxmin when that endpoint closes an interval, minmax
+    otherwise.  One step past the computed horizon the ball is narrower than
+    every interval and gap, so every node has decided by then; `extra_depth`
+    only moves that asserted depth and cannot change a verdict.  A negative
+    `extra_depth` is rejected.
     """
     if iu.has_singleton_interval or iu.has_singleton_gap:
         raise SingletonNotSupported(
@@ -246,58 +239,34 @@ def solve_ds_interval(
     n = g.n
     if iu.is_empty:
         return Regions(win_eve=frozenset(), win_adam=frozenset(range(n)))
-    w = max_abs_weight(g)
-    if w == 0:
-        zero_wins = any(j.contains(Fraction(0)) for j in iu.intervals)
-        everyone = frozenset(range(n))
-        return Regions(
-            win_eve=everyone if zero_wins else frozenset(),
-            win_adam=frozenset() if zero_wins else everyone,
-        )
     width = _min_decision_width(iu)
     depth_stop = (0 if width is None else horizon(g, lam, width)) + 1 + extra_depth
     table = ds_optimal_values(g, lam)
-    reach = Fraction(w) / (1 - lam)
+    reach = Fraction(max_abs_weight(g)) / (1 - lam)
     lam_pow = [Fraction(1)]
     for _ in range(depth_stop):
         lam_pow.append(lam_pow[-1] * lam)
-    gaps = complement_intervals(iu)
+    # finite endpoints in increasing order; a canonical union without
+    # singletons or singleton gaps repeats none of them
+    ends = [t for j in iu.intervals for t in (j.lo, j.hi) if not isinstance(t, Infinity)]
+    closes = {j.hi for j in iu.intervals}
+
+    def decide(v: int, k: int, x: Fraction) -> Optional[bool]:
+        radius = lam_pow[k] * reach
+        first = bisect_left(ends, x - radius)
+        last = bisect_right(ends, x + radius)
+        if last - first > 1:
+            return None
+        value = table.maxmin[v] if last > first and ends[first] in closes else table.minmax[v]
+        return contains(iu, x + lam_pow[k] * value)
 
     memo: dict[tuple[int, int, Fraction], bool] = {}
 
-    def ball_verdict(x: Fraction, k: int) -> Optional[bool]:
-        radius = lam_pow[k] * reach
-        lo, hi = x - radius, x + radius
-        for j in iu.intervals:
-            if j.contains(lo) and j.contains(hi):
-                return True
-        for j in gaps.intervals:
-            if j.contains(lo) and j.contains(hi):
-                return False
-        return None
-
-    def endgame(v: int, x: Fraction, k: int) -> bool:
-        radius = lam_pow[k] * reach
-        lo, hi = x - radius, x + radius
-        candidates = [j for j in iu.intervals if j.intersects_closed(lo, hi)]
-        if not candidates:
-            return False
-        assert len(candidates) == 1, "residual ball spans a gap narrower than allowed"
-        target = candidates[0]
-        lo_max = x + lam_pow[k] * table.minmax[v]
-        hi_max = x + lam_pow[k] * table.maxmax[v]
-        if target.contains(lo_max) and target.contains(hi_max):
-            return True
-        lo_min = x + lam_pow[k] * table.minmin[v]
-        hi_min = x + lam_pow[k] * table.maxmin[v]
-        return target.contains(lo_min) and target.contains(hi_min)
-
     def wins(v: int, k: int, x: Fraction) -> bool:
-        verdict = ball_verdict(x, k)
+        verdict = decide(v, k, x)
         if verdict is not None:
             return verdict
-        if k == depth_stop:
-            return endgame(v, x, k)
+        assert k < depth_stop, "residual ball spans a gap narrower than allowed"
         key = (v, k, x)
         cached = memo.get(key)
         if cached is not None:

@@ -106,8 +106,18 @@ def test_check_consumes_sidecars(capsys, tmp_path):
     code, _, err = run(capsys, "check", target)
     assert code == 4
 
+    # so must a sidecar that is valid JSON but not an object
+    for sidecar in ([1, 2], "eve"):
+        (tmp_path / "wrong.expect").write_text(json.dumps(sidecar))
+        code, _, err = run(capsys, "check", target)
+        assert code == 4 and "error" in err and "Traceback" not in err, sidecar
+
 
 def test_check_oracle_suites(capsys):
+    for game in sorted(CORPUS.glob("*.game")):
+        code, _, err = run(capsys, "check", game, "--suite", "oracle")
+        assert code == 0, (game, err)
+
     code, out, _ = run(capsys, "check", CORPUS / "fig1.game", "--suite", "oracle")
     assert code == 0
     assert "bound-only" in out and "no contradiction" in out

@@ -24,7 +24,7 @@ from intervalgames.discounted import (
     _min_decision_width,
 )
 from intervalgames.generate import random_game, random_interval_union, random_subset_sum
-from intervalgames.oracle import brute_force_finite_horizon_ds, subset_sum_winner
+from intervalgames.oracle import TooLarge, brute_force_finite_horizon_ds, subset_sum_winner
 
 from conftest import make_rng
 
@@ -42,16 +42,16 @@ def test_lasso_values():
 
 def test_four_values_single_loop():
     t = ds_optimal_values(loop(1), F(1, 2))
-    assert t.maxmax == t.minmax == t.maxmin == t.minmin == (F(2),)
+    assert t.minmax == t.maxmin == (F(2),)
 
 
 def test_four_values_controlled_by_one_player():
     eve = GameGraph(("v",), (Player.EVE,), (Edge(0, 0, 0), Edge(0, 0, 1)), 0)
     t = ds_optimal_values(eve, F(1, 2))
-    assert (t.maxmax[0], t.minmax[0], t.maxmin[0], t.minmin[0]) == (2, 2, 0, 0)
+    assert (t.minmax[0], t.maxmin[0]) == (2, 0)
     adam = GameGraph(("v",), (Player.ADAM,), (Edge(0, 0, 0), Edge(0, 0, 1)), 0)
     t = ds_optimal_values(adam, F(1, 2))
-    assert (t.maxmax[0], t.minmax[0], t.maxmin[0], t.minmin[0]) == (2, 0, 2, 0)
+    assert (t.minmax[0], t.maxmin[0]) == (0, 2)
 
 
 def test_four_values_bounded_by_weight_range():
@@ -62,7 +62,8 @@ def test_four_values_bounded_by_weight_range():
         t = ds_optimal_values(g, lam)
         bound = F(max(abs(e.weight) for e in g.edges)) / (1 - lam)
         for v in range(g.n):
-            assert -bound <= t.minmin[v] <= t.maxmax[v] <= bound
+            assert -bound <= t.minmax[v] <= bound
+            assert -bound <= t.maxmin[v] <= bound
 
 
 def test_horizon_examples():
@@ -96,6 +97,16 @@ def test_solver_trivial_loops():
     assert solve_ds_interval(g, F(1, 2), inside).win_eve == frozenset({0})
     outside = IntervalUnion((Interval(F(0), F(1), True, True),))
     assert solve_ds_interval(g, F(1, 2), outside).win_adam == frozenset({0})
+    # with every weight 0 the payoff is exactly 0
+    for piece, eve_wins in (
+        (Interval(F(-1, 2), F(1, 2)), True),
+        (Interval(F(0), PLUS_INF, False, True), True),
+        (Interval(F(1, 2), F(3, 2), True, True), False),
+        (Interval(F(0), PLUS_INF, True, True), False),
+    ):
+        res = solve_ds_interval(loop(0), F(1, 2), IntervalUnion((piece,)))
+        assert res.win_eve == (frozenset({0}) if eve_wins else frozenset()), piece
+        assert res.win_adam == (frozenset() if eve_wins else frozenset({0})), piece
 
 
 def test_singleton_rejection():
@@ -186,6 +197,20 @@ def test_agreement_with_unpruned_reference():
         depth = (horizon(g, lam, width) if width else 0) + 1
         reference = brute_force_finite_horizon_ds(g, lam, iu, depth)
         assert reference == solve_ds_interval(g, lam, iu).win_eve
+    # larger discount factors keep more endpoints in the ball for longer
+    compared = 0
+    while compared < 60:
+        g = random_game(rng, rng.randint(1, 3), max_weight=1)
+        lam = rng.choice((F(3, 4), F(4, 5)))
+        iu = random_interval_union(rng, 2, 3, forbid_singletons=True, half_grid=True)
+        width = _min_decision_width(iu)
+        depth = (horizon(g, lam, width) if width else 0) + 1
+        try:
+            reference = brute_force_finite_horizon_ds(g, lam, iu, depth)
+        except TooLarge:
+            continue
+        assert reference == solve_ds_interval(g, lam, iu).win_eve, (g.edges, lam, iu)
+        compared += 1
 
 
 def _all_lassos(g, start, max_len):
