@@ -41,6 +41,13 @@ class NonpositiveWidth(GameError):
     pass
 
 
+class SearchTooDeep(GameError):
+    """The alternating search recursed deeper than the interpreter stack
+    allows before every node decided."""
+
+    exit_code = 5
+
+
 @dataclass(frozen=True)
 class SubsetSumInstance:
     """Alternating selection game: in round i the mover (Adam on odd
@@ -261,12 +268,16 @@ def solve_ds_interval(
         return contains(iu, x + lam_pow[k] * value)
 
     memo: dict[tuple[int, int, Fraction], bool] = {}
+    deepest = 0
 
     def wins(v: int, k: int, x: Fraction) -> bool:
+        nonlocal deepest
         verdict = decide(v, k, x)
         if verdict is not None:
             return verdict
         assert k < depth_stop, "residual ball spans a gap narrower than allowed"
+        if k > deepest:
+            deepest = k
         key = (v, k, x)
         cached = memo.get(key)
         if cached is not None:
@@ -285,7 +296,13 @@ def solve_ds_interval(
         memo[key] = result
         return result
 
-    win_eve = frozenset(v for v in range(n) if wins(v, 0, Fraction(0)))
+    try:
+        win_eve = frozenset(v for v in range(n) if wins(v, 0, Fraction(0)))
+    except RecursionError:
+        raise SearchTooDeep(
+            f"discounted search reached depth {deepest} of {depth_stop} "
+            "and exceeded the interpreter stack"
+        ) from None
     regions = Regions(win_eve=win_eve, win_adam=frozenset(range(n)) - win_eve)
     regions.check_partition(n)
     return regions

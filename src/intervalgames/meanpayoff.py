@@ -60,60 +60,91 @@ def _energy_win(
     """Vertices of `alive` from which `player` keeps the running sum of the
     rescaled weights scale*w + offset bounded below while play stays in
     `alive`, which is exactly where she forces mean-payoff >= 0 there;
-    also her positional strategy.  Least-fixpoint progress measure, values
-    capped at |alive|*W for W the largest rescaled weight inside `alive`."""
-    owner = g.owner
-    # (edge index, successor, rescaled weight) per alive vertex, in edge order
-    succ: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
-    pred: list[list[int]] = [[] for _ in range(g.n)]
-    cap = 0
+    also her positional strategy.
+
+    Least-fixpoint progress measure: f[v] is the least initial credit with
+    which `player` keeps the running sum non-negative from v, or top where
+    no credit suffices.  Measures are capped at Brim, Chaloupka, Doyen,
+    Gentilini & Raskin's bound ("Faster algorithms for mean-payoff games",
+    FMSD 2011): M = sum over v in `alive` of max(0, -least rescaled weight
+    on v's edges inside `alive`).  The cap is sound.  Once the winner's
+    positional strategy is fixed, every reachable cycle is non-negative, so
+    cutting the cycles out of a finite prefix of play never raises its sum:
+    the prefix sums to at least a simple path, which leaves each vertex at
+    most once and so loses at most M.  A credit of M therefore suffices
+    from every winning vertex, and a measure above M proves a loss.
+    """
+    owner, edges = g.owner, g.edges
+    # (successor, rescaled weight) per alive vertex in edge order; the edge
+    # indices, kept apart, are read only by strategy extraction
+    succ: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    index: list[list[int]] = [[] for _ in range(g.n)]
+    # (predecessor, rescaled weight) for every edge inside alive
+    pred: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    minimizer = [False] * g.n
+    cap = heaviest = 0
     for v in alive:
-        out = succ[v]
+        minimizer[v] = owner[v] is player
+        out, idx = succ[v], index[v]
+        least = 0
         for j in g.out_edges[v]:
-            e = g.edges[j]
-            if e.dst in alive:
+            e = edges[j]
+            u = e.dst
+            if u in alive:
                 w = scale * e.weight + offset
-                out.append((j, e.dst, w))
-                pred[e.dst].append(v)
-                if abs(w) > cap:
-                    cap = abs(w)
-    cap *= len(alive)
-    top = cap + 1
+                out.append((u, w))
+                idx.append(j)
+                pred[u].append((v, w))
+                if w < least:
+                    least = w
+                elif w > heaviest:
+                    heaviest = w
+        cap -= least
+    # top - w > cap for every weight w, so a successor at top never yields
+    # a finite measure and needs no test of its own
+    top = cap + heaviest + 1
     f = [0] * g.n
 
     pending = set(alive)
     while pending:
         v = pending.pop()
-        out = succ[v]
-        if owner[v] is player:
+        fv = f[v]
+        if minimizer[v]:
+            # one successor asking for no more than fv shows v does not rise
             best = top
-            for _, u, w in out:
-                fu = f[u]
-                val = top if fu >= top else (fu - w if fu > w else 0)
-                if val < best:
-                    best = val
+            for u, w in succ[v]:
+                d = f[u] - w
+                if d < best:
+                    best = d
+                    if d <= fv:
+                        break
         else:
-            best = 0 if out else top
-            for _, u, w in out:
-                fu = f[u]
-                val = top if fu >= top else (fu - w if fu > w else 0)
-                if val > best:
-                    best = val
-        if best > cap:
-            best = top
-        if best > f[v]:
+            # past the cap the opponent's choice is top whatever follows
+            best = 0
+            for u, w in succ[v]:
+                d = f[u] - w
+                if d > best:
+                    best = d
+                    if d > cap:
+                        break
+        if best > fv:
+            if best > cap:
+                best = top
             f[v] = best
-            for u in pred[v]:
-                if f[u] < top:
+            # only a predecessor whose edge into v now asks for more than
+            # its own measure can rise
+            for u, w in pred[v]:
+                fu = f[u]
+                if fu < top and best - w > fu:
                     pending.add(u)
     win = frozenset(v for v in alive if f[v] < top)
     strategy: PositionalStrategy = {}
     for v in win:
-        if owner[v] is not player:
+        if not minimizer[v]:
             continue
-        for j, u, w in succ[v]:
-            fu = f[u]
-            if fu < top and max(0, fu - w) <= f[v]:
+        fv = f[v]
+        for (u, w), j in zip(succ[v], index[v]):
+            if f[u] - w <= fv:
                 strategy[v] = j
                 break
         assert v in strategy, "progress measure without a witnessing edge"

@@ -28,11 +28,9 @@ def attractor_with_strategy(
     alive = frozenset(range(game.n)) if within is None else within
     attr = {v for v in target if v in alive}
     strategy: dict[int, int] = {}
-    # countdown of not-yet-attracted successors for opponent vertices
-    remaining = {}
-    for v in alive:
-        if game.owner[v] is not player:
-            remaining[v] = sum(1 for i in game.out_edges[v] if game.edges[i].dst in alive)
+    # countdown of not-yet-attracted successors for opponent vertices,
+    # counted when the vertex is first reached
+    remaining: dict[int, int] = {}
     queue = sorted(attr)
     while queue:
         next_queue: set[int] = set()
@@ -51,8 +49,12 @@ def attractor_with_strategy(
                     attr.add(v)
                     next_queue.add(v)
                 else:
-                    remaining[v] -= 1
-                    if remaining[v] == 0:
+                    left = remaining.get(v)
+                    if left is None:
+                        left = sum(1 for j in game.out_edges[v] if game.edges[j].dst in alive)
+                    left -= 1
+                    remaining[v] = left
+                    if left == 0:
                         attr.add(v)
                         next_queue.add(v)
         queue = sorted(next_queue)

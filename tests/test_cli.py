@@ -283,6 +283,27 @@ def test_resource_guard_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "check", f, "--suite", "oracle")
     assert code == 5
 
+    # at lambda = 999/1000 the discounted search outgrows the interpreter
+    # stack long before its horizon
+    deep = {
+        "vertices": [{"id": "a", "owner": "eve"}, {"id": "b", "owner": "adam"}],
+        "edges": [
+            {"src": "a", "dst": "b", "weight": 1},
+            {"src": "a", "dst": "a", "weight": 0},
+            {"src": "b", "dst": "a", "weight": -1},
+            {"src": "b", "dst": "b", "weight": 1},
+        ],
+        "initial": "a",
+        "objective": {
+            "payoff": "discounted",
+            "lambda": "999/1000",
+            "intervals": [{"lo": "0", "hi": "1", "lo_open": False, "hi_open": False}],
+        },
+    }
+    f.write_text(json.dumps(deep))
+    code, _, err = run(capsys, "solve", f)
+    assert code == 5 and "error" in err and "depth" in err and "Traceback" not in err
+
 
 def test_horizon_slack_flag(capsys):
     code, out, _ = run(capsys, "solve", CORPUS / "fig3_n2.game", "--horizon-slack", "2")

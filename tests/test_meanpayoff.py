@@ -59,6 +59,26 @@ def test_threshold_le_lt():
     assert mp_threshold(loop(1), ThresholdQuery(F(1), Cmp.LT)).win_adam == frozenset({0})
 
 
+def test_threshold_credit_equal_to_the_cap():
+    # k chain edges into a weight-0 loop: rescaled by n = k + 1, the chain
+    # head needs credit k * n, which is exactly the progress-measure cap
+    # (the sum of every vertex's most negative rescaled edge)
+    for k in range(1, 5):
+        n = k + 1
+        names = tuple(f"v{i}" for i in range(n))
+        everything = frozenset(range(n))
+        for w, owner in itertools.product((-1, 1), Player):
+            chain = GameGraph(
+                names,
+                (owner,) * n,
+                tuple(Edge(i, i + 1, w) for i in range(k)) + (Edge(k, k, 0),),
+                0,
+            )
+            # w = -1 tests Eve's measure at the cap, w = 1 tests Adam's
+            assert mp_threshold(chain, ThresholdQuery(F(0), Cmp.GE)).win_eve == everything
+            assert mp_threshold(chain, ThresholdQuery(F(0), Cmp.GT)).win_adam == everything
+
+
 def test_threshold_strategies_cover_regions():
     rng = make_rng(41)
     for _ in range(100):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -102,6 +103,31 @@ def test_memory_hard_instance_gets_empty_lower_bound():
     assert res.win_adam == frozenset()
 
 
+def simple_cycle_means(g):
+    """Mean weight of every simple cycle, each found from its least vertex."""
+    means = set()
+    for start in range(g.n):
+        stack = [(start, 0, 0, {start})]
+        while stack:
+            v, total, length, seen = stack.pop()
+            for j in g.out_edges[v]:
+                e = g.edges[j]
+                if e.dst == start:
+                    means.add(F(total + e.weight, length + 1))
+                elif e.dst > start and e.dst not in seen:
+                    stack.append((e.dst, total + e.weight, length + 1, seen | {e.dst}))
+    return sorted(means)
+
+
+# the one-sided ray on which "MP ~ a" holds
+RAYS = {
+    Cmp.GE: lambda a: Interval(a, PLUS_INF, False, True),
+    Cmp.GT: lambda a: Interval(a, PLUS_INF, True, True),
+    Cmp.LE: lambda a: Interval(MINUS_INF, a, True, False),
+    Cmp.LT: lambda a: Interval(MINUS_INF, a, True, True),
+}
+
+
 def test_matches_threshold_solver_on_small_games():
     rng = make_rng(73)
     for _ in range(100):
@@ -111,6 +137,13 @@ def test_matches_threshold_solver_on_small_games():
         ref = brute_force_positional(g, Objective(Payoff.MP_INF, iu))
         assert ref.exact
         assert ref.win_eve == mp_threshold(g, ThresholdQuery(a, Cmp.GE)).win_eve
+        # a threshold equal to a simple cycle's mean is a tie, where the
+        # strict and non-strict games part
+        for tie, (cmp, ray) in itertools.product(simple_cycle_means(g), RAYS.items()):
+            ref = brute_force_positional(g, Objective(Payoff.MP_INF, IntervalUnion((ray(tie),))))
+            assert ref.exact
+            res = mp_threshold(g, ThresholdQuery(tie, cmp))
+            assert (res.win_eve, res.win_adam) == (ref.win_eve, ref.win_adam), (cmp, tie)
 
 
 def test_one_player_achievability():
