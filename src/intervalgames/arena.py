@@ -155,6 +155,9 @@ def parse_rational(text) -> Fraction:
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, str):
+        # Fraction would expand an exponent such as "1e100000000" digit by digit
+        if "e" in text.lower():
+            raise MalformedDocument(f"bad rational {text!r}: exponent notation")
         try:
             return Fraction(text.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -651,7 +654,9 @@ def read_document(
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers past Python's
+        # digit limit; RecursionError, nesting deeper than the stack
         raise MalformedDocument(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedDocument("document root must be an object")

@@ -31,7 +31,7 @@ from .arena import (
     read_document,
     write_document,
 )
-from .discounted import _min_decision_width, horizon, solve_ds_interval, subset_sum_to_ds
+from .discounted import decision_depth, solve_ds_interval, subset_sum_to_ds
 from .liminf import liminf_to_parity, parity_to_liminf, solve_liminf
 from .meanpayoff import parity_to_mp, solve_mp_interval
 from .oracle import brute_force_finite_horizon_ds, brute_force_positional
@@ -51,7 +51,7 @@ def _load_document(path: str):
     """Returns (graph, objective) for a payoff game or a ParityGame."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedDocument(f"cannot read {path}: {exc}") from exc
     parsed = read_document(text)
     if isinstance(parsed, OneCounterParityGame):
@@ -61,12 +61,7 @@ def _load_document(path: str):
     return parsed
 
 
-def _solve_game(
-    g: GameGraph,
-    o: Objective,
-    bound: Optional[int],
-    horizon_slack: int,
-):
+def _solve_game(g: GameGraph, o: Objective, bound: Optional[int]):
     """Dispatch one instance; returns (verdict, per-vertex verdicts, meta)."""
     g, o = normalize(g, o)
     meta: dict = {"payoff": o.payoff.value}
@@ -77,9 +72,8 @@ def _solve_game(
         regions = solve_mp_interval(g, o.intervals)
         meta["algorithm"] = "mp-interval-fixpoint"
     elif o.payoff is Payoff.DISCOUNTED:
-        regions = solve_ds_interval(g, o.lam, o.intervals, extra_depth=horizon_slack)
+        regions = solve_ds_interval(g, o.lam, o.intervals)
         meta["algorithm"] = "ds-bounded-search"
-        meta["horizon_slack"] = horizon_slack
     elif o.payoff is Payoff.TOTAL_INF:
         solved = solve_total_interval(g, o.intervals, bound=bound)
         meta["algorithm"] = "total-ocpg-bounded"
@@ -99,7 +93,7 @@ def cmd_solve(args) -> int:
             "parity documents are only accepted by reduce/check"
         )
     g, o = parsed
-    verdict, verdicts, meta = _solve_game(g, o, args.bound, args.horizon_slack)
+    verdict, verdicts, meta = _solve_game(g, o, args.bound)
     if args.format == "structured":
         out = {
             "winner": verdict.value,
@@ -219,7 +213,7 @@ def _check_expectation(path: str, verdict: Optional[Verdict], error: Optional[Ga
         return None
     try:
         expect = json.loads(sidecar.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         return f"cannot read expectation sidecar: {exc}"
     if not isinstance(expect, dict):
         return "cannot read expectation sidecar: not a JSON object"
@@ -251,8 +245,7 @@ def _oracle_suite(parsed, base) -> list[str]:
     win_eve = frozenset(v for v, name in enumerate(gn.names) if verdicts[name] is Verdict.EVE)
     win_adam = frozenset(v for v, name in enumerate(gn.names) if verdicts[name] is Verdict.ADAM)
     if on.payoff is Payoff.DISCOUNTED:
-        width = _min_decision_width(on.intervals)
-        depth = horizon(gn, on.lam, width) + 1 if width else 1
+        depth = decision_depth(gn, on.lam, on.intervals)
         if brute_force_finite_horizon_ds(gn, on.lam, on.intervals, depth) != win_eve:
             raise OracleDisagreement("discounted solver disagrees with reference search")
         return ["discounted: agreement with unpruned search"]
@@ -274,9 +267,9 @@ def _oracle_suite(parsed, base) -> list[str]:
 
 
 def _stability_suite(parsed, base) -> list[str]:
-    """Re-solve a payoff game under more slack (discounted horizon,
-    total-sum bound) or once more; `base` is its `_solve_game` result,
-    whose definite verdicts must not change."""
+    """Re-solve a payoff game under a larger total-sum bound, or once
+    more; `base` is its `_solve_game` result, whose definite verdicts must
+    not change."""
     if isinstance(parsed, ParityGame):
         a = solve_parity(parsed)
         b = solve_parity(parsed)
@@ -286,18 +279,15 @@ def _stability_suite(parsed, base) -> list[str]:
     g, o = parsed
     _, verdicts, meta = base
     payoff = meta["payoff"]
-    if payoff == Payoff.DISCOUNTED.value:
-        variants = [(None, slack, f"horizon slack {slack}") for slack in (1, 2, 3)]
-        line = "discounted: stable under horizon slack 1..3"
-    elif payoff == Payoff.TOTAL_INF.value:
+    if payoff == Payoff.TOTAL_INF.value:
         bounds = [meta["bound"] + extra for extra in (1, 2, 3)]
-        variants = [(b, 0, f"bound {b}") for b in bounds]
+        variants = [(b, f"bound {b}") for b in bounds]
         line = "total-sum: verdicts stable under bound increase 1..3"
     else:
-        variants = [(None, 0, "a second solve")]
+        variants = [(None, "a second solve")]
         line = f"{payoff}: deterministic"
-    for bound, slack, label in variants:
-        _, again, _ = _solve_game(g, o, bound, slack)
+    for bound, label in variants:
+        _, again, _ = _solve_game(g, o, bound)
         for name, was in verdicts.items():
             now = again[name]
             if was is not Verdict.UNKNOWN and now is not was:
@@ -314,7 +304,7 @@ def cmd_check(args) -> int:
     if not isinstance(parsed, ParityGame):
         g, o = parsed
         try:
-            solved = _solve_game(g, o, None, 0)
+            solved = _solve_game(g, o, None)
         except UnsupportedObjective as exc:
             solve_error = exc
     verdict: Optional[Verdict] = solved[0] if solved else None
@@ -347,8 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("file")
     p_solve.add_argument("--bound", type=int, default=None,
                          help="counter clamp for total-sum solving")
-    p_solve.add_argument("--horizon-slack", type=int, default=0,
-                         help="extra depth beyond the discounted-sum horizon")
     p_solve.add_argument("--regions", action="store_true",
                          help="also print one verdict per vertex")
     p_solve.add_argument("--format", choices=("text", "structured"), default="text")

@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .arena import (
-    BadParameters,
     Edge,
     GameError,
     GameGraph,
@@ -219,21 +218,21 @@ def _min_decision_width(iu: IntervalUnion) -> Optional[Fraction]:
     return min(widths) if widths else None
 
 
-def solve_ds_interval(
-    g: GameGraph,
-    lam: Fraction,
-    iu: IntervalUnion,
-    extra_depth: int = 0,
-) -> Regions:
+def decision_depth(g: GameGraph, lam: Fraction, iu: IntervalUnion) -> int:
+    """Step by which every search node has decided: one past the horizon
+    of the narrowest bounded interval or gap, or 1 when there is none."""
+    width = _min_decision_width(iu)
+    return (0 if width is None else horizon(g, lam, width)) + 1
+
+
+def solve_ds_interval(g: GameGraph, lam: Fraction, iu: IntervalUnion) -> Regions:
     """Exact winner for every start vertex.
 
     Alternating search over (vertex, step, accumulated value).  A node whose
     residual ball holds at most one finite interval endpoint is decided by
     one game value: maxmin when that endpoint closes an interval, minmax
-    otherwise.  One step past the computed horizon the ball is narrower than
-    every interval and gap, so every node has decided by then; `extra_depth`
-    only moves that asserted depth and cannot change a verdict.  A negative
-    `extra_depth` is rejected.
+    otherwise.  At `decision_depth` the ball is narrower than every
+    interval and gap, so every node has decided by then.
     """
     if iu.has_singleton_interval or iu.has_singleton_gap:
         raise SingletonNotSupported(
@@ -241,13 +240,10 @@ def solve_ds_interval(
         )
     if not 0 < lam < 1:
         raise GameError(f"discount factor {lam} not in (0,1)")
-    if extra_depth < 0:
-        raise BadParameters(f"horizon slack {extra_depth} must be non-negative")
     n = g.n
     if iu.is_empty:
         return Regions(win_eve=frozenset(), win_adam=frozenset(range(n)))
-    width = _min_decision_width(iu)
-    depth_stop = (0 if width is None else horizon(g, lam, width)) + 1 + extra_depth
+    depth_stop = decision_depth(g, lam, iu)
     table = ds_optimal_values(g, lam)
     reach = Fraction(max_abs_weight(g)) / (1 - lam)
     lam_pow = [Fraction(1)]

@@ -17,7 +17,7 @@ countdown family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -267,9 +267,7 @@ def solve_ocpg_bounded(
 
     `escape_down`/`escape_up` optionally pin, per escape-target vertex,
     the priority an escaping play is worth in both runs; callers use this
-    when they can prove what such a play is worth in the true game.  Games
-    without zero tests do not depend on the counter at all and are solved
-    directly.
+    when they can prove what such a play is worth in the true game.
 
     Only configurations reachable from counter 0 are materialized; a
     configuration whose owner cannot move (zero tests disabled, no counter
@@ -277,30 +275,6 @@ def solve_ocpg_bounded(
     """
     if bound < 1:
         raise BadParameters(f"counter bound {bound} must be positive")
-    if not p.zero_edges:
-        flat = ParityGame(
-            names=p.names,
-            owner=p.owner,
-            edges=tuple(Edge(e.src, e.dst) for e in p.edges),
-            priority=p.priority,
-            initial=p.initial,
-        )
-        solved = solve_parity(flat)
-        win_eve = set()
-        win_adam = set()
-        for v in range(p.n):
-            target = win_eve if v in solved.win_eve else win_adam
-            for c in range(-bound, bound + 1):
-                target.add((v, c))
-        initial = Verdict.EVE if p.initial in solved.win_eve else Verdict.ADAM
-        return ThreeValuedRegions(
-            win_eve=frozenset(win_eve),
-            win_adam=frozenset(win_adam),
-            unknown=frozenset(),
-            bound=bound,
-            initial_verdict=initial,
-        )
-
     escape_down = escape_down or {}
     escape_up = escape_up or {}
     # configuration k is vertex first + k of the clamped game
@@ -359,20 +333,14 @@ def solve_ocpg_bounded(
     win_adam = frozenset(cfg for k, cfg in enumerate(configs, first) if k in optimistic.win_adam)
     unknown = frozenset(configs) - win_eve - win_adam
     assert not (win_eve & win_adam), "optimistic and pessimistic runs disagree"
-    init_cfg = (p.initial, 0)
-    if init_cfg in win_eve:
-        initial = Verdict.EVE
-    elif init_cfg in win_adam:
-        initial = Verdict.ADAM
-    else:
-        initial = Verdict.UNKNOWN
-    return ThreeValuedRegions(
+    solved = ThreeValuedRegions(
         win_eve=win_eve,
         win_adam=win_adam,
         unknown=unknown,
         bound=bound,
-        initial_verdict=initial,
+        initial_verdict=Verdict.UNKNOWN,
     )
+    return replace(solved, initial_verdict=solved.verdict((p.initial, 0)))
 
 
 def default_bound(g: GameGraph, iu: IntervalUnion) -> int:

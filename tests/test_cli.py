@@ -75,10 +75,16 @@ def test_exit_codes(capsys, tmp_path):
         code, _, err = run(capsys, command[0], bad, *command[1:])
         assert code == 2 and "error" in err and "Traceback" not in err, doc
 
-    # a search stopped short of the horizon would decide wrongly
-    for slack in ("-1", "-50"):
-        code, _, err = run(capsys, "solve", CORPUS / "fig3_n1.game", "--horizon-slack", slack)
-        assert code == 2 and "error" in err and "Traceback" not in err, slack
+    # undecodable bytes, nesting past the stack, an integer past Python's
+    # digit limit and an exponent that would expand to 10**100000000
+    huge = json.dumps(loop).replace('"weight": 1', '"weight": ' + "9" * 5000)
+    far = json.loads(json.dumps(loop))
+    far["objective"].update(payoff="mp-inf")
+    far["objective"]["intervals"][0].update(hi="1e100000000")
+    for raw in (b"\xff\xfe{", b"[" * 200000, huge.encode(), json.dumps(far).encode()):
+        bad.write_bytes(raw)
+        code, _, err = run(capsys, "solve", bad)
+        assert code == 2 and "error" in err and "Traceback" not in err, raw[:40]
 
 
 def test_corpus_golden_run(capsys):
@@ -106,9 +112,9 @@ def test_check_consumes_sidecars(capsys, tmp_path):
     code, _, err = run(capsys, "check", target)
     assert code == 4
 
-    # so must a sidecar that is valid JSON but not an object
-    for sidecar in ([1, 2], "eve"):
-        (tmp_path / "wrong.expect").write_text(json.dumps(sidecar))
+    # so must a sidecar that is valid JSON but not an object, or no text
+    for sidecar in (json.dumps([1, 2]).encode(), json.dumps("eve").encode(), b"\xff\xfe{"):
+        (tmp_path / "wrong.expect").write_bytes(sidecar)
         code, _, err = run(capsys, "check", target)
         assert code == 4 and "error" in err and "Traceback" not in err, sidecar
 
@@ -303,8 +309,3 @@ def test_resource_guard_exit_code(capsys, tmp_path):
     f.write_text(json.dumps(deep))
     code, _, err = run(capsys, "solve", f)
     assert code == 5 and "error" in err and "depth" in err and "Traceback" not in err
-
-
-def test_horizon_slack_flag(capsys):
-    code, out, _ = run(capsys, "solve", CORPUS / "fig3_n2.game", "--horizon-slack", "2")
-    assert code == 0 and out.strip() == "EVE"

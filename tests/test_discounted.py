@@ -16,6 +16,7 @@ from intervalgames.discounted import (
     NonpositiveWidth,
     SingletonNotSupported,
     SubsetSumInstance,
+    decision_depth,
     ds_optimal_values,
     ds_value_lasso,
     horizon,
@@ -72,6 +73,13 @@ def test_horizon_examples():
     assert horizon(g, F(1, 2), F(1, 2)) == 3
     with pytest.raises(NonpositiveWidth):
         horizon(g, F(1, 2), F(0))
+    # the narrowest piece is the gap (1, 3/2), of width 1/2
+    iu = IntervalUnion((Interval(F(0), F(1)), Interval(F(3, 2), F(4))))
+    assert decision_depth(g, F(1, 2), iu) == horizon(g, F(1, 2), F(1, 2)) + 1 == 4
+    # with no bounded interval or gap every node decides at the root
+    ray = IntervalUnion((Interval(F(0), PLUS_INF, False, True),))
+    assert decision_depth(g, F(1, 2), ray) == 1
+    assert decision_depth(g, F(1, 2), IntervalUnion(())) == 1
 
 
 def test_horizon_defining_inequality():
@@ -174,17 +182,6 @@ def test_subset_sum_fidelity_suite():
         res = solve_ds_interval(g, lam, iu)
         expected = subset_sum_winner(inst.target, inst.pairs)
         assert (0 in res.win_eve) == expected, inst
-
-
-def test_stability_under_extra_depth():
-    rng = make_rng(54)
-    for _ in range(120):
-        g = random_game(rng, rng.randint(1, 4), max_weight=2)
-        lam = rng.choice((F(1, 2), F(2, 3)))
-        iu = random_interval_union(rng, 2, 3, forbid_singletons=True, half_grid=True)
-        base = solve_ds_interval(g, lam, iu)
-        for extra in (1, 2, 5):
-            assert solve_ds_interval(g, lam, iu, extra_depth=extra).win_eve == base.win_eve
 
 
 def test_agreement_with_unpruned_reference():

@@ -85,22 +85,6 @@ def test_bounded_solver_all_even_zero_weights():
         assert not res.unknown
 
 
-def test_bounded_solver_counter_free_game_solved_exactly():
-    # no zero tests at all: the counter is irrelevant at any bound
-    p = OneCounterParityGame(
-        names=("a",),
-        owner=(Player.ADAM,),
-        priority=(1,),
-        edges=(Edge(0, 0, 1),),
-        zero_edges=(),
-        initial=0,
-    )
-    for bound in (1, 3, 9):
-        res = solve_ocpg_bounded(p, bound)
-        assert res.verdict((0, 0)) is Verdict.ADAM
-        assert not res.unknown
-
-
 def test_bounded_solver_sinks():
     # u (Eve) steps up to s_e (Eve) or s_a (Adam), whose only exits are
     # zero tests: at counter 1 their owners are stuck and lose
