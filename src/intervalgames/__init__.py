@@ -23,7 +23,7 @@ from .arena import (
     parse_game,
     serialize_game,
 )
-from .parity import ParityGame, attractor_with_strategy, solve_parity
+from .parity import ParityGame, attractor, solve_parity
 from .liminf import integerize, liminf_to_parity, omega_I, parity_to_liminf, solve_liminf
 from .meanpayoff import Cmp, ThresholdQuery, mp_threshold, parity_to_mp, solve_mp_interval
 from .discounted import (

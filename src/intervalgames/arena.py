@@ -455,10 +455,6 @@ class IntervalUnion:
     def inf(self) -> Optional[ExtRational]:
         return self.intervals[0].lo if self.intervals else None
 
-    @property
-    def sup(self) -> Optional[ExtRational]:
-        return self.intervals[-1].hi if self.intervals else None
-
     def negate(self) -> "IntervalUnion":
         """Mirror through 0: each [a,b] becomes [-b,-a], flags swapped."""
         return IntervalUnion(
@@ -514,21 +510,22 @@ class Objective:
 
 @dataclass(frozen=True)
 class Regions:
-    """Solved partition of the vertex set, with optional positional
-    strategies (vertex index -> chosen edge index)."""
+    """Solved partition of a vertex set into the two players' winning
+    regions and the vertices left undecided."""
 
     win_eve: frozenset[int]
     win_adam: frozenset[int]
     unknown: frozenset[int] = frozenset()
-    eve_strategy: Optional[Mapping[int, int]] = None
-    adam_strategy: Optional[Mapping[int, int]] = None
 
-    def check_partition(self, n: int) -> None:
+    def check_partition(self, vertices: frozenset[int]) -> None:
+        """The three regions partition `vertices`: together they cover it
+        and hold no other vertex, and with sizes summing to its size no
+        vertex can lie in two of them."""
         total = len(self.win_eve) + len(self.win_adam) + len(self.unknown)
-        assert total == n, "regions do not cover the vertex set"
-        assert not (self.win_eve & self.win_adam)
-        assert not (self.win_eve & self.unknown)
-        assert not (self.win_adam & self.unknown)
+        assert total == len(vertices), "region sizes do not sum to the vertex count"
+        assert self.win_eve | self.win_adam | self.unknown == vertices, (
+            "regions do not cover exactly the vertex set"
+        )
 
     def verdict(self, v: int) -> Verdict:
         if v in self.win_eve:

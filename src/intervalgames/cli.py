@@ -87,6 +87,8 @@ def _solve_game(g: GameGraph, o: Objective, bound: Optional[int]):
 
 
 def cmd_solve(args) -> int:
+    if args.bound is not None and args.bound < 1:
+        raise BadParameters(f"--bound {args.bound} must be at least 1")
     parsed = _load_document(args.file)
     if isinstance(parsed, ParityGame):
         raise UnsupportedObjective(

@@ -299,8 +299,9 @@ def solve_ds_interval(g: GameGraph, lam: Fraction, iu: IntervalUnion) -> Regions
             f"discounted search reached depth {deepest} of {depth_stop} "
             "and exceeded the interpreter stack"
         ) from None
-    regions = Regions(win_eve=win_eve, win_adam=frozenset(range(n)) - win_eve)
-    regions.check_partition(n)
+    everything = frozenset(range(n))
+    regions = Regions(win_eve=win_eve, win_adam=everything - win_eve)
+    regions.check_partition(everything)
     return regions
 
 

@@ -4,7 +4,7 @@ The liminf of an integer-weighted play is always an integer, so the
 objective is integerized up front; afterwards every interval is a closed
 integer interval and the priority function over the integers is well
 defined.  Both reduction directions preserve winners vertex by vertex and
-barely change the graph, so positional strategies transfer.
+barely change the graph.
 """
 
 from __future__ import annotations
@@ -152,39 +152,18 @@ def parity_to_liminf(p: ParityGame) -> tuple[GameGraph, IntervalUnion]:
 
 
 def solve_liminf(g: GameGraph, iu: IntervalUnion) -> Regions:
-    """Exact regions with positional strategies for both players.
+    """Exact winning regions.
 
-    When the objective contains no integer Adam wins everywhere with any
-    strategy; this is reported as a region, not an error.
+    When the objective contains no integer Adam wins everywhere; this is
+    reported as a region, not an error.
     """
-    pm = integerize(iu)
-    if pm.is_empty:
-        adam_strategy = {
-            v: g.out_edges[v][0] for v in range(g.n) if g.owner[v] is Player.ADAM
-        }
-        return Regions(
-            win_eve=frozenset(),
-            win_adam=frozenset(range(g.n)),
-            eve_strategy={},
-            adam_strategy=adam_strategy,
-        )
-    parity_game = liminf_to_parity(g, iu)
-    solved = solve_parity(parity_game)
-    win_eve = frozenset(v for v in solved.win_eve if v < g.n)
-    win_adam = frozenset(v for v in solved.win_adam if v < g.n)
-
-    def pull_back(strategy, player):
-        out = {}
-        for v, j in strategy.items():
-            if v < g.n and g.owner[v] is player:
-                out[v] = j // 2  # parity edge 2k enters the subdivider of edge k
-        return out
-
+    everything = frozenset(range(g.n))
+    if integerize(iu).is_empty:
+        return Regions(win_eve=frozenset(), win_adam=everything)
+    solved = solve_parity(liminf_to_parity(g, iu))
     regions = Regions(
-        win_eve=win_eve,
-        win_adam=win_adam,
-        eve_strategy=pull_back(solved.eve_strategy, Player.EVE),
-        adam_strategy=pull_back(solved.adam_strategy, Player.ADAM),
+        win_eve=frozenset(v for v in solved.win_eve if v < g.n),
+        win_adam=frozenset(v for v in solved.win_adam if v < g.n),
     )
-    regions.check_partition(g.n)
+    regions.check_partition(everything)
     return regions

@@ -30,7 +30,7 @@ from .arena import (
     complement_intervals,
     fresh_namer,
 )
-from .parity import attractor_with_strategy
+from .parity import attractor
 
 
 class PriorityOutOfRange(UnsupportedObjective):
@@ -50,17 +50,12 @@ class ThresholdQuery:
     cmp: Cmp
 
 
-# Positional strategies map owned vertices to a chosen outgoing edge index.
-PositionalStrategy = dict[int, int]
-
-
 def _energy_win(
     g: GameGraph, alive: frozenset[int], player: Player, scale: int, offset: int
-) -> tuple[frozenset[int], PositionalStrategy]:
+) -> frozenset[int]:
     """Vertices of `alive` from which `player` keeps the running sum of the
     rescaled weights scale*w + offset bounded below while play stays in
-    `alive`, which is exactly where she forces mean-payoff >= 0 there;
-    also her positional strategy.
+    `alive`, which is exactly where she forces mean-payoff >= 0 there.
 
     Least-fixpoint progress measure: f[v] is the least initial credit with
     which `player` keeps the running sum non-negative from v, or top where
@@ -75,17 +70,15 @@ def _energy_win(
     from every winning vertex, and a measure above M proves a loss.
     """
     owner, edges = g.owner, g.edges
-    # (successor, rescaled weight) per alive vertex in edge order; the edge
-    # indices, kept apart, are read only by strategy extraction
+    # (successor, rescaled weight) per alive vertex
     succ: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    index: list[list[int]] = [[] for _ in range(g.n)]
     # (predecessor, rescaled weight) for every edge inside alive
     pred: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     minimizer = [False] * g.n
     cap = heaviest = 0
     for v in alive:
         minimizer[v] = owner[v] is player
-        out, idx = succ[v], index[v]
+        out = succ[v]
         least = 0
         for j in g.out_edges[v]:
             e = edges[j]
@@ -93,7 +86,6 @@ def _energy_win(
             if u in alive:
                 w = scale * e.weight + offset
                 out.append((u, w))
-                idx.append(j)
                 pred[u].append((v, w))
                 if w < least:
                     least = w
@@ -137,25 +129,13 @@ def _energy_win(
                 fu = f[u]
                 if fu < top and best - w > fu:
                     pending.add(u)
-    win = frozenset(v for v in alive if f[v] < top)
-    strategy: PositionalStrategy = {}
-    for v in win:
-        if not minimizer[v]:
-            continue
-        fv = f[v]
-        for (u, w), j in zip(succ[v], index[v]):
-            if f[u] - w <= fv:
-                strategy[v] = j
-                break
-        assert v in strategy, "progress measure without a witnessing edge"
-    return win, strategy
+    return frozenset(v for v in alive if f[v] < top)
 
 
 def mp_threshold(
     g: GameGraph, query: ThresholdQuery, alive: Optional[frozenset[int]] = None
 ) -> Regions:
-    """Exact partition for "Eve forces MP ~ a" with positional witnesses
-    for both players embedded in the result.
+    """Exact partition for "Eve forces MP ~ a".
 
     Play is restricted to `alive` (by default every vertex); every vertex
     of `alive` must keep an edge into it.
@@ -171,17 +151,13 @@ def mp_threshold(
     # unit, valid because cycle means have denominator <= n
     n = len(alive)
     scale, offset = sign * a.denominator * n, a.numerator * n
-    win_eve, eve_strategy = _energy_win(g, alive, Player.EVE, scale, -offset - strict)
-    # Adam's side: he forces the complementary strict/non-strict threshold
-    # on negated weights
-    win_adam, adam_strategy = _energy_win(g, alive, Player.ADAM, -scale, offset - 1 + strict)
     regions = Regions(
-        win_eve=win_eve,
-        win_adam=win_adam,
-        eve_strategy=eve_strategy,
-        adam_strategy=adam_strategy,
+        win_eve=_energy_win(g, alive, Player.EVE, scale, -offset - strict),
+        # Adam's side: he forces the complementary strict/non-strict
+        # threshold on negated weights
+        win_adam=_energy_win(g, alive, Player.ADAM, -scale, offset - 1 + strict),
     )
-    regions.check_partition(n)
+    regions.check_partition(alive)
     return regions
 
 
@@ -204,7 +180,7 @@ def solve_mp_interval(
     if a == MINUS_INF:
         dual = solve_mp_interval(g.swap_owners(), complement_intervals(iu), alive)
         regions = Regions(win_eve=dual.win_adam, win_adam=dual.win_eve)
-        regions.check_partition(len(alive))
+        regions.check_partition(alive)
         return regions
     assert isinstance(a, Fraction)
     strict = iu.intervals[0].lo_open  # a in I iff the first interval is closed at a
@@ -226,9 +202,9 @@ def solve_mp_interval(
         # rounds solve subgames in which the escape edges no longer exist,
         # so they cannot see that Adam may step into territory he has
         # already won.
-        adam_total, _ = attractor_with_strategy(g, adam_total | new, Player.ADAM, alive)
+        adam_total = attractor(g, adam_total | new, Player.ADAM, alive)
     regions = Regions(win_eve=alive - adam_total, win_adam=adam_total)
-    regions.check_partition(len(alive))
+    regions.check_partition(alive)
     return regions
 
 

@@ -86,19 +86,19 @@ def test_acceptance_01_determinacy():
         for _ in range(400):
             g = random_game(rng, rng.randint(1, 6), max_weight=3)
             iu = random_interval_union(rng, 2, 3)
-            solve_liminf(g, iu).check_partition(g.n)
+            solve_liminf(g, iu).check_partition(frozenset(range(g.n)))
         for _ in range(350):
             g = random_game(rng, rng.randint(1, 6), max_weight=3)
             iu = random_interval_union(rng, 2, 3)
             regions = solve_mp_interval(g, iu)
-            regions.check_partition(g.n)
+            regions.check_partition(frozenset(range(g.n)))
             assert not regions.unknown
         for _ in range(250):
             g = random_game(rng, rng.randint(1, 6), max_weight=3)
             lam = F(1, 2) if rng.random() < 0.8 else F(2, 3)
             iu = random_interval_union(rng, 2, 3, forbid_singletons=True, half_grid=True)
             regions = solve_ds_interval(g, lam, iu)
-            regions.check_partition(g.n)
+            regions.check_partition(frozenset(range(g.n)))
             assert not regions.unknown
         done = 0
         while done < 100:
@@ -231,7 +231,7 @@ def test_acceptance_07_horizon():
             assert lam ** (n + 1) * bound < width
             assert width <= lam ** n * bound
             base = solve_ds_interval(g, lam, iu)
-            base.check_partition(g.n)
+            base.check_partition(frozenset(range(g.n)))
             # the unpruned search agrees one and two steps past the horizon
             try:
                 for depth in (n + 1, n + 2):

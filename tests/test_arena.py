@@ -18,6 +18,7 @@ from intervalgames.arena import (
     PLUS_INF,
     Payoff,
     Player,
+    Regions,
     UnknownVertexReference,
     complement_intervals,
     contains,
@@ -238,3 +239,14 @@ def test_max_abs_weight():
     assert max_abs_weight(g) == 3
     z = GameGraph(("a",), (Player.EVE,), (Edge(0, 0, 0),), 0)
     assert max_abs_weight(z) == 0
+
+
+def test_check_partition_rejects_a_stray_vertex():
+    everything = frozenset({0, 1, 2})
+    Regions(frozenset({0}), frozenset({2}), frozenset({1})).check_partition(everything)
+    # right size, but vertex 7 is not in the set and vertex 1 is missing
+    with pytest.raises(AssertionError):
+        Regions(frozenset({7}), frozenset()).check_partition(frozenset({1}))
+    # a vertex in two regions covers the set but overfills the count
+    with pytest.raises(AssertionError):
+        Regions(frozenset({0, 1}), frozenset({1, 2})).check_partition(everything)

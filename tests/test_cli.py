@@ -235,9 +235,15 @@ def test_solve_rejects_parity_documents(capsys, tmp_path):
 def test_total_sum_bound_flag(capsys, tmp_path):
     code, out, _ = run(capsys, "solve", CORPUS / "fig5.game", "--bound", "8")
     assert code == 0 and out.strip() == "UNKNOWN"
-    for bound in ("0", "-3"):
-        code, _, err = run(capsys, "solve", CORPUS / "fig5.game", "--bound", bound)
-        assert code == 2 and "error" in err, bound
+    # the bound is checked for every payoff, not only for total-sum games
+    for game in ("fig5.game", "fig1.game", "liminf_two_loops.game"):
+        for bound in ("0", "-3"):
+            code, out, err = run(capsys, "solve", CORPUS / game, "--bound", bound)
+            assert code == 2 and "error" in err and not out, (game, bound)
+    code, out, err = run(
+        capsys, "solve", CORPUS / "fig1.game", "--bound", "-5", "--format", "structured"
+    )
+    assert code == 2 and "error" in err and not out
     # an objective without integers is decided before the clamp is built,
     # and a bad bound must still be rejected
     no_integers = tmp_path / "no_integers.game"

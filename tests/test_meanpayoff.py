@@ -79,30 +79,6 @@ def test_threshold_credit_equal_to_the_cap():
             assert mp_threshold(chain, ThresholdQuery(F(0), Cmp.GT)).win_adam == everything
 
 
-def test_threshold_strategies_cover_regions():
-    rng = make_rng(41)
-    for _ in range(100):
-        g = random_game(rng, rng.randint(1, 5), max_weight=3)
-        q = ThresholdQuery(F(rng.randint(-2, 2), rng.randint(1, 3)),
-                           rng.choice(list(Cmp)))
-        res = mp_threshold(g, q)
-        for v in res.win_eve:
-            if g.owner[v] is Player.EVE:
-                assert v in res.eve_strategy
-        for v in res.win_adam:
-            if g.owner[v] is Player.ADAM:
-                assert v in res.adam_strategy
-        # every strategy edge leaves its vertex and stays in the region
-        for region, strategy in (
-            (res.win_eve, res.eve_strategy),
-            (res.win_adam, res.adam_strategy),
-        ):
-            for v, j in strategy.items():
-                assert v in region
-                assert g.edges[j].src == v
-                assert g.edges[j].dst in region
-
-
 def test_interval_solver_empty_union():
     g = loop(1)
     res = solve_mp_interval(g, IntervalUnion(()))
