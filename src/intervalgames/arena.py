@@ -195,13 +195,22 @@ class Edge(NamedTuple):
     weight: int = 0
 
 
-def _by_vertex(n: int, edges: Sequence[Edge], end: int) -> tuple[tuple[int, ...], ...]:
-    """Edge indices grouped by source (end 0) or target (end 1), in
-    edge-list order."""
+def _by_vertex(n: int, edges: Sequence[Edge]) -> tuple[tuple[int, ...], ...]:
+    """Edge indices grouped by source, in edge-list order."""
     buckets: list[list[int]] = [[] for _ in range(n)]
     for i, e in enumerate(edges):
-        buckets[e[end]].append(i)
+        buckets[e.src].append(i)
     return tuple(tuple(b) for b in buckets)
+
+
+def _ends(n: int, edges: Sequence[Edge], near: int) -> tuple[tuple[int, ...], ...]:
+    """For each vertex v, the other end of every edge with v at end `near`
+    (0 the source, 1 the target), in edge-list order."""
+    far = 1 - near
+    buckets: list[list[int]] = [[] for _ in range(n)]
+    for e in edges:
+        buckets[e[near]].append(e[far])
+    return tuple(map(tuple, buckets))
 
 
 class Arena:
@@ -252,16 +261,23 @@ class Arena:
 
     @cached_property
     def out_edges(self) -> tuple[tuple[int, ...], ...]:
-        return _by_vertex(self.n, self.edges, 0)
-
-    @cached_property
-    def in_edges(self) -> tuple[tuple[int, ...], ...]:
-        return _by_vertex(self.n, self.edges, 1)
+        return _by_vertex(self.n, self.edges)
 
     @cached_property
     def out_zero(self) -> tuple[tuple[int, ...], ...]:
         """Zero-test edge indices grouped by source vertex."""
-        return _by_vertex(self.n, getattr(self, "zero_edges", ()), 0)
+        return _by_vertex(self.n, getattr(self, "zero_edges", ()))
+
+    @cached_property
+    def succ(self) -> tuple[tuple[int, ...], ...]:
+        """Successors of each vertex along `edges`, once per edge, so a
+        successor behind parallel edges repeats."""
+        return _ends(self.n, self.edges, 0)
+
+    @cached_property
+    def pred(self) -> tuple[tuple[int, ...], ...]:
+        """Predecessors of each vertex along `edges`, once per edge."""
+        return _ends(self.n, self.edges, 1)
 
 
 @dataclass(frozen=True)

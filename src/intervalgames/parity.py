@@ -20,36 +20,36 @@ def attractor(
     """Vertices of `within` (by default every vertex) from which `player`
     forces play into `target` while it stays in `within`."""
     alive = frozenset(range(game.n)) if within is None else within
+    owner, succ, pred = game.owner, game.succ, game.pred
     attr = {v for v in target if v in alive}
-    # countdown of not-yet-attracted successors for opponent vertices,
-    # counted when the vertex is first reached
+    # countdown of edges into not-yet-attracted vertices for opponent
+    # vertices, counted when the vertex is first reached; successor and
+    # predecessor lists both repeat a vertex once per parallel edge, so
+    # each edge counts down once
     remaining: dict[int, int] = {}
-    queue = list(attr)
-    while queue:
-        next_queue: list[int] = []
-        for u in queue:
-            for i in game.in_edges[u]:
-                v = game.edges[i].src
-                if v not in alive or v in attr:
-                    continue
-                if game.owner[v] is not player:
-                    left = remaining.get(v)
-                    if left is None:
-                        left = sum(1 for j in game.out_edges[v] if game.edges[j].dst in alive)
-                    left -= 1
+    work = list(attr)
+    while work:
+        u = work.pop()
+        for v in pred[u]:
+            if v in attr or v not in alive:
+                continue
+            if owner[v] is not player:
+                left = remaining.get(v)
+                if left is None:
+                    left = sum(map(alive.__contains__, succ[v]))
+                left -= 1
+                if left:
                     remaining[v] = left
-                    if left:
-                        continue
-                attr.add(v)
-                next_queue.append(v)
-        queue = next_queue
+                    continue
+            attr.add(v)
+            work.append(v)
     return frozenset(attr)
 
 
-def _solve(p: ParityGame, alive: frozenset[int]) -> dict[Player, set[int]]:
-    """Zielonka recursion over an alive-mask; the second recursion is
-    unrolled into a loop so stack depth stays proportional to the number
-    of priority alternations rather than the vertex count.  Returns each
+def _zielonka(p: ParityGame, alive: frozenset[int]):
+    """One Zielonka frame over an alive-mask.  The first recursive call is
+    a `yield` of the subgame's alive set, answered by `_solve` with that
+    subgame's regions; the second is unrolled into the loop.  Returns each
     player's region, keyed by player."""
     region: dict[Player, set[int]] = {Player.EVE: set(), Player.ADAM: set()}
     while alive:
@@ -61,7 +61,7 @@ def _solve(p: ParityGame, alive: frozenset[int]) -> dict[Player, set[int]]:
             break
         target = frozenset(v for v in alive if p.priority[v] == d)
         attr = attractor(p, target, player, alive)
-        sub_region = _solve(p, alive - attr)
+        sub_region = yield alive - attr
         opponent = player.opponent
         if not sub_region[opponent]:
             # player wins everything still alive
@@ -71,6 +71,25 @@ def _solve(p: ParityGame, alive: frozenset[int]) -> dict[Player, set[int]]:
         region[opponent] |= battr
         alive = alive - battr
     return region
+
+
+def _solve(p: ParityGame, alive: frozenset[int]) -> dict[Player, set[int]]:
+    """Run the Zielonka frames on an explicit stack, so the nesting depth,
+    which follows priority alternations, is bounded by memory rather than
+    by the interpreter's recursion limit."""
+    stack = [_zielonka(p, alive)]
+    answer = None
+    while True:
+        try:
+            sub_alive = stack[-1].send(answer)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            answer = done.value
+        else:
+            stack.append(_zielonka(p, sub_alive))
+            answer = None
 
 
 def solve_parity(p: ParityGame, alive: Optional[frozenset[int]] = None) -> Regions:

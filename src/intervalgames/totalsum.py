@@ -6,13 +6,15 @@ reduced parity game makes Eve assert the region while Adam may demand a
 proof through a pumping gadget that ends in a zero test.
 
 Solving the one-counter parity game exactly is out of scope; instead the
-counter is clamped to [-B, B] and the finite game is solved twice, once
-counting escapes for Eve and once for Adam, yielding sound EVE/ADAM
-verdicts and an honest UNKNOWN in between.  When the input graph has no
-positive (negative) cycle, a play that escapes downward (upward) can
-never return, so the escape vertex can be given its true priority and the
-corresponding UNKNOWNs disappear; this closes, among others, the whole
-countdown family.
+counter is clamped to [-B, B] and the finite game is built once.  Escapes
+past the clamp count for Adam in a pessimistic run, solved on the whole
+game, and for Eve in an optimistic run, solved only outside the
+pessimistic Eve region; this yields sound EVE/ADAM verdicts and an honest
+UNKNOWN in between.  When the input graph has no positive (negative)
+cycle, a play that escapes downward (upward) can never return, so the
+escape vertex can be given its true priority and the corresponding
+UNKNOWNs disappear; this closes, among others, the whole countdown
+family.
 """
 
 from __future__ import annotations
@@ -252,35 +254,24 @@ _SINK_NAMES = ("eve_wins", "adam_wins", "limbo", "limbo_win")
 _SINK_PRIORITIES = (0, 1, 1, 0)
 
 
-def solve_ocpg_bounded(
+def _clamped_game(
     p: OneCounterParityGame,
     bound: int,
-    escape_down: Optional[Mapping[int, int]] = None,
-    escape_up: Optional[Mapping[int, int]] = None,
-) -> ThreeValuedRegions:
-    """Clamp the counter to [-bound, bound], build the finite parity game
-    once and solve it twice: optimistically (escapes count for Eve) and
-    pessimistically (for Adam, by masking out limbo's Eve exit).  EVE
-    verdicts come from the pessimistic run and ADAM verdicts from the
-    optimistic run, so both are sound for the true infinite game; the rest
-    is UNKNOWN.
+    escape_down: Mapping[int, int],
+    escape_up: Mapping[int, int],
+) -> tuple[ParityGame, list[Config]]:
+    """The finite parity game of `p` with the counter clamped to
+    [-bound, bound], and its configurations: configuration k is vertex
+    len(_SINK_NAMES) + k.
 
-    `escape_down`/`escape_up` optionally pin, per escape-target vertex,
-    the priority an escaping play is worth in both runs; callers use this
-    when they can prove what such a play is worth in the true game.
-
-    Only configurations reachable from counter 0 are materialized; a
+    Only configurations reachable from counter 0 are materialized; an
+    escape goes to the sink its pinned priority wins for, or to LIMBO; a
     configuration whose owner cannot move (zero tests disabled, no counter
     edges) is lost by its owner.
     """
-    if bound < 1:
-        raise BadParameters(f"counter bound {bound} must be positive")
-    escape_down = escape_down or {}
-    escape_up = escape_up or {}
-    # configuration k is vertex first + k of the clamped game
     first = len(_SINK_NAMES)
     configs: list[Config] = [(v, 0) for v in range(p.n)]
-    index: dict[Config, int] = {cfg: k for k, cfg in enumerate(configs)}
+    index: dict[Config, int] = {cfg: k for k, cfg in enumerate(configs, first)}
     edges = [
         Edge(EVE_WINS, EVE_WINS),
         Edge(ADAM_WINS, ADAM_WINS),
@@ -288,34 +279,31 @@ def solve_ocpg_bounded(
         Edge(LIMBO, ADAM_WINS),
         Edge(LIMBO_WIN, LIMBO_WIN),
     ]
-
-    def intern(cfg: Config) -> int:
-        k = index.get(cfg)
-        if k is None:
-            k = index[cfg] = len(configs)
-            configs.append(cfg)
-        return first + k
+    moves = [tuple((p.edges[j].dst, p.edges[j].weight) for j in out) for out in p.out_edges]
+    # zero-test edges are enabled at counter 0 and leave it there
+    moves_at_zero = [
+        m + tuple((p.zero_edges[j].dst, 0) for j in out) for m, out in zip(moves, p.out_zero)
+    ]
 
     # reachable closure within the clamp, walked in interning order (the
-    # list grows as the walk goes); escapes go to the sink their pinned
-    # priority wins for, or to limbo
-    for k, (v, c) in enumerate(configs):
-        ci = first + k
+    # list grows as the walk goes)
+    for ci, (v, c) in enumerate(configs, first):
         before = len(edges)
-        for j in p.out_edges[v]:
-            e = p.edges[j]
-            c2 = c + e.weight
-            if -bound <= c2 <= bound:
-                edges.append(Edge(ci, intern((e.dst, c2))))
+        for dst, weight in moves_at_zero[v] if c == 0 else moves[v]:
+            c2 = c + weight
+            if not -bound <= c2 <= bound:
+                pin = (escape_down if c2 < -bound else escape_up).get(dst)
+                if pin is None:
+                    edges.append(Edge(ci, LIMBO))
+                else:
+                    edges.append(Edge(ci, ADAM_WINS if pin % 2 else EVE_WINS))
                 continue
-            pin = (escape_down if c2 < -bound else escape_up).get(e.dst)
-            if pin is None:
-                edges.append(Edge(ci, LIMBO))
-            else:
-                edges.append(Edge(ci, ADAM_WINS if pin % 2 else EVE_WINS))
-        if c == 0:
-            for j in p.out_zero[v]:
-                edges.append(Edge(ci, intern((p.zero_edges[j].dst, 0))))
+            cfg = (dst, c2)
+            k = index.get(cfg)
+            if k is None:
+                k = index[cfg] = first + len(configs)
+                configs.append(cfg)
+            edges.append(Edge(ci, k))
         if len(edges) == before:
             edges.append(Edge(ci, ADAM_WINS if p.owner[v] is Player.EVE else EVE_WINS))
 
@@ -326,13 +314,48 @@ def solve_ocpg_bounded(
         priority=_SINK_PRIORITIES + tuple(p.priority[v] for v, _ in configs),
         initial=first + p.initial,
     )
-    optimistic = solve_parity(game)
-    pessimistic = solve_parity(game, frozenset(range(game.n)) - {LIMBO_WIN})
+    return game, configs
 
+
+def solve_ocpg_bounded(
+    p: OneCounterParityGame,
+    bound: int,
+    escape_down: Optional[Mapping[int, int]] = None,
+    escape_up: Optional[Mapping[int, int]] = None,
+) -> ThreeValuedRegions:
+    """Clamp the counter to [-bound, bound] and build the finite parity
+    game once (`_clamped_game`).  It has two readings: pessimistic, where
+    unpinned escapes count for Adam (LIMBO_WIN masked out), and
+    optimistic, where they count for Eve.  EVE verdicts come from the
+    pessimistic reading and ADAM verdicts from the optimistic one, so both
+    are sound for the true infinite game; the rest is UNKNOWN.
+
+    The pessimistic run is solved first, and the optimistic run only
+    outside its Eve region.  Adam's edges are the same in both readings,
+    and LIMBO, the only way into LIMBO_WIN, is Eve's.  So the pessimistic
+    Eve region is an Eve dominion of the optimistic game: Adam cannot
+    leave it and Eve wins inside it.  Zielonka's Eve region is closed
+    under Eve's attractor in the pessimistic game.  The optimistic game
+    adds only LIMBO_WIN, whose one successor is itself and whose other
+    predecessor, LIMBO, lies outside the region; so the region is its own
+    Eve attractor there too.  What remains is a trap for Eve, and its
+    regions are the optimistic game's regions there.
+
+    `escape_down`/`escape_up` optionally pin, per escape-target vertex,
+    the priority an escaping play is worth in both readings; callers use
+    this when they can prove what such a play is worth in the true game.
+    """
+    if bound < 1:
+        raise BadParameters(f"counter bound {bound} must be positive")
+    game, configs = _clamped_game(p, bound, escape_down or {}, escape_up or {})
+    everything = frozenset(range(game.n))
+    pessimistic = solve_parity(game, everything - {LIMBO_WIN})
+    optimistic = solve_parity(game, everything - pessimistic.win_eve)
+
+    first = len(_SINK_NAMES)
     win_eve = frozenset(cfg for k, cfg in enumerate(configs, first) if k in pessimistic.win_eve)
     win_adam = frozenset(cfg for k, cfg in enumerate(configs, first) if k in optimistic.win_adam)
     unknown = frozenset(configs) - win_eve - win_adam
-    assert not (win_eve & win_adam), "optimistic and pessimistic runs disagree"
     solved = ThreeValuedRegions(
         win_eve=win_eve,
         win_adam=win_adam,

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from intervalgames.arena import Edge, ParityGame, Player
 from intervalgames.liminf import integerize
 
 
@@ -16,6 +17,20 @@ def pm_has_finite_endpoint(iu) -> bool:
     if pm.is_empty:
         return True
     return any(isinstance(x, int) for lo_hi in pm.intervals for x in lo_hi)
+
+
+def priority_line(n: int) -> ParityGame:
+    """Eve's line: vertex i has priority i, a self-loop and an edge to
+    i+1.  Zielonka nests one frame per priority.  Eve stays on an even
+    loop or steps to one, so she wins everywhere except at the last vertex
+    when its priority n - 1 is odd."""
+    return ParityGame(
+        names=tuple(f"v{i}" for i in range(n)),
+        owner=(Player.EVE,) * n,
+        edges=tuple(Edge(i, i) for i in range(n)) + tuple(Edge(i, i + 1) for i in range(n - 1)),
+        priority=tuple(range(n)),
+        initial=0,
+    )
 
 
 @pytest.fixture

@@ -1,7 +1,10 @@
 import json
 from pathlib import Path
 
+from intervalgames.arena import write_document
 from intervalgames.cli import main
+
+from conftest import priority_line
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -315,3 +318,23 @@ def test_resource_guard_exit_code(capsys, tmp_path):
     f.write_text(json.dumps(deep))
     code, _, err = run(capsys, "solve", f)
     assert code == 5 and "error" in err and "depth" in err and "Traceback" not in err
+
+
+def test_deep_parity_game_needs_no_recursion(capsys, tmp_path):
+    # a line of 1,201 priorities makes Zielonka nest 1,201 frames deep,
+    # past the interpreter's default recursion limit
+    n = 1201
+    f = tmp_path / "line.game"
+    f.write_text(write_document(priority_line(n)))
+    code, out, err = run(capsys, "check", f, "--suite", "stability")
+    assert code == 0 and "deterministic" in out
+    assert "Traceback" not in err
+    code, text, err = run(capsys, "reduce", f, "--to", "liminf")
+    assert code == 0
+    g = tmp_path / "line_liminf.game"
+    g.write_text(text)
+    code, out, err = run(capsys, "solve", g, "--regions")
+    assert code == 0 and "Traceback" not in err
+    lines = out.split("\n")
+    assert lines[0] == "EVE"
+    assert sorted(lines[1:-1]) == sorted(f"v{i} eve" for i in range(n))

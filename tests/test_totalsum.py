@@ -26,10 +26,13 @@ from intervalgames.generate import (
     zero_cycle_game,
 )
 from intervalgames.oracle import Lasso, countdown_winner, play_value
+from intervalgames.parity import attractor, solve_parity
 from intervalgames.totalsum import (
+    LIMBO_WIN,
     CountdownInstance,
     NoFiniteEndpoint,
     OneCounterParityGame,
+    _clamped_game,
     countdown_to_total,
     solve_ocpg_bounded,
     solve_total_interval,
@@ -121,6 +124,47 @@ def test_bounded_solver_sinks():
     ]
     for pins, want in cases:
         assert solve_ocpg_bounded(x, 1, **pins).initial_verdict is want, pins
+
+
+def random_ocpg(rng):
+    n = rng.randint(1, 6)
+    edges, zero_edges = [], []
+    for v in range(n):
+        for _ in range(rng.randint(0, 3)):
+            edges.append(Edge(v, rng.randrange(n), rng.randint(-2, 2)))
+        if not edges or edges[-1].src != v or rng.random() < 0.3:
+            zero_edges.append(Edge(v, rng.randrange(n)))
+    return OneCounterParityGame(
+        names=tuple(f"v{i}" for i in range(n)),
+        owner=tuple(rng.choice((Player.EVE, Player.ADAM)) for _ in range(n)),
+        priority=tuple(rng.randint(0, 4) for _ in range(n)),
+        edges=tuple(edges),
+        zero_edges=tuple(zero_edges),
+        initial=rng.randrange(n),
+    )
+
+
+def test_pessimistic_first_equals_two_full_solves():
+    # the optimistic run is solved only outside the pessimistic Eve
+    # region, which is its own Eve attractor in the whole game; it must
+    # agree with solving the whole game
+    rng = make_rng(67)
+    for _ in range(300):
+        p = random_ocpg(rng)
+        pins = [{v: rng.randint(0, 4) for v in range(p.n) if rng.random() < 0.3} for _ in range(2)]
+        bound = rng.randint(1, 3)
+        game, configs = _clamped_game(p, bound, *pins)
+        everything = frozenset(range(game.n))
+        optimistic = solve_parity(game)
+        pessimistic = solve_parity(game, everything - {LIMBO_WIN})
+        assert attractor(game, pessimistic.win_eve, Player.EVE) == pessimistic.win_eve
+        first = game.n - len(configs)
+        win_eve = {cfg for k, cfg in enumerate(configs, first) if k in pessimistic.win_eve}
+        win_adam = {cfg for k, cfg in enumerate(configs, first) if k in optimistic.win_adam}
+        res = solve_ocpg_bounded(p, bound, *pins)
+        assert res.win_eve == win_eve
+        assert res.win_adam == win_adam
+        assert res.unknown == set(configs) - win_eve - win_adam
 
 
 def test_solve_total_trivial_loops():
