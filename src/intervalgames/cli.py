@@ -1,14 +1,16 @@
 """Command line front end: solve, reduce, generate and check instances.
 
-Exit codes: 0 solved (any winner), 2 document or parameter error,
-3 unsupported objective or reduction, 4 oracle disagreement,
-5 resource guard tripped.
+Exit codes: 0 solved (any winner), 1 standard output closed by its
+reader before everything was written (as in `solve --regions | head`),
+2 document or parameter error, 3 unsupported objective or reduction,
+4 oracle disagreement, 5 resource guard tripped.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from pathlib import Path
@@ -377,10 +379,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except GameError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so that the flush at
+        # interpreter exit has nowhere to fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from .arena import (
     UnsupportedObjective,
     fresh_namer,
 )
-from .parity import solve_parity
+from .parity import Graph, solve_parity
 
 
 class EmptyObjective(UnsupportedObjective):
@@ -113,30 +113,50 @@ def omega_I(n: int, pm: PriorityMap) -> int:
     return best
 
 
-def liminf_to_parity(g: GameGraph, iu: IntervalUnion) -> ParityGame:
-    """Subdivide every edge; the subdividing vertex carries the priority of
-    the edge weight, original vertices carry 2r+1.
+def _subdivision(g: GameGraph, pm: PriorityMap) -> Graph:
+    """The solver's view of `g` with every edge subdivided: vertex g.n + k
+    subdivides edge k and carries the priority of its weight, original
+    vertices carry 2r+1.
 
     Subdividers are Eve-owned with a single successor, so their ownership
-    is semantically inert.  Parity edges come in pairs: edge 2k enters the
-    subdivider of original edge k, edge 2k+1 leaves it.
+    is semantically inert.  Each distinct weight's priority is computed
+    once.
     """
-    pm = integerize(iu)
-    r = pm.r
+    n, m = g.n, len(g.edges)
+    srcs, dsts, weights = zip(*g.edges)
+    succ: list = [[] for _ in range(n)]
+    pred: list = [[] for _ in range(n)]
+    for k, src, dst in zip(range(n, n + m), srcs, dsts):
+        succ[src].append(k)
+        pred[dst].append(k)
+    # a subdivider's one successor and one predecessor, as 1-tuples
+    succ.extend(zip(dsts))
+    pred.extend(zip(srcs))
+    omega = {w: omega_I(w, pm) for w in set(weights)}
+    return Graph(
+        n=n + m,
+        owner=tuple(g.owner) + (Player.EVE,) * m,
+        priority=(2 * pm.r + 1,) * n + tuple(map(omega.__getitem__, weights)),
+        succ=succ,
+        pred=pred,
+    )
+
+
+def liminf_to_parity(g: GameGraph, iu: IntervalUnion) -> ParityGame:
+    """The subdivided game (`_subdivision`) as a parity document.  Parity
+    edges come in pairs: edge 2k enters the subdivider of original edge k,
+    edge 2k+1 leaves it."""
+    graph = _subdivision(g, integerize(iu))
     fresh = fresh_namer(g.names)
-    names = list(g.names) + [fresh(f"e{k}") for k in range(len(g.edges))]
-    owner = list(g.owner) + [Player.EVE] * len(g.edges)
-    priority = [2 * r + 1] * g.n + [omega_I(e.weight, pm) for e in g.edges]
     edges = []
-    for k, e in enumerate(g.edges):
-        sub = g.n + k
+    for sub, e in enumerate(g.edges, g.n):
         edges.append(Edge(e.src, sub))
         edges.append(Edge(sub, e.dst))
     return ParityGame(
-        names=tuple(names),
-        owner=tuple(owner),
+        names=tuple(g.names) + tuple(fresh(f"e{k}") for k in range(len(g.edges))),
+        owner=graph.owner,
         edges=tuple(edges),
-        priority=tuple(priority),
+        priority=graph.priority,
         initial=g.initial,
     )
 
@@ -158,12 +178,13 @@ def solve_liminf(g: GameGraph, iu: IntervalUnion) -> Regions:
     reported as a region, not an error.
     """
     everything = frozenset(range(g.n))
-    if integerize(iu).is_empty:
+    pm = integerize(iu)
+    if pm.is_empty:
         return Regions(win_eve=frozenset(), win_adam=everything)
-    solved = solve_parity(liminf_to_parity(g, iu))
+    solved = solve_parity(_subdivision(g, pm))
     regions = Regions(
-        win_eve=frozenset(v for v in solved.win_eve if v < g.n),
-        win_adam=frozenset(v for v in solved.win_adam if v < g.n),
+        win_eve=solved.win_eve & everything,
+        win_adam=solved.win_adam & everything,
     )
     regions.check_partition(everything)
     return regions

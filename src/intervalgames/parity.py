@@ -6,9 +6,23 @@ often is even.  The solver returns both players' winning regions.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .arena import ParityGame, Player, Regions
+
+
+class Graph(NamedTuple):
+    """All the solver reads of a game: the vertex count, each vertex's
+    owner and priority, and its successors and predecessors, each repeated
+    once per parallel edge.  A `ParityGame` has all five, so documents are
+    solved as they are; reductions that are solved but never written out
+    build a Graph of plain ints instead of a named, validated document."""
+
+    n: int
+    owner: Sequence[Player]
+    priority: Sequence[int]
+    succ: Sequence[Sequence[int]]
+    pred: Sequence[Sequence[int]]
 
 
 def attractor(
@@ -46,7 +60,7 @@ def attractor(
     return frozenset(attr)
 
 
-def _zielonka(p: ParityGame, alive: frozenset[int]):
+def _zielonka(p: Graph, alive: frozenset[int]):
     """One Zielonka frame over an alive-mask.  The first recursive call is
     a `yield` of the subgame's alive set, answered by `_solve` with that
     subgame's regions; the second is unrolled into the loop.  Returns each
@@ -73,7 +87,7 @@ def _zielonka(p: ParityGame, alive: frozenset[int]):
     return region
 
 
-def _solve(p: ParityGame, alive: frozenset[int]) -> dict[Player, set[int]]:
+def _solve(p: Graph, alive: frozenset[int]) -> dict[Player, set[int]]:
     """Run the Zielonka frames on an explicit stack, so the nesting depth,
     which follows priority alternations, is bounded by memory rather than
     by the interpreter's recursion limit."""
@@ -92,12 +106,19 @@ def _solve(p: ParityGame, alive: frozenset[int]) -> dict[Player, set[int]]:
             answer = None
 
 
-def solve_parity(p: ParityGame, alive: Optional[frozenset[int]] = None) -> Regions:
+def solve_parity(p: Graph | ParityGame, alive: Optional[frozenset[int]] = None) -> Regions:
     """Exact winning partition.
 
     Play is restricted to `alive` (by default every vertex), whose
     vertices must each keep an edge into it; the regions partition it.
+    A document was validated when it was read; a derived Graph is only
+    checked here for a successor at every vertex and columns of one
+    length, which is what the attractors rely on.
     """
+    if not p.n == len(p.owner) == len(p.priority) == len(p.succ) == len(p.pred):
+        raise ValueError("graph columns differ in length")
+    if not all(p.succ):
+        raise ValueError("graph has a vertex without successors")
     alive = frozenset(range(p.n)) if alive is None else alive
     region = _solve(p, alive)
     regions = Regions(

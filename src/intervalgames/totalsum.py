@@ -34,7 +34,6 @@ from .arena import (
     MINUS_INF,
     OneCounterParityGame,
     PLUS_INF,
-    ParityGame,
     Player,
     UnsupportedObjective,
     Verdict,
@@ -42,7 +41,7 @@ from .arena import (
     max_abs_weight,
 )
 from .liminf import PriorityMap, integerize, omega_I
-from .parity import solve_parity
+from .parity import Graph, solve_parity
 
 
 class NoFiniteEndpoint(UnsupportedObjective):
@@ -250,7 +249,7 @@ def _has_cycle_sign(g: GameGraph, sign: int) -> bool:
 # priority 1) takes the unpinned escapes and may move to LIMBO_WIN or
 # ADAM_WINS, and the pessimistic run masks LIMBO_WIN out.
 EVE_WINS, ADAM_WINS, LIMBO, LIMBO_WIN = range(4)
-_SINK_NAMES = ("eve_wins", "adam_wins", "limbo", "limbo_win")
+_SINK_SUCC = ((EVE_WINS,), (ADAM_WINS,), (LIMBO_WIN, ADAM_WINS), (LIMBO_WIN,))
 _SINK_PRIORITIES = (0, 1, 1, 0)
 
 
@@ -259,26 +258,20 @@ def _clamped_game(
     bound: int,
     escape_down: Mapping[int, int],
     escape_up: Mapping[int, int],
-) -> tuple[ParityGame, list[Config]]:
+) -> tuple[Graph, list[Config]]:
     """The finite parity game of `p` with the counter clamped to
     [-bound, bound], and its configurations: configuration k is vertex
-    len(_SINK_NAMES) + k.
+    len(_SINK_SUCC) + k.
 
     Only configurations reachable from counter 0 are materialized; an
     escape goes to the sink its pinned priority wins for, or to LIMBO; a
     configuration whose owner cannot move (zero tests disabled, no counter
     edges) is lost by its owner.
     """
-    first = len(_SINK_NAMES)
+    first = len(_SINK_SUCC)
     configs: list[Config] = [(v, 0) for v in range(p.n)]
     index: dict[Config, int] = {cfg: k for k, cfg in enumerate(configs, first)}
-    edges = [
-        Edge(EVE_WINS, EVE_WINS),
-        Edge(ADAM_WINS, ADAM_WINS),
-        Edge(LIMBO, LIMBO_WIN),
-        Edge(LIMBO, ADAM_WINS),
-        Edge(LIMBO_WIN, LIMBO_WIN),
-    ]
+    succ: list[tuple[int, ...]] = list(_SINK_SUCC)
     moves = [tuple((p.edges[j].dst, p.edges[j].weight) for j in out) for out in p.out_edges]
     # zero-test edges are enabled at counter 0 and leave it there
     moves_at_zero = [
@@ -287,32 +280,37 @@ def _clamped_game(
 
     # reachable closure within the clamp, walked in interning order (the
     # list grows as the walk goes)
-    for ci, (v, c) in enumerate(configs, first):
-        before = len(edges)
+    for v, c in configs:
+        out = []
         for dst, weight in moves_at_zero[v] if c == 0 else moves[v]:
             c2 = c + weight
             if not -bound <= c2 <= bound:
                 pin = (escape_down if c2 < -bound else escape_up).get(dst)
                 if pin is None:
-                    edges.append(Edge(ci, LIMBO))
+                    out.append(LIMBO)
                 else:
-                    edges.append(Edge(ci, ADAM_WINS if pin % 2 else EVE_WINS))
+                    out.append(ADAM_WINS if pin % 2 else EVE_WINS)
                 continue
             cfg = (dst, c2)
             k = index.get(cfg)
             if k is None:
                 k = index[cfg] = first + len(configs)
                 configs.append(cfg)
-            edges.append(Edge(ci, k))
-        if len(edges) == before:
-            edges.append(Edge(ci, ADAM_WINS if p.owner[v] is Player.EVE else EVE_WINS))
+            out.append(k)
+        if not out:
+            out.append(ADAM_WINS if p.owner[v] is Player.EVE else EVE_WINS)
+        succ.append(tuple(out))
 
-    game = ParityGame(
-        names=_SINK_NAMES + tuple(f"c{v}_{c}" for v, c in configs),
+    pred: list[list[int]] = [[] for _ in succ]
+    for u, out in enumerate(succ):
+        for w in out:
+            pred[w].append(u)
+    game = Graph(
+        n=len(succ),
         owner=(Player.EVE,) * first + tuple(p.owner[v] for v, _ in configs),
-        edges=tuple(edges),
         priority=_SINK_PRIORITIES + tuple(p.priority[v] for v, _ in configs),
-        initial=first + p.initial,
+        succ=succ,
+        pred=pred,
     )
     return game, configs
 
@@ -352,7 +350,7 @@ def solve_ocpg_bounded(
     pessimistic = solve_parity(game, everything - {LIMBO_WIN})
     optimistic = solve_parity(game, everything - pessimistic.win_eve)
 
-    first = len(_SINK_NAMES)
+    first = len(_SINK_SUCC)
     win_eve = frozenset(cfg for k, cfg in enumerate(configs, first) if k in pessimistic.win_eve)
     win_adam = frozenset(cfg for k, cfg in enumerate(configs, first) if k in optimistic.win_adam)
     unknown = frozenset(configs) - win_eve - win_adam

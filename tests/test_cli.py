@@ -1,12 +1,26 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
-from intervalgames.arena import write_document
+from intervalgames.arena import (
+    Edge,
+    GameGraph,
+    Interval,
+    IntervalUnion,
+    Objective,
+    Payoff,
+    Player,
+    write_document,
+)
 from intervalgames.cli import main
 
 from conftest import priority_line
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
 
 
 def run(capsys, *argv):
@@ -338,3 +352,37 @@ def test_deep_parity_game_needs_no_recursion(capsys, tmp_path):
     lines = out.split("\n")
     assert lines[0] == "EVE"
     assert sorted(lines[1:-1]) == sorted(f"v{i} eve" for i in range(n))
+
+
+def test_reader_closing_early_is_no_traceback(tmp_path):
+    # 3,000 long vertex names print far more than a pipe holds, so the
+    # solve is still writing when the reader goes away
+    n = 3000
+    g = GameGraph(
+        names=tuple(f"{'v' * 100}{i}" for i in range(n)),
+        owner=(Player.EVE,) * n,
+        edges=tuple(Edge(i, i, i % 2) for i in range(n)),
+        initial=0,
+    )
+    o = Objective(Payoff.LIMINF, IntervalUnion((Interval(Fraction(0), Fraction(0)),)))
+    f = tmp_path / "wide.game"
+    f.write_text(write_document(g, o))
+    # buffered stdout, as in a terminal session: unbuffered, the rest of
+    # one large write can be dropped without an error
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    for argv in (["solve", f, "--regions"], ["reduce", f, "--to", "parity"]):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "intervalgames.cli", *map(str, argv)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        for _ in range(3):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1, err
+        assert "Traceback" not in err, err
+        assert not err, err

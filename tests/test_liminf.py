@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -11,11 +12,22 @@ from intervalgames.arena import (
     PLUS_INF,
     Payoff,
     Player,
+    fresh_namer,
+    normalize,
+    read_document,
+    write_document,
 )
-from intervalgames.generate import random_game, random_interval_union, random_parity_game
+from intervalgames.cli import main
+from intervalgames.generate import (
+    random_game,
+    random_interval_union,
+    random_objective,
+    random_parity_game,
+)
 from intervalgames.liminf import (
     EmptyObjective,
     PriorityMap,
+    _subdivision,
     integerize,
     liminf_to_parity,
     omega_I,
@@ -26,6 +38,8 @@ from intervalgames.oracle import brute_force_positional
 from intervalgames.parity import ParityGame, solve_parity
 
 from conftest import make_rng
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def test_integerize_rounds_open_endpoints_inward():
@@ -147,3 +161,55 @@ def test_threshold_style_agreement():
         res = solve_liminf(g, iu)
         ref = brute_force_positional(g, Objective(Payoff.LIMINF, iu))
         assert res.win_eve == ref.win_eve
+
+
+def _per_edge_reduction(g, iu):
+    """Edge subdivision written out edge by edge, one `omega_I` call per
+    edge: the reference for both the solver's graph and the document."""
+    pm = integerize(iu)
+    fresh = fresh_namer(g.names)
+    edges = []
+    for sub, e in enumerate(g.edges, g.n):
+        edges += [Edge(e.src, sub), Edge(sub, e.dst)]
+    return ParityGame(
+        names=g.names + tuple(fresh(f"e{k}") for k in range(len(g.edges))),
+        owner=g.owner + (Player.EVE,) * len(g.edges),
+        edges=tuple(edges),
+        priority=(2 * pm.r + 1,) * g.n + tuple(omega_I(e.weight, pm) for e in g.edges),
+        initial=g.initial,
+    )
+
+
+def test_solver_graph_equals_the_parity_document():
+    rng = make_rng(34)
+    for _ in range(300):
+        g = random_game(rng, rng.randint(1, 6), max_weight=3)
+        # parallel edges, and a vertex named like a subdivider
+        doubled = [rng.choice(g.edges) for _ in range(rng.randint(1, 3))]
+        g = GameGraph(("e0",) + g.names[1:], g.owner, g.edges + tuple(doubled), 0)
+        payoff = rng.choice((Payoff.LIMINF, Payoff.LIMSUP))
+        g, o = normalize(g, random_objective(rng, payoff, max_pieces=3))
+        pm = integerize(o.intervals)
+        if pm.is_empty:
+            continue
+        graph = _subdivision(g, pm)
+        doc = liminf_to_parity(g, o.intervals)
+        assert doc == _per_edge_reduction(g, o.intervals)
+        assert graph.n == doc.n
+        assert tuple(graph.owner) == doc.owner
+        assert tuple(graph.priority) == doc.priority
+        assert tuple(map(tuple, graph.succ)) == doc.succ
+        assert tuple(map(tuple, graph.pred)) == doc.pred
+
+
+def test_reduce_to_parity_output_on_corpus(capsys):
+    games = []
+    for path in sorted(CORPUS.glob("*.game")):
+        parsed = read_document(path.read_text())
+        if isinstance(parsed, tuple) and parsed[1].payoff in (Payoff.LIMINF, Payoff.LIMSUP):
+            games.append((path, *normalize(*parsed)))
+    assert games
+    for path, g, o in games:
+        assert main(["reduce", str(path), "--to", "parity"]) == 0
+        out = capsys.readouterr().out
+        assert out == write_document(_per_edge_reduction(g, o.intervals)), path.name

@@ -1,10 +1,12 @@
 import inspect
 import sys
 
+import pytest
+
 from intervalgames.arena import Edge, GameGraph, Player, read_document, write_document
 from intervalgames.generate import random_game, random_parity_game
 from intervalgames.oracle import brute_force_positional
-from intervalgames.parity import ParityGame, attractor, solve_parity
+from intervalgames.parity import Graph, ParityGame, attractor, solve_parity
 
 from conftest import make_rng, priority_line
 
@@ -120,6 +122,24 @@ def one_vertex(priority, owner=Player.EVE):
     return ParityGame(
         names=("v",), owner=(owner,), edges=(Edge(0, 0),), priority=(priority,), initial=0
     )
+
+
+def test_graph_solves_like_its_document():
+    rng = make_rng(12)
+    for _ in range(100):
+        p = random_parity_game(rng, rng.randint(1, 8), max_priority=4)
+        graph = Graph(p.n, p.owner, p.priority, p.succ, p.pred)
+        assert solve_parity(graph) == solve_parity(p)
+
+
+def test_solve_parity_rejects_malformed_graphs():
+    p = chain_game()
+    dead_end = Graph(3, p.owner, p.priority, ((1,), (), (2,)), ((), (0,), (2,)))
+    with pytest.raises(ValueError, match="without successors"):
+        solve_parity(dead_end)
+    short = Graph(3, p.owner, p.priority[:2], p.succ, p.pred)
+    with pytest.raises(ValueError, match="columns"):
+        solve_parity(short)
 
 
 def test_solve_parity_single_loops():

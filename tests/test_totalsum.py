@@ -29,6 +29,8 @@ from intervalgames.oracle import Lasso, countdown_winner, play_value
 from intervalgames.parity import attractor, solve_parity
 from intervalgames.totalsum import (
     LIMBO_WIN,
+    _SINK_PRIORITIES,
+    _SINK_SUCC,
     CountdownInstance,
     NoFiniteEndpoint,
     OneCounterParityGame,
@@ -165,6 +167,31 @@ def test_pessimistic_first_equals_two_full_solves():
         assert res.win_eve == win_eve
         assert res.win_adam == win_adam
         assert res.unknown == set(configs) - win_eve - win_adam
+
+
+def test_clamped_graph_is_well_formed():
+    # what reading a document would have checked: a successor at every
+    # vertex, indices in range, columns of one length; and the solver
+    # relies on pred inverting succ, sinks first, one vertex per config
+    rng = make_rng(67)
+    for _ in range(300):
+        p = random_ocpg(rng)
+        pins = [{v: rng.randint(0, 4) for v in range(p.n) if rng.random() < 0.3} for _ in range(2)]
+        game, configs = _clamped_game(p, rng.randint(1, 3), *pins)
+        first = len(_SINK_SUCC)
+        assert game.n == first + len(configs) == len(game.owner) == len(game.priority)
+        assert len(game.succ) == len(game.pred) == game.n
+        assert all(game.succ)
+        assert all(0 <= w < game.n for out in game.succ for w in out)
+        assert tuple(game.succ[:first]) == _SINK_SUCC
+        assert tuple(game.priority[:first]) == _SINK_PRIORITIES
+        assert tuple(game.owner[:first]) == (Player.EVE,) * first
+        assert configs[: p.n] == [(v, 0) for v in range(p.n)]
+        assert len(set(configs)) == len(configs)
+        assert list(game.owner[first:]) == [p.owner[v] for v, _ in configs]
+        assert list(game.priority[first:]) == [p.priority[v] for v, _ in configs]
+        inverse = sorted((u, w) for u, out in enumerate(game.succ) for w in out)
+        assert sorted((u, w) for w, into in enumerate(game.pred) for u in into) == inverse
 
 
 def test_solve_total_trivial_loops():
