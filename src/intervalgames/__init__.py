@@ -37,7 +37,7 @@ from .discounted import (
 from .totalsum import (
     CountdownInstance,
     OneCounterParityGame,
-    ThreeValuedRegions,
+    TotalSolution,
     countdown_to_total,
     solve_ocpg_bounded,
     solve_total_interval,

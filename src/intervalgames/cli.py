@@ -64,7 +64,7 @@ def _load_document(path: str):
 
 
 def _solve_game(g: GameGraph, o: Objective, bound: Optional[int]):
-    """Dispatch one instance; returns (verdict, per-vertex verdicts, meta)."""
+    """Dispatch one instance; returns (regions over g's vertices, meta)."""
     g, o = normalize(g, o)
     meta: dict = {"payoff": o.payoff.value}
     if o.payoff is Payoff.LIMINF:
@@ -78,14 +78,12 @@ def _solve_game(g: GameGraph, o: Objective, bound: Optional[int]):
         meta["algorithm"] = "ds-bounded-search"
     elif o.payoff is Payoff.TOTAL_INF:
         solved = solve_total_interval(g, o.intervals, bound=bound)
+        regions = solved.vertices
         meta["algorithm"] = "total-ocpg-bounded"
         meta["bound"] = solved.bound
-        verdicts = {name: solved.verdicts[name] for name in g.names}
-        return verdicts[g.names[g.initial]], verdicts, meta
     else:
         raise UnsupportedObjective(f"cannot solve payoff {o.payoff.value}")
-    verdicts = {name: regions.verdict(v) for v, name in enumerate(g.names)}
-    return verdicts[g.names[g.initial]], verdicts, meta
+    return regions, meta
 
 
 def cmd_solve(args) -> int:
@@ -97,20 +95,21 @@ def cmd_solve(args) -> int:
             "parity documents are only accepted by reduce/check"
         )
     g, o = parsed
-    verdict, verdicts, meta = _solve_game(g, o, args.bound)
+    regions, meta = _solve_game(g, o, args.bound)
+    verdict = regions.verdict(g.initial)
     if args.format == "structured":
         out = {
             "winner": verdict.value,
             "meta": meta,
         }
         if args.regions:
-            out["regions"] = {name: v.value for name, v in verdicts.items()}
+            out["regions"] = {name: regions.verdict(v).value for v, name in enumerate(g.names)}
         print(json.dumps(out, indent=2))
     else:
         print(verdict.name)
         if args.regions:
-            for name, v in verdicts.items():
-                print(f"{name} {v.value}")
+            for v, name in enumerate(g.names):
+                print(f"{name} {regions.verdict(v).value}")
     return 0
 
 
@@ -245,24 +244,22 @@ def _oracle_suite(parsed, base) -> list[str]:
         return ["parity: agreement"]
     g, o = parsed
     gn, on = normalize(g, o)
-    _, verdicts, _ = base
-    win_eve = frozenset(v for v, name in enumerate(gn.names) if verdicts[name] is Verdict.EVE)
-    win_adam = frozenset(v for v, name in enumerate(gn.names) if verdicts[name] is Verdict.ADAM)
+    regions, _ = base
     if on.payoff is Payoff.DISCOUNTED:
         depth = decision_depth(gn, on.lam, on.intervals)
-        if brute_force_finite_horizon_ds(gn, on.lam, on.intervals, depth) != win_eve:
+        if brute_force_finite_horizon_ds(gn, on.lam, on.intervals, depth) != regions.win_eve:
             raise OracleDisagreement("discounted solver disagrees with reference search")
         return ["discounted: agreement with unpruned search"]
     if on.payoff is Payoff.TOTAL_INF:
         return ["total-sum: no positional oracle suite (three-valued solver); skipped"]
     reference = brute_force_positional(gn, on)
     if reference.exact:
-        if reference.win_eve != win_eve:
+        if reference.win_eve != regions.win_eve:
             raise OracleDisagreement("solver disagrees with exact positional oracle")
         return [f"{on.payoff.value}: agreement"]
-    if not reference.win_eve <= win_eve:
+    if not reference.win_eve <= regions.win_eve:
         raise OracleDisagreement("positional Eve bound exceeds the solved region")
-    if not reference.win_adam <= win_adam:
+    if not reference.win_adam <= regions.win_adam:
         raise OracleDisagreement("positional Adam bound exceeds the solved region")
     return [
         f"{on.payoff.value}: bound-only oracle (objective may need memory); "
@@ -281,7 +278,7 @@ def _stability_suite(parsed, base) -> list[str]:
             raise OracleDisagreement("parity solver is not deterministic")
         return ["parity: deterministic"]
     g, o = parsed
-    _, verdicts, meta = base
+    regions, meta = base
     payoff = meta["payoff"]
     if payoff == Payoff.TOTAL_INF.value:
         bounds = [meta["bound"] + extra for extra in (1, 2, 3)]
@@ -291,13 +288,14 @@ def _stability_suite(parsed, base) -> list[str]:
         variants = [(None, "a second solve")]
         line = f"{payoff}: deterministic"
     for bound, label in variants:
-        _, again, _ = _solve_game(g, o, bound)
-        for name, was in verdicts.items():
-            now = again[name]
-            if was is not Verdict.UNKNOWN and now is not was:
-                raise OracleDisagreement(
-                    f"verdict for {name} flipped from {was.value} to {now.value} at {label}"
-                )
+        again, _ = _solve_game(g, o, bound)
+        flipped = (regions.win_eve - again.win_eve) | (regions.win_adam - again.win_adam)
+        if flipped:
+            v = min(flipped)
+            raise OracleDisagreement(
+                f"verdict for {g.names[v]} flipped from {regions.verdict(v).value} "
+                f"to {again.verdict(v).value} at {label}"
+            )
     return [line]
 
 
@@ -311,7 +309,7 @@ def cmd_check(args) -> int:
             solved = _solve_game(g, o, None)
         except UnsupportedObjective as exc:
             solve_error = exc
-    verdict: Optional[Verdict] = solved[0] if solved else None
+    verdict: Optional[Verdict] = solved[0].verdict(g.initial) if solved else None
     complaint = _check_expectation(args.file, verdict, solve_error)
     if complaint:
         raise OracleDisagreement(complaint)

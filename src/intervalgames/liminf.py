@@ -56,6 +56,25 @@ class PriorityMap:
     def is_empty(self) -> bool:
         return not self.intervals
 
+    def bounds(self, i: int) -> tuple[IntEndpoint, IntEndpoint]:
+        """(min, max) integer of the region with priority i; infinite
+        markers for unbounded sides, (PLUS_INF, MINUS_INF) when the region
+        is empty (only possible for the outermost gaps)."""
+        if i % 2 == 0:
+            return self.intervals[i // 2 - 1]
+        if i == 1:
+            first_lo = self.intervals[0][0]
+            if isinstance(first_lo, Infinity):
+                return PLUS_INF, MINUS_INF
+            return MINUS_INF, first_lo - 1
+        if i == 2 * self.r + 1:
+            last_hi = self.intervals[-1][1]
+            if isinstance(last_hi, Infinity):
+                return PLUS_INF, MINUS_INF
+            return last_hi + 1, PLUS_INF
+        j = (i - 1) // 2  # gap between intervals j and j+1, both sides finite
+        return self.intervals[j - 1][1] + 1, self.intervals[j][0] - 1
+
 
 def _lo_int(j: Interval) -> IntEndpoint:
     if isinstance(j.lo, Infinity):
@@ -97,20 +116,14 @@ def integerize(iu: IntervalUnion) -> PriorityMap:
 
 
 def omega_I(n: int, pm: PriorityMap) -> int:
-    """Priority of the integer n: 2i inside interval i, 1 below the first
-    interval, otherwise 1+2i for the last interval i lying below n."""
+    """Priority of the integer n: the region whose bounds hold it."""
     if pm.is_empty:
         raise EmptyObjective("priority map for an objective with no integer points")
-    for i, (lo, hi) in enumerate(pm.intervals, start=1):
+    for i in range(1, 2 * pm.r + 2):
+        lo, hi = pm.bounds(i)
         if lo <= n <= hi:
-            return 2 * i
-    if n < pm.intervals[0][0]:
-        return 1
-    best = 1
-    for i, (_, hi) in enumerate(pm.intervals, start=1):
-        if hi < n:
-            best = 1 + 2 * i
-    return best
+            return i
+    raise AssertionError("the regions of a priority map cover the integers")
 
 
 def _subdivision(g: GameGraph, pm: PriorityMap) -> Graph:

@@ -19,9 +19,10 @@ family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from functools import partial
+from typing import Mapping, NamedTuple, Optional
 
 from .arena import (
     BadParameters,
@@ -35,8 +36,8 @@ from .arena import (
     OneCounterParityGame,
     PLUS_INF,
     Player,
+    Regions,
     UnsupportedObjective,
-    Verdict,
     fresh_namer,
     max_abs_weight,
 )
@@ -72,29 +73,14 @@ class CountdownInstance:
 Config = tuple[int, int]  # (vertex index, counter value)
 
 
-@dataclass(frozen=True)
-class ThreeValuedRegions:
-    """Three-valued solution over the explored configurations.
+class TotalSolution(NamedTuple):
+    """A solved total-sum game: `vertices` holds the verdict of starting
+    at each arena vertex with counter 0, `configs` the verdicts of the
+    clamped configurations it was read from, and `bound` the clamp."""
 
-    `verdicts` maps original-game vertex names to the verdict of starting
-    there with counter 0 (present only when produced by
-    `solve_total_interval`); `initial_verdict` is the verdict of the
-    designated initial configuration.
-    """
-
-    win_eve: frozenset[Config]
-    win_adam: frozenset[Config]
-    unknown: frozenset[Config]
+    vertices: Regions
+    configs: Regions
     bound: int
-    initial_verdict: Verdict
-    verdicts: Optional[Mapping[str, Verdict]] = None
-
-    def verdict(self, config: Config) -> Verdict:
-        if config in self.win_eve:
-            return Verdict.EVE
-        if config in self.win_adam:
-            return Verdict.ADAM
-        return Verdict.UNKNOWN
 
 
 def assertable_regions(pm: PriorityMap) -> list[int]:
@@ -103,22 +89,23 @@ def assertable_regions(pm: PriorityMap) -> list[int]:
     unbounded on that side; an empty region has no punish edges, so
     allowing its assertion would hand Eve an unpunishable lie that masks
     the true priority."""
-    r = pm.r
-    out = []
-    for i in range(1, 2 * r + 2):
-        m, mx = _region_bounds(pm, i)
-        if m == PLUS_INF and mx == MINUS_INF:
-            continue
-        out.append(i)
-    return out
+    return [i for i in range(1, 2 * pm.r + 2) if pm.bounds(i) != (PLUS_INF, MINUS_INF)]
 
 
-def copy_vertex_index(regions: list[int], v: int, b: int, i: int) -> int:
-    """Index of copy (v, b, i) inside the reduced one-counter game; the
-    construction lays copies out v-major, b in (1, 0), then i over the
-    assertable regions in order."""
-    width = len(regions)
-    return v * 2 * width + (0 if b == 1 else width) + regions.index(i)
+_SINKS = ("zero", "bot", "top")
+
+
+def _index(n: int, width: int, u: int, b: int = 1, j: int = 0) -> int:
+    """Index of item u in the one-counter game that `totalsum_to_ocpg`
+    builds from an arena of n vertices whose objective has `width`
+    assertable regions.  Items u < n are the arena's vertices, laid out
+    v-major with 2 * width copies each: b = 1 before b = 0, and j the
+    asserted region's position among the assertable ones.  Each item
+    after them is one vertex: the edges (u = n + k for edge k), then the
+    sinks `_SINKS`."""
+    if u < n:
+        return (2 * u + 1 - b) * width + j
+    return (2 * width - 1) * n + u
 
 
 def totalsum_to_ocpg(g: GameGraph, iu: IntervalUnion) -> OneCounterParityGame:
@@ -136,61 +123,43 @@ def totalsum_to_ocpg(g: GameGraph, iu: IntervalUnion) -> OneCounterParityGame:
         raise NoFiniteEndpoint("objective contains no integers")
     r = pm.r
     regions = assertable_regions(pm)
-    bounds = {i: _region_bounds(pm, i) for i in regions}
-    if not any(
-        isinstance(m, int) or isinstance(mx, int) for m, mx in bounds.values()
-    ):
+    bounds = [pm.bounds(i) for i in regions]
+    if not any(isinstance(m, int) or isinstance(mx, int) for m, mx in bounds):
         raise NoFiniteEndpoint("objective has no finite region boundary")
 
+    n, width = g.n, len(regions)
+    at = partial(_index, n, width)
     fresh = fresh_namer(())
-
     names: list[str] = []
     owner: list[Player] = []
     priority: list[int] = []
-    copy_index: dict[tuple[int, int, int], int] = {}
-    for v in range(g.n):
+    for v in range(n):
         for b in (1, 0):
             for i in regions:
-                copy_index[(v, b, i)] = len(names)
                 names.append(fresh(f"{g.names[v]}~{b}~{i}"))
                 owner.append(g.owner[v] if b == 1 else Player.ADAM)
                 priority.append(i)
     top_priority = 2 * r + 1
-    edge_vertex: dict[int, int] = {}
-    for k in range(len(g.edges)):
-        edge_vertex[k] = len(names)
-        names.append(fresh(f"e{k}"))
-        owner.append(Player.EVE)
-        priority.append(top_priority)
-    v_zero = len(names)
-    names.append(fresh("zero"))
-    owner.append(Player.EVE)
-    priority.append(2 * r)
-    v_bot = len(names)
-    names.append(fresh("bot"))
-    owner.append(Player.EVE)
-    priority.append(top_priority)
-    v_top = len(names)
-    names.append(fresh("top"))
-    owner.append(Player.EVE)
-    priority.append(top_priority)
+    names += [fresh(f"e{k}") for k in range(len(g.edges))] + [fresh(name) for name in _SINKS]
+    owner += [Player.EVE] * (len(g.edges) + len(_SINKS))
+    priority += [top_priority] * len(g.edges) + [2 * r, top_priority, top_priority]
+    v_zero, v_bot, v_top = (at(n + len(g.edges) + k) for k in range(3))
 
     edges: list[Edge] = []
     for k, e in enumerate(g.edges):
-        for i in regions:
-            edges.append(Edge(copy_index[(e.src, 1, i)], edge_vertex[k], e.weight))
+        for j in range(width):
+            edges.append(Edge(at(e.src, 1, j), at(n + k), e.weight))
     for k, e in enumerate(g.edges):
-        for i in regions:
-            edges.append(Edge(edge_vertex[k], copy_index[(e.dst, 0, i)], 0))
-    for v in range(g.n):
-        for i in regions:
-            m_i, mx_i = bounds[i]
-            src = copy_index[(v, 0, i)]
-            if isinstance(m_i, int):
-                edges.append(Edge(src, v_bot, -m_i))
-            if isinstance(mx_i, int):
-                edges.append(Edge(src, v_top, -mx_i))
-            edges.append(Edge(src, copy_index[(v, 1, i)], 0))
+        for j in range(width):
+            edges.append(Edge(at(n + k), at(e.dst, 0, j), 0))
+    for v in range(n):
+        for j, (m_j, mx_j) in enumerate(bounds):
+            src = at(v, 0, j)
+            if isinstance(m_j, int):
+                edges.append(Edge(src, v_bot, -m_j))
+            if isinstance(mx_j, int):
+                edges.append(Edge(src, v_top, -mx_j))
+            edges.append(Edge(src, at(v, 1, j), 0))
     edges.append(Edge(v_bot, v_bot, -1))
     edges.append(Edge(v_top, v_top, +1))
     edges.append(Edge(v_zero, v_zero, 0))
@@ -202,29 +171,8 @@ def totalsum_to_ocpg(g: GameGraph, iu: IntervalUnion) -> OneCounterParityGame:
         priority=tuple(priority),
         edges=tuple(edges),
         zero_edges=zero_edges,
-        initial=copy_index[(g.initial, 1, omega_I(0, pm))],
+        initial=at(g.initial, 1, regions.index(omega_I(0, pm))),
     )
-
-
-def _region_bounds(pm: PriorityMap, i: int):
-    """(min, max) integer of the region with priority i; infinite markers
-    for unbounded sides, (PLUS_INF, MINUS_INF) when the region is empty
-    (only possible for the outermost gaps)."""
-    r = len(pm.intervals)
-    if i % 2 == 0:
-        return pm.intervals[i // 2 - 1]
-    if i == 1:
-        first_lo = pm.intervals[0][0]
-        if isinstance(first_lo, Infinity):
-            return PLUS_INF, MINUS_INF
-        return MINUS_INF, first_lo - 1
-    if i == 2 * r + 1:
-        last_hi = pm.intervals[-1][1]
-        if isinstance(last_hi, Infinity):
-            return PLUS_INF, MINUS_INF
-        return last_hi + 1, PLUS_INF
-    j = (i - 1) // 2  # gap between intervals j and j+1, both sides finite
-    return pm.intervals[j - 1][1] + 1, pm.intervals[j][0] - 1
 
 
 def _has_cycle_sign(g: GameGraph, sign: int) -> bool:
@@ -320,7 +268,7 @@ def solve_ocpg_bounded(
     bound: int,
     escape_down: Optional[Mapping[int, int]] = None,
     escape_up: Optional[Mapping[int, int]] = None,
-) -> ThreeValuedRegions:
+) -> Regions:
     """Clamp the counter to [-bound, bound] and build the finite parity
     game once (`_clamped_game`).  It has two readings: pessimistic, where
     unpinned escapes count for Adam (LIMBO_WIN masked out), and
@@ -351,17 +299,12 @@ def solve_ocpg_bounded(
     optimistic = solve_parity(game, everything - pessimistic.win_eve)
 
     first = len(_SINK_SUCC)
+    explored = frozenset(configs)
     win_eve = frozenset(cfg for k, cfg in enumerate(configs, first) if k in pessimistic.win_eve)
     win_adam = frozenset(cfg for k, cfg in enumerate(configs, first) if k in optimistic.win_adam)
-    unknown = frozenset(configs) - win_eve - win_adam
-    solved = ThreeValuedRegions(
-        win_eve=win_eve,
-        win_adam=win_adam,
-        unknown=unknown,
-        bound=bound,
-        initial_verdict=Verdict.UNKNOWN,
-    )
-    return replace(solved, initial_verdict=solved.verdict((p.initial, 0)))
+    solved = Regions(win_eve=win_eve, win_adam=win_adam, unknown=explored - win_eve - win_adam)
+    solved.check_partition(explored)
+    return solved
 
 
 def default_bound(g: GameGraph, iu: IntervalUnion) -> int:
@@ -377,25 +320,22 @@ def default_bound(g: GameGraph, iu: IntervalUnion) -> int:
 
 def solve_total_interval(
     g: GameGraph, iu: IntervalUnion, bound: Optional[int] = None
-) -> ThreeValuedRegions:
+) -> TotalSolution:
     """Reduce to a one-counter parity game and solve under the clamp.
 
     When the objective has no integer points at all Adam wins everywhere
     outright (finite totals are integers and infinite totals need an
-    unbounded interval), reported without touching the reduction.
+    unbounded interval), reported without touching the reduction: no
+    configuration is explored.
     """
     if bound is not None and bound < 1:
         raise BadParameters(f"counter bound {bound} must be positive")
     pm = integerize(iu)
     if pm.is_empty:
-        verdicts = {name: Verdict.ADAM for name in g.names}
-        return ThreeValuedRegions(
-            win_eve=frozenset(),
-            win_adam=frozenset((v, 0) for v in range(g.n)),
-            unknown=frozenset(),
+        return TotalSolution(
+            vertices=Regions(win_eve=frozenset(), win_adam=frozenset(range(g.n))),
+            configs=Regions(win_eve=frozenset(), win_adam=frozenset()),
             bound=bound if bound is not None else 0,
-            initial_verdict=Verdict.ADAM,
-            verdicts=verdicts,
         )
     ocpg = totalsum_to_ocpg(g, iu)
     safe_bound = default_bound(g, iu)
@@ -403,14 +343,16 @@ def solve_total_interval(
     safe = b >= safe_bound
 
     r = pm.r
+    n, regions = g.n, assertable_regions(pm)
+    at = partial(_index, n, len(regions))
     # the pumping gadget's escapes have known winners: moving away from
     # zero, the pump never reaches its zero test again (top priority is
     # odd), while overshooting into the pump lets Eve ride it back to the
     # test and stop at the winning sink
-    v_top, v_bot, v_zero = ocpg.n - 1, ocpg.n - 2, ocpg.n - 3
+    v_zero, v_bot, v_top = (at(n + len(g.edges) + k) for k in range(3))
     escape_down: dict[int, int] = {v_bot: 2 * r + 1, v_top: 2 * r}
     escape_up: dict[int, int] = {v_top: 2 * r + 1, v_bot: 2 * r}
-    fabric = [v for v in range(ocpg.n) if v not in (v_top, v_bot, v_zero)]
+    fabric = range(v_zero)
     if safe and not _has_cycle_sign(g, +1):
         # an escape below the clamp stays below every region boundary
         lo_first = pm.intervals[0][0]
@@ -422,22 +364,16 @@ def solve_total_interval(
         prio = 2 * r if isinstance(hi_last, Infinity) else 2 * r + 1
         for v in fabric:
             escape_up[v] = prio
-    solved = solve_ocpg_bounded(ocpg, b, escape_down=escape_down, escape_up=escape_up)
+    configs = solve_ocpg_bounded(ocpg, b, escape_down=escape_down, escape_up=escape_up)
 
-    omega0 = omega_I(0, pm)
-    regions = assertable_regions(pm)
-    verdicts = {}
-    for v in range(g.n):
-        start = copy_vertex_index(regions, v, 1, omega0)
-        verdicts[g.names[v]] = solved.verdict((start, 0))
-    return ThreeValuedRegions(
-        win_eve=solved.win_eve,
-        win_adam=solved.win_adam,
-        unknown=solved.unknown,
-        bound=b,
-        initial_verdict=verdicts[g.names[g.initial]],
-        verdicts=verdicts,
+    j0 = regions.index(omega_I(0, pm))
+    start = {v: (at(v, 1, j0), 0) for v in range(n)}
+    vertices = Regions(
+        win_eve=frozenset(v for v, cfg in start.items() if cfg in configs.win_eve),
+        win_adam=frozenset(v for v, cfg in start.items() if cfg in configs.win_adam),
+        unknown=frozenset(v for v, cfg in start.items() if cfg in configs.unknown),
     )
+    return TotalSolution(vertices=vertices, configs=configs, bound=b)
 
 
 def countdown_to_total(cd: CountdownInstance) -> tuple[GameGraph, IntervalUnion]:

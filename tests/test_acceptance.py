@@ -107,7 +107,7 @@ def test_acceptance_01_determinacy():
             if not pm_has_finite_endpoint(iu):
                 continue
             res = solve_total_interval(g, iu)
-            assert set(res.verdicts) == set(g.names)
+            res.vertices.check_partition(frozenset(range(g.n)))
             done += 1
 
 
@@ -280,15 +280,15 @@ def test_acceptance_10_countdown():
         for _ in range(100):
             cd = random_countdown(rng, rng.randint(2, 5), rng.randint(1, 20), max_weight=4)
             g, iu = countdown_to_total(cd)
-            res = solve_total_interval(g, iu)
-            assert res.initial_verdict is not Verdict.UNKNOWN
+            verdict = solve_total_interval(g, iu).vertices.verdict(g.initial)
+            assert verdict is not Verdict.UNKNOWN
             direct = countdown_winner(
                 cd.owner,
                 [(e.src, e.dst, e.weight) for e in cd.edges],
                 cd.initial,
                 cd.credit,
             )
-            assert (res.initial_verdict is Verdict.EVE) == direct
+            assert (verdict is Verdict.EVE) == direct
 
 
 def test_acceptance_11_total_monotone():
@@ -303,12 +303,12 @@ def test_acceptance_11_total_monotone():
             base = solve_total_interval(g, iu)
             for extra in (1, 2, 3, 4):
                 wider = solve_total_interval(g, iu, bound=base.bound + extra)
-                for name in g.names:
-                    was = base.verdicts[name]
+                for v in range(g.n):
+                    was = base.vertices.verdict(v)
                     if was is not Verdict.UNKNOWN:
-                        assert wider.verdicts[name] is was
-                assert wider.unknown & base.win_eve == frozenset()
-                assert wider.unknown & base.win_adam == frozenset()
+                        assert wider.vertices.verdict(v) is was
+                assert wider.configs.unknown & base.configs.win_eve == frozenset()
+                assert wider.configs.unknown & base.configs.win_adam == frozenset()
             done += 1
 
 

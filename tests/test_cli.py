@@ -21,6 +21,7 @@ from conftest import priority_line
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def run(capsys, *argv):
@@ -278,6 +279,28 @@ def test_total_sum_bound_flag(capsys, tmp_path):
             capsys, "solve", no_integers, "--bound", bound, "--format", "structured"
         )
         assert code == 2 and "error" in err, bound
+    # with no clamp built, the default bound reads 0
+    code, out, _ = run(capsys, "solve", no_integers, "--format", "structured")
+    assert code == 0
+    assert json.loads(out) == {
+        "winner": "adam",
+        "meta": {"payoff": "total-inf", "algorithm": "total-ocpg-bounded", "bound": 0},
+    }
+
+
+def test_output_bytes_match_the_recorded_files(capsys):
+    # byte for byte, so the order of the meta keys counts too
+    cases = [
+        (("solve", CORPUS / "fig5.game", "--bound", "8", "--regions", "--format", "structured"),
+         "fig5_bound8.structured.json"),
+        (("solve", CORPUS / "fig1.game", "--regions", "--format", "structured"),
+         "fig1.structured.json"),
+        (("reduce", CORPUS / "loop0_total.game", "--to", "ocpg"), "loop0_total.ocpg"),
+    ]
+    for argv, recorded in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out == (GOLDEN / recorded).read_text(), recorded
 
 
 def test_check_parity_document(capsys, tmp_path):

@@ -14,6 +14,7 @@ from intervalgames.arena import (
     PLUS_INF,
     Payoff,
     Player,
+    Regions,
     Verdict,
     contains,
     read_document,
@@ -25,6 +26,7 @@ from intervalgames.generate import (
     random_interval_union,
     zero_cycle_game,
 )
+from intervalgames.liminf import integerize, omega_I
 from intervalgames.oracle import Lasso, countdown_winner, play_value
 from intervalgames.parity import attractor, solve_parity
 from intervalgames.totalsum import (
@@ -125,7 +127,7 @@ def test_bounded_solver_sinks():
         ({"escape_down": {0: 3}}, Verdict.UNKNOWN),
     ]
     for pins, want in cases:
-        assert solve_ocpg_bounded(x, 1, **pins).initial_verdict is want, pins
+        assert solve_ocpg_bounded(x, 1, **pins).verdict((x.initial, 0)) is want, pins
 
 
 def random_ocpg(rng):
@@ -195,22 +197,51 @@ def test_clamped_graph_is_well_formed():
 
 
 def test_solve_total_trivial_loops():
-    assert solve_total_interval(adam_loop(0), POINT_ZERO).initial_verdict is Verdict.EVE
-    assert solve_total_interval(adam_loop(1), POINT_ZERO).initial_verdict is Verdict.ADAM
+    assert solve_total_interval(adam_loop(0), POINT_ZERO).vertices.verdict(0) is Verdict.EVE
+    assert solve_total_interval(adam_loop(1), POINT_ZERO).vertices.verdict(0) is Verdict.ADAM
 
 
 def test_divergence_follows_unbounded_intervals():
     up = IntervalUnion((Interval(F(0), PLUS_INF, False, True),))
-    assert solve_total_interval(adam_loop(1), up).initial_verdict is Verdict.EVE
-    assert solve_total_interval(adam_loop(-1), up).initial_verdict is Verdict.ADAM
+    assert solve_total_interval(adam_loop(1), up).vertices.verdict(0) is Verdict.EVE
+    assert solve_total_interval(adam_loop(-1), up).vertices.verdict(0) is Verdict.ADAM
 
 
 def test_empty_integer_objective_is_adam_everywhere():
     g = adam_loop(0)
     iu = IntervalUnion((Interval(F(1, 3), F(2, 3)),))
     res = solve_total_interval(g, iu)
-    assert res.initial_verdict is Verdict.ADAM
-    assert not res.unknown
+    assert res.vertices.verdict(g.initial) is Verdict.ADAM
+    assert not res.vertices.unknown
+
+
+def test_objective_without_integers_explores_no_configuration():
+    # Adam's win is decided before any one-counter game is built, so no
+    # configuration of one exists to report
+    g = GameGraph(("a", "b"), (Player.EVE, Player.ADAM), (Edge(0, 1, 1), Edge(1, 0, -1)), 1)
+    res = solve_total_interval(g, IntervalUnion((Interval(F(1, 3), F(2, 3)),)))
+    assert res.vertices == Regions(win_eve=frozenset(), win_adam=frozenset({0, 1}))
+    assert res.configs == Regions(win_eve=frozenset(), win_adam=frozenset())
+    assert res.bound == 0
+
+
+def test_vertex_verdicts_read_the_builders_start_copies():
+    # the start copy of v is looked up by the name the builder gave it,
+    # not through the layout index the solver computes it with
+    rng = make_rng(68)
+    done = 0
+    while done < 100:
+        g = random_game(rng, rng.randint(1, 4), max_weight=2)
+        iu = random_interval_union(rng, 2, 2)
+        pm = integerize(iu)
+        if pm.is_empty or not pm_has_finite_endpoint(iu):
+            continue
+        res = solve_total_interval(g, iu)
+        names = totalsum_to_ocpg(g, iu).names
+        for v in range(g.n):
+            k = names.index(f"{g.names[v]}~1~{omega_I(0, pm)}")
+            assert res.vertices.verdict(v) is res.configs.verdict((k, 0)), (g, iu, v)
+        done += 1
 
 
 def test_unbounded_memory_instance_stays_unknown():
@@ -228,7 +259,7 @@ def test_unbounded_memory_instance_stays_unknown():
         (Interval(MINUS_INF, F(0), True, True), Interval(F(0), PLUS_INF, True, True))
     )
     res = solve_total_interval(g, avoid_zero, bound=8)
-    assert res.initial_verdict is Verdict.UNKNOWN
+    assert res.vertices.verdict(g.initial) is Verdict.UNKNOWN
 
 
 def test_countdown_reduction_structure():
@@ -250,10 +281,10 @@ def test_countdown_reduction_structure():
 def test_countdown_even_and_odd_credit():
     cd = CountdownInstance(("u",), (Player.EVE,), (Edge(0, 0, -2),), 0, 4)
     g, iu = countdown_to_total(cd)
-    assert solve_total_interval(g, iu).initial_verdict is Verdict.EVE
+    assert solve_total_interval(g, iu).vertices.verdict(g.initial) is Verdict.EVE
     cd3 = CountdownInstance(("u",), (Player.EVE,), (Edge(0, 0, -2),), 0, 3)
     g3, iu3 = countdown_to_total(cd3)
-    assert solve_total_interval(g3, iu3).initial_verdict is Verdict.ADAM
+    assert solve_total_interval(g3, iu3).vertices.verdict(g3.initial) is Verdict.ADAM
 
 
 def test_countdown_agreement_suite():
@@ -261,12 +292,12 @@ def test_countdown_agreement_suite():
     for _ in range(100):
         cd = random_countdown(rng, rng.randint(2, 5), rng.randint(1, 20), max_weight=4)
         g, iu = countdown_to_total(cd)
-        res = solve_total_interval(g, iu)
-        assert res.initial_verdict is not Verdict.UNKNOWN
+        verdict = solve_total_interval(g, iu).vertices.verdict(g.initial)
+        assert verdict is not Verdict.UNKNOWN
         direct = countdown_winner(
             cd.owner, [(e.src, e.dst, e.weight) for e in cd.edges], cd.initial, cd.credit
         )
-        assert (res.initial_verdict is Verdict.EVE) == direct
+        assert (verdict is Verdict.EVE) == direct
 
 
 def test_verdicts_monotone_under_bound_increase():
@@ -280,10 +311,10 @@ def test_verdicts_monotone_under_bound_increase():
         base = solve_total_interval(g, iu)
         for extra in (1, 2, 3, 4):
             again = solve_total_interval(g, iu, bound=base.bound + extra)
-            for name in g.names:
-                was = base.verdicts[name]
+            for v in range(g.n):
+                was = base.vertices.verdict(v)
                 if was is not Verdict.UNKNOWN:
-                    assert again.verdicts[name] is was
+                    assert again.vertices.verdict(v) is was
         done += 1
 
 
@@ -297,8 +328,8 @@ def test_unknown_configs_non_increasing_in_bound():
             continue
         base = solve_total_interval(g, iu)
         bigger = solve_total_interval(g, iu, bound=base.bound + 2)
-        assert bigger.unknown & base.win_eve == frozenset()
-        assert bigger.unknown & base.win_adam == frozenset()
+        assert bigger.configs.unknown & base.configs.win_eve == frozenset()
+        assert bigger.configs.unknown & base.configs.win_adam == frozenset()
         done += 1
 
 
@@ -343,9 +374,9 @@ def test_zero_cycle_arenas_resolve_exactly():
         if not pm_has_finite_endpoint(iu):
             continue
         res = solve_total_interval(g, iu)
-        assert all(v is not Verdict.UNKNOWN for v in res.verdicts.values())
+        assert not res.vertices.unknown
         reference = _positional_total_regions(g, iu)
-        solved = {v for v in range(g.n) if res.verdicts[g.names[v]] is Verdict.EVE}
+        solved = res.vertices.win_eve
         assert solved == reference, (g.edges, iu)
         done += 1
 
