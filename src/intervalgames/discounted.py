@@ -7,10 +7,18 @@ decided exactly by one of the two optimal game values.  After finitely many
 steps the ball is narrower than every interval and gap, so every node
 decides.  All arithmetic is rational; there are no convergence thresholds
 anywhere.
+
+The game values are `Fraction`s.  The search carries x as the integer
+X = x*D*q^k, where lam = p/q, k is the step and D is the lcm of the
+denominators of the finite endpoints, of the reach W/(1 - lam) and of the
+game values: every rational it compares at step k then has a denominator
+dividing D*q^k, and scaling by that one positive number keeps the ball
+test, the decision and the memo key what they are on the rationals.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -233,6 +241,16 @@ def solve_ds_interval(g: GameGraph, lam: Fraction, iu: IntervalUnion) -> Regions
     one game value: maxmin when that endpoint closes an interval, minmax
     otherwise.  At `decision_depth` the ball is narrower than every
     interval and gap, so every node has decided by then.
+
+    With lam = p/q, the sum x accumulated over the first k steps has a
+    denominator dividing q^k, and every endpoint, the reach W/(1-lam) and
+    every game value has one dividing D, the lcm of their denominators.
+    So the search carries the integer X = x*D*q^k; an edge of weight w
+    leads to q*(X + D*p^k*w).  At a fixed depth k, multiplying by the
+    positive constant D*q^k preserves order and equality, so the ball test
+    (endpoints scaled by D*q^k, radius D*reach*p^k), the decision
+    (X + D*p^k*value against the scaled endpoints) and the memo key
+    (v, k, X) all give what they give on the rationals, with no rounding.
     """
     if iu.has_singleton_interval or iu.has_singleton_gap:
         raise SingletonNotSupported(
@@ -246,27 +264,56 @@ def solve_ds_interval(g: GameGraph, lam: Fraction, iu: IntervalUnion) -> Regions
     depth_stop = decision_depth(g, lam, iu)
     table = ds_optimal_values(g, lam)
     reach = Fraction(max_abs_weight(g)) / (1 - lam)
-    lam_pow = [Fraction(1)]
-    for _ in range(depth_stop):
-        lam_pow.append(lam_pow[-1] * lam)
     # finite endpoints in increasing order; a canonical union without
     # singletons or singleton gaps repeats none of them
     ends = [t for j in iu.intervals for t in (j.lo, j.hi) if not isinstance(t, Infinity)]
-    closes = {j.hi for j in iu.intervals}
+    # at[i]: is ends[i] in the union; inside[i]: is the open stretch just
+    # below ends[i] (inside[len(ends)]: above the last one) in it.  So
+    # ends[i] closes an interval exactly when inside[i] holds.
+    at = [contains(iu, t) for t in ends]
+    probes = [Fraction(0)]
+    if ends:
+        probes = [ends[0] - 1, *((a + b) / 2 for a, b in zip(ends, ends[1:])), ends[-1] + 1]
+    inside = [contains(iu, t) for t in probes]
+    d = math.lcm(
+        reach.denominator,
+        *(t.denominator for t in ends),
+        *(x.denominator for x in table.minmax + table.maxmin),
+    )
+    p, q = lam.numerator, lam.denominator
+    scaled_ends = [int(t * d) for t in ends]
+    scaled_reach = int(reach * d)
+    scaled_minmax = [int(x * d) for x in table.minmax]
+    scaled_maxmin = [int(x * d) for x in table.maxmin]
+    # per step k: p^k, D*p^k, the radius D*reach*p^k and the endpoints
+    # scaled by D*q^k; filled as the search first reaches each step.  The
+    # x passed around below is the scaled sum X.
+    levels = [(1, d, scaled_reach, scaled_ends)]
 
-    def decide(v: int, k: int, x: Fraction) -> Optional[bool]:
-        radius = lam_pow[k] * reach
-        first = bisect_left(ends, x - radius)
-        last = bisect_right(ends, x + radius)
+    def decide(v: int, k: int, x: int) -> Optional[bool]:
+        pk, _, radius, scaled = levels[k]
+        first = bisect_left(scaled, x - radius)
+        last = bisect_right(scaled, x + radius)
+        if last == first:
+            # no endpoint in the ball: every payoff from here is on one side
+            return inside[first]
         if last - first > 1:
             return None
-        value = table.maxmin[v] if last > first and ends[first] in closes else table.minmax[v]
-        return contains(iu, x + lam_pow[k] * value)
+        # the payoff lies in the ball, so it sits below, on or above the
+        # one endpoint there
+        if inside[first]:
+            y = x + pk * scaled_maxmin[v]
+        else:
+            y = x + pk * scaled_minmax[v]
+        e = scaled[first]
+        if y == e:
+            return at[first]
+        return inside[first] if y < e else inside[first + 1]
 
-    memo: dict[tuple[int, int, Fraction], bool] = {}
+    memo: dict[tuple[int, int, int], bool] = {}
     deepest = 0
 
-    def wins(v: int, k: int, x: Fraction) -> bool:
+    def wins(v: int, k: int, x: int) -> bool:
         nonlocal deepest
         verdict = decide(v, k, x)
         if verdict is not None:
@@ -274,15 +321,20 @@ def solve_ds_interval(g: GameGraph, lam: Fraction, iu: IntervalUnion) -> Regions
         assert k < depth_stop, "residual ball spans a gap narrower than allowed"
         if k > deepest:
             deepest = k
+        if k + 1 == len(levels):
+            pk = levels[k][0] * p
+            qk = q ** (k + 1)
+            levels.append((pk, d * pk, scaled_reach * pk, [t * qk for t in scaled_ends]))
         key = (v, k, x)
         cached = memo.get(key)
         if cached is not None:
             return cached
         eve = g.owner[v] is Player.EVE
         result = not eve
+        step = levels[k][1]
         for j in g.out_edges[v]:
             e = g.edges[j]
-            child = wins(e.dst, k + 1, x + lam_pow[k] * e.weight)
+            child = wins(e.dst, k + 1, q * (x + step * e.weight))
             if eve and child:
                 result = True
                 break
@@ -293,7 +345,7 @@ def solve_ds_interval(g: GameGraph, lam: Fraction, iu: IntervalUnion) -> Regions
         return result
 
     try:
-        win_eve = frozenset(v for v in range(n) if wins(v, 0, Fraction(0)))
+        win_eve = frozenset(v for v in range(n) if wins(v, 0, 0))
     except RecursionError:
         raise SearchTooDeep(
             f"discounted search reached depth {deepest} of {depth_stop} "

@@ -295,6 +295,8 @@ def test_output_bytes_match_the_recorded_files(capsys):
          "fig5_bound8.structured.json"),
         (("solve", CORPUS / "fig1.game", "--regions", "--format", "structured"),
          "fig1.structured.json"),
+        (("solve", CORPUS / "fig3_n2.game", "--regions", "--format", "structured"),
+         "fig3_n2.structured.json"),
         (("reduce", CORPUS / "loop0_total.game", "--to", "ocpg"), "loop0_total.ocpg"),
     ]
     for argv, recorded in cases:

@@ -22,7 +22,6 @@ from intervalgames.discounted import (
     horizon,
     solve_ds_interval,
     subset_sum_to_ds,
-    _min_decision_width,
 )
 from intervalgames.generate import random_game, random_interval_union, random_subset_sum
 from intervalgames.oracle import TooLarge, brute_force_finite_horizon_ds, subset_sum_winner
@@ -176,12 +175,14 @@ def test_subset_sum_nontrivial_discount_scales_integrally():
 
 def test_subset_sum_fidelity_suite():
     rng = make_rng(53)
-    for _ in range(100):
-        inst = random_subset_sum(rng, rng.randint(1, 10), max_value=8)
-        g, iu, lam, _ = subset_sum_to_ds(inst, F(1, 2))
-        res = solve_ds_interval(g, lam, iu)
-        expected = subset_sum_winner(inst.target, inst.pairs)
-        assert (0 in res.win_eve) == expected, inst
+    # with p > 1 the reduction scales by p^(n-1) and the search steps by p^k
+    for lam, count, max_pairs in ((F(1, 2), 100, 10), (F(2, 3), 40, 6), (F(3, 5), 40, 6)):
+        for _ in range(count):
+            inst = random_subset_sum(rng, rng.randint(1, max_pairs), max_value=8)
+            g, iu, _, _ = subset_sum_to_ds(inst, lam)
+            res = solve_ds_interval(g, lam, iu)
+            expected = subset_sum_winner(inst.target, inst.pairs)
+            assert (0 in res.win_eve) == expected, (inst, lam)
 
 
 def test_agreement_with_unpruned_reference():
@@ -190,9 +191,7 @@ def test_agreement_with_unpruned_reference():
         g = random_game(rng, rng.randint(1, 4), max_weight=2)
         lam = rng.choice((F(1, 2), F(2, 3)))
         iu = random_interval_union(rng, 2, 3, forbid_singletons=True, half_grid=True)
-        width = _min_decision_width(iu)
-        depth = (horizon(g, lam, width) if width else 0) + 1
-        reference = brute_force_finite_horizon_ds(g, lam, iu, depth)
+        reference = brute_force_finite_horizon_ds(g, lam, iu, decision_depth(g, lam, iu))
         assert reference == solve_ds_interval(g, lam, iu).win_eve
     # larger discount factors keep more endpoints in the ball for longer
     compared = 0
@@ -200,14 +199,54 @@ def test_agreement_with_unpruned_reference():
         g = random_game(rng, rng.randint(1, 3), max_weight=1)
         lam = rng.choice((F(3, 4), F(4, 5)))
         iu = random_interval_union(rng, 2, 3, forbid_singletons=True, half_grid=True)
-        width = _min_decision_width(iu)
-        depth = (horizon(g, lam, width) if width else 0) + 1
         try:
-            reference = brute_force_finite_horizon_ds(g, lam, iu, depth)
+            reference = brute_force_finite_horizon_ds(g, lam, iu, decision_depth(g, lam, iu))
         except TooLarge:
             continue
         assert reference == solve_ds_interval(g, lam, iu).win_eve, (g.edges, lam, iu)
         compared += 1
+
+
+def _off_grid_union(rng):
+    """One or two bounded pieces at most 1 wide with endpoints over 3, 5
+    or 7, each end open or closed at random, and a right-unbounded ray
+    half the time."""
+
+    def point(span):
+        den = rng.choice((3, 5, 7))
+        return F(rng.randint(-span * den, span * den), den)
+
+    while True:
+        pieces = []
+        for _ in range(rng.randint(1, 2)):
+            a = point(3)
+            b = a + (abs(point(1)) or 1)
+            pieces.append(Interval(a, b, rng.random() < 0.5, rng.random() < 0.5))
+        if rng.random() < 0.5:
+            pieces.append(Interval(point(3), PLUS_INF, rng.random() < 0.5, True))
+        iu = IntervalUnion(tuple(pieces))
+        if not (iu.has_singleton_interval or iu.has_singleton_gap):
+            return iu
+
+
+def test_agreement_with_unpruned_reference_off_the_half_grid():
+    # endpoint denominators 3, 5 and 7 and discount factors p/q with p > 1:
+    # a search scale that misses a denominator or a power of p shows here
+    rng = make_rng(57)
+    compared = rays = split = 0
+    while compared < 150:
+        g = random_game(rng, rng.randint(1, 3), max_weight=2)
+        lam = rng.choice((F(1, 3), F(3, 5), F(2, 7), F(5, 7)))
+        iu = _off_grid_union(rng)
+        try:
+            reference = brute_force_finite_horizon_ds(g, lam, iu, decision_depth(g, lam, iu))
+        except TooLarge:
+            continue
+        assert reference == solve_ds_interval(g, lam, iu).win_eve, (g.edges, lam, iu)
+        compared += 1
+        rays += iu.intervals[-1].hi == PLUS_INF
+        split += 0 < len(reference) < g.n
+    assert rays >= 40 and split >= 20, (rays, split)
 
 
 def _all_lassos(g, start, max_len):
