@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
+from operator import itemgetter, neg
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 
@@ -195,6 +196,16 @@ class Edge(NamedTuple):
     weight: int = 0
 
 
+_SRC, _DST, _WEIGHT = itemgetter(0), itemgetter(1), itemgetter(2)
+
+
+def _edge_columns(
+    srcs: Iterable[int], dsts: Iterable[int], weights: Iterable[int]
+) -> tuple[Edge, ...]:
+    """Edges from their columns, with no Python-level call per edge."""
+    return tuple(map(tuple.__new__, repeat(Edge), zip(srcs, dsts, weights)))
+
+
 def _by_vertex(n: int, edges: Sequence[Edge]) -> tuple[tuple[int, ...], ...]:
     """Edge indices grouped by source, in edge-list order."""
     buckets: list[list[int]] = [[] for _ in range(n)]
@@ -239,11 +250,30 @@ class Arena:
         if "priority" in self.COLUMNS:
             if len(self.priority) != n:
                 raise MalformedDocument("priority list does not match vertex list")
-            for p in self.priority:
-                if type(p) is not int or p < 0:
-                    raise MalformedDocument(f"priority {p!r} is not a non-negative integer")
+            if not (set(map(type, self.priority)) == {int} and min(self.priority) >= 0):
+                for p in self.priority:
+                    if type(p) is not int or p < 0:
+                        raise MalformedDocument(f"priority {p!r} is not a non-negative integer")
         if not 0 <= self.initial < n:
             raise UnknownVertexReference(f"initial vertex index {self.initial}")
+        # set operations over the columns; only a failed check walks the
+        # edges, to name the first offender
+        edges = (self.edges, getattr(self, "zero_edges", ()))
+        srcs = set(map(_SRC, chain(*edges)))
+        ends = srcs.union(map(_DST, chain(*edges)))
+        if not (
+            len(srcs) == n
+            and set(map(type, ends)) == {int}
+            and min(ends) >= 0
+            and max(ends) < n
+            and set(map(type, map(_WEIGHT, chain(*edges)))) == {int}
+        ):
+            self._walk_edges()
+
+    def _walk_edges(self) -> None:
+        """Raise for the first edge out of range or with a non-integer
+        weight, in edge-list order, and then for the first dead end."""
+        n = self.n
         has_out = [False] * n
         for e in chain(self.edges, getattr(self, "zero_edges", ())):
             if not (0 <= e.src < n and 0 <= e.dst < n):
@@ -295,7 +325,10 @@ class GameGraph(Arena):
         return replace(self, owner=tuple(o.opponent for o in self.owner))
 
     def negate_weights(self) -> "GameGraph":
-        return replace(self, edges=tuple(Edge(e.src, e.dst, -e.weight) for e in self.edges))
+        es = self.edges
+        return replace(
+            self, edges=_edge_columns(map(_SRC, es), map(_DST, es), map(neg, map(_WEIGHT, es)))
+        )
 
 
 @dataclass(frozen=True)
@@ -572,10 +605,27 @@ def _expect_list(value, context: str) -> list:
 
 
 def _read_vertices(entries, with_priority: bool):
+    """Columns of the vertex entries: ids, owners and, if asked for,
+    priorities (checked by the game's validator)."""
+    entries = _expect_list(entries, "vertices")
+    try:
+        names = [entry["id"] for entry in entries]
+        owners = [_OWNER_BY_NAME[entry["owner"]] for entry in entries]
+        priorities = [entry["priority"] for entry in entries] if with_priority else []
+    except (KeyError, TypeError):
+        pass
+    else:
+        if set(map(type, names)) <= {str} and None not in priorities:
+            return names, owners, priorities
+    return _read_vertices_one_by_one(entries, with_priority)
+
+
+def _read_vertices_one_by_one(entries: list, with_priority: bool):
+    """`_read_vertices` entry by entry, raising for the first bad one."""
     names: list[str] = []
     owners: list[Player] = []
     priorities: list[int] = []
-    for entry in _expect_list(entries, "vertices"):
+    for entry in entries:
         if not isinstance(entry, dict):
             raise MalformedDocument(f"bad vertex entry {entry!r}")
         _expect_keys(entry, ("id", "owner"), "vertex")
@@ -594,11 +644,35 @@ def _read_vertices(entries, with_priority: bool):
     return names, owners, priorities
 
 
-def _read_edges(entries, index_of: Mapping[str, int], weighted: bool, what: str) -> list[Edge]:
+def _read_edges(
+    entries, index_of: Mapping[str, int], weighted: bool, what: str
+) -> tuple[Edge, ...]:
     """Edges of a document; a weight is required on `weighted` edges and
     ignored, once checked, on the others."""
+    entries = _expect_list(entries, what + "s")
+    try:
+        srcs = [index_of[entry["src"]] for entry in entries]
+        dsts = [index_of[entry["dst"]] for entry in entries]
+        if weighted:
+            weights = [entry["weight"] for entry in entries]
+            typed = set(map(type, weights)) <= {int}
+        else:
+            weights = repeat(0)
+            typed = {type(entry.get("weight")) for entry in entries} <= {int, type(None)}
+    except (KeyError, TypeError):
+        pass
+    else:
+        if typed:
+            return _edge_columns(srcs, dsts, weights)
+    return _read_edges_one_by_one(entries, index_of, weighted, what)
+
+
+def _read_edges_one_by_one(
+    entries: list, index_of: Mapping[str, int], weighted: bool, what: str
+) -> tuple[Edge, ...]:
+    """`_read_edges` entry by entry, raising for the first bad one."""
     edges: list[Edge] = []
-    for entry in _expect_list(entries, what + "s"):
+    for entry in entries:
         if not isinstance(entry, dict):
             raise MalformedDocument(f"bad {what} entry {entry!r}")
         _expect_keys(entry, ("src", "dst"), what)
@@ -617,7 +691,7 @@ def _read_edges(entries, index_of: Mapping[str, int], weighted: bool, what: str)
         elif type(weight) is not int:
             raise MalformedDocument(f"{what} {entry!r}: weight must be an integer")
         edges.append(Edge(src, dst, weight if weighted else 0))
-    return edges
+    return tuple(edges)
 
 
 def _read_flag(entry: dict, key: str, default: bool) -> bool:
@@ -694,14 +768,14 @@ def read_document(
     columns = {
         "names": tuple(names),
         "owner": tuple(owners),
-        "edges": tuple(_read_edges(doc["edges"], index_of, "weight" in cls.COLUMNS, "edge")),
+        "edges": _read_edges(doc["edges"], index_of, "weight" in cls.COLUMNS, "edge"),
         "initial": index_of[initial],
     }
     if "priority" in cls.COLUMNS:
         columns["priority"] = tuple(priorities)
     if "zero_edges" in cls.COLUMNS:
-        zero_edges = _read_edges(doc.get("zero_edges", []), index_of, False, "zero edge")
-        columns["zero_edges"] = tuple(zero_edges)
+        zero_edges = doc.get("zero_edges", [])
+        columns["zero_edges"] = _read_edges(zero_edges, index_of, False, "zero edge")
     game = cls(**columns)
     return game if objective is None else (game, objective)
 

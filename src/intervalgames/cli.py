@@ -4,11 +4,17 @@ Exit codes: 0 solved (any winner), 1 standard output closed by its
 reader before everything was written (as in `solve --regions | head`),
 2 document or parameter error, 3 unsupported objective or reduction,
 4 oracle disagreement, 5 resource guard tripped.
+
+`main` pauses Python's cyclic garbage collector for the one command it
+runs and restores the collector's prior state after.  The solvers leave
+no reference cycles, so everything a command frees is freed by reference
+counting; the collector would only rescan the command's live containers.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import random
@@ -97,19 +103,27 @@ def cmd_solve(args) -> int:
     g, o = parsed
     regions, meta = _solve_game(g, o, args.bound)
     verdict = regions.verdict(g.initial)
+    if args.regions:
+        # regions.verdict(v).value for every vertex v
+        column = [Verdict.UNKNOWN.value] * g.n
+        adam, eve = Verdict.ADAM.value, Verdict.EVE.value
+        for v in regions.win_adam:
+            column[v] = adam
+        for v in regions.win_eve:
+            column[v] = eve
     if args.format == "structured":
-        out = {
-            "winner": verdict.value,
-            "meta": meta,
-        }
+        text = json.dumps({"winner": verdict.value, "meta": meta}, indent=2)
         if args.regions:
-            out["regions"] = {name: regions.verdict(v).value for v, name in enumerate(g.names)}
-        print(json.dumps(out, indent=2))
+            # what indent=2 gives with "regions" as the last key, its
+            # entries written by the C encoder, which indent would disable
+            entries = json.dumps(dict(zip(g.names, column)), separators=(",\n    ", ": "))
+            text = f'{text[:-2]},\n  "regions": {{\n    {entries[1:-1]}\n  }}\n}}'
+        print(text)
     else:
         print(verdict.name)
         if args.regions:
-            for v, name in enumerate(g.names):
-                print(f"{name} {regions.verdict(v).value}")
+            for name, value in zip(g.names, column):
+                print(f"{name} {value}")
     return 0
 
 
@@ -376,6 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         code = args.func(args)
         sys.stdout.flush()
@@ -389,6 +405,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

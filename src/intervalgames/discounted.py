@@ -351,6 +351,10 @@ def solve_ds_interval(g: GameGraph, lam: Fraction, iu: IntervalUnion) -> Regions
             f"discounted search reached depth {deepest} of {depth_stop} "
             "and exceeded the interpreter stack"
         ) from None
+    finally:
+        # wins reaches itself through its closure cell; breaking that cycle
+        # frees the memo on return instead of at the next cyclic collection
+        wins = None
     everything = frozenset(range(n))
     regions = Regions(win_eve=win_eve, win_adam=everything - win_eve)
     regions.check_partition(everything)

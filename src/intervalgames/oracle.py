@@ -518,7 +518,10 @@ def brute_force_finite_horizon_ds(
         ]
         return any(results) if eve else all(results)
 
-    return frozenset(v for v in range(n) if wins(v, 0, Fraction(0), Fraction(1)))
+    try:
+        return frozenset(v for v in range(n) if wins(v, 0, Fraction(0), Fraction(1)))
+    finally:
+        wins = None  # it reaches itself through its closure cell
 
 
 # ---------------------------------------------------------------------------

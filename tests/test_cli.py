@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -7,15 +8,23 @@ from pathlib import Path
 
 from intervalgames.arena import (
     Edge,
+    GameError,
     GameGraph,
     Interval,
     IntervalUnion,
     Objective,
     Payoff,
     Player,
+    normalize,
+    parse_game,
     write_document,
 )
 from intervalgames.cli import main
+from intervalgames.discounted import solve_ds_interval
+from intervalgames.liminf import solve_liminf
+from intervalgames.meanpayoff import solve_mp_interval
+from intervalgames.parity import solve_parity
+from intervalgames.totalsum import solve_total_interval
 
 from conftest import priority_line
 
@@ -288,6 +297,65 @@ def test_total_sum_bound_flag(capsys, tmp_path):
     }
 
 
+def test_late_malformed_entries_keep_their_messages(capsys, tmp_path):
+    # the reader reads well-formed columns in bulk and, on any bad entry,
+    # rereads entry by entry; a bad entry near the end must still give the
+    # message of the first bad entry.  Messages recorded before the bulk read.
+    n = 6
+    game = {
+        "vertices": [{"id": f"v{i}", "owner": ("eve", "adam")[i % 2]} for i in range(n)],
+        "edges": [
+            e
+            for i in range(n)
+            for e in (
+                {"src": f"v{i}", "dst": f"v{(i + 1) % n}", "weight": i},
+                {"src": f"v{i}", "dst": f"v{i}", "weight": -1},
+            )
+        ],
+        "initial": "v0",
+        "objective": {"payoff": "liminf", "intervals": [{"lo": "0", "hi": "3"}]},
+    }
+    missing = object()
+    entry = "{'src': 'v4', 'dst': 'v4'"
+    cases = [
+        ("edges", "src", "nowhere", "edge references unknown vertex 'nowhere'"),
+        ("edges", "dst", "nowhere", "edge references unknown vertex 'nowhere'"),
+        ("edges", "src", 4, "edge references unknown vertex 4"),
+        ("edges", "src", None, "edge references unknown vertex None"),
+        ("edges", "dst", ["v1"],
+         "edge {'src': 'v4', 'dst': ['v1'], 'weight': -1}: vertex ids must be strings"),
+        ("edges", "src", missing, "edge: missing key 'src'"),
+        ("edges", "dst", missing, "edge: missing key 'dst'"),
+        ("edges", "weight", True, f"edge {entry}, 'weight': True}}: weight must be an integer"),
+        ("edges", "weight", 1.5, f"edge {entry}, 'weight': 1.5}}: weight must be an integer"),
+        ("edges", "weight", "1", f"edge {entry}, 'weight': '1'}}: weight must be an integer"),
+        ("edges", "weight", None, f"edge {entry}, 'weight': None}}: missing weight"),
+        ("edges", "weight", missing, f"edge {entry}}}: missing weight"),
+        ("edges", None, ["v1", "v2"], "bad edge entry ['v1', 'v2']"),
+        ("edges", None, "v1", "bad edge entry 'v1'"),
+        ("vertices", "id", 4, "vertex id 4 is not a string"),
+        ("vertices", "id", None, "vertex id None is not a string"),
+        ("vertices", "id", missing, "vertex: missing key 'id'"),
+        ("vertices", "owner", "bob", "vertex 'v4': owner must be 'eve' or 'adam'"),
+        ("vertices", "owner", ["eve"], "vertex 'v4': owner must be 'eve' or 'adam'"),
+        ("vertices", "owner", missing, "vertex: missing key 'owner'"),
+        ("vertices", None, "v4", "bad vertex entry 'v4'"),
+        ("vertices", None, None, "bad vertex entry None"),
+    ]
+    bad = tmp_path / "bad.game"
+    for where, key, value, message in cases:
+        doc = json.loads(json.dumps(game))
+        at = 9 if where == "edges" else 4
+        if key is None:
+            doc[where][at] = value
+        elif value is missing:
+            del doc[where][at][key]
+        else:
+            doc[where][at][key] = value
+        bad.write_text(json.dumps(doc))
+        assert run(capsys, "solve", bad) == (2, "", f"error: {message}\n"), (where, key, value)
+
+
 def test_output_bytes_match_the_recorded_files(capsys):
     # byte for byte, so the order of the meta keys counts too
     cases = [
@@ -298,11 +366,62 @@ def test_output_bytes_match_the_recorded_files(capsys):
         (("solve", CORPUS / "fig3_n2.game", "--regions", "--format", "structured"),
          "fig3_n2.structured.json"),
         (("reduce", CORPUS / "loop0_total.game", "--to", "ocpg"), "loop0_total.ocpg"),
+        # ids that JSON must escape: a quote, a backslash, a non-ASCII
+        # letter and a character outside the Basic Multilingual Plane
+        (("solve", GOLDEN / "escaped_ids.game", "--regions", "--format", "structured"),
+         "escaped_ids.structured.json"),
+        (("solve", CORPUS / "fig5.game", "--bound", "8", "--format", "structured"),
+         "fig5_bound8.winner.json"),
     ]
     for argv, recorded in cases:
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, ""), argv
         assert out == (GOLDEN / recorded).read_text(), recorded
+
+
+def test_commands_restore_the_collector_state(capsys):
+    # main pauses the cyclic collector for one command
+    for enabled in (True, False):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert run(capsys, "solve", CORPUS / "fig1.game")[0] == 0
+            assert run(capsys, "solve", CORPUS / "ds_singleton.game")[0] == 3
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+
+def test_solvers_leave_no_cyclic_garbage():
+    # what a command leaves while the collector is paused stays until the
+    # command ends, so every solver must free its work by reference counting
+    solvers = {
+        Payoff.LIMINF: lambda g, o: solve_liminf(g, o.intervals),
+        Payoff.MP_INF: lambda g, o: solve_mp_interval(g, o.intervals),
+        Payoff.DISCOUNTED: lambda g, o: solve_ds_interval(g, o.lam, o.intervals),
+        Payoff.TOTAL_INF: lambda g, o: solve_total_interval(g, o.intervals),
+    }
+    solved = set()
+    for game in sorted(CORPUS.glob("*.game")):
+        g, o = normalize(*parse_game(game.read_text()))
+        gc.collect()
+        gc.disable()
+        try:
+            solvers[o.payoff](g, o)
+        except GameError:
+            continue
+        else:
+            assert gc.collect() == 0, game.name
+            solved.add(o.payoff)
+        finally:
+            gc.enable()
+    assert solved == set(solvers)
+    gc.collect()
+    gc.disable()
+    try:
+        solve_parity(priority_line(12))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_check_parity_document(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction as F
 
 import pytest
@@ -286,3 +287,18 @@ def test_one_player_lasso_consistency():
             )
             assert (v in res.win_eve) == achievable, (g.edges, iu, v)
         done += 1
+
+
+def test_search_leaves_no_cyclic_garbage():
+    # the command line pauses the cyclic collector, so the search memo must
+    # be freed by reference counting alone when the solve returns
+    g = random_game(make_rng(1), 8, max_weight=3)
+    iu = IntervalUnion((Interval(F(-1), F(0), False, True), Interval(F(1), F(2))))
+    gc.collect()
+    gc.disable()
+    try:
+        regions = solve_ds_interval(g, F(1, 2), iu)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert regions.win_eve and regions.win_adam
