@@ -321,9 +321,6 @@ class GameGraph(Arena):
 
     COLUMNS = ("weight",)
 
-    def swap_owners(self) -> "GameGraph":
-        return replace(self, owner=tuple(o.opponent for o in self.owner))
-
     def negate_weights(self) -> "GameGraph":
         es = self.edges
         return replace(

@@ -14,6 +14,7 @@ counting; the collector would only rescan the command's live containers.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import os
@@ -222,10 +223,14 @@ def cmd_generate(args) -> int:
     raise BadParameters(f"unknown generator kind {args.kind!r}")
 
 
+def _sidecar(path: str) -> Path:
+    return Path(path).with_suffix(".expect")
+
+
 def _check_expectation(path: str, verdict: Optional[Verdict], error: Optional[GameError]) -> Optional[str]:
     """Compare against a sidecar file, if present.  Returns a complaint or
     None; sidecars may expect a winner or that solving errors out."""
-    sidecar = Path(path).with_suffix(".expect")
+    sidecar = _sidecar(path)
     if not sidecar.exists():
         return None
     try:
@@ -322,6 +327,10 @@ def cmd_check(args) -> int:
         try:
             solved = _solve_game(g, o, None)
         except UnsupportedObjective as exc:
+            # only a sidecar can plan for an error; without one it exits
+            # as it does under `solve`
+            if not _sidecar(args.file).exists():
+                raise
             solve_error = exc
     verdict: Optional[Verdict] = solved[0].verdict(g.initial) if solved else None
     complaint = _check_expectation(args.file, verdict, solve_error)
@@ -342,7 +351,10 @@ def cmd_check(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and shared by every
+    later `main` call in the process."""
     parser = argparse.ArgumentParser(
         prog="intervalgames",
         description="solve, reduce, generate and cross-check interval payoff games",

@@ -5,9 +5,9 @@ least a") is solved with an energy-style progress measure after an affine
 rescale to integer weights and threshold zero.  Strict comparisons reduce
 to non-strict ones because cycle means in a game with n vertices are
 rationals with denominator at most n.  The interval solver iterates
-threshold calls, peeling off regions Adam wins outright, and recurses on
-objectives with fewer finite interval boundaries; a single interval is
-the one-piece union.
+threshold calls, peeling off regions the opponent wins outright, and
+nests objectives with fewer finite interval boundaries, swapping the
+players' roles at each complement; a single interval is the one-piece union.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
 
 from .arena import (
     Edge,
@@ -30,7 +29,7 @@ from .arena import (
     complement_intervals,
     fresh_namer,
 )
-from .parity import attractor
+from .parity import _run_frames, attractor
 
 
 class PriorityOutOfRange(UnsupportedObjective):
@@ -132,80 +131,80 @@ def _energy_win(
     return frozenset(v for v in alive if f[v] < top)
 
 
-def mp_threshold(
-    g: GameGraph, query: ThresholdQuery, alive: Optional[frozenset[int]] = None
-) -> Regions:
-    """Exact partition for "Eve forces MP ~ a".
-
-    Play is restricted to `alive` (by default every vertex); every vertex
-    of `alive` must keep an edge into it.
-    """
-    alive = frozenset(range(g.n)) if alive is None else alive
-    a, cmp = query.threshold, query.cmp
-    sign = 1
-    if cmp in (Cmp.LE, Cmp.LT):
-        # Eve minimizing: negate weights and flip the comparison
-        sign, a = -1, -a
-    strict = 1 if cmp in (Cmp.GT, Cmp.LT) else 0
+def _threshold(
+    g: GameGraph, alive: frozenset[int], player: Player, a: Fraction, strict: bool
+) -> frozenset[int]:
+    """Where `player` forces MP >= a (MP > a when `strict`) in `alive`.
+    The opponent's energy game must give the complement, which checks the
+    strict rescaling at run time."""
     # MP >= p/q  <=>  MP(q*n*w - p*n) >= 0; strict thresholds shift by one
     # unit, valid because cycle means have denominator <= n
     n = len(alive)
-    scale, offset = sign * a.denominator * n, a.numerator * n
-    regions = Regions(
-        win_eve=_energy_win(g, alive, Player.EVE, scale, -offset - strict),
-        # Adam's side: he forces the complementary strict/non-strict
-        # threshold on negated weights
-        win_adam=_energy_win(g, alive, Player.ADAM, -scale, offset - 1 + strict),
-    )
-    regions.check_partition(alive)
-    return regions
+    scale, offset = a.denominator * n, a.numerator * n
+    won = _energy_win(g, alive, player, scale, -offset - strict)
+    # the opponent forces the complementary strict/non-strict threshold
+    # on negated weights
+    lost = _energy_win(g, alive, player.opponent, -scale, offset - 1 + strict)
+    Regions(win_eve=won, win_adam=lost).check_partition(alive)
+    return won
 
 
-def solve_mp_interval(
-    g: GameGraph, iu: IntervalUnion, alive: Optional[frozenset[int]] = None
-) -> Regions:
-    """Winning regions for "mean-payoff lands in the union".
+def mp_threshold(g: GameGraph, query: ThresholdQuery) -> Regions:
+    """Exact partition for "Eve forces MP ~ a"."""
+    a, cmp = query.threshold, query.cmp
+    if cmp in (Cmp.LE, Cmp.LT):
+        # Eve minimizing: negate weights and flip the comparison
+        g, a = g.negate_weights(), -a
+    alive = frozenset(range(g.n))
+    win_eve = _threshold(g, alive, Player.EVE, a, cmp in (Cmp.GT, Cmp.LT))
+    return Regions(win_eve=win_eve, win_adam=alive - win_eve)
 
-    Peels Adam-winning regions to a fixpoint: Adam wins outright where he
-    wins the threshold game just below the union, or the recursive game
-    whose objective also admits everything below the first interval.  The
-    recursion swaps players and complements when the union is unbounded
-    below; it terminates because each step drops one finite boundary.
-    `alive` is as in `mp_threshold`.
+
+def _interval_win(g: GameGraph, iu: IntervalUnion, alive: frozenset[int], player: Player):
+    """Frame for `_run_frames`: `player`'s region of "mean-payoff lands in
+    the union" while play stays in `alive`, whose vertices must each keep
+    an edge into it.
+
+    Peels the opponent's regions to a fixpoint: the opponent wins
+    outright wherever `player` loses the threshold game just below the
+    union, or the nested game whose objective also admits everything
+    below the first interval.  A union unbounded below is the opponent's
+    complement.  The nesting terminates because each step drops one
+    finite boundary.
     """
-    alive = frozenset(range(g.n)) if alive is None else alive
     if iu.is_empty:
-        return Regions(win_eve=frozenset(), win_adam=alive)
+        return frozenset()
     a = iu.inf
     if a == MINUS_INF:
-        dual = solve_mp_interval(g.swap_owners(), complement_intervals(iu), alive)
-        regions = Regions(win_eve=dual.win_adam, win_adam=dual.win_eve)
-        regions.check_partition(alive)
-        return regions
+        dual = yield _interval_win(g, complement_intervals(iu), alive, player.opponent)
+        return alive - dual
     assert isinstance(a, Fraction)
     strict = iu.intervals[0].lo_open  # a in I iff the first interval is closed at a
-    recursive_iu = IntervalUnion(
-        (Interval(MINUS_INF, a, True, False),) + iu.intervals
-    )
-    adam_total: frozenset[int] = frozenset()
-    while len(adam_total) < len(alive):
-        current = alive - adam_total
-        query = ThresholdQuery(a, Cmp.GT if strict else Cmp.GE)
-        thr = mp_threshold(g, query, current)
-        rec = solve_mp_interval(g, recursive_iu, current)
-        new = thr.win_adam | rec.win_adam
-        if not new:
+    recursive_iu = IntervalUnion((Interval(MINUS_INF, a, True, False),) + iu.intervals)
+    lost: frozenset[int] = frozenset()
+    while len(lost) < len(alive):
+        current = alive - lost
+        won = _threshold(g, current, player, a, strict)
+        won &= yield _interval_win(g, recursive_iu, current, player)
+        if won == current:
             break
-        # Adam defeats the (prefix independent) objective from every
-        # removed vertex, so he also wins wherever he can force the play
-        # into the set.  Peeling without this closure is unsound: later
+        # The opponent defeats the (prefix independent) objective from
+        # every vertex outside `won`, so also from wherever the play can be
+        # forced there.  Peeling without this closure is unsound: later
         # rounds solve subgames in which the escape edges no longer exist,
-        # so they cannot see that Adam may step into territory he has
+        # so they cannot see that the opponent may step into territory
         # already won.
-        adam_total = attractor(g, adam_total | new, Player.ADAM, alive)
-    regions = Regions(win_eve=alive - adam_total, win_adam=adam_total)
-    regions.check_partition(alive)
-    return regions
+        lost = attractor(g, alive - won, player.opponent, alive)
+    return alive - lost
+
+
+def solve_mp_interval(g: GameGraph, iu: IntervalUnion) -> Regions:
+    """Winning regions for "mean-payoff lands in the union", solved on `g`
+    itself: the nested fixpoint passes along which player wants the union
+    and runs one frame per finite boundary on an explicit stack."""
+    alive = frozenset(range(g.n))
+    win_eve = _run_frames(_interval_win(g, iu, alive, Player.EVE))
+    return Regions(win_eve=win_eve, win_adam=alive - win_eve)
 
 
 def parity_to_mp(p: ParityGame) -> tuple[GameGraph, IntervalUnion]:

@@ -428,6 +428,8 @@ def brute_force_finite_horizon_ds(
     the horizon plus one to mirror the production solver.  Returns the set
     of vertices Eve wins from.  The endgame strategies and their values
     are recomputed here by plain enumeration of positional strategy pairs.
+    The search recurses once per step; deeper than the interpreter stack
+    allows, it raises `TooLarge` naming the depth.
     """
     if iu.has_singleton_interval or iu.has_singleton_gap:
         raise UnsupportedObjective("singleton intervals unsupported for discounted sum")
@@ -520,6 +522,10 @@ def brute_force_finite_horizon_ds(
 
     try:
         return frozenset(v for v in range(n) if wins(v, 0, Fraction(0), Fraction(1)))
+    except RecursionError:
+        raise TooLarge(
+            f"finite-horizon search of depth {depth} exceeds the interpreter stack"
+        ) from None
     finally:
         wins = None  # it reaches itself through its closure cell
 

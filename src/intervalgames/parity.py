@@ -6,7 +6,7 @@ often is even.  The solver returns both players' winning regions.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Generator, Iterable, NamedTuple, Optional, Sequence
 
 from .arena import ParityGame, Player, Regions
 
@@ -61,10 +61,10 @@ def attractor(
 
 
 def _zielonka(p: Graph, alive: frozenset[int]):
-    """One Zielonka frame over an alive-mask.  The first recursive call is
-    a `yield` of the subgame's alive set, answered by `_solve` with that
-    subgame's regions; the second is unrolled into the loop.  Returns each
-    player's region, keyed by player."""
+    """One Zielonka frame over an alive-mask, run by `_run_frames`.  The
+    first recursive call is a `yield` of the subgame's frame, answered
+    with that subgame's regions; the second is unrolled into the loop.
+    Returns each player's region, keyed by player."""
     region: dict[Player, set[int]] = {Player.EVE: set(), Player.ADAM: set()}
     while alive:
         d = min(p.priority[v] for v in alive)
@@ -75,7 +75,7 @@ def _zielonka(p: Graph, alive: frozenset[int]):
             break
         target = frozenset(v for v in alive if p.priority[v] == d)
         attr = attractor(p, target, player, alive)
-        sub_region = yield alive - attr
+        sub_region = yield _zielonka(p, alive - attr)
         opponent = player.opponent
         if not sub_region[opponent]:
             # player wins everything still alive
@@ -87,22 +87,25 @@ def _zielonka(p: Graph, alive: frozenset[int]):
     return region
 
 
-def _solve(p: Graph, alive: frozenset[int]) -> dict[Player, set[int]]:
-    """Run the Zielonka frames on an explicit stack, so the nesting depth,
-    which follows priority alternations, is bounded by memory rather than
-    by the interpreter's recursion limit."""
-    stack = [_zielonka(p, alive)]
+def _run_frames(frame: Generator):
+    """Run a nested fixpoint on an explicit stack and return its value.
+
+    A frame is a generator whose recursive calls are `yield`s of
+    sub-frames; each `yield` is answered with that sub-frame's return
+    value.  So the nesting depth is bounded by memory rather than by the
+    interpreter's recursion limit."""
+    stack = [frame]
     answer = None
     while True:
         try:
-            sub_alive = stack[-1].send(answer)
+            sub = stack[-1].send(answer)
         except StopIteration as done:
             stack.pop()
             if not stack:
                 return done.value
             answer = done.value
         else:
-            stack.append(_zielonka(p, sub_alive))
+            stack.append(sub)
             answer = None
 
 
@@ -120,7 +123,7 @@ def solve_parity(p: Graph | ParityGame, alive: Optional[frozenset[int]] = None) 
     if not all(p.succ):
         raise ValueError("graph has a vertex without successors")
     alive = frozenset(range(p.n)) if alive is None else alive
-    region = _solve(p, alive)
+    region = _run_frames(_zielonka(p, alive))
     regions = Regions(
         win_eve=frozenset(region[Player.EVE]),
         win_adam=frozenset(region[Player.ADAM]),

@@ -19,7 +19,7 @@ from intervalgames.arena import (
     parse_game,
     write_document,
 )
-from intervalgames.cli import main
+from intervalgames.cli import build_parser, main
 from intervalgames.discounted import solve_ds_interval
 from intervalgames.liminf import solve_liminf
 from intervalgames.meanpayoff import solve_mp_interval
@@ -476,6 +476,77 @@ def test_resource_guard_exit_code(capsys, tmp_path):
     f.write_text(json.dumps(deep))
     code, _, err = run(capsys, "solve", f)
     assert code == 5 and "error" in err and "depth" in err and "Traceback" not in err
+
+
+def test_check_raises_unplanned_solve_errors(capsys, tmp_path):
+    # solving a total-sum game needs a finite endpoint: without a sidecar
+    # planning for that error, check exits 3 as solve does
+    doc = {
+        "vertices": [{"id": "v", "owner": "eve"}],
+        "edges": [{"src": "v", "dst": "v", "weight": 1}],
+        "initial": "v",
+        "objective": {
+            "payoff": "total-inf",
+            "intervals": [{"lo": "-inf", "hi": "inf", "lo_open": True, "hi_open": True}],
+        },
+    }
+    f = tmp_path / "everything.game"
+    f.write_text(json.dumps(doc))
+    assert run(capsys, "solve", f)[0] == 3
+    code, out, err = run(capsys, "check", f)
+    assert code == 3 and out == "" and "finite" in err
+
+    # a sidecar expecting the error makes it the planned outcome
+    code, out, _ = run(capsys, "check", CORPUS / "ds_singleton.game")
+    assert code == 0 and "solve error (expected)" in out
+
+    # a sidecar expecting a winner makes it a disagreement
+    (tmp_path / "everything.expect").write_text(json.dumps({"winner": "eve"}))
+    code, _, err = run(capsys, "check", f)
+    assert code == 4 and "expected winner 'eve', got error" in err
+
+
+def test_deep_reference_search_is_a_resource_guard(capsys, tmp_path):
+    # the unpruned finite-horizon oracle recurses once per step: at
+    # lambda = 99/100 this game's decision depth is 528
+    doc = {
+        "vertices": [{"id": "v", "owner": "eve"}],
+        "edges": [{"src": "v", "dst": "v", "weight": 1}],
+        "initial": "v",
+        "objective": {
+            "payoff": "discounted",
+            "lambda": "99/100",
+            "intervals": [
+                {"lo": "0", "hi": "1", "lo_open": False, "hi_open": False},
+                {"lo": "2", "hi": "3", "lo_open": False, "hi_open": False},
+            ],
+        },
+    }
+    f = tmp_path / "deep.game"
+    f.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "check", f, "--suite", "oracle")
+    assert code == 5 and "depth 528" in err and "Traceback" not in err
+
+
+def test_parser_is_built_once(capsys):
+    # one process runs each command as a fresh process would
+    commands = [
+        ["generate", "random-arena", "--seed", "3", "--vertices", "4"],
+        ["solve", str(CORPUS / "fig1.game"), "--regions", "--format", "structured"],
+        ["reduce", str(CORPUS / "liminf_two_loops.game"), "--to", "parity"],
+        ["check", str(CORPUS / "fig1.game"), "--suite", "stability"],
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    build_parser.cache_clear()
+    for argv in commands:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "intervalgames.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert build_parser.cache_info().misses == 1
 
 
 def test_deep_parity_game_needs_no_recursion(capsys, tmp_path):

@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 from fractions import Fraction as F
 
 import pytest
 
 from intervalgames.arena import (
+    Arena,
     Edge,
     GameGraph,
     Interval,
@@ -154,9 +156,43 @@ def test_duality_with_swapped_players():
         g = random_game(rng, rng.randint(1, 4), max_weight=2)
         iu = random_interval_union(rng, 2, 2)
         a = solve_mp_interval(g, iu)
-        b = solve_mp_interval(g.swap_owners(), complement_intervals(iu))
+        swapped = dataclasses.replace(g, owner=tuple(o.opponent for o in g.owner))
+        b = solve_mp_interval(swapped, complement_intervals(iu))
         assert a.win_eve == b.win_adam
         assert a.win_adam == b.win_eve
+
+
+def test_fixpoint_builds_no_graph(monkeypatch):
+    # the complement step swaps the players' roles, not the graph's owners
+    rng = make_rng(49)
+    cases = [(FIG1, FIG1_UNION)]
+    for _ in range(20):
+        g = random_game(rng, rng.randint(1, 4), max_weight=2)
+        cases.append((g, random_interval_union(rng, 3, 4)))
+    built = []
+    post_init = Arena.__post_init__
+
+    def counting_post_init(self):
+        built.append(type(self).__name__)
+        post_init(self)
+
+    monkeypatch.setattr(Arena, "__post_init__", counting_post_init)
+    for g, iu in cases:
+        solve_mp_interval(g, iu)
+    assert built == []
+
+
+def test_many_boundaries_nest_without_recursion():
+    # 250 intervals give 500 finite boundaries, and so about a thousand
+    # nested frames: past the interpreter's default recursion limit
+    g = GameGraph(
+        names=("a", "b"),
+        owner=(Player.EVE, Player.ADAM),
+        edges=(Edge(0, 0, 0), Edge(0, 1, 1), Edge(1, 0, 0)),
+        initial=0,
+    )
+    iu = IntervalUnion(tuple(Interval(F(2 * i), F(2 * i + 1)) for i in range(250)))
+    assert solve_mp_interval(g, iu).win_eve == frozenset({0, 1})
 
 
 def test_monotone_in_the_objective():
