@@ -513,12 +513,11 @@ def brute_force_finite_horizon_ds(
     def wins(v: int, k: int, x: Fraction, factor: Fraction) -> bool:
         if k == depth:
             return endgame(v, x, factor)
-        eve = g.owner[v] is Player.EVE
-        results = [
-            wins(g.edges[j].dst, k + 1, x + factor * g.edges[j].weight, factor * lam)
-            for j in g.out_edges[v]
-        ]
-        return any(results) if eve else all(results)
+        results = []
+        for j in g.out_edges[v]:
+            e = g.edges[j]
+            results.append(wins(e.dst, k + 1, x + factor * e.weight, factor * lam))
+        return any(results) if g.owner[v] is Player.EVE else all(results)
 
     try:
         return frozenset(v for v in range(n) if wins(v, 0, Fraction(0), Fraction(1)))

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import json
 import os
 import subprocess
@@ -508,14 +509,15 @@ def test_check_raises_unplanned_solve_errors(capsys, tmp_path):
 
 def test_deep_reference_search_is_a_resource_guard(capsys, tmp_path):
     # the unpruned finite-horizon oracle recurses once per step: at
-    # lambda = 99/100 this game's decision depth is 528
+    # lambda = 199/200 this game's decision depth is 1,196, while the
+    # production search decides it in under 150 steps
     doc = {
         "vertices": [{"id": "v", "owner": "eve"}],
         "edges": [{"src": "v", "dst": "v", "weight": 1}],
         "initial": "v",
         "objective": {
             "payoff": "discounted",
-            "lambda": "99/100",
+            "lambda": "199/200",
             "intervals": [
                 {"lo": "0", "hi": "1", "lo_open": False, "hi_open": False},
                 {"lo": "2", "hi": "3", "lo_open": False, "hi_open": False},
@@ -524,8 +526,16 @@ def test_deep_reference_search_is_a_resource_guard(capsys, tmp_path):
     }
     f = tmp_path / "deep.game"
     f.write_text(json.dumps(doc))
-    code, _, err = run(capsys, "check", f, "--suite", "oracle")
-    assert code == 5 and "depth 528" in err and "Traceback" not in err
+    # hold the stack to 500 frames above the caller's, so the outcome does
+    # not hang on how many frames the interpreter spends per call
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 500)
+    try:
+        assert run(capsys, "solve", f)[0] == 0
+        code, _, err = run(capsys, "check", f, "--suite", "oracle")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 5 and "depth 1196" in err and "Traceback" not in err
 
 
 def test_parser_is_built_once(capsys):
