@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
 from operator import itemgetter, neg
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn, Optional, Sequence, Union
 
 
 class GameError(Exception):
@@ -254,6 +254,8 @@ class Arena:
                 for p in self.priority:
                     if type(p) is not int or p < 0:
                         raise MalformedDocument(f"priority {p!r} is not a non-negative integer")
+        if type(self.initial) is not int:
+            raise MalformedDocument(f"initial vertex index {self.initial!r} is not an integer")
         if not 0 <= self.initial < n:
             raise UnknownVertexReference(f"initial vertex index {self.initial}")
         # set operations over the columns; only a failed check walks the
@@ -263,19 +265,23 @@ class Arena:
         ends = srcs.union(map(_DST, chain(*edges)))
         if not (
             len(srcs) == n
-            and set(map(type, ends)) == {int}
+            # every index and weight of every edge, not the index set,
+            # where 1.0 or True would hide behind an equal int
+            and set(map(type, chain.from_iterable(chain(*edges)))) == {int}
             and min(ends) >= 0
             and max(ends) < n
-            and set(map(type, map(_WEIGHT, chain(*edges)))) == {int}
         ):
             self._walk_edges()
 
     def _walk_edges(self) -> None:
-        """Raise for the first edge out of range or with a non-integer
-        weight, in edge-list order, and then for the first dead end."""
+        """Raise for the first edge with a non-integer index, out of range
+        or with a non-integer weight, in edge-list order, and then for the
+        first dead end."""
         n = self.n
         has_out = [False] * n
         for e in chain(self.edges, getattr(self, "zero_edges", ())):
+            if not (type(e.src) is int and type(e.dst) is int):
+                raise MalformedDocument(f"edge {e} has a vertex index that is not an integer")
             if not (0 <= e.src < n and 0 <= e.dst < n):
                 raise UnknownVertexReference(f"edge {e} references a missing vertex")
             if type(e.weight) is not int:
@@ -614,14 +620,12 @@ def _read_vertices(entries, with_priority: bool):
     else:
         if set(map(type, names)) <= {str} and None not in priorities:
             return names, owners, priorities
-    return _read_vertices_one_by_one(entries, with_priority)
+    _raise_for_bad_vertex(entries, with_priority)
 
 
-def _read_vertices_one_by_one(entries: list, with_priority: bool):
-    """`_read_vertices` entry by entry, raising for the first bad one."""
-    names: list[str] = []
-    owners: list[Player] = []
-    priorities: list[int] = []
+def _raise_for_bad_vertex(entries: list, with_priority: bool) -> NoReturn:
+    """Raise for the first vertex entry, in list order, that
+    `_read_vertices` could not read."""
     for entry in entries:
         if not isinstance(entry, dict):
             raise MalformedDocument(f"bad vertex entry {entry!r}")
@@ -629,16 +633,11 @@ def _read_vertices_one_by_one(entries: list, with_priority: bool):
         name = entry["id"]
         if not isinstance(name, str):
             raise MalformedDocument(f"vertex id {name!r} is not a string")
-        owner = entry["owner"]
-        if owner not in ("eve", "adam"):
+        if entry["owner"] not in ("eve", "adam"):
             raise MalformedDocument(f"vertex {name!r}: owner must be 'eve' or 'adam'")
-        names.append(name)
-        owners.append(_OWNER_BY_NAME[owner])
-        if with_priority:
-            if entry.get("priority") is None:
-                raise MalformedDocument(f"vertex {name!r}: missing priority")
-            priorities.append(entry["priority"])
-    return names, owners, priorities
+        if with_priority and entry.get("priority") is None:
+            raise MalformedDocument(f"vertex {name!r}: missing priority")
+    raise AssertionError("vertex entries rejected in bulk are each readable")
 
 
 def _read_edges(
@@ -661,34 +660,32 @@ def _read_edges(
     else:
         if typed:
             return _edge_columns(srcs, dsts, weights)
-    return _read_edges_one_by_one(entries, index_of, weighted, what)
+    _raise_for_bad_edge(entries, index_of, weighted, what)
 
 
-def _read_edges_one_by_one(
+def _raise_for_bad_edge(
     entries: list, index_of: Mapping[str, int], weighted: bool, what: str
-) -> tuple[Edge, ...]:
-    """`_read_edges` entry by entry, raising for the first bad one."""
-    edges: list[Edge] = []
+) -> NoReturn:
+    """Raise for the first edge entry, in list order, that `_read_edges`
+    could not read."""
     for entry in entries:
         if not isinstance(entry, dict):
             raise MalformedDocument(f"bad {what} entry {entry!r}")
         _expect_keys(entry, ("src", "dst"), what)
-        try:
-            src = index_of[entry["src"]]
-            dst = index_of[entry["dst"]]
-        except KeyError as exc:
-            raise UnknownVertexReference(f"{what} references unknown vertex {exc.args[0]!r}")
-        except TypeError:
-            raise MalformedDocument(f"{what} {entry!r}: vertex ids must be strings")
+        for end in (entry["src"], entry["dst"]):
+            try:
+                known = end in index_of
+            except TypeError:
+                raise MalformedDocument(f"{what} {entry!r}: vertex ids must be strings")
+            if not known:
+                raise UnknownVertexReference(f"{what} references unknown vertex {end!r}")
         weight = entry.get("weight")
         if weight is None:
             if weighted:
                 raise MalformedDocument(f"{what} {entry!r}: missing weight")
-            weight = 0
         elif type(weight) is not int:
             raise MalformedDocument(f"{what} {entry!r}: weight must be an integer")
-        edges.append(Edge(src, dst, weight if weighted else 0))
-    return tuple(edges)
+    raise AssertionError(f"{what} entries rejected in bulk are each readable")
 
 
 def _read_flag(entry: dict, key: str, default: bool) -> bool:

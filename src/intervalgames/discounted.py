@@ -96,7 +96,7 @@ def ds_value_lasso(prefix: Sequence[int], cycle: Sequence[int], lam: Fraction) -
     return total + power * cyc / (1 - lam ** len(cycle))
 
 
-def _profile_values(g: GameGraph, lam: Fraction, choice: dict[int, int]) -> list[Fraction]:
+def _profile_values(g: GameGraph, lam: Fraction, choice: Sequence[int]) -> list[Fraction]:
     """Value at every vertex when both players follow fixed edge choices."""
     values: list[Optional[Fraction]] = [None] * g.n
     for start in range(g.n):
@@ -126,21 +126,22 @@ def _profile_values(g: GameGraph, lam: Fraction, choice: dict[int, int]) -> list
 def _improve(
     g: GameGraph,
     lam: Fraction,
-    choice: dict[int, int],
+    choice: list[int],
     values: Sequence[Fraction],
     vertices: Sequence[int],
-    maximize: bool,
 ) -> bool:
-    """Switch every listed vertex to its best one-step lookahead edge;
-    returns whether anything strictly improved."""
+    """Switch every listed vertex to its best one-step lookahead edge, the
+    largest for Eve and the smallest for Adam; returns whether anything
+    strictly improved."""
     changed = False
     for v in vertices:
+        eve = g.owner[v] is Player.EVE
         best_j = choice[v]
         best = values[v]
         for j in g.out_edges[v]:
             e = g.edges[j]
             cand = e.weight + lam * values[e.dst]
-            if (cand > best) if maximize else (cand < best):
+            if (cand > best) if eve else (cand < best):
                 best = cand
                 best_j = j
         if best_j != choice[v]:
@@ -149,43 +150,37 @@ def _improve(
     return changed
 
 
-def _best_response(
-    g: GameGraph,
-    lam: Fraction,
-    sigma: dict[int, int],
-    adam_maximizes: bool,
-) -> list[Fraction]:
-    """Values under Adam's optimal positional reply to a fixed Eve
-    strategy, by policy iteration with exact evaluation."""
+def _minmax(g: GameGraph, lam: Fraction) -> list[Fraction]:
+    """Values with Eve maximizing and Adam minimizing, by strategy iteration
+    with exact evaluation (Hoffman & Karp 1966).
+
+    One edge choice per vertex serves both players.  Adam improves to his
+    best reply to Eve's choices, starting from his previous reply (policy
+    iteration finds the best reply from any start), and then Eve switches
+    against it, until she makes no strict switch.  The game has one value
+    (Zwick & Paterson 1996), so the order of switches does not change the
+    result."""
+    eve_vertices = [v for v in range(g.n) if g.owner[v] is Player.EVE]
     adam_vertices = [v for v in range(g.n) if g.owner[v] is Player.ADAM]
-    choice = dict(sigma)
-    for v in adam_vertices:
-        choice[v] = g.out_edges[v][0]
+    choice = [edges[0] for edges in g.out_edges]
     while True:
         values = _profile_values(g, lam, choice)
-        if not _improve(g, lam, choice, values, adam_vertices, adam_maximizes):
-            return values
-
-
-def _optimal_eve(g: GameGraph, lam: Fraction, eve_maximizes: bool) -> list[Fraction]:
-    """Strategy iteration: Eve improves against Adam's exact best response
-    (Adam optimizes the opposite direction) until no switch is strict."""
-    eve_vertices = [v for v in range(g.n) if g.owner[v] is Player.EVE]
-    sigma = {v: g.out_edges[v][0] for v in eve_vertices}
-    while True:
-        values = _best_response(g, lam, sigma, adam_maximizes=not eve_maximizes)
-        if not _improve(g, lam, sigma, values, eve_vertices, eve_maximizes):
+        if _improve(g, lam, choice, values, adam_vertices):
+            continue
+        if not _improve(g, lam, choice, values, eve_vertices):
             return values
 
 
 def ds_optimal_values(g: GameGraph, lam: Fraction) -> DsValueTable:
     """Both game values at every vertex, exact; both players have optimal
-    positional strategies that attain them."""
+    positional strategies that attain them.  maxmin, where Eve minimizes
+    and Adam maximizes, is minus the minmax of the game with negated
+    weights."""
     if not 0 < lam < 1:
         raise GameError(f"discount factor {lam} not in (0,1)")
     table = DsValueTable(
-        minmax=tuple(_optimal_eve(g, lam, eve_maximizes=True)),
-        maxmin=tuple(_optimal_eve(g, lam, eve_maximizes=False)),
+        minmax=tuple(_minmax(g, lam)),
+        maxmin=tuple(-x for x in _minmax(g.negate_weights(), lam)),
     )
     bound = Fraction(max_abs_weight(g)) / (1 - lam)
     for v in range(g.n):

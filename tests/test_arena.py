@@ -106,6 +106,21 @@ def test_parse_rejects_float_weights_and_bad_json():
         )
 
 
+@pytest.mark.parametrize(
+    "edges, initial, message",
+    [
+        ((Edge(0, 1, 1), Edge(1, 0, 0)), 0.5, "initial vertex index 0.5"),
+        ((Edge(0, 1.0, 1), Edge(1, 0, 0)), 0, r"edge Edge\(src=0, dst=1.0, weight=1\)"),
+        ((Edge(True, 0, 1), Edge(0, 1, 0)), 0, r"edge Edge\(src=True, dst=0, weight=1\)"),
+    ],
+    ids=["float-initial", "float-edge-end", "bool-edge-end"],
+)
+def test_non_int_vertex_index_rejected(edges, initial, message):
+    # 1.0 and True equal the int 1, so a set of the indices cannot see them
+    with pytest.raises(MalformedDocument, match=message):
+        GameGraph(("a", "b"), (Player.EVE, Player.ADAM), edges, initial)
+
+
 def test_empty_interval_rejected():
     with pytest.raises(EmptyInterval):
         Interval(F(1), F(0))

@@ -1,4 +1,5 @@
 import gc
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from intervalgames.arena import (
     IntervalUnion,
     MINUS_INF,
     PLUS_INF,
+    Payoff,
     Player,
     contains,
 )
@@ -25,7 +27,13 @@ from intervalgames.discounted import (
     subset_sum_to_ds,
 )
 from intervalgames.generate import random_game, random_interval_union, random_subset_sum
-from intervalgames.oracle import TooLarge, brute_force_finite_horizon_ds, subset_sum_winner
+from intervalgames.oracle import (
+    Lasso,
+    TooLarge,
+    brute_force_finite_horizon_ds,
+    play_value,
+    subset_sum_winner,
+)
 
 from conftest import make_rng
 
@@ -65,6 +73,43 @@ def test_four_values_bounded_by_weight_range():
         for v in range(g.n):
             assert -bound <= t.minmax[v] <= bound
             assert -bound <= t.maxmin[v] <= bound
+
+
+def induced_lasso(g, choice, v):
+    """The play from v when every vertex u takes edge choice[u]."""
+    seen = {}
+    walk = []
+    while v not in seen:
+        seen[v] = len(walk)
+        walk.append(g.edges[choice[v]])
+        v = walk[-1].dst
+    return Lasso(tuple(walk[: seen[v]]), tuple(walk[seen[v]:]))
+
+
+def test_four_values_match_positional_strategy_enumeration():
+    # minmax[v] is the best over Eve's positional strategies of the worst
+    # over Adam's; maxmin[v] the worst over Eve's of the best over Adam's
+    rng = make_rng(53)
+    for _ in range(60):
+        g = random_game(rng, rng.randint(1, 5), max_weight=3)
+        lam = rng.choice((F(1, 2), F(2, 3), F(3, 5), F(9, 10)))
+        eve_vertices = [v for v in range(g.n) if g.owner[v] is Player.EVE]
+        adam_vertices = [v for v in range(g.n) if g.owner[v] is Player.ADAM]
+        # values[sigma][tau][v]
+        values = []
+        for sigma in itertools.product(*(g.out_edges[v] for v in eve_vertices)):
+            row = []
+            for tau in itertools.product(*(g.out_edges[v] for v in adam_vertices)):
+                choice = dict(zip(eve_vertices + adam_vertices, sigma + tau))
+                row.append(
+                    [play_value(induced_lasso(g, choice, v), Payoff.DISCOUNTED, lam)
+                     for v in range(g.n)]
+                )
+            values.append(row)
+        t = ds_optimal_values(g, lam)
+        for v in range(g.n):
+            assert t.minmax[v] == max(min(r[v] for r in row) for row in values), (g, lam, v)
+            assert t.maxmin[v] == min(max(r[v] for r in row) for row in values), (g, lam, v)
 
 
 def test_horizon_examples():
