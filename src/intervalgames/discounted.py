@@ -1,27 +1,30 @@
 """Discounted-sum interval games without singleton intervals or gaps.
 
-An alternating search walks (vertex, step k, accumulated sum x); every
-continuation payoff lies within lam^k * W / (1 - lam) of x.  When that ball
-holds at most one interval endpoint, winning is a threshold question there,
-decided exactly by one of the two optimal game values.  After finitely many
-steps the ball is narrower than every interval and gap, so every node
-decides.  All arithmetic is rational; there are no convergence thresholds
-anywhere.
+After k steps every continuation payoff lies within lam^k * W/(1 - lam) of
+the sum x accumulated so far.  By step K = `decision_depth` that ball is
+narrower than every interval and gap, so it holds at most one interval
+endpoint, and winning is a threshold question decided exactly by one of
+the two optimal game values.  So the winning sets of step K are known, and
+the solver walks back from them to step 0 over sets of sums instead of
+forwards over the sums themselves.  All arithmetic is exact; there are no
+convergence thresholds anywhere.
 
-The game values are `Fraction`s.  The search carries x as the integer
-X = x*D*q^k, where lam = p/q, k is the step and D is the lcm of the
-denominators of the finite endpoints, of the reach W/(1 - lam) and of the
-game values: every rational it compares at step k then has a denominator
-dividing D*q^k, and scaling by that one positive number keeps the ball
-test, the decision and the memo key what they are on the rationals.
+With lam = p/q, the sum over the first k steps is carried as the integer
+X = x*D*q^k, where D is the lcm of the denominators of the finite
+endpoints and of the game values: every rational compared at step k has
+a denominator dividing D*q^k, and scaling by that one positive number
+keeps each comparison what it is on the rationals.  A set of such X is a
+bit, whether it holds the X below every flip, and the sorted flips, the
+points where membership changes.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .arena import (
@@ -34,7 +37,6 @@ from .arena import (
     Player,
     Regions,
     UnsupportedObjective,
-    contains,
     max_abs_weight,
 )
 
@@ -46,13 +48,6 @@ class SingletonNotSupported(UnsupportedObjective):
 
 class NonpositiveWidth(GameError):
     pass
-
-
-class SearchTooDeep(GameError):
-    """The alternating search recursed deeper than the interpreter stack
-    allows before every node decided."""
-
-    exit_code = 5
 
 
 @dataclass(frozen=True)
@@ -199,12 +194,16 @@ def horizon(g: GameGraph, lam: Fraction, width: Fraction) -> int:
     w = max_abs_weight(g)
     if w == 0:
         return 0
-    bound = Fraction(2 * w) / (1 - lam)
+    # lam^(n+1) * 2w/(1-lam) < width with lam = p/q, over the integers:
+    # 2w * q * p^(n+1) * den(width) < num(width) * (q-p) * q^(n+1)
+    p, q = lam.numerator, lam.denominator
+    tail = 2 * w * q * p * width.denominator
+    scale = width.numerator * (q - p) * q
     n = 0
-    tail = lam * bound
-    while not tail < width:
+    while not tail < scale:
         n += 1
-        tail *= lam
+        tail *= p
+        scale *= q
     return n
 
 
@@ -222,30 +221,53 @@ def _min_decision_width(iu: IntervalUnion) -> Optional[Fraction]:
 
 
 def decision_depth(g: GameGraph, lam: Fraction, iu: IntervalUnion) -> int:
-    """Step by which every search node has decided: one past the horizon
-    of the narrowest bounded interval or gap, or 1 when there is none."""
+    """Step by which every node of the game tree has decided: one past the
+    horizon of the narrowest bounded interval or gap, or 1 when there is
+    none."""
     width = _min_decision_width(iu)
     return (0 if width is None else horizon(g, lam, width)) + 1
+
+
+def _sweep(
+    events: list[tuple[int, int]], count: int, need: int, radius: int
+) -> tuple[bool, list[int]]:
+    """{X : count(X) >= need} as (bit, flips) on [-radius, radius], where
+    count(X) is `count` plus the delta of every (position, delta) event at
+    or below X.  Events at or below -radius fold into the bit and those
+    above radius are dropped; all events at one position apply before the
+    set is read there, so opposite ones cancel."""
+    events.sort()
+    start = 0
+    while start < len(events) and events[start][0] <= -radius:
+        count += events[start][1]
+        start += 1
+    bit = won = count >= need
+    flips = []
+    for x, group in groupby(events[start:], itemgetter(0)):
+        if x > radius:
+            break
+        for _, delta in group:
+            count += delta
+        if (count >= need) != won:
+            won = not won
+            flips.append(x)
+    return bit, flips
 
 
 def solve_ds_interval(g: GameGraph, lam: Fraction, iu: IntervalUnion) -> Regions:
     """Exact winner for every start vertex.
 
-    Alternating search over (vertex, step, accumulated value).  A node whose
-    residual ball holds at most one finite interval endpoint is decided by
-    one game value: maxmin when that endpoint closes an interval, minmax
-    otherwise.  At `decision_depth` the ball is narrower than every
-    interval and gap, so every node has decided by then.
-
-    With lam = p/q, the sum x accumulated over the first k steps has a
-    denominator dividing q^k, and every endpoint, the reach W/(1-lam) and
-    every game value has one dividing D, the lcm of their denominators.
-    So the search carries the integer X = x*D*q^k; an edge of weight w
-    leads to q*(X + D*p^k*w).  At a fixed depth k, multiplying by the
-    positive constant D*q^k preserves order and equality, so the ball test
-    (endpoints scaled by D*q^k, radius D*reach*p^k), the decision
-    (X + D*p^k*value against the scaled endpoints) and the memo key
-    (v, k, X) all give what they give on the rationals, with no rounding.
+    S(v, k), the set of X from which Eve wins at v after k steps, is read
+    off the game values at step K: endpoint t moves membership at
+    X = t*D*q^K - D*p^K*val(v), one further when t belongs to the stretch
+    below it, with val the maxmin against an upper endpoint and the minmax
+    against a lower one.  An edge of weight w leads from X to
+    q*(X + D*p^k*w), so a step back maps each flip f of a successor's set to
+    ceil(f/q) - D*p^k*w, the least X from which the edge reaches f, and
+    merges the successors: union at Eve's vertices, intersection at Adam's.
+    Only |X| <= R_k = D*W*q*(q^k - p^k)/(q - p), the sums that k steps
+    reach from 0, and the vertices reachable in exactly k steps matter.
+    Eve wins from v when S(v, 0) holds 0.
     """
     if iu.has_singleton_interval or iu.has_singleton_gap:
         raise SingletonNotSupported(
@@ -256,100 +278,61 @@ def solve_ds_interval(g: GameGraph, lam: Fraction, iu: IntervalUnion) -> Regions
     n = g.n
     if iu.is_empty:
         return Regions(win_eve=frozenset(), win_adam=frozenset(range(n)))
-    depth_stop = decision_depth(g, lam, iu)
+    depth = decision_depth(g, lam, iu)
     table = ds_optimal_values(g, lam)
-    reach = Fraction(max_abs_weight(g)) / (1 - lam)
-    # finite endpoints in increasing order; a canonical union without
-    # singletons or singleton gaps repeats none of them
-    ends = [t for j in iu.intervals for t in (j.lo, j.hi) if not isinstance(t, Infinity)]
-    # at[i]: is ends[i] in the union; inside[i]: is the open stretch just
-    # below ends[i] (inside[len(ends)]: above the last one) in it.  So
-    # ends[i] closes an interval exactly when inside[i] holds.
-    at = [contains(iu, t) for t in ends]
-    probes = [Fraction(0)]
-    if ends:
-        probes = [ends[0] - 1, *((a + b) / 2 for a, b in zip(ends, ends[1:])), ends[-1] + 1]
-    inside = [contains(iu, t) for t in probes]
-    d = math.lcm(
-        reach.denominator,
-        *(t.denominator for t in ends),
-        *(x.denominator for x in table.minmax + table.maxmin),
-    )
+    w = max_abs_weight(g)
+    # each finite endpoint t: (t, the values Eve plays against it, is the
+    # flip one further, the change in membership there)
+    ends = [(j.lo, table.minmax, j.lo_open, 1) for j in iu.intervals]
+    ends += [(j.hi, table.maxmin, not j.hi_open, -1) for j in iu.intervals]
+    ends = [end for end in ends if not isinstance(end[0], Infinity)]
+    values = table.minmax + table.maxmin
+    d = math.lcm(*(t.denominator for t, *_ in ends), *(x.denominator for x in values))
     p, q = lam.numerator, lam.denominator
-    scaled_ends = [int(t * d) for t in ends]
-    scaled_reach = int(reach * d)
-    scaled_minmax = [int(x * d) for x in table.minmax]
-    scaled_maxmin = [int(x * d) for x in table.maxmin]
-    # per step k: p^k, D*p^k, the radius D*reach*p^k and the endpoints
-    # scaled by D*q^k; filled as the search first reaches each step.  The
-    # x passed around below is the scaled sum X.
-    levels = [(1, d, scaled_reach, scaled_ends)]
+    pk, qk = p**depth, q**depth
+    ends = [
+        (int(t * d) * qk + further, [pk * int(x * d) for x in val], delta)
+        for t, val, further, delta in ends
+    ]
+    # the vertices reachable in exactly k steps shrink as k grows and
+    # repeat within n steps
+    layers = [list(range(n))]
+    while len(layers) <= depth:
+        after = sorted({g.edges[j].dst for v in layers[-1] for j in g.out_edges[v]})
+        if after == layers[-1]:
+            break
+        layers.append(after)
+    layers += [layers[-1]] * (depth + 1 - len(layers))
 
-    def decide(v: int, k: int, x: int) -> Optional[bool]:
-        pk, _, radius, scaled = levels[k]
-        first = bisect_left(scaled, x - radius)
-        last = bisect_right(scaled, x + radius)
-        if last == first:
-            # no endpoint in the ball: every payoff from here is on one side
-            return inside[first]
-        if last - first > 1:
-            return None
-        # the payoff lies in the ball, so it sits below, on or above the
-        # one endpoint there
-        if inside[first]:
-            y = x + pk * scaled_maxmin[v]
-        else:
-            y = x + pk * scaled_minmax[v]
-        e = scaled[first]
-        if y == e:
-            return at[first]
-        return inside[first] if y < e else inside[first + 1]
-
-    memo: dict[tuple[int, int, int], bool] = {}
-    deepest = 0
-
-    def wins(v: int, k: int, x: int) -> bool:
-        nonlocal deepest
-        verdict = decide(v, k, x)
-        if verdict is not None:
-            return verdict
-        assert k < depth_stop, "residual ball spans a gap narrower than allowed"
-        if k > deepest:
-            deepest = k
-        if k + 1 == len(levels):
-            pk = levels[k][0] * p
-            qk = q ** (k + 1)
-            levels.append((pk, d * pk, scaled_reach * pk, [t * qk for t in scaled_ends]))
-        key = (v, k, x)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        eve = g.owner[v] is Player.EVE
-        result = not eve
-        step = levels[k][1]
-        for j in g.out_edges[v]:
-            e = g.edges[j]
-            child = wins(e.dst, k + 1, q * (x + step * e.weight))
-            if eve and child:
-                result = True
-                break
-            if not eve and not child:
-                result = False
-                break
-        memo[key] = result
-        return result
-
-    try:
-        win_eve = frozenset(v for v in range(n) if wins(v, 0, 0))
-    except RecursionError:
-        raise SearchTooDeep(
-            f"discounted search reached depth {deepest} of {depth_stop} "
-            "and exceeded the interpreter stack"
-        ) from None
-    finally:
-        # wins reaches itself through its closure cell; breaking that cycle
-        # frees the memo on return instead of at the next cyclic collection
-        wins = None
+    radius = d * w * q * (qk - pk) // (q - p)
+    below = isinstance(iu.intervals[0].lo, Infinity)
+    later = {
+        v: _sweep([(t - val[v], delta) for t, val, delta in ends], below, 1, radius)
+        for v in layers[depth]
+    }
+    for k in range(depth - 1, -1, -1):
+        pk //= p
+        qk //= q
+        radius = d * w * q * (qk - pk) // (q - p)
+        step = d * pk
+        now = {}
+        for v in layers[k]:
+            events = []
+            count = 0
+            for j in g.out_edges[v]:
+                e = g.edges[j]
+                bit, flips = later[e.dst]
+                shift = step * e.weight
+                count += bit
+                sign = -1 if bit else 1
+                for f in flips:
+                    events.append((-(-f // q) - shift, sign))
+                    sign = -sign
+            need = 1 if g.owner[v] is Player.EVE else len(g.out_edges[v])
+            now[v] = _sweep(events, count, need, radius)
+        later = now
+    # R_0 = 0, so each set is its bit
+    win_eve = frozenset(v for v in range(n) if later[v][0])
     everything = frozenset(range(n))
     regions = Regions(win_eve=win_eve, win_adam=everything - win_eve)
     regions.check_partition(everything)

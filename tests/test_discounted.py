@@ -221,7 +221,7 @@ def test_subset_sum_nontrivial_discount_scales_integrally():
 
 def test_subset_sum_fidelity_suite():
     rng = make_rng(53)
-    # with p > 1 the reduction scales by p^(n-1) and the search steps by p^k
+    # with p > 1 the reduction scales by p^(n-1) and the solver steps by p^k
     for lam, count, max_pairs in ((F(1, 2), 100, 10), (F(2, 3), 40, 6), (F(3, 5), 40, 6)):
         for _ in range(count):
             inst = random_subset_sum(rng, rng.randint(1, max_pairs), max_value=8)
@@ -277,7 +277,7 @@ def _off_grid_union(rng):
 
 def test_agreement_with_unpruned_reference_off_the_half_grid():
     # endpoint denominators 3, 5 and 7 and discount factors p/q with p > 1:
-    # a search scale that misses a denominator or a power of p shows here
+    # a scale that misses a denominator or a power of p shows here
     rng = make_rng(57)
     compared = rays = split = 0
     while compared < 150:
@@ -334,8 +334,28 @@ def test_one_player_lasso_consistency():
         done += 1
 
 
+def test_discount_close_to_one():
+    # regions recorded from a forward search over the sums, which needs up
+    # to half a minute and over a gigabyte on these arenas at lambda = 9/10
+    iu = IntervalUnion((Interval(F(-1), F(0), False, True), Interval(F(1), F(2))))
+    for seed, eve in ((1, {2, 3, 5, 8}), (2, {2, 4, 7, 8, 9}), (3, {1, 5}), (4, set()), (5, set())):
+        g = random_game(make_rng(seed), 10, max_weight=3)
+        assert solve_ds_interval(g, F(9, 10), iu).win_eve == eve, seed
+    # decision depths 528 and 1,196: Eve loops at a for a payoff of exactly
+    # 0, and Adam loops at b for 1/(1 - lam), above the interval
+    g = GameGraph(
+        ("a", "b"),
+        (Player.EVE, Player.ADAM),
+        (Edge(0, 1, 1), Edge(0, 0, 0), Edge(1, 0, -1), Edge(1, 1, 1)),
+        0,
+    )
+    unit = IntervalUnion((Interval(F(0), F(1)),))
+    for lam in (F(99, 100), F(199, 200)):
+        assert solve_ds_interval(g, lam, unit).win_eve == {0}, lam
+
+
 def test_search_leaves_no_cyclic_garbage():
-    # the command line pauses the cyclic collector, so the search memo must
+    # the command line pauses the cyclic collector, so the winning sets must
     # be freed by reference counting alone when the solve returns
     g = random_game(make_rng(1), 8, max_weight=3)
     iu = IntervalUnion((Interval(F(-1), F(0), False, True), Interval(F(1), F(2))))
