@@ -54,18 +54,29 @@ def _energy_win(
 ) -> frozenset[int]:
     """Vertices of `alive` from which `player` keeps the running sum of the
     rescaled weights scale*w + offset bounded below while play stays in
-    `alive`, which is exactly where she forces mean-payoff >= 0 there.
+    `alive`, which is exactly where she forces mean-payoff >= 0 there:
+    those whose `_energy_credits` measure is below top."""
+    f, top = _energy_credits(g, alive, player, scale, offset)
+    return frozenset(v for v in alive if f[v] < top)
 
-    Least-fixpoint progress measure: f[v] is the least initial credit with
-    which `player` keeps the running sum non-negative from v, or top where
-    no credit suffices.  Measures are capped at Brim, Chaloupka, Doyen,
-    Gentilini & Raskin's bound ("Faster algorithms for mean-payoff games",
-    FMSD 2011): M = sum over v in `alive` of max(0, -least rescaled weight
-    on v's edges inside `alive`).  The cap is sound.  Once the winner's
-    positional strategy is fixed, every reachable cycle is non-negative, so
-    cutting the cycles out of a finite prefix of play never raises its sum:
-    the prefix sums to at least a simple path, which leaves each vertex at
-    most once and so loses at most M.  A credit of M therefore suffices
+
+def _energy_credits(
+    g: GameGraph, alive: frozenset[int], player: Player, scale: int, offset: int
+) -> tuple[list[int], int]:
+    """(f, top): f[v] is the least initial credit with which `player` keeps
+    the running sum of scale*w + offset non-negative from v while play
+    stays in `alive`, or top where no credit suffices.  Entries outside
+    `alive` are 0 and mean nothing.
+
+    f is the least-fixpoint progress measure.  Measures are capped at
+    Brim, Chaloupka, Doyen, Gentilini & Raskin's bound ("Faster algorithms
+    for mean-payoff games", FMSD 2011): M = sum over v in `alive` of
+    max(0, -least rescaled weight on v's edges inside `alive`).  The cap
+    is sound.  Once the winner's positional strategy is fixed, every
+    reachable cycle is non-negative, so cutting the cycles out of a finite
+    prefix of play never raises its sum: the prefix sums to at least a
+    simple path, which leaves each vertex at most once and so loses at
+    most M.  A credit of M therefore suffices
     from every winning vertex, and a measure above M proves a loss.
     """
     owner, edges = g.owner, g.edges
@@ -128,7 +139,7 @@ def _energy_win(
                 fu = f[u]
                 if fu < top and best - w > fu:
                     pending.add(u)
-    return frozenset(v for v in alive if f[v] < top)
+    return f, top
 
 
 def _threshold(

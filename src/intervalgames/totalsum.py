@@ -10,11 +10,22 @@ counter is clamped to [-B, B] and the finite game is built once.  Escapes
 past the clamp count for Adam in a pessimistic run, solved on the whole
 game, and for Eve in an optimistic run, solved only outside the
 pessimistic Eve region; this yields sound EVE/ADAM verdicts and an honest
-UNKNOWN in between.  When the input graph has no positive (negative)
-cycle, a play that escapes downward (upward) can never return, so the
-escape vertex can be given its true priority and the corresponding
-UNKNOWNs disappear; this closes, among others, the whole countdown
-family.
+UNKNOWN in between.
+
+Most escapes have a known worth, settled by energy games on the arena
+(Bouyer, Fahrenberg, Larsen, Markey & Srba, FORMATS 2008).  Below every
+finite region boundary the counter lies in the lowest region, whose
+winner P_down (Adam when the lowest piece is bounded below, Eve
+otherwise) wins every play that stays there.  The least credit f_down[v]
+with which P_down keeps the running sum from ever rising by more than
+f_down[v] from arena vertex v is Brim et al.'s progress measure on
+negated weights (`meanpayoff._energy_credits`).  An escape below the clamp
+onto v is pinned to the lowest region's priority when f_down[v] is finite
+and B >= E + f_down[v] + 1, E the largest |finite endpoint|; escapes
+above are the mirror image, with P_up, f_up and the weights as they are.
+`solve_total_interval` gives the soundness argument, and `default_bound`
+sizes the clamp from the largest finite credit.  This closes, among
+others, the whole countdown family.
 """
 
 from __future__ import annotations
@@ -39,9 +50,9 @@ from .arena import (
     Regions,
     UnsupportedObjective,
     fresh_namer,
-    max_abs_weight,
 )
 from .liminf import PriorityMap, integerize, omega_I
+from .meanpayoff import _energy_credits
 from .parity import Graph, solve_parity
 
 
@@ -175,23 +186,6 @@ def totalsum_to_ocpg(g: GameGraph, iu: IntervalUnion) -> OneCounterParityGame:
     )
 
 
-def _has_cycle_sign(g: GameGraph, sign: int) -> bool:
-    """Bellman-Ford style check for a cycle with positive (sign=+1) or
-    negative (sign=-1) total weight."""
-    n = g.n
-    best = [0] * n
-    for round_ in range(n):
-        changed = False
-        for e in g.edges:
-            cand = best[e.src] + sign * e.weight
-            if cand > best[e.dst]:
-                best[e.dst] = cand
-                changed = True
-        if not changed:
-            return False
-    return changed
-
-
 # The clamped game's four sinks, placed before the configurations.  A
 # self-loop sink is won by Eve iff its priority is even; LIMBO (Eve's,
 # priority 1) takes the unpinned escapes and may move to LIMBO_WIN or
@@ -307,26 +301,86 @@ def solve_ocpg_bounded(
     return solved
 
 
+def _outer_priorities(pm: PriorityMap) -> tuple[int, int]:
+    """Priorities of the lowest and of the highest nonempty region."""
+    bounded_below = not (pm.intervals and isinstance(pm.intervals[0][0], Infinity))
+    bounded_above = not (pm.intervals and isinstance(pm.intervals[-1][1], Infinity))
+    return (1 if bounded_below else 2), (2 * pm.r + 1 if bounded_above else 2 * pm.r)
+
+
+def _pin_bounds(
+    g: GameGraph, pm: PriorityMap
+) -> tuple[list[Optional[int]], list[Optional[int]], int]:
+    """Per arena vertex v, the least clamp E + f[v] + 1 at which an escape
+    below (first list) or above (second list) onto v is pinned, None where
+    no finite credit suffices; and the default clamp, one more than the
+    largest of them (E + 2 when all are None)."""
+    reach = max((abs(x) for piece in pm.intervals for x in piece if isinstance(x, int)), default=0)
+    alive = frozenset(range(g.n))
+    sides = []
+    for prio, scale in zip(_outer_priorities(pm), (-1, +1)):
+        # the winner of the outermost region on this side; on weights
+        # scaled by -1 the running sum never rises by more than f[v], on
+        # weights as they are it never falls by more than f[v]
+        player = Player.ADAM if prio % 2 else Player.EVE
+        f, top = _energy_credits(g, alive, player, scale, 0)
+        sides.append([reach + fv + 1 if fv < top else None for fv in f])
+    default = max((b for side in sides for b in side if b is not None), default=reach + 1) + 1
+    return sides[0], sides[1], default
+
+
 def default_bound(g: GameGraph, iu: IntervalUnion) -> int:
-    """max |finite endpoint| + |V| * W + 2: wide enough that an escaping
-    play is below (above) every region boundary forever when the graph has
-    no positive (negative) cycles, and that the punish gadgets always have
-    room to reach their zero test."""
-    pm = integerize(iu)
-    endpoints = [abs(x) for lo, hi in pm.intervals for x in (lo, hi) if isinstance(x, int)]
-    base = max(endpoints, default=0)
-    return base + g.n * max_abs_weight(g) + 2
+    """E + the largest finite energy credit + 2, E the largest |finite
+    endpoint|, or E + 2 when no credit is finite.
+
+    This is the least clamp, with one to spare, at which
+    `solve_total_interval` pins every escape onto a vertex whose credit is
+    finite.  A finite credit is at most Brim et al.'s cap, the sum over
+    the vertices of their most negative weight, so the clamp never exceeds
+    the credit-free E + |V| * W + 2.  The punish gadgets need no room
+    inside the clamp: escapes from the pumps have fixed pins."""
+    return _pin_bounds(g, integerize(iu))[2]
 
 
 def solve_total_interval(
     g: GameGraph, iu: IntervalUnion, bound: Optional[int] = None
 ) -> TotalSolution:
-    """Reduce to a one-counter parity game and solve under the clamp.
+    """Reduce to a one-counter parity game and solve under the clamp,
+    `default_bound` unless `bound` is given.
 
     When the objective has no integer points at all Adam wins everywhere
     outright (finite totals are integers and infinite totals need an
     unbounded interval), reported without touching the reduction: no
     configuration is explored.
+
+    Escapes land only on edge vertices and on the bot/top pumps, because
+    every other counter move weighs 0.  An escape below the clamp onto the
+    vertex of edge k, whose play goes on from arena vertex v =
+    g.edges[k].dst, is pinned to the lowest region's priority when
+    f_down[v] is finite and the clamp B is at least E + f_down[v] + 1
+    (`_pin_bounds`).  Escapes above are the mirror image.  The pin is the
+    true worth of the escape, for every B that passes the test:
+
+    - The escape leaves the counter at c <= -B - 1.  With P_down's energy
+      strategy from v, whatever the opponent does, every later total is
+      at most c + f_down[v] <= -E - 2.  Every finite boundary is at least
+      -E, so the counter stays strictly below all of them: the lowest
+      region is the true one from then on.
+    - If Eve asserts the lowest region, its copies carry the lowest
+      region's priority.  Edge vertices carry the top priority, so that is
+      the least priority seen infinitely often, and it is P_down's.  A
+      challenge of this true assertion fails: the region's finite side is
+      above the counter, so the top pump climbs back to its zero test.
+    - If Eve asserts any other region, its lower end is finite and above
+      the counter, so a wrong region assertion is still punished while
+      the counter is out of range: Adam's challenge enters the bot pump
+      below 0, and it only falls, never reaching its zero test.  Its
+      escapes past the clamp are pinned to Adam, so the punishment needs
+      no room inside the clamp.
+
+    So P_down wins from the escape.  A pin at a clamp below the default is
+    sound by the same argument; a smaller clamp only leaves more escapes
+    unpinned.
     """
     if bound is not None and bound < 1:
         raise BadParameters(f"counter bound {bound} must be positive")
@@ -338,9 +392,8 @@ def solve_total_interval(
             bound=bound if bound is not None else 0,
         )
     ocpg = totalsum_to_ocpg(g, iu)
-    safe_bound = default_bound(g, iu)
-    b = safe_bound if bound is None else bound
-    safe = b >= safe_bound
+    down, up, default = _pin_bounds(g, pm)
+    b = default if bound is None else bound
 
     r = pm.r
     n, regions = g.n, assertable_regions(pm)
@@ -349,21 +402,16 @@ def solve_total_interval(
     # zero, the pump never reaches its zero test again (top priority is
     # odd), while overshooting into the pump lets Eve ride it back to the
     # test and stop at the winning sink
-    v_zero, v_bot, v_top = (at(n + len(g.edges) + k) for k in range(3))
+    v_bot, v_top = (at(n + len(g.edges) + k) for k in (1, 2))
     escape_down: dict[int, int] = {v_bot: 2 * r + 1, v_top: 2 * r}
     escape_up: dict[int, int] = {v_top: 2 * r + 1, v_bot: 2 * r}
-    fabric = range(v_zero)
-    if safe and not _has_cycle_sign(g, +1):
-        # an escape below the clamp stays below every region boundary
-        lo_first = pm.intervals[0][0]
-        prio = 2 if isinstance(lo_first, Infinity) else 1
-        for v in fabric:
-            escape_down[v] = prio
-    if safe and not _has_cycle_sign(g, -1):
-        hi_last = pm.intervals[-1][1]
-        prio = 2 * r if isinstance(hi_last, Infinity) else 2 * r + 1
-        for v in fabric:
-            escape_up[v] = prio
+    low, high = _outer_priorities(pm)
+    for k, e in enumerate(g.edges):
+        need_down, need_up = down[e.dst], up[e.dst]
+        if need_down is not None and need_down <= b:
+            escape_down[at(n + k)] = low
+        if need_up is not None and need_up <= b:
+            escape_up[at(n + k)] = high
     configs = solve_ocpg_bounded(ocpg, b, escape_down=escape_down, escape_up=escape_up)
 
     j0 = regions.index(omega_I(0, pm))

@@ -366,6 +366,9 @@ def test_output_bytes_match_the_recorded_files(capsys):
          "fig1.structured.json"),
         (("solve", CORPUS / "fig3_n2.game", "--regions", "--format", "structured"),
          "fig3_n2.structured.json"),
+        # the default clamp, sized from the largest finite energy credit
+        (("solve", CORPUS / "countdown_even.game", "--regions", "--format", "structured"),
+         "countdown_even.structured.json"),
         (("reduce", CORPUS / "loop0_total.game", "--to", "ocpg"), "loop0_total.ocpg"),
         # ids that JSON must escape: a quote, a backslash, a non-ASCII
         # letter and a character outside the Basic Multilingual Plane

@@ -11,12 +11,14 @@ from intervalgames.arena import (
     IntervalUnion,
     MINUS_INF,
     MalformedDocument,
+    Objective,
     PLUS_INF,
     Payoff,
     Player,
     Regions,
     Verdict,
     contains,
+    max_abs_weight,
     read_document,
     write_document,
 )
@@ -27,7 +29,7 @@ from intervalgames.generate import (
     zero_cycle_game,
 )
 from intervalgames.liminf import integerize, omega_I
-from intervalgames.oracle import Lasso, countdown_winner, play_value
+from intervalgames.oracle import Lasso, brute_force_positional, countdown_winner, play_value
 from intervalgames.parity import attractor, solve_parity
 from intervalgames.totalsum import (
     LIMBO_WIN,
@@ -38,6 +40,7 @@ from intervalgames.totalsum import (
     OneCounterParityGame,
     _clamped_game,
     countdown_to_total,
+    default_bound,
     solve_ocpg_bounded,
     solve_total_interval,
     totalsum_to_ocpg,
@@ -316,6 +319,68 @@ def test_verdicts_monotone_under_bound_increase():
                 if was is not Verdict.UNKNOWN:
                     assert again.vertices.verdict(v) is was
         done += 1
+
+
+def test_no_definite_verdict_flips_across_clamps():
+    # each pin is sound at its own clamp, so a definite verdict at any
+    # clamp, also below the default, is the default's verdict; the
+    # credit-sized default never exceeds the credit-free E + |V| * W + 2
+    rng = make_rng(69)
+    done = 0
+    while done < 100:
+        g = random_game(rng, rng.randint(1, 4), max_weight=2)
+        iu = random_interval_union(rng, 2, 2)
+        pm = integerize(iu)
+        if pm.is_empty or not pm_has_finite_endpoint(iu):
+            continue
+        base = solve_total_interval(g, iu)
+        reach = max(abs(x) for piece in pm.intervals for x in piece if isinstance(x, int))
+        assert base.bound == default_bound(g, iu) <= reach + g.n * max_abs_weight(g) + 2
+        for b in range(1, base.bound + 4):
+            again = solve_total_interval(g, iu, bound=b).vertices
+            for v in range(g.n):
+                if again.verdict(v) is not Verdict.UNKNOWN:
+                    assert again.verdict(v) is base.vertices.verdict(v), (g, iu, b, v)
+        done += 1
+
+
+def test_pinned_escape_decides_despite_cycles_of_both_signs():
+    # Eve at a may climb her +1 loop forever, a total of +inf in [1, inf);
+    # Adam's -1 loop at c is a negative cycle, so escapes above cannot all
+    # be pinned.  Eve holds the sum from a with credit 0, so an escape
+    # above onto a is pinned once the clamp reaches E + 0 + 1 = 2
+    g = GameGraph(
+        ("a", "c"),
+        (Player.EVE, Player.ADAM),
+        (Edge(0, 0, 1), Edge(0, 1, 0), Edge(1, 1, -1), Edge(1, 0, 0)),
+        0,
+    )
+    iu = IntervalUnion((Interval(F(1), PLUS_INF, False, True),))
+    res = solve_total_interval(g, iu)
+    assert res.vertices == Regions(win_eve=frozenset({0}), win_adam=frozenset({1}))
+    reference = brute_force_positional(g, Objective(Payoff.TOTAL_INF, iu))
+    assert reference.exact and reference.win_eve == {0}
+    assert solve_total_interval(g, iu, bound=1).vertices.verdict(0) is Verdict.UNKNOWN
+    assert solve_total_interval(g, iu, bound=2).vertices.verdict(0) is Verdict.EVE
+
+
+def test_ray_objectives_match_the_positional_oracle():
+    # on [a, inf) and (-inf, a] every escape's winner holds the sum from
+    # a finite credit or loses the ray outright, so no vertex is UNKNOWN;
+    # the oracle is exact on thresholds
+    rng = make_rng(70)
+    for _ in range(300):
+        g = random_game(rng, rng.randint(1, 6), max_weight=2)
+        a, closed = F(rng.randint(-3, 3)), rng.random() < 0.5
+        if rng.random() < 0.5:
+            iu = IntervalUnion((Interval(a, PLUS_INF, not closed, True),))
+        else:
+            iu = IntervalUnion((Interval(MINUS_INF, a, True, not closed),))
+        res = solve_total_interval(g, iu).vertices
+        reference = brute_force_positional(g, Objective(Payoff.TOTAL_INF, iu))
+        assert reference.exact
+        assert not res.unknown, (g, iu)
+        assert (res.win_eve, res.win_adam) == (reference.win_eve, reference.win_adam), (g, iu)
 
 
 def test_unknown_configs_non_increasing_in_bound():
