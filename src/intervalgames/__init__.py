@@ -39,7 +39,6 @@ from .totalsum import (
     OneCounterParityGame,
     TotalSolution,
     countdown_to_total,
-    solve_ocpg_bounded,
     solve_total_interval,
     totalsum_to_ocpg,
 )

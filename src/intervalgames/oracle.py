@@ -140,6 +140,17 @@ def _strategy_space(game, player: Player):
     return vertices, slots
 
 
+def _assemble(n: int, eve_vertices, sigma, adam_vertices, tau) -> list[int]:
+    """The edge chosen at each of n vertices when Eve's vertices follow
+    `sigma` and Adam's follow `tau`, one edge per vertex in list order."""
+    choice = [0] * n
+    for v, j in zip(eve_vertices, sigma):
+        choice[v] = j
+    for v, j in zip(adam_vertices, tau):
+        choice[v] = j
+    return choice
+
+
 def _guard_pairs(game) -> None:
     product = 1
     for v in range(game.n):
@@ -175,14 +186,6 @@ def _pair_enumeration(game, wins_for_eve) -> tuple[frozenset[int], frozenset[int
     eve_vertices, eve_slots = _strategy_space(game, Player.EVE)
     adam_vertices, adam_slots = _strategy_space(game, Player.ADAM)
 
-    def assemble(sigma, tau):
-        choice = [0] * n
-        for v, j in zip(eve_vertices, sigma):
-            choice[v] = j
-        for v, j in zip(adam_vertices, tau):
-            choice[v] = j
-        return choice
-
     eve_lower = set()
     for sigma in itertools.product(*eve_slots):
         pending = set(range(n)) - eve_lower
@@ -190,7 +193,7 @@ def _pair_enumeration(game, wins_for_eve) -> tuple[frozenset[int], frozenset[int
             break
         good = set(pending)
         for tau in itertools.product(*adam_slots):
-            choice = assemble(sigma, tau)
+            choice = _assemble(n, eve_vertices, sigma, adam_vertices, tau)
             good = {v for v in good if wins_for_eve(_lasso_from(choice, game, v))}
             if not good:
                 break
@@ -202,7 +205,7 @@ def _pair_enumeration(game, wins_for_eve) -> tuple[frozenset[int], frozenset[int
             break
         bad = set(pending)
         for sigma in itertools.product(*eve_slots):
-            choice = assemble(sigma, tau)
+            choice = _assemble(n, eve_vertices, sigma, adam_vertices, tau)
             bad = {v for v in bad if not wins_for_eve(_lasso_from(choice, game, v))}
             if not bad:
                 break
@@ -453,20 +456,12 @@ def brute_force_finite_horizon_ds(
     eve_vertices, eve_slots = _strategy_space(g, Player.EVE)
     adam_vertices, adam_slots = _strategy_space(g, Player.ADAM)
 
-    def assemble(sigma, tau):
-        choice = [0] * n
-        for v, j in zip(eve_vertices, sigma):
-            choice[v] = j
-        for v, j in zip(adam_vertices, tau):
-            choice[v] = j
-        return choice
-
     sigmas = list(itertools.product(*eve_slots))
     taus = list(itertools.product(*adam_slots))
     values = {}
     for sigma in sigmas:
         for tau in taus:
-            choice = assemble(sigma, tau)
+            choice = _assemble(n, eve_vertices, sigma, adam_vertices, tau)
             row = []
             for v in range(n):
                 lasso = _lasso_from(choice, g, v)

@@ -1,16 +1,20 @@
 """Total-sum interval games via parity games on one-counter graphs.
 
 The running total of a play is tracked by an integer counter; which
-interval (or gap) currently holds it determines a priority, and the
-reduced parity game makes Eve assert the region while Adam may demand a
-proof through a pumping gadget that ends in a zero test.
+interval (or gap) currently holds it determines a priority.  No priority
+can read an unbounded counter, so the paper's one-counter parity game
+(`totalsum_to_ocpg`, what `reduce --to ocpg` writes) makes Eve assert
+the region while Adam may demand a proof through a pumping gadget that
+ends in a zero test.
 
 Solving the one-counter parity game exactly is out of scope; instead the
-counter is clamped to [-B, B] and the finite game is built once.  Escapes
-past the clamp count for Adam in a pessimistic run, solved on the whole
-game, and for Eve in an optimistic run, solved only outside the
-pessimistic Eve region; this yields sound EVE/ADAM verdicts and an honest
-UNKNOWN in between.
+counter is clamped to [-B, B], where it is known, so the solver needs no
+assertion: configuration (v, c) of the arena itself has the priority of
+the region holding c, and the finite game is built once.  Escapes past
+the clamp count for Adam in a pessimistic run, solved on the whole game,
+and for Eve in an optimistic run, solved only outside the pessimistic
+Eve region; this yields sound EVE/ADAM verdicts and an honest UNKNOWN in
+between.
 
 Most escapes have a known worth, settled by energy games on the arena
 (Bouyer, Fahrenberg, Larsen, Markey & Srba, FORMATS 2008).  Below every
@@ -32,8 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from typing import Mapping, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .arena import (
     BadParameters,
@@ -81,13 +84,14 @@ class CountdownInstance:
                 raise GameError(f"countdown weights must be negative, got {e.weight}")
 
 
-Config = tuple[int, int]  # (vertex index, counter value)
+Config = tuple[int, int]  # (arena vertex index, counter value)
 
 
 class TotalSolution(NamedTuple):
     """A solved total-sum game: `vertices` holds the verdict of starting
     at each arena vertex with counter 0, `configs` the verdicts of the
-    clamped configurations it was read from, and `bound` the clamp."""
+    clamped configurations (arena vertex, counter) it was read from, and
+    `bound` the clamp."""
 
     vertices: Regions
     configs: Regions
@@ -104,19 +108,6 @@ def assertable_regions(pm: PriorityMap) -> list[int]:
 
 
 _SINKS = ("zero", "bot", "top")
-
-
-def _index(n: int, width: int, u: int, b: int = 1, j: int = 0) -> int:
-    """Index of item u in the one-counter game that `totalsum_to_ocpg`
-    builds from an arena of n vertices whose objective has `width`
-    assertable regions.  Items u < n are the arena's vertices, laid out
-    v-major with 2 * width copies each: b = 1 before b = 0, and j the
-    asserted region's position among the assertable ones.  Each item
-    after them is one vertex: the edges (u = n + k for edge k), then the
-    sinks `_SINKS`."""
-    if u < n:
-        return (2 * u + 1 - b) * width + j
-    return (2 * width - 1) * n + u
 
 
 def totalsum_to_ocpg(g: GameGraph, iu: IntervalUnion) -> OneCounterParityGame:
@@ -139,7 +130,17 @@ def totalsum_to_ocpg(g: GameGraph, iu: IntervalUnion) -> OneCounterParityGame:
         raise NoFiniteEndpoint("objective has no finite region boundary")
 
     n, width = g.n, len(regions)
-    at = partial(_index, n, width)
+
+    def at(u: int, b: int = 1, j: int = 0) -> int:
+        # items u < n are the arena's vertices, laid out v-major with
+        # 2 * width copies each: b = 1 before b = 0, and j the asserted
+        # region's position among the assertable ones; each item after
+        # them is one vertex: the edges (u = n + k for edge k), then the
+        # sinks `_SINKS`
+        if u < n:
+            return (2 * u + 1 - b) * width + j
+        return (2 * width - 1) * n + u
+
     fresh = fresh_namer(())
     names: list[str] = []
     owner: list[Player] = []
@@ -196,109 +197,67 @@ _SINK_PRIORITIES = (0, 1, 1, 0)
 
 
 def _clamped_game(
-    p: OneCounterParityGame,
+    g: GameGraph,
+    pm: PriorityMap,
     bound: int,
-    escape_down: Mapping[int, int],
-    escape_up: Mapping[int, int],
+    down: list[Optional[int]],
+    up: list[Optional[int]],
 ) -> tuple[Graph, list[Config]]:
-    """The finite parity game of `p` with the counter clamped to
+    """The finite parity game of `g` with the running total clamped to
     [-bound, bound], and its configurations: configuration k is vertex
     len(_SINK_SUCC) + k.
 
-    Only configurations reachable from counter 0 are materialized; an
-    escape goes to the sink its pinned priority wins for, or to LIMBO; a
-    configuration whose owner cannot move (zero tests disabled, no counter
-    edges) is lost by its owner.
+    Configuration (v, c) is owned by v's owner and has priority
+    omega_I(c, pm); arena edge (v, dst, w) leads to (dst, c + w).  Only
+    configurations reachable from counter 0 are materialized.  An escape
+    below the clamp onto dst goes to the sink the lowest region's priority
+    wins for when `_pin_bounds` gives dst a need down[dst] <= bound, and
+    to LIMBO otherwise; escapes above are the mirror image with `up`.
     """
     first = len(_SINK_SUCC)
-    configs: list[Config] = [(v, 0) for v in range(p.n)]
+
+    def escapes(needs: list[Optional[int]], priority: int) -> list[int]:
+        pinned = ADAM_WINS if priority % 2 else EVE_WINS
+        return [pinned if need is not None and need <= bound else LIMBO for need in needs]
+
+    below, above = map(escapes, (down, up), _outer_priorities(pm))
+    moves = [tuple((g.edges[k].dst, g.edges[k].weight) for k in out) for out in g.out_edges]
+    configs: list[Config] = [(v, 0) for v in range(g.n)]
     index: dict[Config, int] = {cfg: k for k, cfg in enumerate(configs, first)}
     succ: list[tuple[int, ...]] = list(_SINK_SUCC)
-    moves = [tuple((p.edges[j].dst, p.edges[j].weight) for j in out) for out in p.out_edges]
-    # zero-test edges are enabled at counter 0 and leave it there
-    moves_at_zero = [
-        m + tuple((p.zero_edges[j].dst, 0) for j in out) for m, out in zip(moves, p.out_zero)
-    ]
 
     # reachable closure within the clamp, walked in interning order (the
     # list grows as the walk goes)
     for v, c in configs:
         out = []
-        for dst, weight in moves_at_zero[v] if c == 0 else moves[v]:
+        for dst, weight in moves[v]:
             c2 = c + weight
-            if not -bound <= c2 <= bound:
-                pin = (escape_down if c2 < -bound else escape_up).get(dst)
-                if pin is None:
-                    out.append(LIMBO)
-                else:
-                    out.append(ADAM_WINS if pin % 2 else EVE_WINS)
-                continue
-            cfg = (dst, c2)
-            k = index.get(cfg)
-            if k is None:
-                k = index[cfg] = first + len(configs)
-                configs.append(cfg)
-            out.append(k)
-        if not out:
-            out.append(ADAM_WINS if p.owner[v] is Player.EVE else EVE_WINS)
+            if c2 < -bound:
+                out.append(below[dst])
+            elif c2 > bound:
+                out.append(above[dst])
+            else:
+                cfg = (dst, c2)
+                k = index.get(cfg)
+                if k is None:
+                    k = index[cfg] = first + len(configs)
+                    configs.append(cfg)
+                out.append(k)
         succ.append(tuple(out))
 
     pred: list[list[int]] = [[] for _ in succ]
     for u, out in enumerate(succ):
         for w in out:
             pred[w].append(u)
+    omega = {c: omega_I(c, pm) for c in {c for _, c in configs}}
     game = Graph(
         n=len(succ),
-        owner=(Player.EVE,) * first + tuple(p.owner[v] for v, _ in configs),
-        priority=_SINK_PRIORITIES + tuple(p.priority[v] for v, _ in configs),
+        owner=(Player.EVE,) * first + tuple(g.owner[v] for v, _ in configs),
+        priority=_SINK_PRIORITIES + tuple(omega[c] for _, c in configs),
         succ=succ,
         pred=pred,
     )
     return game, configs
-
-
-def solve_ocpg_bounded(
-    p: OneCounterParityGame,
-    bound: int,
-    escape_down: Optional[Mapping[int, int]] = None,
-    escape_up: Optional[Mapping[int, int]] = None,
-) -> Regions:
-    """Clamp the counter to [-bound, bound] and build the finite parity
-    game once (`_clamped_game`).  It has two readings: pessimistic, where
-    unpinned escapes count for Adam (LIMBO_WIN masked out), and
-    optimistic, where they count for Eve.  EVE verdicts come from the
-    pessimistic reading and ADAM verdicts from the optimistic one, so both
-    are sound for the true infinite game; the rest is UNKNOWN.
-
-    The pessimistic run is solved first, and the optimistic run only
-    outside its Eve region.  Adam's edges are the same in both readings,
-    and LIMBO, the only way into LIMBO_WIN, is Eve's.  So the pessimistic
-    Eve region is an Eve dominion of the optimistic game: Adam cannot
-    leave it and Eve wins inside it.  Zielonka's Eve region is closed
-    under Eve's attractor in the pessimistic game.  The optimistic game
-    adds only LIMBO_WIN, whose one successor is itself and whose other
-    predecessor, LIMBO, lies outside the region; so the region is its own
-    Eve attractor there too.  What remains is a trap for Eve, and its
-    regions are the optimistic game's regions there.
-
-    `escape_down`/`escape_up` optionally pin, per escape-target vertex,
-    the priority an escaping play is worth in both readings; callers use
-    this when they can prove what such a play is worth in the true game.
-    """
-    if bound < 1:
-        raise BadParameters(f"counter bound {bound} must be positive")
-    game, configs = _clamped_game(p, bound, escape_down or {}, escape_up or {})
-    everything = frozenset(range(game.n))
-    pessimistic = solve_parity(game, everything - {LIMBO_WIN})
-    optimistic = solve_parity(game, everything - pessimistic.win_eve)
-
-    first = len(_SINK_SUCC)
-    explored = frozenset(configs)
-    win_eve = frozenset(cfg for k, cfg in enumerate(configs, first) if k in pessimistic.win_eve)
-    win_adam = frozenset(cfg for k, cfg in enumerate(configs, first) if k in optimistic.win_adam)
-    solved = Regions(win_eve=win_eve, win_adam=win_adam, unknown=explored - win_eve - win_adam)
-    solved.check_partition(explored)
-    return solved
 
 
 def _outer_priorities(pm: PriorityMap) -> tuple[int, int]:
@@ -337,50 +296,50 @@ def default_bound(g: GameGraph, iu: IntervalUnion) -> int:
     `solve_total_interval` pins every escape onto a vertex whose credit is
     finite.  A finite credit is at most Brim et al.'s cap, the sum over
     the vertices of their most negative weight, so the clamp never exceeds
-    the credit-free E + |V| * W + 2.  The punish gadgets need no room
-    inside the clamp: escapes from the pumps have fixed pins."""
+    the credit-free E + |V| * W + 2."""
     return _pin_bounds(g, integerize(iu))[2]
 
 
 def solve_total_interval(
     g: GameGraph, iu: IntervalUnion, bound: Optional[int] = None
 ) -> TotalSolution:
-    """Reduce to a one-counter parity game and solve under the clamp,
-    `default_bound` unless `bound` is given.
+    """Solve the arena's configurations with the running total clamped to
+    [-B, B], B = `default_bound` unless `bound` is given.
 
     When the objective has no integer points at all Adam wins everywhere
     outright (finite totals are integers and infinite totals need an
-    unbounded interval), reported without touching the reduction: no
+    unbounded interval), reported without touching the clamp: no
     configuration is explored.
 
-    Escapes land only on edge vertices and on the bot/top pumps, because
-    every other counter move weighs 0.  An escape below the clamp onto the
-    vertex of edge k, whose play goes on from arena vertex v =
-    g.edges[k].dst, is pinned to the lowest region's priority when
-    f_down[v] is finite and the clamp B is at least E + f_down[v] + 1
-    (`_pin_bounds`).  Escapes above are the mirror image.  The pin is the
-    true worth of the escape, for every B that passes the test:
+    The game is built once (`_clamped_game`) and read twice: pessimistic,
+    where unpinned escapes count for Adam (LIMBO_WIN masked out), and
+    optimistic, where they count for Eve.  EVE verdicts come from the
+    pessimistic reading and ADAM verdicts from the optimistic one, so both
+    are sound for the true infinite game; the rest is UNKNOWN.
 
-    - The escape leaves the counter at c <= -B - 1.  With P_down's energy
-      strategy from v, whatever the opponent does, every later total is
-      at most c + f_down[v] <= -E - 2.  Every finite boundary is at least
-      -E, so the counter stays strictly below all of them: the lowest
-      region is the true one from then on.
-    - If Eve asserts the lowest region, its copies carry the lowest
-      region's priority.  Edge vertices carry the top priority, so that is
-      the least priority seen infinitely often, and it is P_down's.  A
-      challenge of this true assertion fails: the region's finite side is
-      above the counter, so the top pump climbs back to its zero test.
-    - If Eve asserts any other region, its lower end is finite and above
-      the counter, so a wrong region assertion is still punished while
-      the counter is out of range: Adam's challenge enters the bot pump
-      below 0, and it only falls, never reaching its zero test.  Its
-      escapes past the clamp are pinned to Adam, so the punishment needs
-      no room inside the clamp.
+    The pessimistic run is solved first, and the optimistic run only
+    outside its Eve region.  Adam's edges are the same in both readings,
+    and LIMBO, the only way into LIMBO_WIN, is Eve's.  So the pessimistic
+    Eve region is an Eve dominion of the optimistic game: Adam cannot
+    leave it and Eve wins inside it.  Zielonka's Eve region is closed
+    under Eve's attractor in the pessimistic game.  The optimistic game
+    adds only LIMBO_WIN, whose one successor is itself and whose other
+    predecessor, LIMBO, lies outside the region; so the region is its own
+    Eve attractor there too.  What remains is a trap for Eve, and its
+    regions are the optimistic game's regions there.
 
-    So P_down wins from the escape.  A pin at a clamp below the default is
-    sound by the same argument; a smaller clamp only leaves more escapes
-    unpinned.
+    An escape below the clamp onto arena vertex v is pinned to the lowest
+    region's priority when f_down[v] is finite and the clamp B is at
+    least E + f_down[v] + 1 (`_pin_bounds`).  Escapes above are the
+    mirror image.  The pin is the true worth of the escape, for every B
+    that passes the test.  The escape leaves the counter at c <= -B - 1.
+    With P_down's energy strategy from v, whatever the opponent does,
+    every later total is at most c + f_down[v] <= -E - 2.  Every finite
+    boundary is at least -E, so the counter stays strictly below all of
+    them: the lowest region holds every later total, its priority is the
+    one seen infinitely often, and it is P_down's.  So P_down wins from
+    the escape.  A pin at a clamp below the default is sound by the same
+    argument; a smaller clamp only leaves more escapes unpinned.
     """
     if bound is not None and bound < 1:
         raise BadParameters(f"counter bound {bound} must be positive")
@@ -391,37 +350,27 @@ def solve_total_interval(
             configs=Regions(win_eve=frozenset(), win_adam=frozenset()),
             bound=bound if bound is not None else 0,
         )
-    ocpg = totalsum_to_ocpg(g, iu)
+    if all(isinstance(x, Infinity) for piece in pm.intervals for x in piece):
+        raise NoFiniteEndpoint("objective has no finite region boundary")
     down, up, default = _pin_bounds(g, pm)
     b = default if bound is None else bound
+    game, configs = _clamped_game(g, pm, b, down, up)
+    everything = frozenset(range(game.n))
+    pessimistic = solve_parity(game, everything - {LIMBO_WIN})
+    optimistic = solve_parity(game, everything - pessimistic.win_eve)
 
-    r = pm.r
-    n, regions = g.n, assertable_regions(pm)
-    at = partial(_index, n, len(regions))
-    # the pumping gadget's escapes have known winners: moving away from
-    # zero, the pump never reaches its zero test again (top priority is
-    # odd), while overshooting into the pump lets Eve ride it back to the
-    # test and stop at the winning sink
-    v_bot, v_top = (at(n + len(g.edges) + k) for k in (1, 2))
-    escape_down: dict[int, int] = {v_bot: 2 * r + 1, v_top: 2 * r}
-    escape_up: dict[int, int] = {v_top: 2 * r + 1, v_bot: 2 * r}
-    low, high = _outer_priorities(pm)
-    for k, e in enumerate(g.edges):
-        need_down, need_up = down[e.dst], up[e.dst]
-        if need_down is not None and need_down <= b:
-            escape_down[at(n + k)] = low
-        if need_up is not None and need_up <= b:
-            escape_up[at(n + k)] = high
-    configs = solve_ocpg_bounded(ocpg, b, escape_down=escape_down, escape_up=escape_up)
-
-    j0 = regions.index(omega_I(0, pm))
-    start = {v: (at(v, 1, j0), 0) for v in range(n)}
+    first = len(_SINK_SUCC)
+    explored = frozenset(configs)
+    win_eve = frozenset(cfg for k, cfg in enumerate(configs, first) if k in pessimistic.win_eve)
+    win_adam = frozenset(cfg for k, cfg in enumerate(configs, first) if k in optimistic.win_adam)
+    solved = Regions(win_eve=win_eve, win_adam=win_adam, unknown=explored - win_eve - win_adam)
+    solved.check_partition(explored)
     vertices = Regions(
-        win_eve=frozenset(v for v, cfg in start.items() if cfg in configs.win_eve),
-        win_adam=frozenset(v for v, cfg in start.items() if cfg in configs.win_adam),
-        unknown=frozenset(v for v, cfg in start.items() if cfg in configs.unknown),
+        win_eve=frozenset(v for v, c in win_eve if c == 0),
+        win_adam=frozenset(v for v, c in win_adam if c == 0),
+        unknown=frozenset(v for v, c in solved.unknown if c == 0),
     )
-    return TotalSolution(vertices=vertices, configs=configs, bound=b)
+    return TotalSolution(vertices=vertices, configs=solved, bound=b)
 
 
 def countdown_to_total(cd: CountdownInstance) -> tuple[GameGraph, IntervalUnion]:

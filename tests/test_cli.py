@@ -2,6 +2,7 @@ import gc
 import inspect
 import json
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -296,6 +297,35 @@ def test_total_sum_bound_flag(capsys, tmp_path):
         "winner": "adam",
         "meta": {"payoff": "total-inf", "algorithm": "total-ocpg-bounded", "bound": 0},
     }
+
+
+def test_large_total_sum_clamp_fits_in_512_mb(tmp_path):
+    # Adam's +1 loop at b lets the counter climb to the clamp, so a clamp
+    # of 100,000 materializes about 200,000 configurations; a fresh
+    # process whose address space alone is capped must still answer
+    g = GameGraph(
+        ("a", "b"),
+        (Player.EVE, Player.ADAM),
+        (Edge(0, 1, 1), Edge(0, 0, 0), Edge(1, 0, -1), Edge(1, 1, 1)),
+        0,
+    )
+    o = Objective(Payoff.TOTAL_INF, IntervalUnion((Interval(Fraction(0), Fraction(1)),)))
+    f = tmp_path / "climb.game"
+    f.write_text(write_document(g, o))
+    cap = 512 * 2**20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "intervalgames.cli", "solve", str(f), "--bound", "100000"],
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "EVE"
+    assert "Traceback" not in proc.stderr
 
 
 def test_late_malformed_entries_keep_their_messages(capsys, tmp_path):

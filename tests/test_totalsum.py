@@ -30,18 +30,21 @@ from intervalgames.generate import (
 )
 from intervalgames.liminf import integerize, omega_I
 from intervalgames.oracle import Lasso, brute_force_positional, countdown_winner, play_value
-from intervalgames.parity import attractor, solve_parity
+from intervalgames.parity import Graph, attractor, solve_parity
 from intervalgames.totalsum import (
+    ADAM_WINS,
+    EVE_WINS,
+    LIMBO,
     LIMBO_WIN,
     _SINK_PRIORITIES,
     _SINK_SUCC,
     CountdownInstance,
     NoFiniteEndpoint,
-    OneCounterParityGame,
     _clamped_game,
+    _outer_priorities,
+    _pin_bounds,
     countdown_to_total,
     default_bound,
-    solve_ocpg_bounded,
     solve_total_interval,
     totalsum_to_ocpg,
 )
@@ -74,81 +77,143 @@ def test_reduction_rejects_no_finite_boundary():
         totalsum_to_ocpg(g, IntervalUnion(()))
 
 
+def clamped_reduction(g, iu, bound):
+    """Vertex verdicts of `totalsum_to_ocpg`'s one-counter game with its
+    counter clamped to [-bound, bound], found by name in the reduced game.
+
+    Zero tests are enabled at counter 0, and a configuration whose owner
+    cannot move is lost by its owner.  The pumps' escapes are pinned:
+    moving away from zero a pump never reaches its zero test again, while
+    overshooting into a pump lets Eve ride it back to the test.  An escape
+    onto the vertex of edge k is pinned to the outermost region's priority
+    on its side when the credit of g.edges[k].dst allows it at this
+    clamp, and goes to LIMBO otherwise.  The game is solved pessimistically
+    and then optimistically outside the pessimistic Eve region."""
+    pm = integerize(iu)
+    p = totalsum_to_ocpg(g, iu)
+    at = {name: u for u, name in enumerate(p.names)}
+    top = 2 * pm.r + 1
+    pins = ({at["bot"]: top, at["top"]: top - 1}, {at["top"]: top, at["bot"]: top - 1})
+    for need, pin, outer in zip(_pin_bounds(g, pm), pins, _outer_priorities(pm)):
+        for k, e in enumerate(g.edges):
+            if need[e.dst] is not None and need[e.dst] <= bound:
+                pin[at[f"e{k}"]] = outer
+
+    first = len(_SINK_SUCC)
+    configs = [(u, 0) for u in range(p.n)]
+    index = {cfg: k for k, cfg in enumerate(configs, first)}
+    succ = list(_SINK_SUCC)
+    for u, c in configs:
+        moves = [(p.edges[j].dst, p.edges[j].weight) for j in p.out_edges[u]]
+        if c == 0:
+            moves += [(p.zero_edges[j].dst, 0) for j in p.out_zero[u]]
+        out = []
+        for dst, weight in moves:
+            c2 = c + weight
+            if abs(c2) > bound:
+                pin = pins[c2 > 0].get(dst)
+                out.append(LIMBO if pin is None else ADAM_WINS if pin % 2 else EVE_WINS)
+                continue
+            if (dst, c2) not in index:
+                index[dst, c2] = first + len(configs)
+                configs.append((dst, c2))
+            out.append(index[dst, c2])
+        succ.append(out or [ADAM_WINS if p.owner[u] is Player.EVE else EVE_WINS])
+    pred = [[] for _ in succ]
+    for u, out in enumerate(succ):
+        for w in out:
+            pred[w].append(u)
+    game = Graph(
+        n=len(succ),
+        owner=(Player.EVE,) * first + tuple(p.owner[u] for u, _ in configs),
+        priority=_SINK_PRIORITIES + tuple(p.priority[u] for u, _ in configs),
+        succ=succ,
+        pred=pred,
+    )
+    everything = frozenset(range(game.n))
+    pessimistic = solve_parity(game, everything - {LIMBO_WIN})
+    optimistic = solve_parity(game, everything - pessimistic.win_eve)
+    start = [index[at[f"{name}~1~{omega_I(0, pm)}"], 0] for name in g.names]
+    return Regions(
+        win_eve=frozenset(v for v, k in enumerate(start) if k in pessimistic.win_eve),
+        win_adam=frozenset(v for v, k in enumerate(start) if k in optimistic.win_adam),
+        unknown=frozenset(
+            v for v, k in enumerate(start)
+            if k not in pessimistic.win_eve and k not in optimistic.win_adam
+        ),
+    )
+
+
+def assert_matches_the_clamped_reduction(g, iu):
+    default = default_bound(g, iu)
+    for bound in range(1, default + 3):
+        solved = solve_total_interval(g, iu, bound=bound)
+        assert solved.vertices == clamped_reduction(g, iu, bound), (g, iu, bound)
+
+
+def test_clamped_arena_matches_the_clamped_reduction():
+    # the arena's own configurations give the verdicts of the paper's
+    # one-counter game under the same clamp and pins, at every clamp
+    rng = make_rng(71)
+    done = 0
+    while done < 300:
+        g = random_game(rng, rng.randint(1, 6), max_weight=2)
+        iu = random_interval_union(rng, rng.randint(2, 3), 3)
+        if integerize(iu).is_empty or not pm_has_finite_endpoint(iu):
+            continue
+        assert_matches_the_clamped_reduction(g, iu)
+        done += 1
+
+
+def test_clamped_countdown_matches_the_clamped_reduction():
+    rng = make_rng(72)
+    for _ in range(100):
+        cd = random_countdown(rng, rng.randint(2, 5), rng.randint(1, 20), max_weight=4)
+        assert_matches_the_clamped_reduction(*countdown_to_total(cd))
+
+
 def test_reduced_zero_loop_won_by_eve_at_small_bound():
-    p = totalsum_to_ocpg(adam_loop(0), POINT_ZERO)
-    res = solve_ocpg_bounded(p, 2)
-    assert res.verdict((p.initial, 0)) is Verdict.EVE
+    assert clamped_reduction(adam_loop(0), POINT_ZERO, 2).verdict(0) is Verdict.EVE
+    assert solve_total_interval(adam_loop(0), POINT_ZERO, 2).vertices.verdict(0) is Verdict.EVE
 
 
 def test_bounded_solver_all_even_zero_weights():
-    p = OneCounterParityGame(
-        names=("a", "b"),
-        owner=(Player.EVE, Player.ADAM),
-        priority=(0, 2),
-        edges=(Edge(0, 1, 0), Edge(1, 0, 0)),
-        zero_edges=(Edge(0, 0),),
-        initial=0,
-    )
+    g = GameGraph(("a", "b"), (Player.EVE, Player.ADAM), (Edge(0, 1, 0), Edge(1, 0, 0)), 0)
     for bound in (1, 5):
-        res = solve_ocpg_bounded(p, bound)
-        assert res.verdict((0, 0)) is Verdict.EVE
-        assert not res.unknown
+        res = solve_total_interval(g, POINT_ZERO, bound)
+        assert res.configs == Regions(win_eve=frozenset({(0, 0), (1, 0)}), win_adam=frozenset())
 
 
 def test_bounded_solver_sinks():
-    # u (Eve) steps up to s_e (Eve) or s_a (Adam), whose only exits are
-    # zero tests: at counter 1 their owners are stuck and lose
-    p = OneCounterParityGame(
-        names=("u", "s_e", "s_a"),
-        owner=(Player.EVE, Player.EVE, Player.ADAM),
-        priority=(2, 2, 2),
-        edges=(Edge(0, 1, 1), Edge(0, 2, 1)),
-        zero_edges=(Edge(1, 0), Edge(2, 0)),
-        initial=0,
-    )
-    for bound in (1, 3):
-        res = solve_ocpg_bounded(p, bound)
-        assert res.verdict((1, 1)) is Verdict.ADAM
-        assert res.verdict((2, 1)) is Verdict.EVE
-        assert res.verdict((0, 0)) is Verdict.EVE
-        assert not res.unknown
-    # Adam may leave x through the +2 loop, which escapes the clamp at
-    # bound 1; a pinned escape goes by its priority's parity, an
-    # unpinned one counts for Eve in one run and for Adam in the other
-    x = OneCounterParityGame(
-        names=("x",),
-        owner=(Player.ADAM,),
-        priority=(0,),
-        edges=(Edge(0, 0, 2),),
-        zero_edges=(Edge(0, 0),),
-        initial=0,
-    )
+    # Adam may leave x through a loop of weight +-2, which escapes the
+    # clamp at bound 1.  A pinned escape goes to the sink its priority's
+    # parity wins for: around {0} lie Adam's gaps, above [0, inf) Eve's
+    # ray.  With {0, 2} an escape above needs a clamp of E + 0 + 1 = 3, so
+    # at bound 1 it goes to LIMBO, for Eve in one run and for Adam in the
+    # other
+    zero_or_two = IntervalUnion((Interval(F(0), F(0)), Interval(F(2), F(2))))
     cases = [
-        ({"escape_up": {0: 3}}, Verdict.ADAM),
-        ({"escape_up": {0: 4}}, Verdict.EVE),
-        ({}, Verdict.UNKNOWN),
-        ({"escape_down": {0: 3}}, Verdict.UNKNOWN),
+        (2, POINT_ZERO, ADAM_WINS, Verdict.ADAM),
+        (-2, POINT_ZERO, ADAM_WINS, Verdict.ADAM),
+        (2, IntervalUnion((Interval(F(0), PLUS_INF, False, True),)), EVE_WINS, Verdict.EVE),
+        (2, zero_or_two, LIMBO, Verdict.UNKNOWN),
     ]
-    for pins, want in cases:
-        assert solve_ocpg_bounded(x, 1, **pins).verdict((x.initial, 0)) is want, pins
+    for weight, iu, sink, want in cases:
+        x, pm = adam_loop(weight), integerize(iu)
+        game, configs = _clamped_game(x, pm, 1, *_pin_bounds(x, pm)[:2])
+        assert configs == [(0, 0)] and game.succ[len(_SINK_SUCC)] == (sink,), iu
+        assert solve_total_interval(x, iu, bound=1).vertices.verdict(0) is want, iu
+    assert solve_total_interval(adam_loop(2), zero_or_two, 3).vertices.verdict(0) is Verdict.ADAM
 
 
-def random_ocpg(rng):
-    n = rng.randint(1, 6)
-    edges, zero_edges = [], []
-    for v in range(n):
-        for _ in range(rng.randint(0, 3)):
-            edges.append(Edge(v, rng.randrange(n), rng.randint(-2, 2)))
-        if not edges or edges[-1].src != v or rng.random() < 0.3:
-            zero_edges.append(Edge(v, rng.randrange(n)))
-    return OneCounterParityGame(
-        names=tuple(f"v{i}" for i in range(n)),
-        owner=tuple(rng.choice((Player.EVE, Player.ADAM)) for _ in range(n)),
-        priority=tuple(rng.randint(0, 4) for _ in range(n)),
-        edges=tuple(edges),
-        zero_edges=tuple(zero_edges),
-        initial=rng.randrange(n),
-    )
+def random_total_case(rng):
+    """An arena, an objective the solver accepts, and its priority map."""
+    while True:
+        g = random_game(rng, rng.randint(1, 6), max_weight=2)
+        iu = random_interval_union(rng, rng.randint(2, 3), 3)
+        pm = integerize(iu)
+        if not pm.is_empty and pm_has_finite_endpoint(iu):
+            return g, iu, pm
 
 
 def test_pessimistic_first_equals_two_full_solves():
@@ -157,10 +222,9 @@ def test_pessimistic_first_equals_two_full_solves():
     # agree with solving the whole game
     rng = make_rng(67)
     for _ in range(300):
-        p = random_ocpg(rng)
-        pins = [{v: rng.randint(0, 4) for v in range(p.n) if rng.random() < 0.3} for _ in range(2)]
-        bound = rng.randint(1, 3)
-        game, configs = _clamped_game(p, bound, *pins)
+        g, iu, pm = random_total_case(rng)
+        bound = rng.randint(1, default_bound(g, iu) + 1)
+        game, configs = _clamped_game(g, pm, bound, *_pin_bounds(g, pm)[:2])
         everything = frozenset(range(game.n))
         optimistic = solve_parity(game)
         pessimistic = solve_parity(game, everything - {LIMBO_WIN})
@@ -168,7 +232,7 @@ def test_pessimistic_first_equals_two_full_solves():
         first = game.n - len(configs)
         win_eve = {cfg for k, cfg in enumerate(configs, first) if k in pessimistic.win_eve}
         win_adam = {cfg for k, cfg in enumerate(configs, first) if k in optimistic.win_adam}
-        res = solve_ocpg_bounded(p, bound, *pins)
+        res = solve_total_interval(g, iu, bound).configs
         assert res.win_eve == win_eve
         assert res.win_adam == win_adam
         assert res.unknown == set(configs) - win_eve - win_adam
@@ -180,9 +244,9 @@ def test_clamped_graph_is_well_formed():
     # relies on pred inverting succ, sinks first, one vertex per config
     rng = make_rng(67)
     for _ in range(300):
-        p = random_ocpg(rng)
-        pins = [{v: rng.randint(0, 4) for v in range(p.n) if rng.random() < 0.3} for _ in range(2)]
-        game, configs = _clamped_game(p, rng.randint(1, 3), *pins)
+        g, iu, pm = random_total_case(rng)
+        bound = rng.randint(1, default_bound(g, iu) + 1)
+        game, configs = _clamped_game(g, pm, bound, *_pin_bounds(g, pm)[:2])
         first = len(_SINK_SUCC)
         assert game.n == first + len(configs) == len(game.owner) == len(game.priority)
         assert len(game.succ) == len(game.pred) == game.n
@@ -191,10 +255,11 @@ def test_clamped_graph_is_well_formed():
         assert tuple(game.succ[:first]) == _SINK_SUCC
         assert tuple(game.priority[:first]) == _SINK_PRIORITIES
         assert tuple(game.owner[:first]) == (Player.EVE,) * first
-        assert configs[: p.n] == [(v, 0) for v in range(p.n)]
+        assert configs[: g.n] == [(v, 0) for v in range(g.n)]
         assert len(set(configs)) == len(configs)
-        assert list(game.owner[first:]) == [p.owner[v] for v, _ in configs]
-        assert list(game.priority[first:]) == [p.priority[v] for v, _ in configs]
+        assert all(-bound <= c <= bound for _, c in configs)
+        assert list(game.owner[first:]) == [g.owner[v] for v, _ in configs]
+        assert list(game.priority[first:]) == [omega_I(c, pm) for _, c in configs]
         inverse = sorted((u, w) for u, out in enumerate(game.succ) for w in out)
         assert sorted((u, w) for w, into in enumerate(game.pred) for u in into) == inverse
 
@@ -229,22 +294,13 @@ def test_objective_without_integers_explores_no_configuration():
 
 
 def test_vertex_verdicts_read_the_builders_start_copies():
-    # the start copy of v is looked up by the name the builder gave it,
-    # not through the layout index the solver computes it with
+    # the verdict of v is that of its configuration at counter 0
     rng = make_rng(68)
-    done = 0
-    while done < 100:
-        g = random_game(rng, rng.randint(1, 4), max_weight=2)
-        iu = random_interval_union(rng, 2, 2)
-        pm = integerize(iu)
-        if pm.is_empty or not pm_has_finite_endpoint(iu):
-            continue
+    for _ in range(100):
+        g, iu, _ = random_total_case(rng)
         res = solve_total_interval(g, iu)
-        names = totalsum_to_ocpg(g, iu).names
         for v in range(g.n):
-            k = names.index(f"{g.names[v]}~1~{omega_I(0, pm)}")
-            assert res.vertices.verdict(v) is res.configs.verdict((k, 0)), (g, iu, v)
-        done += 1
+            assert res.configs.verdict((v, 0)) is res.vertices.verdict(v), (g, iu, v)
 
 
 def test_unbounded_memory_instance_stays_unknown():
