@@ -4,10 +4,15 @@ The threshold problem ("can Eve force the liminf average weight to be at
 least a") is solved with an energy-style progress measure after an affine
 rescale to integer weights and threshold zero.  Strict comparisons reduce
 to non-strict ones because cycle means in a game with n vertices are
-rationals with denominator at most n.  The interval solver iterates
-threshold calls, peeling off regions the opponent wins outright, and
-nests objectives with fewer finite interval boundaries, swapping the
-players' roles at each complement; a single interval is the one-piece union.
+rationals with denominator at most n.  Each threshold solves both sides'
+energy games under a growing credit cap: a finite entry of a capped
+measure is already a winning certificate for its side, so the rounds stop
+as soon as the two finite regions cover the vertices, and only a last
+round, which always covers, climbs to the exact bound.  The interval
+solver iterates threshold calls, peeling off regions the opponent wins
+outright, and nests objectives with fewer finite interval boundaries,
+swapping the players' roles at each complement; a single interval is the
+one-piece union.
 """
 
 from __future__ import annotations
@@ -50,34 +55,53 @@ class ThresholdQuery:
 
 
 def _energy_win(
-    g: GameGraph, alive: frozenset[int], player: Player, scale: int, offset: int
+    g: GameGraph,
+    alive: frozenset[int],
+    player: Player,
+    scale: int,
+    offset: int,
+    _cap_units: int | None = None,
 ) -> frozenset[int]:
-    """Vertices of `alive` from which `player` keeps the running sum of the
-    rescaled weights scale*w + offset bounded below while play stays in
-    `alive`, which is exactly where she forces mean-payoff >= 0 there:
-    those whose `_energy_credits` measure is below top."""
-    f, top = _energy_credits(g, alive, player, scale, offset)
+    """Vertices of `alive` whose `_energy_credits` measure is below top.
+    `player` wins from each of them the energy game of the rescaled weights
+    scale*w + offset while play stays in `alive`, and so forces mean-payoff
+    >= 0 there.  Under the default cap M this is exactly her region."""
+    f, top = _energy_credits(g, alive, player, scale, offset, _cap_units)
     return frozenset(v for v in alive if f[v] < top)
 
 
 def _energy_credits(
-    g: GameGraph, alive: frozenset[int], player: Player, scale: int, offset: int
+    g: GameGraph,
+    alive: frozenset[int],
+    player: Player,
+    scale: int,
+    offset: int,
+    _cap_units: int | None = None,
 ) -> tuple[list[int], int]:
-    """(f, top): f[v] is the least initial credit with which `player` keeps
-    the running sum of scale*w + offset non-negative from v while play
-    stays in `alive`, or top where no credit suffices.  Entries outside
-    `alive` are 0 and mean nothing.
+    """(f, top): f[v] is the least initial credit, up to the cap, with
+    which `player` keeps the running sum of scale*w + offset non-negative
+    from v while play stays in `alive`, or top where no such credit
+    suffices.  Entries outside `alive` are 0 and mean nothing.
 
-    f is the least-fixpoint progress measure.  Measures are capped at
-    Brim, Chaloupka, Doyen, Gentilini & Raskin's bound ("Faster algorithms
-    for mean-payoff games", FMSD 2011): M = sum over v in `alive` of
-    max(0, -least rescaled weight on v's edges inside `alive`).  The cap
-    is sound.  Once the winner's positional strategy is fixed, every
-    reachable cycle is non-negative, so cutting the cycles out of a finite
-    prefix of play never raises its sum: the prefix sums to at least a
-    simple path, which leaves each vertex at most once and so loses at
-    most M.  A credit of M therefore suffices
-    from every winning vertex, and a measure above M proves a loss.
+    f is the least-fixpoint progress measure, with every value above the
+    cap lifted to top.  By default the cap is Brim, Chaloupka, Doyen,
+    Gentilini & Raskin's bound ("Faster algorithms for mean-payoff games",
+    FMSD 2011): M = sum over v in `alive` of max(0, -least rescaled weight
+    on v's edges inside `alive`).  Then f is exact.  Once the winner's
+    positional strategy is fixed, every reachable cycle is non-negative,
+    so cutting the cycles out of a finite prefix of play never raises its
+    sum: the prefix sums to at least a simple path, which leaves each
+    vertex at most once and so loses at most M.  A credit of M therefore
+    suffices from every winning vertex, and a measure above M proves a
+    loss.
+
+    `_cap_units` = k lowers the cap to min(M, k*(u + 1)), u the largest
+    |rescaled weight| inside `alive`; k >= |alive| gives M.  Under any cap
+    the finite entries still form a progress measure: each of the
+    player's vertices has an edge to a finite u with f[u] - w <= f[v], and
+    every edge of an opponent vertex does.  Keeping to such edges, play
+    never lets the running sum fall below -f[v], so `player` wins from
+    every finite entry.  A lower cap only turns more entries to top.
     """
     owner, edges = g.owner, g.edges
     # (successor, rescaled weight) per alive vertex
@@ -85,7 +109,7 @@ def _energy_credits(
     # (predecessor, rescaled weight) for every edge inside alive
     pred: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     minimizer = [False] * g.n
-    cap = heaviest = 0
+    cap = heaviest = deepest = 0
     for v in alive:
         minimizer[v] = owner[v] is player
         out = succ[v]
@@ -102,6 +126,10 @@ def _energy_credits(
                 elif w > heaviest:
                     heaviest = w
         cap -= least
+        if least < deepest:
+            deepest = least
+    if _cap_units is not None:
+        cap = min(cap, _cap_units * (max(heaviest, -deepest) + 1))
     # top - w > cap for every weight w, so a successor at top never yields
     # a finite measure and needs no test of its own
     top = cap + heaviest + 1
@@ -146,16 +174,34 @@ def _threshold(
     g: GameGraph, alive: frozenset[int], player: Player, a: Fraction, strict: bool
 ) -> frozenset[int]:
     """Where `player` forces MP >= a (MP > a when `strict`) in `alive`.
-    The opponent's energy game must give the complement, which checks the
-    strict rescaling at run time."""
+
+    Each round solves both sides' energy games under one credit cap
+    (`_energy_credits`): the first at one rescaled weight, each next one
+    four times higher, and the last, once the multiple reaches |alive|, at
+    Brim's bound M.  Under any cap a finite entry certifies its side: the
+    player's rescaled sums stay bounded below, so her mean is at least a
+    (above a, by the one-unit shift, when strict), and the opponent's sums
+    on negated weights keep the mean below a (at most a when strict).  So
+    the two regions are disjoint, and once they cover `alive` they are the
+    answer.  At M each region is exact, so the last round always covers,
+    and checking the partition there also checks the strict rescaling at
+    run time."""
     # MP >= p/q  <=>  MP(q*n*w - p*n) >= 0; strict thresholds shift by one
     # unit, valid because cycle means have denominator <= n
     n = len(alive)
     scale, offset = a.denominator * n, a.numerator * n
-    won = _energy_win(g, alive, player, scale, -offset - strict)
-    # the opponent forces the complementary strict/non-strict threshold
-    # on negated weights
-    lost = _energy_win(g, alive, player.opponent, -scale, offset - 1 + strict)
+    units = 1
+    while True:
+        cap_units = None if units >= n else units
+        won = _energy_win(g, alive, player, scale, -offset - strict, cap_units)
+        # the opponent forces the complementary strict/non-strict
+        # threshold on negated weights
+        lost = _energy_win(
+            g, alive, player.opponent, -scale, offset - 1 + strict, cap_units
+        )
+        if cap_units is None or len(won | lost) == n:
+            break
+        units *= 4
     Regions(win_eve=won, win_adam=lost).check_partition(alive)
     return won
 

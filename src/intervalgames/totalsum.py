@@ -273,7 +273,11 @@ def _pin_bounds(
     """Per arena vertex v, the least clamp E + f[v] + 1 at which an escape
     below (first list) or above (second list) onto v is pinned, None where
     no finite credit suffices; and the default clamp, one more than the
-    largest of them (E + 2 when all are None)."""
+    largest of them (E + 2 when all are None).
+
+    The energy games keep `_energy_credits`' default cap, Brim et al.'s
+    bound, under which every credit is exact: a lower cap would still pin
+    soundly, but would leave more escapes unpinned."""
     reach = max((abs(x) for piece in pm.intervals for x in piece if isinstance(x, int)), default=0)
     alive = frozenset(range(g.n))
     sides = []

@@ -15,13 +15,23 @@ from intervalgames.arena import (
     PLUS_INF,
     Payoff,
     Player,
+    Regions,
     complement_intervals,
+    normalize,
 )
-from intervalgames.generate import random_game, random_interval_union, random_parity_game
+from intervalgames.generate import (
+    random_game,
+    random_interval_union,
+    random_objective,
+    random_parity_game,
+)
+from intervalgames import meanpayoff
 from intervalgames.meanpayoff import (
     Cmp,
     PriorityOutOfRange,
     ThresholdQuery,
+    _energy_credits,
+    _energy_win,
     mp_threshold,
     parity_to_mp,
     solve_mp_interval,
@@ -61,10 +71,30 @@ def test_threshold_le_lt():
     assert mp_threshold(loop(1), ThresholdQuery(F(1), Cmp.LT)).win_adam == frozenset({0})
 
 
-def test_threshold_credit_equal_to_the_cap():
+def record_rounds(monkeypatch) -> list[list]:
+    """Patch the threshold solver to log, per threshold, the `_cap_units`
+    of each of its energy games (None for the round at Brim's bound)."""
+    thresholds: list[list] = []
+    threshold, credits = meanpayoff._threshold, meanpayoff._energy_credits
+
+    def logged_threshold(*args):
+        thresholds.append([])
+        return threshold(*args)
+
+    def logged_credits(g, alive, player, scale, offset, _cap_units=None):
+        thresholds[-1].append(_cap_units)
+        return credits(g, alive, player, scale, offset, _cap_units)
+
+    monkeypatch.setattr(meanpayoff, "_threshold", logged_threshold)
+    monkeypatch.setattr(meanpayoff, "_energy_credits", logged_credits)
+    return thresholds
+
+
+def test_threshold_credit_equal_to_the_cap(monkeypatch):
     # k chain edges into a weight-0 loop: rescaled by n = k + 1, the chain
     # head needs credit k * n, which is exactly the progress-measure cap
     # (the sum of every vertex's most negative rescaled edge)
+    thresholds = record_rounds(monkeypatch)
     for k in range(1, 5):
         n = k + 1
         names = tuple(f"v{i}" for i in range(n))
@@ -79,6 +109,97 @@ def test_threshold_credit_equal_to_the_cap():
             # w = -1 tests Eve's measure at the cap, w = 1 tests Adam's
             assert mp_threshold(chain, ThresholdQuery(F(0), Cmp.GE)).win_eve == everything
             assert mp_threshold(chain, ThresholdQuery(F(0), Cmp.GT)).win_adam == everything
+            # the head's credit k * n is past the first cap of one rescaled
+            # weight, n + 1, in Eve's game for GE on a losing chain and in
+            # Adam's game for GT on a winning one
+            ge_rounds, gt_rounds = (len(caps) // 2 for caps in thresholds[-2:])
+            assert (ge_rounds if w == -1 else gt_rounds) > 1 or k == 1
+
+
+def test_capped_measure_is_a_certificate():
+    # under every cap, the finite entries of the least fixpoint are a
+    # progress measure for the player, they only grow with the cap, and
+    # at Brim's bound they are exactly the player's energy region
+    rng = make_rng(50)
+    for _ in range(300):
+        g = random_game(rng, rng.randint(1, 8), max_weight=rng.randint(1, 4))
+        alive = frozenset(range(g.n))
+        a = F(rng.randint(-6, 6), rng.randint(1, 3))
+        scale, offset = a.denominator * g.n, a.numerator * g.n
+        for strict in (False, True):
+            games = (
+                (Player.EVE, scale, -offset - strict),
+                (Player.ADAM, -scale, offset - 1 + strict),
+            )
+            for player, s, o in games:
+                grown = frozenset()
+                for units in list(range(g.n + 2)) + [None]:
+                    f, top = _energy_credits(g, alive, player, s, o, units)
+                    finite = frozenset(v for v in alive if f[v] < top)
+                    for v in finite:
+                        out = [g.edges[j] for j in g.out_edges[v]]
+                        kept = [
+                            f[e.dst] < top and f[e.dst] - (s * e.weight + o) <= f[v]
+                            for e in out
+                        ]
+                        assert f[v] >= 0
+                        assert any(kept) if g.owner[v] is player else all(kept)
+                    assert grown <= finite
+                    grown = finite
+                    if units is None or units >= g.n:
+                        assert finite == _energy_win(g, alive, player, s, o)
+
+
+def threshold_at_the_bound(g, alive, player, a, strict):
+    """The threshold solver before the credit cap grew in rounds: both
+    energy games at Brim's bound, then the partition check."""
+    n = len(alive)
+    scale, offset = a.denominator * n, a.numerator * n
+    won = _energy_win(g, alive, player, scale, -offset - strict)
+    lost = _energy_win(g, alive, player.opponent, -scale, offset - 1 + strict)
+    Regions(win_eve=won, win_adam=lost).check_partition(alive)
+    return won
+
+
+def test_threshold_agrees_with_both_games_at_the_bound(monkeypatch):
+    rng = make_rng(51)
+    cases = []
+    for _ in range(1500):
+        g = random_game(rng, rng.randint(1, 6), max_weight=3)
+        iu = random_interval_union(rng, 3, 4, half_grid=True)
+        cases.append((g, iu, F(rng.randint(-8, 8), 2)))
+
+    def solve_all():
+        return [
+            (solve_mp_interval(g, iu),)
+            + tuple(mp_threshold(g, ThresholdQuery(a, cmp)) for cmp in Cmp)
+            for g, iu, a in cases
+        ]
+
+    with monkeypatch.context() as m:
+        m.setattr(meanpayoff, "_threshold", threshold_at_the_bound)
+        at_the_bound = solve_all()
+    thresholds = record_rounds(monkeypatch)
+    assert solve_all() == at_the_bound
+    escalated = [caps for caps in thresholds if len(caps) > 2]
+    assert escalated
+    assert any(caps[-1] is None for caps in escalated)
+
+
+def test_most_thresholds_decided_under_a_low_cap(monkeypatch):
+    # the arena family of the benchmark's mean-payoff workload: a later
+    # change that climbs to Brim's bound on every threshold fails here
+    thresholds = record_rounds(monkeypatch)
+    rng = make_rng(52)
+    for _ in range(30):
+        g = random_game(rng, rng.randint(30, 60))
+        o = random_objective(rng, rng.choice((Payoff.MP_INF, Payoff.MP_SUP)), max_pieces=2)
+        g, o = normalize(g, o)
+        solve_mp_interval(g, o.intervals)
+    first = sum(caps == [1, 1] for caps in thresholds)
+    second = sum(caps == [1, 1, 4, 4] for caps in thresholds)
+    assert thresholds and first >= 0.6 * len(thresholds)
+    assert first + second >= 0.9 * len(thresholds)
 
 
 def test_interval_solver_empty_union():
