@@ -572,12 +572,13 @@ class Regions:
     def check_partition(self, vertices: frozenset[int]) -> None:
         """The three regions partition `vertices`: together they cover it
         and hold no other vertex, and with sizes summing to its size no
-        vertex can lie in two of them."""
+        vertex can lie in two of them.  Raises `AssertionError` explicitly,
+        so the check also runs under `python -O`."""
         total = len(self.win_eve) + len(self.win_adam) + len(self.unknown)
-        assert total == len(vertices), "region sizes do not sum to the vertex count"
-        assert self.win_eve | self.win_adam | self.unknown == vertices, (
-            "regions do not cover exactly the vertex set"
-        )
+        if total != len(vertices):
+            raise AssertionError("region sizes do not sum to the vertex count")
+        if self.win_eve | self.win_adam | self.unknown != vertices:
+            raise AssertionError("regions do not cover exactly the vertex set")
 
     def verdict(self, v: int) -> Verdict:
         if v in self.win_eve:

@@ -40,10 +40,10 @@ from .arena import (
     read_document,
     write_document,
 )
-from .discounted import decision_depth, solve_ds_interval, subset_sum_to_ds
+from .discounted import decision_depth, ds_optimal_values, solve_ds_interval, subset_sum_to_ds
 from .liminf import liminf_to_parity, parity_to_liminf, solve_liminf
 from .meanpayoff import parity_to_mp, solve_mp_interval
-from .oracle import brute_force_finite_horizon_ds, brute_force_positional
+from .oracle import brute_force_finite_horizon_ds, brute_force_positional, check_ds_values
 from .parity import solve_parity
 from .totalsum import countdown_to_total, solve_total_interval, totalsum_to_ocpg
 
@@ -265,10 +265,15 @@ def _oracle_suite(parsed, base) -> list[str]:
     gn, on = normalize(g, o)
     regions, _ = base
     if on.payoff is Payoff.DISCOUNTED:
+        if not check_ds_values(gn, on.lam, ds_optimal_values(gn, on.lam)):
+            raise OracleDisagreement("discounted game values fail their one-step equations")
         depth = decision_depth(gn, on.lam, on.intervals)
         if brute_force_finite_horizon_ds(gn, on.lam, on.intervals, depth) != regions.win_eve:
             raise OracleDisagreement("discounted solver disagrees with reference search")
-        return ["discounted: agreement with unpruned search"]
+        return [
+            "discounted: game values certified by their one-step equations",
+            "discounted: agreement with unpruned search",
+        ]
     if on.payoff is Payoff.TOTAL_INF:
         return ["total-sum: no positional oracle suite (three-valued solver); skipped"]
     reference = brute_force_positional(gn, on)

@@ -16,6 +16,11 @@ a denominator dividing D*q^k, and scaling by that one positive number
 keeps each comparison what it is on the rationals.  A set of such X is a
 bit, whether it holds the X below every flip, and the sorted flips, the
 points where membership changes.
+
+The game values come from a strategy iteration that also runs on plain
+integers: each value is an unreduced (numerator, positive denominator)
+pair, and candidates are compared by cross-multiplying, so no `Fraction`
+is built until each vertex's final value is.
 """
 
 from __future__ import annotations
@@ -91,9 +96,18 @@ def ds_value_lasso(prefix: Sequence[int], cycle: Sequence[int], lam: Fraction) -
     return total + power * cyc / (1 - lam ** len(cycle))
 
 
-def _profile_values(g: GameGraph, lam: Fraction, choice: Sequence[int]) -> list[Fraction]:
-    """Value at every vertex when both players follow fixed edge choices."""
-    values: list[Optional[Fraction]] = [None] * g.n
+def _profile_values(
+    g: GameGraph, lam: Fraction, choice: Sequence[int]
+) -> list[tuple[int, int]]:
+    """Value at every vertex when both players follow fixed edge choices,
+    as (numerator, positive denominator) pairs of integers, unreduced.
+
+    With lam = p/q, the value at u_j on a cycle u_0 ... u_{L-1} of weights
+    w_i is sum_i w_{j+i} p^i q^(L-i) over q^L - p^L (indices mod L), and a
+    vertex off the cycle whose chosen edge of weight w leads to a vertex of
+    value num/den has (w*q*den + p*num)/(q*den)."""
+    p, q = lam.numerator, lam.denominator
+    values: list[Optional[tuple[int, int]]] = [None] * g.n
     for start in range(g.n):
         if values[start] is not None:
             continue
@@ -105,16 +119,25 @@ def _profile_values(g: GameGraph, lam: Fraction, choice: Sequence[int]) -> list[
             path.append(v)
             v = g.edges[choice[v]].dst
         if values[v] is None:
-            # closed a fresh cycle; fill it forward from its exact value
+            # closed a fresh cycle: sum its weights at u_0, then step the
+            # numerator forward, num_(j+1) = (num_j - w_j*den)*q/p exactly
             cycle = path[pos[v]:]
-            cur = ds_value_lasso((), [g.edges[choice[u]].weight for u in cycle], lam)
-            for u in cycle:
-                values[u] = cur
-                cur = (cur - g.edges[choice[u]].weight) / lam
+            weights = [g.edges[choice[u]].weight for u in cycle]
+            num = 0
+            power = 1
+            for w in weights:
+                num = num * q + w * power
+                power *= p
+            den = q ** len(cycle) - power
+            num *= q
+            for u, w in zip(cycle, weights):
+                values[u] = (num, den)
+                num = (num - w * den) // p * q
         for u in reversed(path):
             if values[u] is None:
                 e = g.edges[choice[u]]
-                values[u] = e.weight + lam * values[e.dst]
+                num, den = values[e.dst]  # type: ignore[misc]
+                values[u] = (e.weight * q * den + p * num, q * den)
     return values  # type: ignore[return-value]
 
 
@@ -122,22 +145,28 @@ def _improve(
     g: GameGraph,
     lam: Fraction,
     choice: list[int],
-    values: Sequence[Fraction],
+    values: Sequence[tuple[int, int]],
     vertices: Sequence[int],
 ) -> bool:
     """Switch every listed vertex to its best one-step lookahead edge, the
     largest for Eve and the smallest for Adam; returns whether anything
-    strictly improved."""
+    strictly improved.  Candidates w + lam*num/den are compared by
+    cross-multiplying, which keeps the order since denominators are
+    positive."""
+    p, q = lam.numerator, lam.denominator
     changed = False
     for v in vertices:
         eve = g.owner[v] is Player.EVE
         best_j = choice[v]
-        best = values[v]
+        best_num, best_den = values[v]
         for j in g.out_edges[v]:
             e = g.edges[j]
-            cand = e.weight + lam * values[e.dst]
-            if (cand > best) if eve else (cand < best):
-                best = cand
+            num, den = values[e.dst]
+            num = e.weight * q * den + p * num
+            den *= q
+            diff = num * best_den - best_num * den
+            if (diff > 0) if eve else (diff < 0):
+                best_num, best_den = num, den
                 best_j = j
         if best_j != choice[v]:
             choice[v] = best_j
@@ -145,9 +174,10 @@ def _improve(
     return changed
 
 
-def _minmax(g: GameGraph, lam: Fraction) -> list[Fraction]:
-    """Values with Eve maximizing and Adam minimizing, by strategy iteration
-    with exact evaluation (Hoffman & Karp 1966).
+def _minmax(g: GameGraph, lam: Fraction) -> list[tuple[int, int]]:
+    """Values with Eve maximizing and Adam minimizing, as `_profile_values`
+    pairs, by strategy iteration with exact evaluation (Hoffman & Karp
+    1966).
 
     One edge choice per vertex serves both players.  Adam improves to his
     best reply to Eve's choices, starting from his previous reply (policy
@@ -170,18 +200,20 @@ def ds_optimal_values(g: GameGraph, lam: Fraction) -> DsValueTable:
     """Both game values at every vertex, exact; both players have optimal
     positional strategies that attain them.  maxmin, where Eve minimizes
     and Adam maximizes, is minus the minmax of the game with negated
-    weights."""
+    weights.  Every value lies within W/(1 - lam) of 0, which is checked
+    on the integer pairs: |num|*(q - p) <= W*q*den."""
     if not 0 < lam < 1:
         raise GameError(f"discount factor {lam} not in (0,1)")
-    table = DsValueTable(
-        minmax=tuple(_minmax(g, lam)),
-        maxmin=tuple(-x for x in _minmax(g.negate_weights(), lam)),
-    )
-    bound = Fraction(max_abs_weight(g)) / (1 - lam)
-    for v in range(g.n):
-        assert -bound <= table.minmax[v] <= bound
-        assert -bound <= table.maxmin[v] <= bound
-    return table
+    p, q = lam.numerator, lam.denominator
+    scale = max_abs_weight(g) * q
+    tables = []
+    for sign, h in ((1, g), (-1, g.negate_weights())):
+        pairs = _minmax(h, lam)
+        for v, (num, den) in enumerate(pairs):
+            if abs(num) * (q - p) > scale * den:
+                raise AssertionError(f"value at vertex {v} exceeds W/(1 - lam)")
+        tables.append(tuple(Fraction(sign * num, den) for num, den in pairs))
+    return DsValueTable(minmax=tables[0], maxmin=tables[1])
 
 
 def horizon(g: GameGraph, lam: Fraction, width: Fraction) -> int:
@@ -290,8 +322,12 @@ def solve_ds_interval(g: GameGraph, lam: Fraction, iu: IntervalUnion) -> Regions
     d = math.lcm(*(t.denominator for t, *_ in ends), *(x.denominator for x in values))
     p, q = lam.numerator, lam.denominator
     pk, qk = p**depth, q**depth
+
+    def scaled(x: Fraction) -> int:
+        return x.numerator * (d // x.denominator)
+
     ends = [
-        (int(t * d) * qk + further, [pk * int(x * d) for x in val], delta)
+        (scaled(t) * qk + further, [pk * scaled(x) for x in val], delta)
         for t, val, further, delta in ends
     ]
     # the vertices reachable in exactly k steps shrink as k grows and

@@ -524,6 +524,33 @@ def brute_force_finite_horizon_ds(
         wins = None  # it reaches itself through its closure cell
 
 
+def check_ds_values(g: GameGraph, lam: Fraction, table) -> bool:
+    """Whether `table.minmax` and `table.maxmin` are the two discounted
+    game values of `g`, with Eve maximizing and with Eve minimizing.
+
+    Each table must solve its one-step optimality equations exactly:
+    val(v) is the largest of w + lam*val(dst) over v's edges where the
+    maximizer moves and the smallest where the minimizer does.  That
+    one-step operator is a lam-contraction in the sup norm, so each system
+    has exactly one solution, the game value (Shapley 1953), and a table
+    that passes is certified whatever computed it.
+    """
+    if not 0 < lam < 1:
+        raise GameError(f"discount factor {lam} not in (0,1)")
+    for values, eve_maximizes in ((table.minmax, True), (table.maxmin, False)):
+        if len(values) != g.n:
+            return False
+        for v in range(g.n):
+            steps = []
+            for j in g.out_edges[v]:
+                e = g.edges[j]
+                steps.append(e.weight + lam * values[e.dst])
+            maximizes = (g.owner[v] is Player.EVE) == eve_maximizes
+            if values[v] != (max(steps) if maximizes else min(steps)):
+                return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # direct searches for the generator families
 

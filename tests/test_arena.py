@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -265,3 +269,20 @@ def test_check_partition_rejects_a_stray_vertex():
     # a vertex in two regions covers the set but overfills the count
     with pytest.raises(AssertionError):
         Regions(frozenset({0, 1}), frozenset({1, 2})).check_partition(everything)
+
+
+def test_check_partition_runs_under_optimization():
+    # `python -O` strips assert statements; the check raises explicitly
+    code = (
+        "from intervalgames.arena import Regions\n"
+        "assert False, 'asserts are not stripped'\n"
+        "Regions(frozenset({0}), frozenset({0})).check_partition(frozenset({0, 1}))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 1
+    assert "AssertionError: regions do not cover exactly the vertex set" in proc.stderr

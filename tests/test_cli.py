@@ -165,6 +165,11 @@ def test_check_oracle_suites(capsys):
     assert code == 0
     assert "agreement" in out
 
+    code, out, _ = run(capsys, "check", CORPUS / "ds_thirds.game", "--suite", "oracle")
+    assert code == 0
+    assert "game values certified by their one-step equations" in out
+    assert "agreement with unpruned search" in out
+
 
 def test_generate_is_deterministic(capsys):
     args = ("generate", "subset-sum", "--pairs", "2", "--target", "4", "--seed", "7")

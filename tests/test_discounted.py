@@ -15,7 +15,9 @@ from intervalgames.arena import (
     Player,
     contains,
 )
+from intervalgames import discounted
 from intervalgames.discounted import (
+    DsValueTable,
     NonpositiveWidth,
     SingletonNotSupported,
     SubsetSumInstance,
@@ -110,6 +112,126 @@ def test_four_values_match_positional_strategy_enumeration():
         for v in range(g.n):
             assert t.minmax[v] == max(min(r[v] for r in row) for row in values), (g, lam, v)
             assert t.maxmin[v] == min(max(r[v] for r in row) for row in values), (g, lam, v)
+
+
+# The strategy iteration as it was on `Fraction`s, kept as the reference
+# that the integer one must reproduce round for round and switch for switch.
+
+
+def _fraction_profile_values(g, lam, choice):
+    values = [None] * g.n
+    for start in range(g.n):
+        if values[start] is not None:
+            continue
+        path = []
+        pos = {}
+        v = start
+        while values[v] is None and v not in pos:
+            pos[v] = len(path)
+            path.append(v)
+            v = g.edges[choice[v]].dst
+        if values[v] is None:
+            cycle = path[pos[v]:]
+            cur = ds_value_lasso((), [g.edges[choice[u]].weight for u in cycle], lam)
+            for u in cycle:
+                values[u] = cur
+                cur = (cur - g.edges[choice[u]].weight) / lam
+        for u in reversed(path):
+            if values[u] is None:
+                e = g.edges[choice[u]]
+                values[u] = e.weight + lam * values[e.dst]
+    return values
+
+
+def _fraction_improve(g, lam, choice, values, vertices):
+    changed = False
+    for v in vertices:
+        eve = g.owner[v] is Player.EVE
+        best_j = choice[v]
+        best = values[v]
+        for j in g.out_edges[v]:
+            e = g.edges[j]
+            cand = e.weight + lam * values[e.dst]
+            if (cand > best) if eve else (cand < best):
+                best = cand
+                best_j = j
+        if best_j != choice[v]:
+            choice[v] = best_j
+            changed = True
+    return changed
+
+
+def _fraction_minmax(g, lam):
+    eve_vertices = [v for v in range(g.n) if g.owner[v] is Player.EVE]
+    adam_vertices = [v for v in range(g.n) if g.owner[v] is Player.ADAM]
+    choice = [edges[0] for edges in g.out_edges]
+
+    def improve(values, vertices):
+        # the integer evaluation and switches agree with these at each round
+        pairs = discounted._profile_values(g, lam, choice)
+        assert [F(num, den) for num, den in pairs] == values
+        mirror = list(choice)
+        changed = _fraction_improve(g, lam, choice, values, vertices)
+        assert discounted._improve(g, lam, mirror, pairs, vertices) == changed
+        assert mirror == choice
+        return changed
+
+    while True:
+        values = _fraction_profile_values(g, lam, choice)
+        if improve(values, adam_vertices):
+            continue
+        if not improve(values, eve_vertices):
+            return values
+
+
+def test_integer_iteration_matches_the_fraction_reference():
+    rng = make_rng(58)
+    lams = (F(1, 3), F(3, 7), F(1, 2), F(2, 3), F(3, 4), F(4, 5), F(9, 10), F(19, 20))
+    for i in range(1200):
+        g = random_game(rng, rng.randint(1, 10), max_weight=rng.randint(0, 4))
+        lam = lams[i % len(lams)]
+        reference = DsValueTable(
+            minmax=tuple(_fraction_minmax(g, lam)),
+            maxmin=tuple(-x for x in _fraction_minmax(g.negate_weights(), lam)),
+        )
+        table = ds_optimal_values(g, lam)
+        assert hash(table) == hash(reference) and table == reference, (g.edges, lam)
+
+
+def _profile_with_cycle(rng, length, tail):
+    """A game and an edge choice per vertex under which vertices
+    0..length-1 form one cycle and each of the `tail` further vertices
+    leads to an earlier vertex; every vertex also has a spare edge."""
+    n = length + tail
+    succ = [(v + 1) % length if v < length else rng.randrange(v) for v in range(n)]
+    edges = []
+    choice = []
+    for v in range(n):
+        spare = Edge(v, rng.randrange(n), rng.randint(-4, 4))
+        chosen = Edge(v, succ[v], rng.randint(-4, 4))
+        pair = [spare, chosen] if rng.random() < 0.5 else [chosen, spare]
+        choice.append(len(edges) + pair.index(chosen))
+        edges += pair
+    owner = tuple(rng.choice((Player.EVE, Player.ADAM)) for _ in range(n))
+    return GameGraph(tuple(f"v{v}" for v in range(n)), owner, tuple(edges), 0), choice
+
+
+def test_profile_pairs_are_lasso_values():
+    rng = make_rng(59)
+    lams = (F(1, 3), F(2, 3), F(3, 7), F(9, 10), F(19, 20), F(999, 1000))
+    for length in range(1, 11):
+        for _ in range(30):
+            g, choice = _profile_with_cycle(rng, length, rng.randint(0, 6))
+            lam = rng.choice(lams)
+            pairs = discounted._profile_values(g, lam, choice)
+            for v, (num, den) in enumerate(pairs):
+                assert den > 0
+                play = induced_lasso(g, choice, v)
+                assert len(play.cycle) == length
+                expected = ds_value_lasso(
+                    [e.weight for e in play.prefix], [e.weight for e in play.cycle], lam
+                )
+                assert F(num, den) == expected, (g.edges, choice, lam, v)
 
 
 def test_horizon_examples():

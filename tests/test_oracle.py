@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction as F
 
@@ -14,13 +15,14 @@ from intervalgames.arena import (
     Payoff,
     Player,
 )
-from intervalgames.discounted import ds_value_lasso
+from intervalgames.discounted import DsValueTable, ds_optimal_values, ds_value_lasso
 from intervalgames.generate import random_game, random_interval_union
 from intervalgames.meanpayoff import ThresholdQuery, Cmp, mp_threshold
 from intervalgames.oracle import (
     Lasso,
     TooLarge,
     brute_force_positional,
+    check_ds_values,
     one_player_mp_achievable,
     play_value,
 )
@@ -176,3 +178,26 @@ def test_guards_are_hard_errors():
         brute_force_positional(
             wide, Objective(Payoff.LIMINF, IntervalUnion((Interval(F(0), F(0)),)))
         )
+
+
+def test_discounted_values_certified_by_one_step_equations():
+    rng = make_rng(61)
+    lams = (F(1, 2), F(9, 10), F(19, 20), F(999, 1000))
+    for i in range(320):
+        g = random_game(rng, rng.randint(1, 8), max_weight=rng.randint(0, 4))
+        lam = lams[i % len(lams)]
+        table = ds_optimal_values(g, lam)
+        assert check_ds_values(g, lam, table), (g.edges, lam)
+        # the equations have one solution, so any other table fails them
+        v = rng.randrange(g.n)
+        column = rng.choice(("minmax", "maxmin"))
+        values = list(getattr(table, column))
+        values[v] += F(1, values[v].denominator)
+        moved = dataclasses.replace(table, **{column: tuple(values)})
+        assert not check_ds_values(g, lam, moved), (g.edges, lam, column, v)
+    # the two tables of a game where the players' roles matter differ,
+    # and swapping them fails
+    eve = GameGraph(("v",), (Player.EVE,), (Edge(0, 0, 0), Edge(0, 0, 1)), 0)
+    table = ds_optimal_values(eve, F(1, 2))
+    assert check_ds_values(eve, F(1, 2), table)
+    assert not check_ds_values(eve, F(1, 2), DsValueTable(table.maxmin, table.minmax))
