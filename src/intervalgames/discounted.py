@@ -399,7 +399,8 @@ def subset_sum_to_ds(
     edges = []
     for i, (a, b) in enumerate(s.pairs, start=1):
         factor = Fraction(scale) / lam ** (i - 1)
-        assert factor.denominator == 1
+        if factor.denominator != 1:
+            raise AssertionError(f"round {i} scale {factor} is not an integer")
         for value in (a, b):
             edges.append(Edge(i - 1, i, int(factor) * value))
     edges.append(Edge(n, n, 0))

@@ -31,9 +31,8 @@ def random_game(
     rng: random.Random,
     n_vertices: int,
     max_weight: int = 3,
-    extra_edges: Optional[int] = None,
 ) -> GameGraph:
-    """Random arena: one guaranteed exit per vertex plus extra edges."""
+    """Random arena: one guaranteed exit per vertex plus n_vertices more."""
     if n_vertices < 1:
         raise BadParameters("need at least one vertex")
     names = tuple(f"q{i}" for i in range(n_vertices))
@@ -43,9 +42,7 @@ def random_game(
         edges.append(
             Edge(v, rng.randrange(n_vertices), rng.randint(-max_weight, max_weight))
         )
-    if extra_edges is None:
-        extra_edges = n_vertices
-    for _ in range(extra_edges):
+    for _ in range(n_vertices):
         edges.append(
             Edge(
                 rng.randrange(n_vertices),
@@ -60,9 +57,8 @@ def random_parity_game(
     rng: random.Random,
     n_vertices: int,
     max_priority: int = 3,
-    extra_edges: Optional[int] = None,
 ) -> ParityGame:
-    g = random_game(rng, n_vertices, max_weight=0, extra_edges=extra_edges)
+    g = random_game(rng, n_vertices, max_weight=0)
     return ParityGame(
         names=g.names,
         owner=g.owner,

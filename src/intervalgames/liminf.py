@@ -10,8 +10,10 @@ barely change the graph.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 from .arena import (
@@ -25,14 +27,9 @@ from .arena import (
     ParityGame,
     Player,
     Regions,
-    UnsupportedObjective,
     fresh_namer,
 )
 from .parity import Graph, solve_parity
-
-
-class EmptyObjective(UnsupportedObjective):
-    """The objective contains no integer at all, so no priority map exists."""
 
 
 IntEndpoint = Union[int, Infinity]
@@ -43,7 +40,10 @@ class PriorityMap:
     """Closed integer intervals, ordered with strict gaps between them.
 
     Interval i (1-based) maps to priority 2i, the gap below everything to
-    priority 1, and the gap above interval i to priority 2i+1.
+    priority 1, and the gap above interval i to priority 2i+1.  The
+    outermost gaps are empty when the map is unbounded on that side, so
+    the nonempty regions run from `lowest` upward, one more after each
+    of the `cuts`.
     """
 
     intervals: tuple[tuple[IntEndpoint, IntEndpoint], ...]
@@ -56,24 +56,19 @@ class PriorityMap:
     def is_empty(self) -> bool:
         return not self.intervals
 
-    def bounds(self, i: int) -> tuple[IntEndpoint, IntEndpoint]:
-        """(min, max) integer of the region with priority i; infinite
-        markers for unbounded sides, (PLUS_INF, MINUS_INF) when the region
-        is empty (only possible for the outermost gaps)."""
-        if i % 2 == 0:
-            return self.intervals[i // 2 - 1]
-        if i == 1:
-            first_lo = self.intervals[0][0]
-            if isinstance(first_lo, Infinity):
-                return PLUS_INF, MINUS_INF
-            return MINUS_INF, first_lo - 1
-        if i == 2 * self.r + 1:
-            last_hi = self.intervals[-1][1]
-            if isinstance(last_hi, Infinity):
-                return PLUS_INF, MINUS_INF
-            return last_hi + 1, PLUS_INF
-        j = (i - 1) // 2  # gap between intervals j and j+1, both sides finite
-        return self.intervals[j - 1][1] + 1, self.intervals[j][0] - 1
+    @property
+    def lowest(self) -> int:
+        """Priority of the lowest region: 1, or 2 when the first interval
+        is unbounded below and the gap under it is empty."""
+        return 2 if self.intervals and isinstance(self.intervals[0][0], Infinity) else 1
+
+    @cached_property
+    def cuts(self) -> tuple[int, ...]:
+        """The finite integers where a region starts, ascending: each
+        finite lower end and each finite upper end plus one."""
+        return tuple(
+            x + d for piece in self.intervals for x, d in zip(piece, (0, 1)) if isinstance(x, int)
+        )
 
 
 def _lo_int(j: Interval) -> IntEndpoint:
@@ -94,36 +89,25 @@ def _hi_int(j: Interval) -> IntEndpoint:
 
 def integerize(iu: IntervalUnion) -> PriorityMap:
     """Intersect with the integers: open rational endpoints are rounded
-    inward, empty pieces dropped, touching runs merged."""
-    pieces = []
+    inward, empty pieces dropped, touching runs merged.  The pieces of a
+    union are sorted and disjoint, so two can only touch where one starts
+    right after the other ends, and only the last can end at +inf."""
+    merged: list[tuple[IntEndpoint, IntEndpoint]] = []
     for j in iu.intervals:
         lo, hi = _lo_int(j), _hi_int(j)
-        if lo == PLUS_INF or hi == MINUS_INF:
+        if lo > hi:
             continue
-        if not isinstance(lo, Infinity) and not isinstance(hi, Infinity) and lo > hi:
-            continue
-        pieces.append((lo, hi))
-    merged: list[tuple[IntEndpoint, IntEndpoint]] = []
-    for lo, hi in pieces:
-        if merged:
-            plo, phi = merged[-1]
-            touching = not isinstance(phi, Infinity) and not isinstance(lo, Infinity) and lo <= phi + 1
-            if touching:
-                merged[-1] = (plo, max(phi, hi) if not isinstance(hi, Infinity) else hi)
-                continue
-        merged.append((lo, hi))
+        if merged and lo == merged[-1][1] + 1:
+            merged[-1] = (merged[-1][0], hi)
+        else:
+            merged.append((lo, hi))
     return PriorityMap(tuple(merged))
 
 
 def omega_I(n: int, pm: PriorityMap) -> int:
-    """Priority of the integer n: the region whose bounds hold it."""
-    if pm.is_empty:
-        raise EmptyObjective("priority map for an objective with no integer points")
-    for i in range(1, 2 * pm.r + 2):
-        lo, hi = pm.bounds(i)
-        if lo <= n <= hi:
-            return i
-    raise AssertionError("the regions of a priority map cover the integers")
+    """Priority of the integer n: the lowest priority plus the number of
+    cuts at or below n.  An empty map gives 1 everywhere."""
+    return pm.lowest + bisect_right(pm.cuts, n)
 
 
 def _subdivision(g: GameGraph, pm: PriorityMap) -> Graph:

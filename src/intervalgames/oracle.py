@@ -233,10 +233,7 @@ def brute_force_positional(
         eve, adam = _pair_enumeration(
             game, lambda lasso: play_value(lasso, Payoff.LIMINF).numerator % 2 == 0
         )
-        result = OracleRegions(eve, adam, exact=True)
-        assert not (result.win_eve & result.win_adam)
-        assert len(result.win_eve | result.win_adam) == game.n
-        return result
+        return _checked(OracleRegions(eve, adam, exact=True), game.n)
 
     payoff, iu, lam = objective.payoff, objective.intervals, objective.lam
     if payoff is Payoff.DISCOUNTED:
@@ -264,11 +261,17 @@ def brute_force_positional(
                                       negate=payoff is Payoff.MP_SUP)
     else:
         raise UnsupportedObjective(f"no positional oracle for {payoff}")
-    if result.exact:
-        assert not (result.win_eve & result.win_adam)
-        assert len(result.win_eve | result.win_adam) == game.n
-    else:
-        assert not (result.win_eve & result.win_adam)
+    return _checked(result, game.n)
+
+
+def _checked(result: OracleRegions, n: int) -> OracleRegions:
+    """`result` once its regions are disjoint and, when exact, cover all n
+    vertices.  Raises `AssertionError` explicitly, so the check also runs
+    under `python -O`."""
+    if result.win_eve & result.win_adam:
+        raise AssertionError("oracle regions overlap")
+    if result.exact and len(result.win_eve | result.win_adam) != n:
+        raise AssertionError("exact oracle regions do not cover every vertex")
     return result
 
 

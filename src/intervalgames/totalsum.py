@@ -43,12 +43,9 @@ from .arena import (
     Edge,
     GameError,
     GameGraph,
-    Infinity,
     Interval,
     IntervalUnion,
-    MINUS_INF,
     OneCounterParityGame,
-    PLUS_INF,
     Player,
     Regions,
     UnsupportedObjective,
@@ -98,15 +95,6 @@ class TotalSolution(NamedTuple):
     bound: int
 
 
-def assertable_regions(pm: PriorityMap) -> list[int]:
-    """Region indices Eve may assert: exactly the image of the priority
-    function.  The outermost gaps are empty when the objective is
-    unbounded on that side; an empty region has no punish edges, so
-    allowing its assertion would hand Eve an unpunishable lie that masks
-    the true priority."""
-    return [i for i in range(1, 2 * pm.r + 2) if pm.bounds(i) != (PLUS_INF, MINUS_INF)]
-
-
 _SINKS = ("zero", "bot", "top")
 
 
@@ -123,11 +111,13 @@ def totalsum_to_ocpg(g: GameGraph, iu: IntervalUnion) -> OneCounterParityGame:
     pm = integerize(iu)
     if pm.is_empty:
         raise NoFiniteEndpoint("objective contains no integers")
-    r = pm.r
-    regions = assertable_regions(pm)
-    bounds = [pm.bounds(i) for i in regions]
-    if not any(isinstance(m, int) or isinstance(mx, int) for m, mx in bounds):
+    cuts, r = pm.cuts, pm.r
+    if not cuts:
         raise NoFiniteEndpoint("objective has no finite region boundary")
+    # Eve may assert exactly the image of omega_I.  An empty outer gap has
+    # no punish edge, so asserting it would be an unpunishable lie that
+    # masks the true priority.
+    regions = range(pm.lowest, pm.lowest + len(cuts) + 1)
 
     n, width = g.n, len(regions)
 
@@ -165,12 +155,13 @@ def totalsum_to_ocpg(g: GameGraph, iu: IntervalUnion) -> OneCounterParityGame:
         for j in range(width):
             edges.append(Edge(at(n + k), at(e.dst, 0, j), 0))
     for v in range(n):
-        for j, (m_j, mx_j) in enumerate(bounds):
+        # region j holds the counters from cuts[j - 1] to cuts[j] - 1
+        for j in range(width):
             src = at(v, 0, j)
-            if isinstance(m_j, int):
-                edges.append(Edge(src, v_bot, -m_j))
-            if isinstance(mx_j, int):
-                edges.append(Edge(src, v_top, -mx_j))
+            if j > 0:
+                edges.append(Edge(src, v_bot, -cuts[j - 1]))
+            if j < len(cuts):
+                edges.append(Edge(src, v_top, 1 - cuts[j]))
             edges.append(Edge(src, at(v, 1, j), 0))
     edges.append(Edge(v_bot, v_bot, -1))
     edges.append(Edge(v_top, v_top, +1))
@@ -183,7 +174,7 @@ def totalsum_to_ocpg(g: GameGraph, iu: IntervalUnion) -> OneCounterParityGame:
         priority=tuple(priority),
         edges=tuple(edges),
         zero_edges=zero_edges,
-        initial=at(g.initial, 1, regions.index(omega_I(0, pm))),
+        initial=at(g.initial, 1, omega_I(0, pm) - pm.lowest),
     )
 
 
@@ -262,9 +253,7 @@ def _clamped_game(
 
 def _outer_priorities(pm: PriorityMap) -> tuple[int, int]:
     """Priorities of the lowest and of the highest nonempty region."""
-    bounded_below = not (pm.intervals and isinstance(pm.intervals[0][0], Infinity))
-    bounded_above = not (pm.intervals and isinstance(pm.intervals[-1][1], Infinity))
-    return (1 if bounded_below else 2), (2 * pm.r + 1 if bounded_above else 2 * pm.r)
+    return pm.lowest, pm.lowest + len(pm.cuts)
 
 
 def _pin_bounds(
@@ -354,7 +343,7 @@ def solve_total_interval(
             configs=Regions(win_eve=frozenset(), win_adam=frozenset()),
             bound=bound if bound is not None else 0,
         )
-    if all(isinstance(x, Infinity) for piece in pm.intervals for x in piece):
+    if not pm.cuts:
         raise NoFiniteEndpoint("objective has no finite region boundary")
     down, up, default = _pin_bounds(g, pm)
     b = default if bound is None else bound

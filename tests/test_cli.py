@@ -405,6 +405,8 @@ def test_output_bytes_match_the_recorded_files(capsys):
         (("solve", CORPUS / "countdown_even.game", "--regions", "--format", "structured"),
          "countdown_even.structured.json"),
         (("reduce", CORPUS / "loop0_total.game", "--to", "ocpg"), "loop0_total.ocpg"),
+        # the lowest gap is empty: Eve asserts regions 2, 3 and 4
+        (("reduce", CORPUS / "fig5.game", "--to", "ocpg"), "fig5.ocpg"),
         # ids that JSON must escape: a quote, a backslash, a non-ASCII
         # letter and a character outside the Basic Multilingual Plane
         (("solve", GOLDEN / "escaped_ids.game", "--regions", "--format", "structured"),

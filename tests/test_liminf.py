@@ -1,17 +1,17 @@
 from fractions import Fraction as F
 from pathlib import Path
 
-import pytest
-
 from intervalgames.arena import (
     Edge,
     GameGraph,
     Interval,
     IntervalUnion,
+    MINUS_INF,
     Objective,
     PLUS_INF,
     Payoff,
     Player,
+    contains,
     fresh_namer,
     normalize,
     read_document,
@@ -25,7 +25,6 @@ from intervalgames.generate import (
     random_parity_game,
 )
 from intervalgames.liminf import (
-    EmptyObjective,
     PriorityMap,
     _subdivision,
     integerize,
@@ -71,8 +70,7 @@ def test_omega_examples():
     assert [omega_I(n, pm) for n in (1, 2, 4, 6, 8)] == [1, 2, 3, 4, 5]
     pm0 = PriorityMap(((0, 0),))
     assert [omega_I(n, pm0) for n in (0, -1, 1)] == [2, 1, 3]
-    with pytest.raises(EmptyObjective):
-        omega_I(0, PriorityMap(()))
+    assert omega_I(0, PriorityMap(())) == 1
 
 
 def _staircase_reference(n, pm):
@@ -86,10 +84,30 @@ def _staircase_reference(n, pm):
 
 
 def test_omega_monotone_staircase():
-    pm = PriorityMap(((-7, -5), (-1, 2), (6, 9)))
-    values = [omega_I(n, pm) for n in range(-20, 21)]
-    assert values == sorted(values)
-    assert values == [_staircase_reference(n, pm) for n in range(-20, 21)]
+    for pm in (
+        PriorityMap(((-7, -5), (-1, 2), (6, 9))),
+        PriorityMap(((MINUS_INF, -5), (-1, 2), (6, 9))),
+        PriorityMap(((-7, -5), (-1, 2), (6, PLUS_INF))),
+        PriorityMap(((MINUS_INF, -5), (-1, 2), (6, PLUS_INF))),
+        PriorityMap(((MINUS_INF, 3),)),
+        PriorityMap(((3, PLUS_INF),)),
+    ):
+        values = [omega_I(n, pm) for n in range(-20, 21)]
+        assert values == sorted(values), pm
+        assert values == [_staircase_reference(n, pm) for n in range(-20, 21)], pm
+
+
+def test_omega_is_even_exactly_on_the_objective():
+    rng = make_rng(33)
+    unbounded = set()  # (below, above) combinations seen
+    for _ in range(300):
+        iu = random_interval_union(rng, 3, 4, half_grid=True)
+        pm = integerize(iu)
+        unbounded.add((contains(iu, MINUS_INF), contains(iu, PLUS_INF)))
+        values = [omega_I(n, pm) for n in range(-30, 31)]
+        assert values == sorted(values), iu
+        assert [v % 2 == 0 for v in values] == [contains(iu, F(n)) for n in range(-30, 31)], iu
+    assert len(unbounded) == 4
 
 
 def test_reduction_shape_and_forced_win():
@@ -115,6 +133,10 @@ def test_empty_integer_objective_reports_adam_everywhere():
     iu = IntervalUnion((Interval(F(1, 3), F(2, 3)),))
     res = solve_liminf(g, iu)
     assert res.win_adam == frozenset({0})
+    # the reduction is total: every priority is 1, so Adam wins there too
+    p = liminf_to_parity(g, iu)
+    assert p.priority == (1, 1)
+    assert solve_parity(p).win_adam == frozenset({0, 1})
 
 
 def test_winner_equality_on_random_games():

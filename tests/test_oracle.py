@@ -1,6 +1,10 @@
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +91,35 @@ def test_parity_mode_exact():
     p = ParityGame(("v",), (Player.EVE,), (Edge(0, 0),), (0,), 0)
     res = brute_force_positional(p)
     assert res.exact and res.win_eve == frozenset({0})
+
+
+def test_region_checks_run_under_optimization():
+    # `python -O` strips assert statements; the checks raise explicitly, on
+    # the parity path and on the objective path alike
+    code = (
+        "from fractions import Fraction\n"
+        "from intervalgames import oracle\n"
+        "from intervalgames.arena import Edge, GameGraph, Interval, IntervalUnion, Objective,"
+        " Payoff, Player\n"
+        "from intervalgames.parity import ParityGame\n"
+        "assert False, 'asserts are not stripped'\n"
+        "oracle._pair_enumeration = lambda game, wins: (frozenset({0}), frozenset({0}))\n"
+        "g = GameGraph(('v',), (Player.EVE,), (Edge(0, 0, 0),), 0)\n"
+        "o = Objective(Payoff.LIMINF, IntervalUnion((Interval(Fraction(0), Fraction(0)),)))\n"
+        "for args in ((ParityGame(('v',), (Player.EVE,), (Edge(0, 0),), (0,), 0),), (g, o)):\n"
+        "    try:\n"
+        "        oracle.brute_force_positional(*args)\n"
+        "    except AssertionError as e:\n"
+        "        print(e)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "oracle regions overlap\n" * 2
 
 
 def test_memory_hard_instance_gets_empty_lower_bound():
