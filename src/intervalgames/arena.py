@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, total_ordering
 from itertools import chain, repeat
 from operator import itemgetter, neg
 from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn, Optional, Sequence, Union
@@ -99,6 +99,7 @@ _SUP_TO_INF = {
 }
 
 
+@total_ordering
 class Infinity:
     """Signed infinity, totally ordered against Fraction and int."""
 
@@ -126,18 +127,6 @@ class Infinity:
     def __lt__(self, other):
         c = self._cmp(other)
         return NotImplemented if c is None else c < 0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c >= 0
 
     def __repr__(self) -> str:
         return "inf" if self.sign > 0 else "-inf"
@@ -468,14 +457,8 @@ class IntervalUnion:
     intervals: tuple[Interval, ...] = ()
 
     def __post_init__(self):
-        ivs = sorted(
-            self.intervals,
-            key=lambda j: (
-                (j.lo == MINUS_INF and -1) or 0,
-                j.lo if not isinstance(j.lo, Infinity) else 0,
-                j.lo_open,
-            ),
-        )
+        # Fraction defers to Infinity's reflected comparison
+        ivs = sorted(self.intervals, key=lambda j: (j.lo, j.lo_open))
         merged: list[Interval] = []
         for j in ivs:
             if merged and _merges_with(merged[-1], j):

@@ -77,25 +77,6 @@ class DsValueTable:
     maxmin: tuple[Fraction, ...]
 
 
-def ds_value_lasso(prefix: Sequence[int], cycle: Sequence[int], lam: Fraction) -> Fraction:
-    """Exact discounted sum of the ultimately periodic weight sequence."""
-    if not 0 < lam < 1:
-        raise GameError(f"discount factor {lam} not in (0,1)")
-    if not cycle:
-        raise GameError("lasso cycle must be nonempty")
-    total = Fraction(0)
-    power = Fraction(1)
-    for w in prefix:
-        total += power * w
-        power *= lam
-    cyc = Fraction(0)
-    cpow = Fraction(1)
-    for w in cycle:
-        cyc += cpow * w
-        cpow *= lam
-    return total + power * cyc / (1 - lam ** len(cycle))
-
-
 def _profile_values(
     g: GameGraph, lam: Fraction, choice: Sequence[int]
 ) -> list[tuple[int, int]]:
@@ -147,16 +128,16 @@ def _improve(
     choice: list[int],
     values: Sequence[tuple[int, int]],
     vertices: Sequence[int],
+    maximize: bool,
 ) -> bool:
-    """Switch every listed vertex to its best one-step lookahead edge, the
-    largest for Eve and the smallest for Adam; returns whether anything
-    strictly improved.  Candidates w + lam*num/den are compared by
-    cross-multiplying, which keeps the order since denominators are
-    positive."""
+    """Switch every listed vertex, all of one player, to its best one-step
+    lookahead edge, the largest when `maximize` and the smallest otherwise;
+    returns whether anything strictly improved.  Candidates
+    w + lam*num/den are compared by cross-multiplying, which keeps the
+    order since denominators are positive."""
     p, q = lam.numerator, lam.denominator
     changed = False
     for v in vertices:
-        eve = g.owner[v] is Player.EVE
         best_j = choice[v]
         best_num, best_den = values[v]
         for j in g.out_edges[v]:
@@ -165,7 +146,7 @@ def _improve(
             num = e.weight * q * den + p * num
             den *= q
             diff = num * best_den - best_num * den
-            if (diff > 0) if eve else (diff < 0):
+            if (diff > 0) if maximize else (diff < 0):
                 best_num, best_den = num, den
                 best_j = j
         if best_j != choice[v]:
@@ -174,10 +155,10 @@ def _improve(
     return changed
 
 
-def _minmax(g: GameGraph, lam: Fraction) -> list[tuple[int, int]]:
-    """Values with Eve maximizing and Adam minimizing, as `_profile_values`
-    pairs, by strategy iteration with exact evaluation (Hoffman & Karp
-    1966).
+def _minmax(g: GameGraph, lam: Fraction, eve_maximizes: bool) -> list[tuple[int, int]]:
+    """Values with Eve maximizing and Adam minimizing, or with the aims
+    swapped when not `eve_maximizes`, as `_profile_values` pairs, by
+    strategy iteration with exact evaluation (Hoffman & Karp 1966).
 
     One edge choice per vertex serves both players.  Adam improves to his
     best reply to Eve's choices, starting from his previous reply (policy
@@ -190,29 +171,31 @@ def _minmax(g: GameGraph, lam: Fraction) -> list[tuple[int, int]]:
     choice = [edges[0] for edges in g.out_edges]
     while True:
         values = _profile_values(g, lam, choice)
-        if _improve(g, lam, choice, values, adam_vertices):
+        if _improve(g, lam, choice, values, adam_vertices, not eve_maximizes):
             continue
-        if not _improve(g, lam, choice, values, eve_vertices):
+        if not _improve(g, lam, choice, values, eve_vertices, eve_maximizes):
             return values
 
 
 def ds_optimal_values(g: GameGraph, lam: Fraction) -> DsValueTable:
     """Both game values at every vertex, exact; both players have optimal
     positional strategies that attain them.  maxmin, where Eve minimizes
-    and Adam maximizes, is minus the minmax of the game with negated
-    weights.  Every value lies within W/(1 - lam) of 0, which is checked
-    on the integer pairs: |num|*(q - p) <= W*q*den."""
+    and Adam maximizes, is the same iteration on `g` with the aims swapped:
+    on negated weights every profile pair would be (-num, den), so every
+    comparison would flip and each player make the same switches.  Every
+    value lies within W/(1 - lam) of 0, which is checked on the integer
+    pairs: |num|*(q - p) <= W*q*den."""
     if not 0 < lam < 1:
         raise GameError(f"discount factor {lam} not in (0,1)")
     p, q = lam.numerator, lam.denominator
     scale = max_abs_weight(g) * q
     tables = []
-    for sign, h in ((1, g), (-1, g.negate_weights())):
-        pairs = _minmax(h, lam)
+    for eve_maximizes in (True, False):
+        pairs = _minmax(g, lam, eve_maximizes)
         for v, (num, den) in enumerate(pairs):
             if abs(num) * (q - p) > scale * den:
                 raise AssertionError(f"value at vertex {v} exceeds W/(1 - lam)")
-        tables.append(tuple(Fraction(sign * num, den) for num, den in pairs))
+        tables.append(tuple(Fraction(num, den) for num, den in pairs))
     return DsValueTable(minmax=tables[0], maxmin=tables[1])
 
 

@@ -207,13 +207,16 @@ def _threshold(
 
 
 def mp_threshold(g: GameGraph, query: ThresholdQuery) -> Regions:
-    """Exact partition for "Eve forces MP ~ a"."""
+    """Exact partition for "Eve forces MP ~ a".  For <= and < the roles
+    swap: mean-payoff games are positionally determined (Ehrenfeucht &
+    Mycielski 1979), so Eve keeps MP <= a exactly where Adam cannot force
+    MP > a, and MP < a exactly where he cannot force MP >= a."""
     a, cmp = query.threshold, query.cmp
-    if cmp in (Cmp.LE, Cmp.LT):
-        # Eve minimizing: negate weights and flip the comparison
-        g, a = g.negate_weights(), -a
     alive = frozenset(range(g.n))
-    win_eve = _threshold(g, alive, Player.EVE, a, cmp in (Cmp.GT, Cmp.LT))
+    if cmp in (Cmp.GE, Cmp.GT):
+        win_eve = _threshold(g, alive, Player.EVE, a, cmp is Cmp.GT)
+    else:
+        win_eve = alive - _threshold(g, alive, Player.ADAM, a, cmp is Cmp.LE)
     return Regions(win_eve=win_eve, win_adam=alive - win_eve)
 
 

@@ -61,7 +61,12 @@ def _cycle_mean(cycle: Sequence[Edge]) -> Fraction:
     return Fraction(sum(e.weight for e in cycle), len(cycle))
 
 
-def _ds_lasso(prefix: Sequence[int], cycle: Sequence[int], lam: Fraction) -> Fraction:
+def ds_value_lasso(prefix: Sequence[int], cycle: Sequence[int], lam: Fraction) -> Fraction:
+    """Exact discounted sum of the ultimately periodic weight sequence."""
+    if not 0 < lam < 1:
+        raise GameError(f"discount factor {lam} not in (0,1)")
+    if not cycle:
+        raise GameError("lasso cycle must be nonempty")
     total = Fraction(0)
     power = Fraction(1)
     for w in prefix:
@@ -91,7 +96,7 @@ def play_value(
     if payoff is Payoff.DISCOUNTED:
         if lam is None:
             raise GameError("discounted payoff needs a discount factor")
-        return _ds_lasso(prefix_weights, cycle_weights, lam)
+        return ds_value_lasso(prefix_weights, cycle_weights, lam)
     if payoff in (Payoff.TOTAL_INF, Payoff.TOTAL_SUP):
         cycle_sum = sum(cycle_weights)
         if cycle_sum > 0:
@@ -469,7 +474,7 @@ def brute_force_finite_horizon_ds(
             for v in range(n):
                 lasso = _lasso_from(choice, g, v)
                 row.append(
-                    _ds_lasso(
+                    ds_value_lasso(
                         [e.weight for e in lasso.prefix],
                         [e.weight for e in lasso.cycle],
                         lam,

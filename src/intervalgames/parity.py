@@ -64,8 +64,18 @@ def _zielonka(p: Graph, alive: frozenset[int]):
     """One Zielonka frame over an alive-mask, run by `_run_frames`.  The
     first recursive call is a `yield` of the subgame's frame, answered
     with that subgame's regions; the second is unrolled into the loop.
-    Returns each player's region, keyed by player."""
+    Returns each player's region, keyed by player.
+
+    Say a round peels B, the opponent's attractor of its region in the
+    subgame G - A, and B misses the player's region W there.  If the next
+    round has the same least priority and attractor A - B, its subgame
+    (G - A) - B is W, a dominion of the player's in G - A, so the player
+    wins all of it and then everything alive: the frame ends there instead
+    of solving W again, which would take n^3 steps on Eve's priority line
+    with an odd last priority."""
     region: dict[Player, set[int]] = {Player.EVE: set(), Player.ADAM: set()}
+    # (d, A - B) of the last peel, while B missed the player's region
+    last = None
     while alive:
         d = min(p.priority[v] for v in alive)
         player = Player.EVE if d % 2 == 0 else Player.ADAM
@@ -75,6 +85,9 @@ def _zielonka(p: Graph, alive: frozenset[int]):
             break
         target = frozenset(v for v in alive if p.priority[v] == d)
         attr = attractor(p, target, player, alive)
+        if last == (d, attr):
+            region[player] |= alive
+            break
         sub_region = yield _zielonka(p, alive - attr)
         opponent = player.opponent
         if not sub_region[opponent]:
@@ -84,6 +97,7 @@ def _zielonka(p: Graph, alive: frozenset[int]):
         battr = attractor(p, sub_region[opponent], opponent, alive)
         region[opponent] |= battr
         alive = alive - battr
+        last = (d, attr - battr) if battr.isdisjoint(sub_region[player]) else None
     return region
 
 

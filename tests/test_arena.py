@@ -1,4 +1,7 @@
+import json
+import operator
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -20,17 +23,21 @@ from intervalgames.arena import (
     MalformedDocument,
     Objective,
     PLUS_INF,
+    ParityGame,
     Payoff,
     Player,
     Regions,
     UnknownVertexReference,
+    UnsupportedObjective,
     complement_intervals,
     contains,
     max_abs_weight,
     normalize,
     parse_game,
+    read_document,
     serialize_game,
 )
+from intervalgames.cli import main
 from intervalgames.generate import random_game, random_objective
 
 from conftest import make_rng
@@ -125,6 +132,92 @@ def test_non_int_vertex_index_rejected(edges, initial, message):
         GameGraph(("a", "b"), (Player.EVE, Player.ADAM), edges, initial)
 
 
+def _document(objective=(), **changes):
+    """A valid one-vertex liminf document with the given top-level keys
+    replaced and the `objective` keys merged into its objective."""
+    return {
+        "vertices": [{"id": "a", "owner": "eve"}],
+        "edges": [{"src": "a", "dst": "a", "weight": 1}],
+        "initial": "a",
+        "objective": {"payoff": "liminf", "intervals": [{"lo": "0", "hi": "1"}], **dict(objective)},
+        **changes,
+    }
+
+
+def _parity_document(*vertices):
+    return _document(
+        vertices=list(vertices), edges=[{"src": "a", "dst": "a"}], objective={"payoff": "parity"}
+    )
+
+
+def _interval(lo, hi, **flags):
+    return _document(objective={"intervals": [{"lo": lo, "hi": hi, **flags}]})
+
+
+ONE_LOOP = (("a",), (Player.EVE,), (Edge(0, 0, 0),), 0)
+PARITY_LOOP = json.dumps(_parity_document({"id": "a", "owner": "eve", "priority": 0}))
+
+
+@pytest.mark.parametrize(
+    "case, error, message",
+    [
+        (_document(vertices=[{"id": "a", "owner": "eve"}] * 2), MalformedDocument,
+         "duplicate vertex identifiers"),
+        (_document(objective={"payoff": "mean"}), MalformedDocument, "unknown payoff 'mean'"),
+        (_document(objective={"lambda": "1/2"}), MalformedDocument,
+         "'lambda' is only meaningful for the discounted payoff"),
+        (_document(objective={"payoff": "discounted"}), MalformedDocument,
+         "discounted objective: missing key 'lambda'"),
+        ([], MalformedDocument, "document root must be an object"),
+        ({**_document(), "objective": []}, MalformedDocument, "objective must be an object"),
+        (_document(objective={"intervals": ["0"]}), MalformedDocument, "bad interval entry '0'"),
+        (_document(initial="z"), UnknownVertexReference, "initial vertex 'z' not listed"),
+        (_interval("1", "1", lo_open=True), EmptyInterval, "empty interval (1,1]"),
+        (_interval("inf", "inf"), EmptyInterval, "empty interval (inf,inf)"),
+        (_interval("0", "inf", hi_open=False), EmptyInterval, "infinite endpoints must be open"),
+        (_interval("x", "1"), MalformedDocument, "bad rational 'x'"),
+        (_interval(True, "1"), MalformedDocument, "expected a rational, got True"),
+        (_interval("0", 1.5), MalformedDocument, "expected a rational, got 1.5"),
+        (_parity_document({"id": "a", "owner": "eve"}), MalformedDocument,
+         "vertex 'a': missing priority"),
+        (_parity_document({"id": "a", "owner": "eve", "priority": -1}), MalformedDocument,
+         "priority -1 is not a non-negative integer"),
+        (lambda: GameGraph((), (), (), 0), MalformedDocument, "a game needs at least one vertex"),
+        (lambda: GameGraph(("a",), (Player.EVE, Player.ADAM), (Edge(0, 0, 0),), 0),
+         MalformedDocument, "owner list does not match vertex list"),
+        (lambda: ParityGame(("a",), (Player.EVE,), (Edge(0, 0),), (0, 1), 0),
+         MalformedDocument, "priority list does not match vertex list"),
+        (lambda: GameGraph(*ONE_LOOP[:3], 1), UnknownVertexReference, "initial vertex index 1"),
+        (lambda: GameGraph(*ONE_LOOP[:2], (Edge(0, 0, 0), Edge(0, 1, 0)), 0),
+         UnknownVertexReference, "edge Edge(src=0, dst=1, weight=0) references a missing vertex"),
+        (lambda: GameGraph(*ONE_LOOP[:2], (Edge(0, 0, F(1, 2)),), 0), MalformedDocument,
+         "edge weight Fraction(1, 2) is not an integer"),
+        (lambda: Objective(Payoff.DISCOUNTED, IntervalUnion()), LambdaOutOfRange,
+         "discounted objective needs a discount factor"),
+        (lambda: Objective(Payoff.LIMINF, IntervalUnion(), F(1, 2)), MalformedDocument,
+         "discount factor given for a non-discounted payoff"),
+        (lambda: parse_game(PARITY_LOOP), UnsupportedObjective,
+         "parity documents are not payoff games"),
+    ],
+)
+def test_each_rejection_names_its_fault(case, error, message, capsys, tmp_path):
+    # a document exits 2 through the command line with its one error line;
+    # a game or objective built in code raises the same class of error
+    if callable(case):
+        with pytest.raises(error) as caught:
+            case()
+        assert str(caught.value) == message
+        return
+    text = json.dumps(case)
+    with pytest.raises(error, match=re.escape(message)):
+        read_document(text)
+    f = tmp_path / "bad.game"
+    f.write_text(text)
+    assert main(["solve", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+
+
 def test_empty_interval_rejected():
     with pytest.raises(EmptyInterval):
         Interval(F(1), F(0))
@@ -156,6 +249,39 @@ def test_interval_union_canonical_merge():
     assert len(b.intervals) == 2
     assert b.has_singleton_gap
     assert not b.has_singleton_interval
+
+
+def _rank(x):
+    # the order of the extended line, written out apart from Infinity's
+    return (x.sign, 0) if x in (MINUS_INF, PLUS_INF) else (0, x)
+
+
+@pytest.mark.parametrize("op", [
+    operator.lt, operator.le, operator.eq, operator.ne, operator.gt, operator.ge,
+])
+def test_infinities_order_against_numbers_and_each_other(op):
+    values = (MINUS_INF, PLUS_INF, -3, 0, 7, F(-5, 2), F(0), F(10**30, 7))
+    for inf in (MINUS_INF, PLUS_INF):
+        for x in values:
+            assert op(inf, x) is op(_rank(inf), _rank(x)), (op, inf, x)
+            assert op(x, inf) is op(_rank(x), _rank(inf)), (op, x, inf)
+
+
+def test_interval_union_ignores_the_order_of_its_pieces():
+    rng = make_rng(71)
+    ends = (MINUS_INF, F(-2), F(-1, 2), F(0), F(0), F(1), F(3, 2), PLUS_INF)
+    for _ in range(3000):
+        pieces = []
+        for _ in range(rng.randint(1, 6)):
+            lo, hi = sorted(rng.sample(ends, 2), key=_rank)
+            lo_open = lo == MINUS_INF or rng.random() < 0.5
+            hi_open = hi == PLUS_INF or rng.random() < 0.5
+            if lo == hi:
+                lo_open = hi_open = False
+            pieces.append(Interval(lo, hi, lo_open, hi_open))
+        in_order = IntervalUnion(tuple(sorted(pieces, key=lambda j: (_rank(j.lo), j.lo_open))))
+        rng.shuffle(pieces)
+        assert IntervalUnion(tuple(pieces)) == in_order, pieces
 
 
 def test_normalize_limsup_and_total_sup():

@@ -6,6 +6,7 @@ import pytest
 
 from intervalgames.arena import (
     Edge,
+    GameError,
     GameGraph,
     Interval,
     IntervalUnion,
@@ -23,7 +24,6 @@ from intervalgames.discounted import (
     SubsetSumInstance,
     decision_depth,
     ds_optimal_values,
-    ds_value_lasso,
     horizon,
     solve_ds_interval,
     subset_sum_to_ds,
@@ -33,6 +33,7 @@ from intervalgames.oracle import (
     Lasso,
     TooLarge,
     brute_force_finite_horizon_ds,
+    ds_value_lasso,
     play_value,
     subset_sum_winner,
 )
@@ -49,6 +50,11 @@ def test_lasso_values():
     assert ds_value_lasso((), (1,), half) == 2
     assert ds_value_lasso((1,), (0,), half) == 1
     assert ds_value_lasso((), (1, 0), half) == F(4, 3)
+    for lam in (F(0), F(1), F(3, 2)):
+        with pytest.raises(GameError, match="not in"):
+            ds_value_lasso((), (1,), lam)
+    with pytest.raises(GameError, match="nonempty"):
+        ds_value_lasso((1,), (), half)
 
 
 def test_four_values_single_loop():
@@ -166,21 +172,21 @@ def _fraction_minmax(g, lam):
     adam_vertices = [v for v in range(g.n) if g.owner[v] is Player.ADAM]
     choice = [edges[0] for edges in g.out_edges]
 
-    def improve(values, vertices):
+    def improve(values, vertices, maximize):
         # the integer evaluation and switches agree with these at each round
         pairs = discounted._profile_values(g, lam, choice)
         assert [F(num, den) for num, den in pairs] == values
         mirror = list(choice)
         changed = _fraction_improve(g, lam, choice, values, vertices)
-        assert discounted._improve(g, lam, mirror, pairs, vertices) == changed
+        assert discounted._improve(g, lam, mirror, pairs, vertices, maximize) == changed
         assert mirror == choice
         return changed
 
     while True:
         values = _fraction_profile_values(g, lam, choice)
-        if improve(values, adam_vertices):
+        if improve(values, adam_vertices, False):
             continue
-        if not improve(values, eve_vertices):
+        if not improve(values, eve_vertices, True):
             return values
 
 

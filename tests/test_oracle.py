@@ -19,7 +19,7 @@ from intervalgames.arena import (
     Payoff,
     Player,
 )
-from intervalgames.discounted import DsValueTable, ds_optimal_values, ds_value_lasso
+from intervalgames.discounted import DsValueTable, ds_optimal_values
 from intervalgames.generate import random_game, random_interval_union
 from intervalgames.meanpayoff import ThresholdQuery, Cmp, mp_threshold
 from intervalgames.oracle import (
@@ -27,6 +27,7 @@ from intervalgames.oracle import (
     TooLarge,
     brute_force_positional,
     check_ds_values,
+    ds_value_lasso,
     one_player_mp_achievable,
     play_value,
 )

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from intervalgames import parity
 from intervalgames.arena import Edge, GameGraph, Player, read_document, write_document
 from intervalgames.generate import random_game, random_parity_game
 from intervalgames.oracle import brute_force_positional
@@ -103,10 +104,10 @@ def test_priority_line_nests_past_the_recursion_limit():
 
 
 def test_priority_line_with_odd_last_priority_needs_no_stack():
-    # With n - 1 odd, Zielonka solves the line again after giving Adam its
-    # last vertex, once per even frame, so the work grows as n^3: n = 1,200
-    # takes most of a minute.  A shorter line, solved with the stack held
-    # to a few frames above the caller's, shows the nesting uses none.
+    # With n - 1 odd, each even frame gives Adam the last vertex and then
+    # ends without solving its next subgame, the region Eve won in the
+    # last one.  Solved with the stack held to a few frames above the
+    # caller's, the line shows the nesting uses none.
     n = 240
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 50)
@@ -116,6 +117,24 @@ def test_priority_line_with_odd_last_priority_needs_no_stack():
         sys.setrecursionlimit(limit)
     assert solved.win_adam == frozenset({n - 1})
     assert solved.win_eve == frozenset(range(n - 1))
+
+
+def test_priority_line_with_odd_last_priority_takes_linear_attractor_calls(monkeypatch):
+    # each even frame gives Adam the last vertex; a frame that then solved
+    # its last subgame again would make on the order of n^3 calls
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return attractor(*args)
+
+    monkeypatch.setattr(parity, "attractor", counted)
+    for n in (400, 1200):
+        calls = 0
+        solved = solve_parity(priority_line(n))
+        assert solved.win_adam == frozenset({n - 1})
+        assert calls <= 3 * n, (n, calls)
 
 
 def one_vertex(priority, owner=Player.EVE):
