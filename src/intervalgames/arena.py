@@ -527,6 +527,12 @@ def complement_intervals(iu: IntervalUnion) -> IntervalUnion:
     return IntervalUnion(tuple(pieces))
 
 
+def check_discount(lam: Fraction) -> None:
+    """Raise unless the discount factor lies strictly between 0 and 1."""
+    if not 0 < lam < 1:
+        raise LambdaOutOfRange(f"discount factor {lam} not in (0,1)")
+
+
 @dataclass(frozen=True)
 class Objective:
     payoff: Payoff
@@ -537,8 +543,7 @@ class Objective:
         if self.payoff is Payoff.DISCOUNTED:
             if self.lam is None:
                 raise LambdaOutOfRange("discounted objective needs a discount factor")
-            if not (0 < self.lam < 1):
-                raise LambdaOutOfRange(f"discount factor {self.lam} not in (0,1)")
+            check_discount(self.lam)
         elif self.lam is not None:
             raise MalformedDocument("discount factor given for a non-discounted payoff")
 

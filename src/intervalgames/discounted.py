@@ -42,6 +42,7 @@ from .arena import (
     Player,
     Regions,
     UnsupportedObjective,
+    check_discount,
     max_abs_weight,
 )
 
@@ -185,8 +186,7 @@ def ds_optimal_values(g: GameGraph, lam: Fraction) -> DsValueTable:
     comparison would flip and each player make the same switches.  Every
     value lies within W/(1 - lam) of 0, which is checked on the integer
     pairs: |num|*(q - p) <= W*q*den."""
-    if not 0 < lam < 1:
-        raise GameError(f"discount factor {lam} not in (0,1)")
+    check_discount(lam)
     p, q = lam.numerator, lam.denominator
     scale = max_abs_weight(g) * q
     tables = []
@@ -204,8 +204,7 @@ def horizon(g: GameGraph, lam: Fraction, width: Fraction) -> int:
     inside any interval or gap of the given width."""
     if width <= 0:
         raise NonpositiveWidth(f"width {width} must be positive")
-    if not 0 < lam < 1:
-        raise GameError(f"discount factor {lam} not in (0,1)")
+    check_discount(lam)
     w = max_abs_weight(g)
     if w == 0:
         return 0
@@ -288,8 +287,7 @@ def solve_ds_interval(g: GameGraph, lam: Fraction, iu: IntervalUnion) -> Regions
         raise SingletonNotSupported(
             "singleton intervals unsupported for discounted sum"
         )
-    if not 0 < lam < 1:
-        raise GameError(f"discount factor {lam} not in (0,1)")
+    check_discount(lam)
     n = g.n
     if iu.is_empty:
         return Regions(win_eve=frozenset(), win_adam=frozenset(range(n)))
@@ -369,8 +367,7 @@ def subset_sum_to_ds(
     winner because the payoff is linear in the weights.  Returns the game,
     the scaled target interval, the discount factor and the scale used.
     """
-    if not 0 < lam < 1:
-        raise GameError(f"discount factor {lam} not in (0,1)")
+    check_discount(lam)
     n = len(s.pairs)
     p, q = lam.numerator, lam.denominator
     scale = p ** (n - 1)

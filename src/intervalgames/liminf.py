@@ -3,8 +3,10 @@
 The liminf of an integer-weighted play is always an integer, so the
 objective is integerized up front; afterwards every interval is a closed
 integer interval and the priority function over the integers is well
-defined.  Both reduction directions preserve winners vertex by vertex and
-barely change the graph.
+defined.  Both reduction directions preserve winners vertex by vertex.
+Towards parity, a vertex carries the highest priority of a weight on an
+edge into it, and only the edges of lower priority pass through a
+subdivider, one per target and priority.
 """
 
 from __future__ import annotations
@@ -110,50 +112,88 @@ def omega_I(n: int, pm: PriorityMap) -> int:
     return pm.lowest + bisect_right(pm.cuts, n)
 
 
-def _subdivision(g: GameGraph, pm: PriorityMap) -> Graph:
-    """The solver's view of `g` with every edge subdivided: vertex g.n + k
-    subdivides edge k and carries the priority of its weight, original
-    vertices carry 2r+1.
+def _subdivision(g: GameGraph, pm: PriorityMap) -> tuple[Graph, list[int]]:
+    """The solver's view of `g` as a parity game, and the vertex each edge
+    of `g` enters in it.
 
-    Subdividers are Eve-owned with a single successor, so their ownership
-    is semantically inert.  Each distinct weight's priority is computed
-    once.
+    With top = 2r+1 and q(e) the priority of the weight of edge e, each
+    vertex v of `g` carries label(v), the highest q(e) over the edges e
+    into v, or top if none enters.  An edge with q(e) = label(dst) goes
+    straight to dst; any other edge enters the subdivider of (dst, q(e)),
+    numbered from n in the order the edges first reach one: an Eve-owned
+    vertex with priority q(e) and the single successor dst, shared by all
+    such edges.
+
+    This is the game with every edge subdivided (vertices of `g` at top,
+    the subdivider of e at q(e)) with the same winners on the vertices of
+    `g`.  Let S be the priorities a play sees infinitely often; in the
+    subdivided game min S = min(top, q(e) over the edges e it takes
+    infinitely often), and here it is the same:
+    - a direct edge e taken infinitely often visits dst infinitely often,
+      and label(dst) = q(e);
+    - a vertex v visited infinitely often is entered infinitely often by
+      some edge e with q(e) <= label(v), so label(v) never lowers the
+      minimum;
+    - a shared subdivider is bisimilar to the per-edge ones it replaces:
+      same owner, same priority, same single successor.
+    A subdivider has a single successor, so its owner is inert.
     """
-    n, m = g.n, len(g.edges)
+    n, top = g.n, 2 * pm.r + 1
     srcs, dsts, weights = zip(*g.edges)
+    omega = {w: omega_I(w, pm) for w in set(weights)}
+    prios = list(map(omega.__getitem__, weights))
+    # every priority is at least 1, so 0 marks a vertex nothing enters
+    label = [0] * n
+    for dst, q in zip(dsts, prios):
+        if q > label[dst]:
+            label[dst] = q
+    label = [q or top for q in label]
     succ: list = [[] for _ in range(n)]
     pred: list = [[] for _ in range(n)]
-    for k, src, dst in zip(range(n, n + m), srcs, dsts):
-        succ[src].append(k)
-        pred[dst].append(k)
-    # a subdivider's one successor and one predecessor, as 1-tuples
-    succ.extend(zip(dsts))
-    pred.extend(zip(srcs))
-    omega = {w: omega_I(w, pm) for w in set(weights)}
-    return Graph(
-        n=n + m,
-        owner=tuple(g.owner) + (Player.EVE,) * m,
-        priority=(2 * pm.r + 1,) * n + tuple(map(omega.__getitem__, weights)),
+    subs: dict[tuple[int, int], int] = {}
+    sub_ends, sub_prios, targets = [], [], []
+    for src, dst, q in zip(srcs, dsts, prios):
+        if q != label[dst]:
+            sub = subs.get((dst, q))
+            if sub is None:
+                sub = subs[dst, q] = len(pred)
+                pred.append([])
+                sub_ends.append(dst)
+                sub_prios.append(q)
+            dst = sub
+        targets.append(dst)
+        succ[src].append(dst)
+        pred[dst].append(src)
+    for sub, dst in enumerate(sub_ends, n):
+        pred[dst].append(sub)
+    # a subdivider's one successor, as a 1-tuple
+    succ.extend(zip(sub_ends))
+    graph = Graph(
+        n=len(pred),
+        owner=tuple(g.owner) + (Player.EVE,) * len(sub_ends),
+        priority=label + sub_prios,
         succ=succ,
         pred=pred,
     )
+    return graph, targets
 
 
 def liminf_to_parity(g: GameGraph, iu: IntervalUnion) -> ParityGame:
-    """The subdivided game (`_subdivision`) as a parity document.  Parity
-    edges come in pairs: edge 2k enters the subdivider of original edge k,
-    edge 2k+1 leaves it."""
-    graph = _subdivision(g, integerize(iu))
+    """The game `_subdivision` builds, as a parity document.  Edge k enters
+    the vertex the k-th edge of `g` enters, and each subdivider's edge to
+    its target follows, in subdivider order.  A subdivider of v at
+    priority q is named "v@q", made fresh."""
+    graph, targets = _subdivision(g, integerize(iu))
+    n = g.n
     fresh = fresh_namer(g.names)
-    edges = []
-    for sub, e in enumerate(g.edges, g.n):
-        edges.append(Edge(e.src, sub))
-        edges.append(Edge(sub, e.dst))
+    sub_ends = [dst for (dst,) in graph.succ[n:]]
     return ParityGame(
-        names=tuple(g.names) + tuple(fresh(f"e{k}") for k in range(len(g.edges))),
+        names=tuple(g.names)
+        + tuple(fresh(f"{g.names[v]}@{q}") for v, q in zip(sub_ends, graph.priority[n:])),
         owner=graph.owner,
-        edges=tuple(edges),
-        priority=graph.priority,
+        edges=tuple(Edge(e.src, dst) for e, dst in zip(g.edges, targets))
+        + tuple(map(Edge, range(n, graph.n), sub_ends)),
+        priority=tuple(graph.priority),
         initial=g.initial,
     )
 
@@ -178,7 +218,7 @@ def solve_liminf(g: GameGraph, iu: IntervalUnion) -> Regions:
     pm = integerize(iu)
     if pm.is_empty:
         return Regions(win_eve=frozenset(), win_adam=everything)
-    solved = solve_parity(_subdivision(g, pm))
+    solved = solve_parity(_subdivision(g, pm)[0])
     regions = Regions(
         win_eve=solved.win_eve & everything,
         win_adam=solved.win_adam & everything,

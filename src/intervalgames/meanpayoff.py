@@ -220,32 +220,50 @@ def mp_threshold(g: GameGraph, query: ThresholdQuery) -> Regions:
     return Regions(win_eve=win_eve, win_adam=alive - win_eve)
 
 
-def _interval_win(g: GameGraph, iu: IntervalUnion, alive: frozenset[int], player: Player):
+def _nested_objectives(iu: IntervalUnion) -> list[IntervalUnion]:
+    """The objectives of the nested fixpoint, outermost first, up to the
+    first empty one: a union unbounded below is followed by its
+    complement, any other union by (-inf, a] joined to it, a its infimum.
+    A complement is bounded below or empty, and a join drops the finite
+    boundary a, so the list is finite."""
+    nested = []
+    while not iu.is_empty:
+        nested.append(iu)
+        a = iu.inf
+        if a == MINUS_INF:
+            iu = complement_intervals(iu)
+        else:
+            iu = IntervalUnion((Interval(MINUS_INF, a, True, False),) + iu.intervals)
+    return nested
+
+
+def _interval_win(
+    g: GameGraph, nested: list[IntervalUnion], level: int, alive: frozenset[int], player: Player
+):
     """Frame for `_run_frames`: `player`'s region of "mean-payoff lands in
-    the union" while play stays in `alive`, whose vertices must each keep
-    an edge into it.
+    nested[level]" (empty past the last level) while play stays in
+    `alive`, whose vertices must each keep an edge into it.
 
     Peels the opponent's regions to a fixpoint: the opponent wins
     outright wherever `player` loses the threshold game just below the
-    union, or the nested game whose objective also admits everything
-    below the first interval.  A union unbounded below is the opponent's
-    complement.  The nesting terminates because each step drops one
-    finite boundary.
+    union, or the next level's game, whose objective also admits
+    everything below the first interval.  A union unbounded below is the
+    opponent's complement, the next level.
     """
-    if iu.is_empty:
+    if level == len(nested):
         return frozenset()
+    iu = nested[level]
     a = iu.inf
     if a == MINUS_INF:
-        dual = yield _interval_win(g, complement_intervals(iu), alive, player.opponent)
+        dual = yield _interval_win(g, nested, level + 1, alive, player.opponent)
         return alive - dual
     assert isinstance(a, Fraction)
     strict = iu.intervals[0].lo_open  # a in I iff the first interval is closed at a
-    recursive_iu = IntervalUnion((Interval(MINUS_INF, a, True, False),) + iu.intervals)
     lost: frozenset[int] = frozenset()
     while len(lost) < len(alive):
         current = alive - lost
         won = _threshold(g, current, player, a, strict)
-        won &= yield _interval_win(g, recursive_iu, current, player)
+        won &= yield _interval_win(g, nested, level + 1, current, player)
         if won == current:
             break
         # The opponent defeats the (prefix independent) objective from
@@ -261,9 +279,11 @@ def _interval_win(g: GameGraph, iu: IntervalUnion, alive: frozenset[int], player
 def solve_mp_interval(g: GameGraph, iu: IntervalUnion) -> Regions:
     """Winning regions for "mean-payoff lands in the union", solved on `g`
     itself: the nested fixpoint passes along which player wants the union
-    and runs one frame per finite boundary on an explicit stack."""
+    and runs one frame per finite boundary on an explicit stack, over
+    objectives built once per solve."""
     alive = frozenset(range(g.n))
-    win_eve = _run_frames(_interval_win(g, iu, alive, Player.EVE))
+    nested = _nested_objectives(iu)
+    win_eve = _run_frames(_interval_win(g, nested, 0, alive, Player.EVE))
     return Regions(win_eve=win_eve, win_adam=alive - win_eve)
 
 

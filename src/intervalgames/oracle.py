@@ -24,6 +24,7 @@ from .arena import (
     Payoff,
     Player,
     UnsupportedObjective,
+    check_discount,
     complement_intervals,
     contains,
 )
@@ -63,8 +64,7 @@ def _cycle_mean(cycle: Sequence[Edge]) -> Fraction:
 
 def ds_value_lasso(prefix: Sequence[int], cycle: Sequence[int], lam: Fraction) -> Fraction:
     """Exact discounted sum of the ultimately periodic weight sequence."""
-    if not 0 < lam < 1:
-        raise GameError(f"discount factor {lam} not in (0,1)")
+    check_discount(lam)
     if not cycle:
         raise GameError("lasso cycle must be nonempty")
     total = Fraction(0)
@@ -543,8 +543,7 @@ def check_ds_values(g: GameGraph, lam: Fraction, table) -> bool:
     has exactly one solution, the game value (Shapley 1953), and a table
     that passes is certified whatever computed it.
     """
-    if not 0 < lam < 1:
-        raise GameError(f"discount factor {lam} not in (0,1)")
+    check_discount(lam)
     for values, eve_maximizes in ((table.minmax, True), (table.maxmin, False)):
         if len(values) != g.n:
             return False

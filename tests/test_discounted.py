@@ -10,7 +10,9 @@ from intervalgames.arena import (
     GameGraph,
     Interval,
     IntervalUnion,
+    LambdaOutOfRange,
     MINUS_INF,
+    Objective,
     PLUS_INF,
     Payoff,
     Player,
@@ -33,6 +35,7 @@ from intervalgames.oracle import (
     Lasso,
     TooLarge,
     brute_force_finite_horizon_ds,
+    check_ds_values,
     ds_value_lasso,
     play_value,
     subset_sum_winner,
@@ -55,6 +58,31 @@ def test_lasso_values():
             ds_value_lasso((), (1,), lam)
     with pytest.raises(GameError, match="nonempty"):
         ds_value_lasso((1,), (), half)
+
+
+_LOOP = GameGraph(("v",), (Player.EVE,), (Edge(0, 0, 1),), 0)
+_UNIT = IntervalUnion((Interval(F(0), F(1)),))
+
+
+@pytest.mark.parametrize("lam", [F(0), F(1), F(3, 2), F(-1, 2)], ids=str)
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda lam: Objective(Payoff.DISCOUNTED, _UNIT, lam),
+        lambda lam: ds_optimal_values(_LOOP, lam),
+        lambda lam: horizon(_LOOP, lam, F(1)),
+        lambda lam: solve_ds_interval(_LOOP, lam, _UNIT),
+        lambda lam: subset_sum_to_ds(SubsetSumInstance(1, ((1, 0),)), lam),
+        lambda lam: ds_value_lasso((), (1,), lam),
+        lambda lam: check_ds_values(_LOOP, lam, DsValueTable((F(2),), (F(2),))),
+    ],
+    ids=["Objective", "ds_optimal_values", "horizon", "solve_ds_interval",
+         "subset_sum_to_ds", "ds_value_lasso", "check_ds_values"],
+)
+def test_every_entry_point_rejects_a_discount_out_of_range(entry, lam):
+    with pytest.raises(LambdaOutOfRange) as raised:
+        entry(lam)
+    assert str(raised.value) == f"discount factor {lam} not in (0,1)"
 
 
 def test_four_values_single_loop():

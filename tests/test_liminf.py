@@ -111,13 +111,14 @@ def test_omega_is_even_exactly_on_the_objective():
 
 
 def test_reduction_shape_and_forced_win():
+    # the one edge enters v at v's own label: no subdivider
     g = GameGraph(("v",), (Player.EVE,), (Edge(0, 0, 0),), 0)
     iu = IntervalUnion((Interval(F(0), F(0)),))
     p = liminf_to_parity(g, iu)
-    assert p.n == g.n + len(g.edges)
-    assert sorted(p.priority) == [2, 3]
+    assert p.n == 1
+    assert p.priority == (2,)
     solved = solve_parity(p)
-    assert solved.win_eve == frozenset({0, 1})
+    assert solved.win_eve == frozenset({0})
 
 
 def test_adam_picks_low_loop():
@@ -135,8 +136,8 @@ def test_empty_integer_objective_reports_adam_everywhere():
     assert res.win_adam == frozenset({0})
     # the reduction is total: every priority is 1, so Adam wins there too
     p = liminf_to_parity(g, iu)
-    assert p.priority == (1, 1)
-    assert solve_parity(p).win_adam == frozenset({0, 1})
+    assert p.priority == (1,)
+    assert solve_parity(p).win_adam == frozenset({0})
 
 
 def test_winner_equality_on_random_games():
@@ -187,7 +188,8 @@ def test_threshold_style_agreement():
 
 def _per_edge_reduction(g, iu):
     """Edge subdivision written out edge by edge, one `omega_I` call per
-    edge: the reference for both the solver's graph and the document."""
+    edge: every vertex of `g` at 2r+1 and a subdivider per edge at the
+    priority of its weight, the reference for the winners."""
     pm = integerize(iu)
     fresh = fresh_namer(g.names)
     edges = []
@@ -202,26 +204,108 @@ def _per_edge_reduction(g, iu):
     )
 
 
+def _merged_reduction(g, iu):
+    """The reduced game written out with plain loops: each vertex at the
+    highest priority entering it (2r+1 if none enters), one subdivider per
+    (target, lower priority) in the order of the edges, named
+    "target@priority"."""
+    pm = integerize(iu)
+    q = [omega_I(e.weight, pm) for e in g.edges]
+    highest = {}
+    for e, p in zip(g.edges, q):
+        highest[e.dst] = max(highest.get(e.dst, p), p)
+    label = [highest.get(v, 2 * pm.r + 1) for v in range(g.n)]
+    subs = list(dict.fromkeys((e.dst, p) for e, p in zip(g.edges, q) if p != label[e.dst]))
+    index = {s: j for j, s in enumerate(subs, g.n)}
+    fresh = fresh_namer(g.names)
+    return ParityGame(
+        names=g.names + tuple(fresh(f"{g.names[v]}@{p}") for v, p in subs),
+        owner=g.owner + (Player.EVE,) * len(subs),
+        edges=tuple(
+            Edge(e.src, e.dst if p == label[e.dst] else index[e.dst, p])
+            for e, p in zip(g.edges, q)
+        ) + tuple(Edge(index[s], s[0]) for s in subs),
+        priority=tuple(label) + tuple(p for _, p in subs),
+        initial=g.initial,
+    )
+
+
+def _varied_game(rng, max_vertices):
+    """A random game with parallel edges, its first vertex named like a
+    subdivider, and up to three added vertices that no edge enters."""
+    g = random_game(rng, rng.randint(1, max_vertices), max_weight=rng.randint(0, 4))
+    extra = rng.randint(0, 3)
+    return GameGraph(
+        (g.names[0] + "@2",) + g.names[1:] + tuple(f"s{i}" for i in range(extra)),
+        g.owner + tuple(rng.choice(tuple(Player)) for _ in range(extra)),
+        g.edges
+        + tuple(rng.choice(g.edges) for _ in range(rng.randint(1, 4)))
+        + tuple(Edge(g.n + i, rng.randrange(g.n), rng.randint(-3, 3)) for i in range(extra)),
+        0,
+    )
+
+
 def test_solver_graph_equals_the_parity_document():
     rng = make_rng(34)
     for _ in range(300):
-        g = random_game(rng, rng.randint(1, 6), max_weight=3)
-        # parallel edges, and a vertex named like a subdivider
-        doubled = [rng.choice(g.edges) for _ in range(rng.randint(1, 3))]
-        g = GameGraph(("e0",) + g.names[1:], g.owner, g.edges + tuple(doubled), 0)
         payoff = rng.choice((Payoff.LIMINF, Payoff.LIMSUP))
-        g, o = normalize(g, random_objective(rng, payoff, max_pieces=3))
+        g, o = normalize(_varied_game(rng, 6), random_objective(rng, payoff, max_pieces=3))
         pm = integerize(o.intervals)
         if pm.is_empty:
             continue
-        graph = _subdivision(g, pm)
+        graph, targets = _subdivision(g, pm)
         doc = liminf_to_parity(g, o.intervals)
-        assert doc == _per_edge_reduction(g, o.intervals)
+        assert doc == _merged_reduction(g, o.intervals)
+        assert targets == [e.dst for e in doc.edges[: len(g.edges)]]
         assert graph.n == doc.n
         assert tuple(graph.owner) == doc.owner
         assert tuple(graph.priority) == doc.priority
         assert tuple(map(tuple, graph.succ)) == doc.succ
         assert tuple(map(tuple, graph.pred)) == doc.pred
+
+
+def test_reduction_has_the_per_edge_winners():
+    # 1-40 vertices; objectives unbounded on either side or with no integer
+    rng = make_rng(35)
+    no_integer = IntervalUnion((Interval(F(1, 3), F(2, 3)),))
+    seen = set()
+    for _ in range(3000):
+        g = _varied_game(rng, 40)
+        iu = no_integer if rng.random() < 0.05 else random_interval_union(rng, 3, 4)
+        seen.add((integerize(iu).is_empty, contains(iu, MINUS_INF), contains(iu, PLUS_INF)))
+        per_edge = solve_parity(_per_edge_reduction(g, iu))
+        merged = solve_parity(liminf_to_parity(g, iu))
+        everything = frozenset(range(g.n))
+        assert merged.win_eve & everything == per_edge.win_eve & everything, (g, iu)
+    assert {(True, False, False), (False, True, False), (False, False, True)} <= seen
+
+
+def test_lower_edges_into_a_vertex_share_one_subdivider():
+    iu = IntervalUnion((Interval(F(0), F(0)),))  # priorities: <0 -> 1, 0 -> 2, >0 -> 3
+    eve = (Player.EVE,) * 2
+    # both edges into 1 have priority 3: it carries 3 and needs no subdivider
+    g = GameGraph(("a", "b"), eve, (Edge(0, 1, 5), Edge(1, 1, 4), Edge(0, 0, 0)), 0)
+    p = liminf_to_parity(g, iu)
+    assert (p.n, p.priority, p.edges) == (2, (2, 3), tuple(Edge(e.src, e.dst) for e in g.edges))
+    # priorities 2 and 1 into 1: it carries 2, and the edge at 1 passes
+    # through the one subdivider, at 1
+    g = GameGraph(("a", "b"), eve, (Edge(0, 1, 0), Edge(1, 1, -1), Edge(0, 0, 0)), 0)
+    p = liminf_to_parity(g, iu)
+    assert p.names == ("a", "b", "b@1")
+    assert p.priority == (2, 2, 1)
+    assert p.edges == (Edge(0, 1), Edge(1, 2), Edge(0, 0), Edge(2, 1))
+    # two parallel edges and a third at the same lower priority into 1
+    # share the subdivider; the edge at 3 is direct
+    g = GameGraph(
+        ("a", "b"), eve,
+        (Edge(0, 1, 1), Edge(0, 1, 0), Edge(0, 1, 0), Edge(1, 1, 0), Edge(1, 0, 0)), 0,
+    )
+    p = liminf_to_parity(g, iu)
+    assert p.names == ("a", "b", "b@2")
+    assert p.priority == (2, 3, 2)
+    assert p.edges == (Edge(0, 1), Edge(0, 2), Edge(0, 2), Edge(1, 2), Edge(1, 0), Edge(2, 1))
+    assert p.pred[2] == (0, 0, 1)
+    assert solve_parity(p).win_eve == frozenset({0, 1, 2})
 
 
 def test_reduce_to_parity_output_on_corpus(capsys):
@@ -234,4 +318,8 @@ def test_reduce_to_parity_output_on_corpus(capsys):
     for path, g, o in games:
         assert main(["reduce", str(path), "--to", "parity"]) == 0
         out = capsys.readouterr().out
-        assert out == write_document(_per_edge_reduction(g, o.intervals)), path.name
+        assert out == write_document(_merged_reduction(g, o.intervals)), path.name
+        everything = frozenset(range(g.n))
+        reduced = solve_parity(read_document(out))
+        per_edge = solve_parity(_per_edge_reduction(g, o.intervals))
+        assert reduced.win_eve & everything == per_edge.win_eve & everything, path.name
