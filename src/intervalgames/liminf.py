@@ -112,9 +112,8 @@ def omega_I(n: int, pm: PriorityMap) -> int:
     return pm.lowest + bisect_right(pm.cuts, n)
 
 
-def _subdivision(g: GameGraph, pm: PriorityMap) -> tuple[Graph, list[int]]:
-    """The solver's view of `g` as a parity game, and the vertex each edge
-    of `g` enters in it.
+def _subdivision(g: GameGraph, pm: PriorityMap) -> Graph:
+    """The solver's view of `g` as a parity game.
 
     With top = 2r+1 and q(e) the priority of the weight of edge e, each
     vertex v of `g` carries label(v), the highest q(e) over the edges e
@@ -151,7 +150,7 @@ def _subdivision(g: GameGraph, pm: PriorityMap) -> tuple[Graph, list[int]]:
     succ: list = [[] for _ in range(n)]
     pred: list = [[] for _ in range(n)]
     subs: dict[tuple[int, int], int] = {}
-    sub_ends, sub_prios, targets = [], [], []
+    sub_ends, sub_prios = [], []
     for src, dst, q in zip(srcs, dsts, prios):
         if q != label[dst]:
             sub = subs.get((dst, q))
@@ -161,37 +160,37 @@ def _subdivision(g: GameGraph, pm: PriorityMap) -> tuple[Graph, list[int]]:
                 sub_ends.append(dst)
                 sub_prios.append(q)
             dst = sub
-        targets.append(dst)
         succ[src].append(dst)
         pred[dst].append(src)
     for sub, dst in enumerate(sub_ends, n):
         pred[dst].append(sub)
     # a subdivider's one successor, as a 1-tuple
     succ.extend(zip(sub_ends))
-    graph = Graph(
+    return Graph(
         n=len(pred),
         owner=tuple(g.owner) + (Player.EVE,) * len(sub_ends),
         priority=label + sub_prios,
         succ=succ,
         pred=pred,
     )
-    return graph, targets
 
 
 def liminf_to_parity(g: GameGraph, iu: IntervalUnion) -> ParityGame:
-    """The game `_subdivision` builds, as a parity document.  Edge k enters
-    the vertex the k-th edge of `g` enters, and each subdivider's edge to
-    its target follows, in subdivider order.  A subdivider of v at
-    priority q is named "v@q", made fresh."""
-    graph, targets = _subdivision(g, integerize(iu))
+    """The game `_subdivision` builds, as a parity document.  Edge k leaves
+    the source of the k-th edge of `g` for the vertex it enters there
+    (each vertex's successors are listed in edge order), and each
+    subdivider's edge to its target follows, in subdivider order.  A
+    subdivider of v at priority q is named "v@q", made fresh."""
+    graph = _subdivision(g, integerize(iu))
     n = g.n
     fresh = fresh_namer(g.names)
     sub_ends = [dst for (dst,) in graph.succ[n:]]
+    its = list(map(iter, graph.succ[:n]))
     return ParityGame(
         names=tuple(g.names)
         + tuple(fresh(f"{g.names[v]}@{q}") for v, q in zip(sub_ends, graph.priority[n:])),
         owner=graph.owner,
-        edges=tuple(Edge(e.src, dst) for e, dst in zip(g.edges, targets))
+        edges=tuple(Edge(e.src, next(its[e.src])) for e in g.edges)
         + tuple(map(Edge, range(n, graph.n), sub_ends)),
         priority=tuple(graph.priority),
         initial=g.initial,
@@ -218,7 +217,7 @@ def solve_liminf(g: GameGraph, iu: IntervalUnion) -> Regions:
     pm = integerize(iu)
     if pm.is_empty:
         return Regions(win_eve=frozenset(), win_adam=everything)
-    solved = solve_parity(_subdivision(g, pm)[0])
+    solved = solve_parity(_subdivision(g, pm))
     regions = Regions(
         win_eve=solved.win_eve & everything,
         win_adam=solved.win_adam & everything,

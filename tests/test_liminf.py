@@ -232,11 +232,13 @@ def _merged_reduction(g, iu):
 
 def _varied_game(rng, max_vertices):
     """A random game with parallel edges, its first vertex named like a
-    subdivider, and up to three added vertices that no edge enters."""
+    subdivider of its last, and up to three added vertices that no edge
+    enters."""
     g = random_game(rng, rng.randint(1, max_vertices), max_weight=rng.randint(0, 4))
+    first = f"{g.names[-1]}@{rng.randint(1, 3)}" if g.n > 1 else g.names[0]
     extra = rng.randint(0, 3)
     return GameGraph(
-        (g.names[0] + "@2",) + g.names[1:] + tuple(f"s{i}" for i in range(extra)),
+        (first,) + g.names[1:] + tuple(f"s{i}" for i in range(extra)),
         g.owner + tuple(rng.choice(tuple(Player)) for _ in range(extra)),
         g.edges
         + tuple(rng.choice(g.edges) for _ in range(rng.randint(1, 4)))
@@ -247,21 +249,25 @@ def _varied_game(rng, max_vertices):
 
 def test_solver_graph_equals_the_parity_document():
     rng = make_rng(34)
+    clashes = 0
     for _ in range(300):
         payoff = rng.choice((Payoff.LIMINF, Payoff.LIMSUP))
         g, o = normalize(_varied_game(rng, 6), random_objective(rng, payoff, max_pieces=3))
         pm = integerize(o.intervals)
         if pm.is_empty:
             continue
-        graph, targets = _subdivision(g, pm)
+        graph = _subdivision(g, pm)
         doc = liminf_to_parity(g, o.intervals)
         assert doc == _merged_reduction(g, o.intervals)
-        assert targets == [e.dst for e in doc.edges[: len(g.edges)]]
+        clashes += g.names[0] + "_1" in doc.names
         assert graph.n == doc.n
         assert tuple(graph.owner) == doc.owner
         assert tuple(graph.priority) == doc.priority
         assert tuple(map(tuple, graph.succ)) == doc.succ
         assert tuple(map(tuple, graph.pred)) == doc.pred
+    # the first vertex's name is taken by a subdivider often enough that
+    # the fresh names are pinned too
+    assert clashes >= 10
 
 
 def test_reduction_has_the_per_edge_winners():
@@ -288,10 +294,10 @@ def test_lower_edges_into_a_vertex_share_one_subdivider():
     p = liminf_to_parity(g, iu)
     assert (p.n, p.priority, p.edges) == (2, (2, 3), tuple(Edge(e.src, e.dst) for e in g.edges))
     # priorities 2 and 1 into 1: it carries 2, and the edge at 1 passes
-    # through the one subdivider, at 1
-    g = GameGraph(("a", "b"), eve, (Edge(0, 1, 0), Edge(1, 1, -1), Edge(0, 0, 0)), 0)
+    # through the one subdivider, at 1, whose name "b@1" is taken
+    g = GameGraph(("b@1", "b"), eve, (Edge(0, 1, 0), Edge(1, 1, -1), Edge(0, 0, 0)), 0)
     p = liminf_to_parity(g, iu)
-    assert p.names == ("a", "b", "b@1")
+    assert p.names == ("b@1", "b", "b@1_1")
     assert p.priority == (2, 2, 1)
     assert p.edges == (Edge(0, 1), Edge(1, 2), Edge(0, 0), Edge(2, 1))
     # two parallel edges and a third at the same lower priority into 1
