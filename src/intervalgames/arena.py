@@ -195,22 +195,16 @@ def _edge_columns(
     return tuple(map(tuple.__new__, repeat(Edge), zip(srcs, dsts, weights)))
 
 
-def _by_vertex(n: int, edges: Sequence[Edge]) -> tuple[tuple[int, ...], ...]:
-    """Edge indices grouped by source, in edge-list order."""
-    buckets: list[list[int]] = [[] for _ in range(n)]
-    for i, e in enumerate(edges):
-        buckets[e.src].append(i)
-    return tuple(tuple(b) for b in buckets)
-
-
-def _ends(n: int, edges: Sequence[Edge], near: int) -> tuple[tuple[int, ...], ...]:
-    """For each vertex v, the other end of every edge with v at end `near`
-    (0 the source, 1 the target), in edge-list order."""
-    far = 1 - near
-    buckets: list[list[int]] = [[] for _ in range(n)]
-    for e in edges:
-        buckets[e[near]].append(e[far])
-    return tuple(map(tuple, buckets))
+def predecessors(succ: Sequence[Iterable[int]]) -> list[list[int]]:
+    """For each vertex v, every u with v in succ[u], once for each time v
+    is listed there.  Successor lists repeat a vertex once per parallel
+    edge, and so do these lists, which is what an attractor's edge
+    countdown needs: each edge counts down once."""
+    pred: list[list[int]] = [[] for _ in succ]
+    for u, out in enumerate(succ):
+        for v in out:
+            pred[v].append(u)
+    return pred
 
 
 class Arena:
@@ -286,23 +280,21 @@ class Arena:
 
     @cached_property
     def out_edges(self) -> tuple[tuple[int, ...], ...]:
-        return _by_vertex(self.n, self.edges)
-
-    @cached_property
-    def out_zero(self) -> tuple[tuple[int, ...], ...]:
-        """Zero-test edge indices grouped by source vertex."""
-        return _by_vertex(self.n, getattr(self, "zero_edges", ()))
+        """Edge indices grouped by source, in edge-list order."""
+        buckets: list[list[int]] = [[] for _ in range(self.n)]
+        for i, e in enumerate(self.edges):
+            buckets[e.src].append(i)
+        return tuple(map(tuple, buckets))
 
     @cached_property
     def succ(self) -> tuple[tuple[int, ...], ...]:
-        """Successors of each vertex along `edges`, once per edge, so a
-        successor behind parallel edges repeats."""
-        return _ends(self.n, self.edges, 0)
+        """Successors of each vertex, one per edge in edge-list order."""
+        edges = self.edges
+        return tuple(tuple(edges[i].dst for i in out) for out in self.out_edges)
 
     @cached_property
     def pred(self) -> tuple[tuple[int, ...], ...]:
-        """Predecessors of each vertex along `edges`, once per edge."""
-        return _ends(self.n, self.edges, 1)
+        return tuple(map(tuple, predecessors(self.succ)))
 
 
 @dataclass(frozen=True)
@@ -522,8 +514,6 @@ def complement_intervals(iu: IntervalUnion) -> IntervalUnion:
         lo, lo_open = j.hi, not j.hi_open
     if lo != PLUS_INF:
         pieces.append(Interval(lo, PLUS_INF, lo_open, True))
-    elif not iu.intervals:
-        pieces.append(Interval(MINUS_INF, PLUS_INF, True, True))
     return IntervalUnion(tuple(pieces))
 
 

@@ -48,10 +48,6 @@ from .parity import solve_parity
 from .totalsum import countdown_to_total, solve_total_interval, totalsum_to_ocpg
 
 
-class IncompatibleReduction(UnsupportedObjective):
-    pass
-
-
 class OracleDisagreement(GameError):
     exit_code = 4
 
@@ -83,14 +79,19 @@ def _solve_game(g: GameGraph, o: Objective, bound: Optional[int]):
     elif o.payoff is Payoff.DISCOUNTED:
         regions = solve_ds_interval(g, o.lam, o.intervals)
         meta["algorithm"] = "ds-bounded-search"
-    elif o.payoff is Payoff.TOTAL_INF:
+    else:  # total-inf, the one payoff `normalize` leaves
         solved = solve_total_interval(g, o.intervals, bound=bound)
         regions = solved.vertices
         meta["algorithm"] = "total-ocpg-bounded"
         meta["bound"] = solved.bound
-    else:
-        raise UnsupportedObjective(f"cannot solve payoff {o.payoff.value}")
     return regions, meta
+
+
+def _solve_document(parsed, bound: Optional[int]):
+    """(regions, meta) of a parity document or of a payoff game."""
+    if isinstance(parsed, ParityGame):
+        return solve_parity(parsed), {"payoff": "parity"}
+    return _solve_game(*parsed, bound)
 
 
 def cmd_solve(args) -> int:
@@ -141,24 +142,24 @@ def cmd_reduce(args) -> int:
             g, iu = parity_to_mp(p)
             sys.stdout.write(write_document(g, Objective(payoff=Payoff.MP_INF, intervals=iu)))
             return 0
-        raise IncompatibleReduction(f"cannot reduce a parity game to {target!r}")
+        raise UnsupportedObjective(f"cannot reduce a parity game to {target!r}")
     g, o = parsed
     g, o = normalize(g, o)
     if target == "parity":
         if o.payoff is not Payoff.LIMINF:
-            raise IncompatibleReduction(
+            raise UnsupportedObjective(
                 f"cannot reduce payoff {o.payoff.value!r} to a parity game"
             )
         sys.stdout.write(write_document(liminf_to_parity(g, o.intervals)))
         return 0
     if target == "ocpg":
         if o.payoff is not Payoff.TOTAL_INF:
-            raise IncompatibleReduction(
+            raise UnsupportedObjective(
                 f"cannot reduce payoff {o.payoff.value!r} to a one-counter game"
             )
         sys.stdout.write(write_document(totalsum_to_ocpg(g, o.intervals)))
         return 0
-    raise IncompatibleReduction(f"cannot reduce a payoff game to {target!r}")
+    raise UnsupportedObjective(f"cannot reduce a payoff game to {target!r}")
 
 
 def cmd_generate(args) -> int:
@@ -205,22 +206,21 @@ def cmd_generate(args) -> int:
         p = generate.random_parity_game(rng, args.vertices, args.max_priority)
         sys.stdout.write(write_document(p))
         return 0
-    if args.kind == "random-arena":
-        if args.vertices is None or args.vertices < 1:
-            raise BadParameters("random-arena needs --vertices >= 1")
-        if args.max_weight < 0:
-            raise BadParameters("random-arena needs --max-weight >= 0")
-        if args.intervals < 0:
-            raise BadParameters("random-arena needs --intervals >= 0")
-        try:
-            payoff = Payoff(args.payoff)
-        except ValueError:
-            raise BadParameters(f"unknown payoff {args.payoff!r}")
-        g = generate.random_game(rng, args.vertices, max_weight=args.max_weight)
-        o = generate.random_objective(rng, payoff, max_pieces=args.intervals)
-        sys.stdout.write(write_document(g, o))
-        return 0
-    raise BadParameters(f"unknown generator kind {args.kind!r}")
+    # random-arena, the last kind argparse allows
+    if args.vertices is None or args.vertices < 1:
+        raise BadParameters("random-arena needs --vertices >= 1")
+    if args.max_weight < 0:
+        raise BadParameters("random-arena needs --max-weight >= 0")
+    if args.intervals < 0:
+        raise BadParameters("random-arena needs --intervals >= 0")
+    try:
+        payoff = Payoff(args.payoff)
+    except ValueError:
+        raise BadParameters(f"unknown payoff {args.payoff!r}")
+    g = generate.random_game(rng, args.vertices, max_weight=args.max_weight)
+    o = generate.random_objective(rng, payoff, max_pieces=args.intervals)
+    sys.stdout.write(write_document(g, o))
+    return 0
 
 
 def _sidecar(path: str) -> Path:
@@ -255,10 +255,10 @@ def _check_expectation(path: str, verdict: Optional[Verdict], error: Optional[Ga
 
 def _oracle_suite(parsed, base) -> list[str]:
     """Cross-check the production solver against the matching oracle on
-    one instance; `base` is a payoff game's `_solve_game` result.  Returns
-    report lines, raises OracleDisagreement."""
+    one instance; `base` is its `_solve_document` result.  Returns report
+    lines, raises OracleDisagreement."""
     if isinstance(parsed, ParityGame):
-        if brute_force_positional(parsed).win_eve != solve_parity(parsed).win_eve:
+        if brute_force_positional(parsed).win_eve != base[0].win_eve:
             raise OracleDisagreement("parity solver disagrees with enumeration")
         return ["parity: agreement"]
     g, o = parsed
@@ -292,16 +292,9 @@ def _oracle_suite(parsed, base) -> list[str]:
 
 
 def _stability_suite(parsed, base) -> list[str]:
-    """Re-solve a payoff game under a larger total-sum bound, or once
-    more; `base` is its `_solve_game` result, whose definite verdicts must
+    """Re-solve a document under a larger total-sum bound, or once more;
+    `base` is its `_solve_document` result, whose definite verdicts must
     not change."""
-    if isinstance(parsed, ParityGame):
-        a = solve_parity(parsed)
-        b = solve_parity(parsed)
-        if a.win_eve != b.win_eve:
-            raise OracleDisagreement("parity solver is not deterministic")
-        return ["parity: deterministic"]
-    g, o = parsed
     regions, meta = base
     payoff = meta["payoff"]
     if payoff == Payoff.TOTAL_INF.value:
@@ -312,10 +305,11 @@ def _stability_suite(parsed, base) -> list[str]:
         variants = [(None, "a second solve")]
         line = f"{payoff}: deterministic"
     for bound, label in variants:
-        again, _ = _solve_game(g, o, bound)
+        again, _ = _solve_document(parsed, bound)
         flipped = (regions.win_eve - again.win_eve) | (regions.win_adam - again.win_adam)
         if flipped:
             v = min(flipped)
+            g = parsed if isinstance(parsed, ParityGame) else parsed[0]
             raise OracleDisagreement(
                 f"verdict for {g.names[v]} flipped from {regions.verdict(v).value} "
                 f"to {again.verdict(v).value} at {label}"
@@ -327,16 +321,15 @@ def cmd_check(args) -> int:
     parsed = _load_document(args.file)
     solved = None
     solve_error: Optional[GameError] = None
-    if not isinstance(parsed, ParityGame):
-        g, o = parsed
-        try:
-            solved = _solve_game(g, o, None)
-        except UnsupportedObjective as exc:
-            # only a sidecar can plan for an error; without one it exits
-            # as it does under `solve`
-            if not _sidecar(args.file).exists():
-                raise
-            solve_error = exc
+    try:
+        solved = _solve_document(parsed, None)
+    except UnsupportedObjective as exc:
+        # only a sidecar can plan for an error; without one it exits as it
+        # does under `solve`
+        if not _sidecar(args.file).exists():
+            raise
+        solve_error = exc
+    g = parsed if isinstance(parsed, ParityGame) else parsed[0]
     verdict: Optional[Verdict] = solved[0].verdict(g.initial) if solved else None
     complaint = _check_expectation(args.file, verdict, solve_error)
     if complaint:

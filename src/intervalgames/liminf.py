@@ -148,31 +148,20 @@ def _subdivision(g: GameGraph, pm: PriorityMap) -> Graph:
             label[dst] = q
     label = [q or top for q in label]
     succ: list = [[] for _ in range(n)]
-    pred: list = [[] for _ in range(n)]
     subs: dict[tuple[int, int], int] = {}
     sub_ends, sub_prios = [], []
     for src, dst, q in zip(srcs, dsts, prios):
         if q != label[dst]:
             sub = subs.get((dst, q))
             if sub is None:
-                sub = subs[dst, q] = len(pred)
-                pred.append([])
+                sub = subs[dst, q] = n + len(sub_ends)
                 sub_ends.append(dst)
                 sub_prios.append(q)
             dst = sub
         succ[src].append(dst)
-        pred[dst].append(src)
-    for sub, dst in enumerate(sub_ends, n):
-        pred[dst].append(sub)
     # a subdivider's one successor, as a 1-tuple
     succ.extend(zip(sub_ends))
-    return Graph(
-        n=len(pred),
-        owner=tuple(g.owner) + (Player.EVE,) * len(sub_ends),
-        priority=label + sub_prios,
-        succ=succ,
-        pred=pred,
-    )
+    return Graph.of(tuple(g.owner) + (Player.EVE,) * len(sub_ends), label + sub_prios, succ)
 
 
 def liminf_to_parity(g: GameGraph, iu: IntervalUnion) -> ParityGame:

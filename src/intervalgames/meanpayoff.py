@@ -17,7 +17,6 @@ one-piece union.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -46,28 +45,6 @@ class Cmp(Enum):
     GT = ">"
     LE = "<="
     LT = "<"
-
-
-@dataclass(frozen=True)
-class ThresholdQuery:
-    threshold: Fraction
-    cmp: Cmp
-
-
-def _energy_win(
-    g: GameGraph,
-    alive: frozenset[int],
-    player: Player,
-    scale: int,
-    offset: int,
-    _cap_units: int | None = None,
-) -> frozenset[int]:
-    """Vertices of `alive` whose `_energy_credits` measure is below top.
-    `player` wins from each of them the energy game of the rescaled weights
-    scale*w + offset while play stays in `alive`, and so forces mean-payoff
-    >= 0 there.  Under the default cap M this is exactly her region."""
-    f, top = _energy_credits(g, alive, player, scale, offset, _cap_units)
-    return frozenset(v for v in alive if f[v] < top)
 
 
 def _energy_credits(
@@ -193,12 +170,12 @@ def _threshold(
     units = 1
     while True:
         cap_units = None if units >= n else units
-        won = _energy_win(g, alive, player, scale, -offset - strict, cap_units)
+        f, top = _energy_credits(g, alive, player, scale, -offset - strict, cap_units)
+        won = frozenset(v for v in alive if f[v] < top)
         # the opponent forces the complementary strict/non-strict
         # threshold on negated weights
-        lost = _energy_win(
-            g, alive, player.opponent, -scale, offset - 1 + strict, cap_units
-        )
+        f, top = _energy_credits(g, alive, player.opponent, -scale, offset - 1 + strict, cap_units)
+        lost = frozenset(v for v in alive if f[v] < top)
         if cap_units is None or len(won | lost) == n:
             break
         units *= 4
@@ -206,12 +183,11 @@ def _threshold(
     return won
 
 
-def mp_threshold(g: GameGraph, query: ThresholdQuery) -> Regions:
+def mp_threshold(g: GameGraph, a: Fraction, cmp: Cmp) -> Regions:
     """Exact partition for "Eve forces MP ~ a".  For <= and < the roles
     swap: mean-payoff games are positionally determined (Ehrenfeucht &
     Mycielski 1979), so Eve keeps MP <= a exactly where Adam cannot force
     MP > a, and MP < a exactly where he cannot force MP >= a."""
-    a, cmp = query.threshold, query.cmp
     alive = frozenset(range(g.n))
     if cmp in (Cmp.GE, Cmp.GT):
         win_eve = _threshold(g, alive, Player.EVE, a, cmp is Cmp.GT)

@@ -8,21 +8,26 @@ from __future__ import annotations
 
 from typing import Generator, Iterable, NamedTuple, Optional, Sequence
 
-from .arena import ParityGame, Player, Regions
+from .arena import ParityGame, Player, Regions, predecessors
 
 
 class Graph(NamedTuple):
     """All the solver reads of a game: the vertex count, each vertex's
-    owner and priority, and its successors and predecessors, each repeated
-    once per parallel edge.  A `ParityGame` has all five, so documents are
-    solved as they are; reductions that are solved but never written out
-    build a Graph of plain ints instead of a named, validated document."""
+    owner and priority, and its successors and `predecessors`.  A
+    `ParityGame` has all five, so documents are solved as they are;
+    reductions that are solved but never written out build a Graph of
+    plain ints with `Graph.of` instead of a named, validated document."""
 
     n: int
     owner: Sequence[Player]
     priority: Sequence[int]
     succ: Sequence[Sequence[int]]
     pred: Sequence[Sequence[int]]
+
+    @classmethod
+    def of(cls, owner: Sequence[Player], priority: Sequence[int], succ: Sequence[Sequence[int]]):
+        """The graph of these columns, its size and predecessors derived."""
+        return cls(len(succ), owner, priority, succ, predecessors(succ))
 
 
 def attractor(
@@ -37,9 +42,8 @@ def attractor(
     owner, succ, pred = game.owner, game.succ, game.pred
     attr = {v for v in target if v in alive}
     # countdown of edges into not-yet-attracted vertices for opponent
-    # vertices, counted when the vertex is first reached; successor and
-    # predecessor lists both repeat a vertex once per parallel edge, so
-    # each edge counts down once
+    # vertices, counted when the vertex is first reached; each edge counts
+    # down once (see `arena.predecessors`)
     remaining: dict[int, int] = {}
     work = list(attr)
     while work:

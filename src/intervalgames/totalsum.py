@@ -236,19 +236,9 @@ def _clamped_game(
                 out.append(k)
         succ.append(tuple(out))
 
-    pred: list[list[int]] = [[] for _ in succ]
-    for u, out in enumerate(succ):
-        for w in out:
-            pred[w].append(u)
     omega = {c: omega_I(c, pm) for c in {c for _, c in configs}}
-    game = Graph(
-        n=len(succ),
-        owner=(Player.EVE,) * first + tuple(g.owner[v] for v, _ in configs),
-        priority=_SINK_PRIORITIES + tuple(omega[c] for _, c in configs),
-        succ=succ,
-        pred=pred,
-    )
-    return game, configs
+    owner = (Player.EVE,) * first + tuple(g.owner[v] for v, _ in configs)
+    return Graph.of(owner, _SINK_PRIORITIES + tuple(omega[c] for _, c in configs), succ), configs
 
 
 def _outer_priorities(pm: PriorityMap) -> tuple[int, int]:

@@ -39,7 +39,6 @@ from intervalgames.generate import (
 from intervalgames.liminf import integerize, liminf_to_parity, parity_to_liminf, solve_liminf
 from intervalgames.meanpayoff import (
     Cmp,
-    ThresholdQuery,
     mp_threshold,
     parity_to_mp,
     solve_mp_interval,
@@ -154,7 +153,7 @@ def test_acceptance_04_threshold_consistency():
             ray = IntervalUnion((Interval(a, PLUS_INF, False, True),))
             assert (
                 solve_mp_interval(g, ray).win_eve
-                == mp_threshold(g, ThresholdQuery(a, Cmp.GE)).win_eve
+                == mp_threshold(g, a, Cmp.GE).win_eve
             )
         for _ in range(200):
             g = random_game(rng, rng.randint(1, 6), max_weight=3)
@@ -162,7 +161,7 @@ def test_acceptance_04_threshold_consistency():
             ray = IntervalUnion((Interval(MINUS_INF, b, True, False),))
             assert (
                 solve_mp_interval(g, ray).win_eve
-                == mp_threshold(g, ThresholdQuery(b, Cmp.LE)).win_eve
+                == mp_threshold(g, b, Cmp.LE).win_eve
             )
 
 

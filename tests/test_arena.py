@@ -16,6 +16,7 @@ from intervalgames.arena import (
     Edge,
     EmptyInterval,
     GameGraph,
+    Infinity,
     Interval,
     IntervalUnion,
     LambdaOutOfRange,
@@ -34,6 +35,7 @@ from intervalgames.arena import (
     max_abs_weight,
     normalize,
     parse_game,
+    parse_rational,
     read_document,
     serialize_game,
 )
@@ -265,6 +267,28 @@ def test_infinities_order_against_numbers_and_each_other(op):
         for x in values:
             assert op(inf, x) is op(_rank(inf), _rank(x)), (op, inf, x)
             assert op(x, inf) is op(_rank(x), _rank(inf)), (op, x, inf)
+
+
+def _halves(lower: Infinity) -> IntervalUnion:
+    return IntervalUnion(
+        (Interval(lower, F(0), True, False), Interval(F(1), PLUS_INF, False, True))
+    )
+
+
+@pytest.mark.parametrize("case, expected", [
+    pytest.param(lambda: parse_rational(7), F(7), id="json-integer-endpoint"),
+    pytest.param(lambda: PLUS_INF < 1.5, TypeError, id="infinity-against-float"),
+    pytest.param(lambda: MINUS_INF >= "0", TypeError, id="infinity-against-string"),
+    pytest.param(lambda: hash(_halves(Infinity(-1))) == hash(_halves(MINUS_INF)), True,
+                 id="hash-of-equal-unions"),
+    pytest.param(lambda: repr(IntervalUnion(())), "{}", id="repr-of-empty-union"),
+])
+def test_values_at_the_edges(case, expected):
+    if expected is TypeError:
+        with pytest.raises(TypeError):
+            case()
+    else:
+        assert case() == expected
 
 
 def test_interval_union_ignores_the_order_of_its_pieces():

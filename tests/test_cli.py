@@ -8,6 +8,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
+from intervalgames import cli
 from intervalgames.arena import (
     Edge,
     GameError,
@@ -17,6 +20,7 @@ from intervalgames.arena import (
     Objective,
     Payoff,
     Player,
+    Regions,
     normalize,
     parse_game,
     write_document,
@@ -474,6 +478,51 @@ def test_check_parity_document(capsys, tmp_path):
     assert code == 0 and "agreement" in out
     code, out, _ = run(capsys, "check", f, "--suite", "stability")
     assert code == 0 and "deterministic" in out
+
+
+def test_check_solves_a_parity_document_for_its_sidecar(capsys, tmp_path):
+    # Adam wins from q0: every play from q0 reaches his vertex q1, where he
+    # loops at priority 3 forever
+    _, text, _ = run(capsys, "generate", "random-parity", "--vertices", "3", "--seed", "5")
+    f = tmp_path / "p.game"
+    f.write_text(text)
+    for suite in ("oracle", "stability"):
+        (tmp_path / "p.expect").write_text(json.dumps({"winner": "adam"}))
+        code, out, _ = run(capsys, "check", f, "--suite", suite)
+        assert code == 0 and out.startswith("winner: adam\n")
+        (tmp_path / "p.expect").write_text(json.dumps({"winner": "eve"}))
+        code, _, err = run(capsys, "check", f, "--suite", suite)
+        assert code == 4 and "expected winner 'eve', got adam" in err
+
+
+@pytest.mark.parametrize(
+    "sidecar, flip, complaint",
+    [
+        pytest.param({"winner": "error"}, False,
+                     "expected an unsupported-objective error, got eve", id="error-sidecar"),
+        pytest.param(None, True, "verdict for q0 flipped from eve to adam at a second solve",
+                     id="stability-flip"),
+    ],
+)
+def test_check_names_each_disagreement(capsys, tmp_path, monkeypatch, sidecar, flip, complaint):
+    f = tmp_path / "fig1.game"
+    f.write_text((CORPUS / "fig1.game").read_text())
+    if sidecar is not None:
+        (tmp_path / "fig1.expect").write_text(json.dumps(sidecar))
+    if flip:
+        # every solve after the first gives Adam everything
+        solve, solves = cli._solve_game, []
+
+        def flipping(g, o, bound):
+            regions, meta = solve(g, o, bound)
+            solves.append(regions)
+            if len(solves) > 1:
+                regions = Regions(win_eve=frozenset(), win_adam=frozenset(range(g.n)))
+            return regions, meta
+
+        monkeypatch.setattr(cli, "_solve_game", flipping)
+    code, out, err = run(capsys, "check", f, "--suite", "stability")
+    assert code == 4 and out == "" and complaint in err
 
 
 def test_resource_guard_exit_code(capsys, tmp_path):

@@ -29,9 +29,7 @@ from intervalgames import meanpayoff
 from intervalgames.meanpayoff import (
     Cmp,
     PriorityOutOfRange,
-    ThresholdQuery,
     _energy_credits,
-    _energy_win,
     mp_threshold,
     parity_to_mp,
     solve_mp_interval,
@@ -58,17 +56,17 @@ FIG1_UNION = IntervalUnion(
 
 
 def test_threshold_trivia():
-    assert mp_threshold(loop(1), ThresholdQuery(F(0), Cmp.GE)).win_eve == frozenset({0})
-    assert mp_threshold(loop(0), ThresholdQuery(F(0), Cmp.GT)).win_adam == frozenset({0})
+    assert mp_threshold(loop(1), F(0), Cmp.GE).win_eve == frozenset({0})
+    assert mp_threshold(loop(0), F(0), Cmp.GT).win_adam == frozenset({0})
     two = GameGraph(
         ("v",), (Player.ADAM,), (Edge(0, 0, 0), Edge(0, 0, 2)), 0
     )
-    assert mp_threshold(two, ThresholdQuery(F(1), Cmp.GE)).win_adam == frozenset({0})
+    assert mp_threshold(two, F(1), Cmp.GE).win_adam == frozenset({0})
 
 
 def test_threshold_le_lt():
-    assert mp_threshold(loop(1), ThresholdQuery(F(1), Cmp.LE)).win_eve == frozenset({0})
-    assert mp_threshold(loop(1), ThresholdQuery(F(1), Cmp.LT)).win_adam == frozenset({0})
+    assert mp_threshold(loop(1), F(1), Cmp.LE).win_eve == frozenset({0})
+    assert mp_threshold(loop(1), F(1), Cmp.LT).win_adam == frozenset({0})
 
 
 def record_rounds(monkeypatch) -> list[list]:
@@ -107,8 +105,8 @@ def test_threshold_credit_equal_to_the_cap(monkeypatch):
                 0,
             )
             # w = -1 tests Eve's measure at the cap, w = 1 tests Adam's
-            assert mp_threshold(chain, ThresholdQuery(F(0), Cmp.GE)).win_eve == everything
-            assert mp_threshold(chain, ThresholdQuery(F(0), Cmp.GT)).win_adam == everything
+            assert mp_threshold(chain, F(0), Cmp.GE).win_eve == everything
+            assert mp_threshold(chain, F(0), Cmp.GT).win_adam == everything
             # the head's credit k * n is past the first cap of one rescaled
             # weight, n + 1, in Eve's game for GE on a losing chain and in
             # Adam's game for GT on a winning one
@@ -147,7 +145,14 @@ def test_capped_measure_is_a_certificate():
                     assert grown <= finite
                     grown = finite
                     if units is None or units >= g.n:
-                        assert finite == _energy_win(g, alive, player, s, o)
+                        assert finite == energy_region(g, alive, player, s, o)
+
+
+def energy_region(g, alive, player, scale, offset):
+    """The finite entries of the measure at Brim's bound: exactly the
+    player's energy region."""
+    f, top = _energy_credits(g, alive, player, scale, offset)
+    return frozenset(v for v in alive if f[v] < top)
 
 
 def threshold_at_the_bound(g, alive, player, a, strict):
@@ -155,8 +160,8 @@ def threshold_at_the_bound(g, alive, player, a, strict):
     energy games at Brim's bound, then the partition check."""
     n = len(alive)
     scale, offset = a.denominator * n, a.numerator * n
-    won = _energy_win(g, alive, player, scale, -offset - strict)
-    lost = _energy_win(g, alive, player.opponent, -scale, offset - 1 + strict)
+    won = energy_region(g, alive, player, scale, -offset - strict)
+    lost = energy_region(g, alive, player.opponent, -scale, offset - 1 + strict)
     Regions(win_eve=won, win_adam=lost).check_partition(alive)
     return won
 
@@ -172,7 +177,7 @@ def test_threshold_agrees_with_both_games_at_the_bound(monkeypatch):
     def solve_all():
         return [
             (solve_mp_interval(g, iu),)
-            + tuple(mp_threshold(g, ThresholdQuery(a, cmp)) for cmp in Cmp)
+            + tuple(mp_threshold(g, a, cmp) for cmp in Cmp)
             for g, iu, a in cases
         ]
 
@@ -222,9 +227,9 @@ def test_interval_matches_thresholds():
         g = random_game(rng, rng.randint(1, 6), max_weight=3)
         a = F(rng.choice((-1, 0, 1)))
         ge = solve_mp_interval(g, IntervalUnion((Interval(a, PLUS_INF, False, True),)))
-        assert ge.win_eve == mp_threshold(g, ThresholdQuery(a, Cmp.GE)).win_eve
+        assert ge.win_eve == mp_threshold(g, a, Cmp.GE).win_eve
         le = solve_mp_interval(g, IntervalUnion((Interval(MINUS_INF, a, True, False),)))
-        assert le.win_eve == mp_threshold(g, ThresholdQuery(a, Cmp.LE)).win_eve
+        assert le.win_eve == mp_threshold(g, a, Cmp.LE).win_eve
 
 
 def test_single_interval_examples():

@@ -21,7 +21,7 @@ from intervalgames.arena import (
 )
 from intervalgames.discounted import DsValueTable, ds_optimal_values
 from intervalgames.generate import random_game, random_interval_union
-from intervalgames.meanpayoff import ThresholdQuery, Cmp, mp_threshold
+from intervalgames.meanpayoff import Cmp, mp_threshold
 from intervalgames.oracle import (
     Lasso,
     TooLarge,
@@ -172,13 +172,13 @@ def test_matches_threshold_solver_on_small_games():
         iu = IntervalUnion((Interval(a, PLUS_INF, False, True),))
         ref = brute_force_positional(g, Objective(Payoff.MP_INF, iu))
         assert ref.exact
-        assert ref.win_eve == mp_threshold(g, ThresholdQuery(a, Cmp.GE)).win_eve
+        assert ref.win_eve == mp_threshold(g, a, Cmp.GE).win_eve
         # a threshold equal to a simple cycle's mean is a tie, where the
         # strict and non-strict games part
         for tie, (cmp, ray) in itertools.product(simple_cycle_means(g), RAYS.items()):
             ref = brute_force_positional(g, Objective(Payoff.MP_INF, IntervalUnion((ray(tie),))))
             assert ref.exact
-            res = mp_threshold(g, ThresholdQuery(tie, cmp))
+            res = mp_threshold(g, tie, cmp)
             assert (res.win_eve, res.win_adam) == (ref.win_eve, ref.win_adam), (cmp, tie)
 
 
@@ -235,3 +235,12 @@ def test_discounted_values_certified_by_one_step_equations():
     table = ds_optimal_values(eve, F(1, 2))
     assert check_ds_values(eve, F(1, 2), table)
     assert not check_ds_values(eve, F(1, 2), DsValueTable(table.maxmin, table.minmax))
+
+
+@pytest.mark.parametrize("column", ["minmax", "maxmin"])
+def test_value_table_of_the_wrong_length_fails(column):
+    two = GameGraph(("a", "b"), (Player.EVE, Player.ADAM), (Edge(0, 1, 1), Edge(1, 0, 0)), 0)
+    table = ds_optimal_values(two, F(1, 2))
+    assert check_ds_values(two, F(1, 2), table)
+    short = dataclasses.replace(table, **{column: getattr(table, column)[:1]})
+    assert not check_ds_values(two, F(1, 2), short)

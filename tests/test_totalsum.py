@@ -106,7 +106,7 @@ def clamped_reduction(g, iu, bound):
     for u, c in configs:
         moves = [(p.edges[j].dst, p.edges[j].weight) for j in p.out_edges[u]]
         if c == 0:
-            moves += [(p.zero_edges[j].dst, 0) for j in p.out_zero[u]]
+            moves += [(e.dst, 0) for e in p.zero_edges if e.src == u]
         out = []
         for dst, weight in moves:
             c2 = c + weight
