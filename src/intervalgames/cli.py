@@ -27,7 +27,6 @@ from . import generate
 from .arena import (
     BadParameters,
     GameError,
-    GameGraph,
     MalformedDocument,
     Objective,
     OneCounterParityGame,
@@ -53,7 +52,8 @@ class OracleDisagreement(GameError):
 
 
 def _load_document(path: str):
-    """Returns (graph, objective) for a payoff game or a ParityGame."""
+    """Returns (graph, objective) for a payoff game and (game, None) for a
+    ParityGame."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -63,11 +63,16 @@ def _load_document(path: str):
         raise UnsupportedObjective(
             "one-counter documents are reduction outputs and cannot be solved directly"
         )
+    if isinstance(parsed, ParityGame):
+        return parsed, None
     return parsed
 
 
-def _solve_game(g: GameGraph, o: Objective, bound: Optional[int]):
-    """Dispatch one instance; returns (regions over g's vertices, meta)."""
+def _solve_game(g, o: Optional[Objective], bound: Optional[int]):
+    """Dispatch one instance, a parity game when `o` is None; returns
+    (regions over g's vertices, meta)."""
+    if o is None:
+        return solve_parity(g), {"payoff": "parity"}
     g, o = normalize(g, o)
     meta: dict = {"payoff": o.payoff.value}
     if o.payoff is Payoff.LIMINF:
@@ -87,22 +92,14 @@ def _solve_game(g: GameGraph, o: Objective, bound: Optional[int]):
     return regions, meta
 
 
-def _solve_document(parsed, bound: Optional[int]):
-    """(regions, meta) of a parity document or of a payoff game."""
-    if isinstance(parsed, ParityGame):
-        return solve_parity(parsed), {"payoff": "parity"}
-    return _solve_game(*parsed, bound)
-
-
 def cmd_solve(args) -> int:
     if args.bound is not None and args.bound < 1:
         raise BadParameters(f"--bound {args.bound} must be at least 1")
-    parsed = _load_document(args.file)
-    if isinstance(parsed, ParityGame):
+    g, o = _load_document(args.file)
+    if o is None:
         raise UnsupportedObjective(
             "parity documents are only accepted by reduce/check"
         )
-    g, o = parsed
     regions, meta = _solve_game(g, o, args.bound)
     verdict = regions.verdict(g.initial)
     if args.regions:
@@ -130,20 +127,18 @@ def cmd_solve(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    parsed = _load_document(args.file)
+    g, o = _load_document(args.file)
     target = args.to
-    if isinstance(parsed, ParityGame):
-        p = parsed
+    if o is None:
         if target == "liminf":
-            g, iu = parity_to_liminf(p)
+            g, iu = parity_to_liminf(g)
             sys.stdout.write(write_document(g, Objective(payoff=Payoff.LIMINF, intervals=iu)))
             return 0
         if target == "mp":
-            g, iu = parity_to_mp(p)
+            g, iu = parity_to_mp(g)
             sys.stdout.write(write_document(g, Objective(payoff=Payoff.MP_INF, intervals=iu)))
             return 0
         raise UnsupportedObjective(f"cannot reduce a parity game to {target!r}")
-    g, o = parsed
     g, o = normalize(g, o)
     if target == "parity":
         if o.payoff is not Payoff.LIMINF:
@@ -168,8 +163,6 @@ def cmd_generate(args) -> int:
         if args.pairs is None or args.pairs < 1:
             raise BadParameters("subset-sum needs --pairs >= 1")
         lam = parse_rational(args.discount)
-        if not 0 < lam < 1:
-            raise BadParameters(f"discount factor {args.discount} not in (0,1)")
         if args.max_value < 0:
             raise BadParameters("subset-sum needs --max-value >= 0")
         instance = generate.random_subset_sum(
@@ -242,28 +235,25 @@ def _check_expectation(path: str, verdict: Optional[Verdict], error: Optional[Ga
     want = expect.get("winner")
     if want == "error":
         if error is None:
-            got = verdict.value if verdict is not None else "nothing"
-            return f"expected an unsupported-objective error, got {got}"
+            return f"expected an unsupported-objective error, got {verdict.value}"
         return None
     if error is not None:
         return f"expected winner {want!r}, got error: {error}"
-    if verdict is None or verdict.value != want:
-        got = verdict.value if verdict is not None else "nothing"
-        return f"expected winner {want!r}, got {got}"
+    if verdict.value != want:
+        return f"expected winner {want!r}, got {verdict.value}"
     return None
 
 
-def _oracle_suite(parsed, base) -> list[str]:
+def _oracle_suite(g, o: Optional[Objective], base) -> list[str]:
     """Cross-check the production solver against the matching oracle on
-    one instance; `base` is its `_solve_document` result.  Returns report
+    one instance; `base` is its `_solve_game` result.  Returns report
     lines, raises OracleDisagreement."""
-    if isinstance(parsed, ParityGame):
-        if brute_force_positional(parsed).win_eve != base[0].win_eve:
+    regions, _ = base
+    if o is None:
+        if brute_force_positional(g).win_eve != regions.win_eve:
             raise OracleDisagreement("parity solver disagrees with enumeration")
         return ["parity: agreement"]
-    g, o = parsed
     gn, on = normalize(g, o)
-    regions, _ = base
     if on.payoff is Payoff.DISCOUNTED:
         if not check_ds_values(gn, on.lam, ds_optimal_values(gn, on.lam)):
             raise OracleDisagreement("discounted game values fail their one-step equations")
@@ -291,10 +281,10 @@ def _oracle_suite(parsed, base) -> list[str]:
     ]
 
 
-def _stability_suite(parsed, base) -> list[str]:
+def _stability_suite(g, o: Optional[Objective], base) -> list[str]:
     """Re-solve a document under a larger total-sum bound, or once more;
-    `base` is its `_solve_document` result, whose definite verdicts must
-    not change."""
+    `base` is its `_solve_game` result, whose definite verdicts must not
+    change."""
     regions, meta = base
     payoff = meta["payoff"]
     if payoff == Payoff.TOTAL_INF.value:
@@ -305,11 +295,10 @@ def _stability_suite(parsed, base) -> list[str]:
         variants = [(None, "a second solve")]
         line = f"{payoff}: deterministic"
     for bound, label in variants:
-        again, _ = _solve_document(parsed, bound)
+        again, _ = _solve_game(g, o, bound)
         flipped = (regions.win_eve - again.win_eve) | (regions.win_adam - again.win_adam)
         if flipped:
             v = min(flipped)
-            g = parsed if isinstance(parsed, ParityGame) else parsed[0]
             raise OracleDisagreement(
                 f"verdict for {g.names[v]} flipped from {regions.verdict(v).value} "
                 f"to {again.verdict(v).value} at {label}"
@@ -318,18 +307,17 @@ def _stability_suite(parsed, base) -> list[str]:
 
 
 def cmd_check(args) -> int:
-    parsed = _load_document(args.file)
+    g, o = _load_document(args.file)
     solved = None
     solve_error: Optional[GameError] = None
     try:
-        solved = _solve_document(parsed, None)
+        solved = _solve_game(g, o, None)
     except UnsupportedObjective as exc:
         # only a sidecar can plan for an error; without one it exits as it
         # does under `solve`
         if not _sidecar(args.file).exists():
             raise
         solve_error = exc
-    g = parsed if isinstance(parsed, ParityGame) else parsed[0]
     verdict: Optional[Verdict] = solved[0].verdict(g.initial) if solved else None
     complaint = _check_expectation(args.file, verdict, solve_error)
     if complaint:
@@ -341,9 +329,9 @@ def cmd_check(args) -> int:
         lines.append(f"solve error (expected): {solve_error}")
     if solve_error is None:
         if args.suite == "oracle":
-            lines += _oracle_suite(parsed, solved)
+            lines += _oracle_suite(g, o, solved)
         else:
-            lines += _stability_suite(parsed, solved)
+            lines += _stability_suite(g, o, solved)
     for line in lines:
         print(line)
     return 0

@@ -206,8 +206,6 @@ def horizon(g: GameGraph, lam: Fraction, width: Fraction) -> int:
         raise NonpositiveWidth(f"width {width} must be positive")
     check_discount(lam)
     w = max_abs_weight(g)
-    if w == 0:
-        return 0
     # lam^(n+1) * 2w/(1-lam) < width with lam = p/q, over the integers:
     # 2w * q * p^(n+1) * den(width) < num(width) * (q-p) * q^(n+1)
     p, q = lam.numerator, lam.denominator

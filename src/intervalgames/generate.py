@@ -152,25 +152,20 @@ def random_objective(
     rng: random.Random,
     payoff: Payoff,
     max_pieces: int = 2,
-    span: int = 4,
 ) -> Objective:
     if payoff is Payoff.DISCOUNTED:
         lam = rng.choice((Fraction(1, 2), Fraction(2, 3)))
-        iu = random_interval_union(
-            rng, max_pieces, span, forbid_singletons=True, half_grid=True
-        )
+        iu = random_interval_union(rng, max_pieces, forbid_singletons=True, half_grid=True)
         return Objective(payoff=payoff, intervals=iu, lam=lam)
-    iu = random_interval_union(rng, max_pieces, span, half_grid=True)
+    iu = random_interval_union(rng, max_pieces, half_grid=True)
     return Objective(payoff=payoff, intervals=iu)
 
 
-def zero_cycle_game(
-    rng: random.Random, n_vertices: int, potential_span: int = 3
-) -> GameGraph:
+def zero_cycle_game(rng: random.Random, n_vertices: int) -> GameGraph:
     """Arena in which every cycle has weight exactly zero: weights are the
-    differences of a random vertex potential, so the running sum at a
-    vertex is a function of the vertex alone."""
+    differences of a random vertex potential in [-3, 3], so the running sum
+    at a vertex is a function of the vertex alone."""
     g = random_game(rng, n_vertices, max_weight=0)
-    phi = [rng.randint(-potential_span, potential_span) for _ in range(n_vertices)]
+    phi = [rng.randint(-3, 3) for _ in range(n_vertices)]
     edges = tuple(Edge(e.src, e.dst, phi[e.dst] - phi[e.src]) for e in g.edges)
     return GameGraph(names=g.names, owner=g.owner, edges=edges, initial=0)

@@ -203,10 +203,7 @@ def solve_liminf(g: GameGraph, iu: IntervalUnion) -> Regions:
     reported as a region, not an error.
     """
     everything = frozenset(range(g.n))
-    pm = integerize(iu)
-    if pm.is_empty:
-        return Regions(win_eve=frozenset(), win_adam=everything)
-    solved = solve_parity(_subdivision(g, pm))
+    solved = solve_parity(_subdivision(g, integerize(iu)))
     regions = Regions(
         win_eve=solved.win_eve & everything,
         win_adam=solved.win_adam & everything,

@@ -282,21 +282,20 @@ def parity_to_mp(p: ParityGame) -> tuple[GameGraph, IntervalUnion]:
     )
     fresh = fresh_namer(p.names)
 
+    # v's gadget is v^0, v^+, v^- at n_v + 3v, n_v + 3v + 1, n_v + 3v + 2
     names = list(p.names)
     owner = list(p.owner)
-    gadget_index: dict[tuple[int, str], int] = {}
     for v in range(n_v):
         gadget_owner = Player.EVE if p.priority[v] % 2 == 0 else Player.ADAM
         for tag in ("0", "+", "-"):
-            gadget_index[(v, tag)] = len(names)
             names.append(fresh(f"{p.names[v]}^{tag}"))
             owner.append(gadget_owner)
     edges = []
     for e in p.edges:
-        edges.append(Edge(e.src, gadget_index[(e.dst, "0")], p.priority[e.src]))
+        edges.append(Edge(e.src, n_v + 3 * e.dst, p.priority[e.src]))
     for v in range(n_v):
         q = p.priority[v]
-        v0, vp, vm = (gadget_index[(v, t)] for t in ("0", "+", "-"))
+        v0, vp, vm = range(n_v + 3 * v, n_v + 3 * v + 3)
         edges.append(Edge(v0, vp, q))
         edges.append(Edge(v0, vm, q))
         edges.append(Edge(vp, v, q))

@@ -131,18 +131,19 @@ def totalsum_to_ocpg(g: GameGraph, iu: IntervalUnion) -> OneCounterParityGame:
             return (2 * u + 1 - b) * width + j
         return (2 * width - 1) * n + u
 
-    fresh = fresh_namer(())
+    # the names are distinct: only a copy's name holds "~", and its
+    # suffix "~b~i" fixes b, i and so the arena name before it
     names: list[str] = []
     owner: list[Player] = []
     priority: list[int] = []
     for v in range(n):
         for b in (1, 0):
             for i in regions:
-                names.append(fresh(f"{g.names[v]}~{b}~{i}"))
+                names.append(f"{g.names[v]}~{b}~{i}")
                 owner.append(g.owner[v] if b == 1 else Player.ADAM)
                 priority.append(i)
     top_priority = 2 * r + 1
-    names += [fresh(f"e{k}") for k in range(len(g.edges))] + [fresh(name) for name in _SINKS]
+    names += [f"e{k}" for k in range(len(g.edges))] + list(_SINKS)
     owner += [Player.EVE] * (len(g.edges) + len(_SINKS))
     priority += [top_priority] * len(g.edges) + [2 * r, top_priority, top_priority]
     v_zero, v_bot, v_top = (at(n + len(g.edges) + k) for k in range(3))

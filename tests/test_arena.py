@@ -220,6 +220,34 @@ def test_each_rejection_names_its_fault(case, error, message, capsys, tmp_path):
     assert (out, err) == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("text, value", [
+    ("1_0", None),
+    ("1/2_0", None),
+    ("1 / 2", None),
+    ("1/ 2", None),
+    ("1\t/2", None),
+    ("1/\u20032", None),
+    (" 1/2 ", F(1, 2)),
+    ("-3", F(-3)),
+    ("1.5", F(3, 2)),
+    ("2/3", F(2, 3)),
+])
+def test_rationals_read_the_same_on_every_python(text, value):
+    # Fraction alone accepts digit separators from Python 3.11 and spaces
+    # around the slash from 3.12
+    doc = json.dumps(_interval(text, "inf"))
+    if value is None:
+        message = f"bad rational {text!r}"
+        for read in (lambda: parse_rational(text), lambda: read_document(doc)):
+            with pytest.raises(MalformedDocument) as caught:
+                read()
+            assert str(caught.value) == message
+    else:
+        assert parse_rational(text) == value
+        _, o = read_document(doc)
+        assert o.intervals.intervals[0].lo == value
+
+
 def test_empty_interval_rejected():
     with pytest.raises(EmptyInterval):
         Interval(F(1), F(0))

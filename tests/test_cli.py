@@ -1,3 +1,4 @@
+import copy
 import gc
 import inspect
 import json
@@ -9,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from intervalgames import cli
 from intervalgames.arena import (
@@ -217,6 +220,30 @@ def test_generate_bad_parameters(capsys):
     for args in cases:
         code, _, err = run(capsys, "generate", *args, "--seed", "3")
         assert code == 2 and "error" in err, args
+
+
+def test_generate_subset_sum_with_a_discount(capsys, tmp_path):
+    code, text, _ = run(
+        capsys, "generate", "subset-sum", "--pairs", "2", "--seed", "7", "--discount", "2/3"
+    )
+    assert code == 0 and json.loads(text)["objective"]["lambda"] == "2/3"
+    f = tmp_path / "ss.game"
+    f.write_text(text)
+    code, out, _ = run(capsys, "solve", f)
+    assert code == 0 and out.strip() in ("EVE", "ADAM")
+
+
+@pytest.mark.parametrize("discount, message", [
+    ("0", "discount factor 0 not in (0,1)"),
+    ("1", "discount factor 1 not in (0,1)"),
+    ("3/2", "discount factor 3/2 not in (0,1)"),
+    ("1_0/3_0", "bad rational '1_0/3_0'"),
+])
+def test_generate_rejects_a_bad_discount(capsys, discount, message):
+    result = run(
+        capsys, "generate", "subset-sum", "--pairs", "2", "--seed", "7", "--discount", discount
+    )
+    assert result == (2, "", f"error: {message}\n")
 
 
 def test_reduce_chain(capsys, tmp_path):
@@ -702,3 +729,117 @@ def test_reader_closing_early_is_no_traceback(tmp_path):
         assert proc.wait(timeout=60) == 1, err
         assert "Traceback" not in err, err
         assert not err, err
+
+
+_FUZZ_BASES = (
+    {
+        "vertices": [{"id": "a", "owner": "eve"}, {"id": "b", "owner": "adam"}],
+        "edges": [
+            {"src": "a", "dst": "b", "weight": 1},
+            {"src": "b", "dst": "a", "weight": -1},
+            {"src": "b", "dst": "b", "weight": 2},
+        ],
+        "initial": "a",
+        "objective": {
+            "payoff": "mp-inf",
+            "intervals": [{"lo": "0", "hi": "1", "lo_open": False, "hi_open": True}],
+        },
+    },
+    {
+        "vertices": [{"id": "a", "owner": "eve"}, {"id": "b", "owner": "adam"}],
+        "edges": [
+            {"src": "a", "dst": "b", "weight": 2},
+            {"src": "a", "dst": "a", "weight": 0},
+            {"src": "b", "dst": "a", "weight": -1},
+        ],
+        "initial": "b",
+        "objective": {
+            "payoff": "discounted",
+            "lambda": "1/2",
+            "intervals": [{"lo": "-1", "hi": "1", "lo_open": True, "hi_open": False}],
+        },
+    },
+    {
+        "vertices": [
+            {"id": "a", "owner": "eve", "priority": 2},
+            {"id": "b", "owner": "adam", "priority": 1},
+        ],
+        "edges": [{"src": "a", "dst": "b"}, {"src": "b", "dst": "a"}, {"src": "b", "dst": "b"}],
+        "initial": "a",
+        "objective": {"payoff": "parity"},
+    },
+)
+_FUZZ_PATHS = (
+    ("objective", "payoff"),
+    ("objective", "lambda"),
+    ("objective", "intervals", 0, "lo"),
+    ("objective", "intervals", 0, "hi"),
+    ("objective", "intervals", 0, "lo_open"),
+    ("objective", "intervals", 0, "hi_open"),
+    ("initial",),
+    ("vertices", 0, "id"),
+    ("vertices", 1, "owner"),
+    ("vertices", 0, "priority"),
+    ("edges", 0, "src"),
+    ("edges", 1, "dst"),
+    ("edges", 2, "weight"),
+    ("vertices",),
+    ("edges",),
+    ("objective", "intervals"),
+    ("zero_edges",),
+)
+_FUZZ_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 3),
+    st.just(0.5),
+    st.sampled_from(
+        ["1_0", "1e5", "1/0", "1/2", "3/2", "inf", "-inf", "a", "b", "zz", "eve", "adam",
+         "parity", "ocpg", *(p.value for p in Payoff)]
+    ),
+    st.just({}),
+    st.lists(st.integers(0, 1), max_size=2),
+)
+_FUZZ_COMMANDS = (
+    ("solve",),
+    ("check", "--suite", "oracle"),
+    ("check", "--suite", "stability"),
+    *(("reduce", "--to", target) for target in ("parity", "ocpg", "mp", "liminf")),
+)
+
+
+def _mutate(doc, path, value):
+    """Set the field at `path` to `value`, unless an earlier mutation left
+    no such field to reach."""
+    *head, last = path
+    try:
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+    except (LookupError, TypeError):
+        pass
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    st.sampled_from(_FUZZ_BASES),
+    st.lists(st.tuples(st.sampled_from(_FUZZ_PATHS), _FUZZ_VALUES), min_size=1, max_size=3),
+)
+def test_mutated_documents_end_in_a_documented_exit_code(capsys, tmp_path, base, mutations):
+    # any document either solves or exits with its documented code, and no
+    # exception escapes `main`
+    doc = copy.deepcopy(base)
+    for path, value in mutations:
+        _mutate(doc, path, value)
+    f = tmp_path / "fuzz.game"
+    f.write_text(json.dumps(doc))
+    for command, *flags in _FUZZ_COMMANDS:
+        code = main([command, str(f), *flags])
+        assert code in (0, 2, 3, 4, 5), (command, flags, doc)
+    capsys.readouterr()
