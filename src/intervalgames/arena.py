@@ -11,13 +11,14 @@ concurrent tasks; the operations in this module are pure functions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, InitVar, dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, total_ordering
-from itertools import chain, repeat
+from itertools import chain
 from operator import itemgetter, neg
-from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn, Optional, Sequence, Union
+from typing import Callable, ClassVar, Iterable, Mapping, NamedTuple, NoReturn, Optional
+from typing import Sequence, Union
 
 
 class GameError(Exception):
@@ -190,16 +191,6 @@ class Edge(NamedTuple):
     weight: int = 0
 
 
-_SRC, _DST, _WEIGHT = itemgetter(0), itemgetter(1), itemgetter(2)
-
-
-def _edge_columns(
-    srcs: Iterable[int], dsts: Iterable[int], weights: Iterable[int]
-) -> tuple[Edge, ...]:
-    """Edges from their columns, with no Python-level call per edge."""
-    return tuple(map(tuple.__new__, repeat(Edge), zip(srcs, dsts, weights)))
-
-
 def predecessors(succ: Sequence[Iterable[int]]) -> list[list[int]]:
     """For each vertex v, every u with v in succ[u], once for each time v
     is listed there.  Successor lists repeat a vertex once per parallel
@@ -212,22 +203,35 @@ def predecessors(succ: Sequence[Iterable[int]]) -> list[list[int]]:
     return pred
 
 
+@dataclass(frozen=True)
 class Arena:
     """Shared core of the graph types: named vertices with owners, edges
     and an initial vertex, one validator and the adjacency views.
 
     Vertex identifiers are strings in documents; internally vertices are
     dense indices in document order, which is also the universal tie-break
-    order for strategy choices.  Subclasses are frozen dataclasses that
-    list their fields; `COLUMNS` names the optional columns a type has
-    ("priority", "weight", "zero_edges") and `PAYOFF` the payoff of its
-    documents, None where documents carry a separate objective.
+    order for strategy choices.  Edge k runs from src[k] to dst[k] with
+    weight weight[k], three columns of ints (parity and zero-test edges
+    weigh 0).  Subclasses are frozen dataclasses that add their fields;
+    `COLUMNS` names the optional columns a type writes ("priority",
+    "weight", "zero_edges") and `PAYOFF` the payoff of its documents, None
+    where documents carry a separate objective.  A reader passes `checked`
+    for edge columns it has checked; the validator then checks only the
+    vertices and the dead ends.
     """
 
-    COLUMNS: tuple[str, ...] = ()
-    PAYOFF: Optional[str] = None
+    names: tuple[str, ...]
+    owner: tuple[Player, ...]
+    src: tuple[int, ...]
+    dst: tuple[int, ...]
+    weight: tuple[int, ...]
+    _: KW_ONLY
+    checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    COLUMNS: ClassVar[tuple[str, ...]] = ()
+    PAYOFF: ClassVar[Optional[str]] = None
+
+    def __post_init__(self, checked: bool):
         n = len(self.names)
         if n == 0:
             raise MalformedDocument("a game needs at least one vertex")
@@ -245,17 +249,20 @@ class Arena:
             raise MalformedDocument(f"initial vertex index {self.initial!r} is not an integer")
         if not 0 <= self.initial < n:
             raise UnknownVertexReference(f"initial vertex index {self.initial}")
+        if not len(self.src) == len(self.dst) == len(self.weight):
+            raise MalformedDocument("edge columns differ in length")
+        zero = getattr(self, "zero_edges", ())
+        srcs = set(self.src).union(z[0] for z in zero)
+        if len(srcs) == n and checked:
+            return
         # set operations over the columns; only a failed check walks the
         # edges, to name the first offender
-        edges = (self.edges, getattr(self, "zero_edges", ()))
-        srcs = set(map(_SRC, chain(*edges)))
-        ends = srcs.union(map(_DST, chain(*edges)))
         if not (
             len(srcs) == n
             # every index and weight of every edge, not the index set,
             # where 1.0 or True would hide behind an equal int
-            and set(map(type, chain.from_iterable(chain(*edges)))) == {int}
-            and min(ends) >= 0
+            and set(map(type, chain(self.src, self.dst, self.weight, *zero))) == {int}
+            and min(ends := srcs.union(self.dst, (z[1] for z in zero))) >= 0
             and max(ends) < n
         ):
             self._walk_edges()
@@ -278,23 +285,35 @@ class Arena:
             if not ok:
                 raise DeadEndVertexError(self.names[v])
 
+    @classmethod
+    def from_edges(cls, names, owner, edges: Iterable[Edge], *fields, **named):
+        """The game with `edges`, in order, as its edge columns, and every
+        other field given as to the constructor."""
+        src, dst, weight = tuple(zip(*edges)) or ((), (), ())
+        return cls(names, owner, src, dst, weight, *fields, **named)
+
     @property
     def n(self) -> int:
         return len(self.names)
 
     @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edge columns as `Edge` tuples, for readers of whole edges."""
+        return tuple(map(Edge, self.src, self.dst, self.weight))
+
+    @cached_property
     def out_edges(self) -> tuple[tuple[int, ...], ...]:
         """Edge indices grouped by source, in edge-list order."""
         buckets: list[list[int]] = [[] for _ in range(self.n)]
-        for i, e in enumerate(self.edges):
-            buckets[e.src].append(i)
+        for i, v in enumerate(self.src):
+            buckets[v].append(i)
         return tuple(map(tuple, buckets))
 
     @cached_property
     def succ(self) -> tuple[tuple[int, ...], ...]:
         """Successors of each vertex, one per edge in edge-list order."""
-        edges = self.edges
-        return tuple(tuple(edges[i].dst for i in out) for out in self.out_edges)
+        at = self.dst.__getitem__
+        return tuple(tuple(map(at, out)) for out in self.out_edges)
 
     @cached_property
     def pred(self) -> tuple[tuple[int, ...], ...]:
@@ -305,27 +324,15 @@ class Arena:
 class GameGraph(Arena):
     """Finite arena with integer-weighted edges."""
 
-    names: tuple[str, ...]
-    owner: tuple[Player, ...]
-    edges: tuple[Edge, ...]
     initial: int
 
     COLUMNS = ("weight",)
-
-    def negate_weights(self) -> "GameGraph":
-        es = self.edges
-        return replace(
-            self, edges=_edge_columns(map(_SRC, es), map(_DST, es), map(neg, map(_WEIGHT, es)))
-        )
 
 
 @dataclass(frozen=True)
 class ParityGame(Arena):
     """Min-parity game: a priority per vertex, unweighted edges."""
 
-    names: tuple[str, ...]
-    owner: tuple[Player, ...]
-    edges: tuple[Edge, ...]
     priority: tuple[int, ...]
     initial: int
 
@@ -342,10 +349,7 @@ class OneCounterParityGame(Arena):
     are allowed.  A vertex may have zero-test edges as its only exits.
     """
 
-    names: tuple[str, ...]
-    owner: tuple[Player, ...]
     priority: tuple[int, ...]
-    edges: tuple[Edge, ...]
     zero_edges: tuple[Edge, ...]
     initial: int
 
@@ -622,26 +626,31 @@ def _raise_for_bad_vertex(entries: list, with_priority: bool) -> NoReturn:
     raise AssertionError("vertex entries rejected in bulk are each readable")
 
 
+_SRC_KEY, _DST_KEY, _WEIGHT_KEY = map(itemgetter, ("src", "dst", "weight"))
+
+
 def _read_edges(
     entries, index_of: Mapping[str, int], weighted: bool, what: str
-) -> tuple[Edge, ...]:
-    """Edges of a document; a weight is required on `weighted` edges and
-    ignored, once checked, on the others."""
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The src, dst and weight columns of a document's edges, in range as
+    `index_of` lookups and checked: a weight is required on `weighted`
+    edges and ignored, once checked, on the others, which weigh 0."""
     entries = _expect_list(entries, what + "s")
+    index = index_of.__getitem__
     try:
-        srcs = [index_of[entry["src"]] for entry in entries]
-        dsts = [index_of[entry["dst"]] for entry in entries]
+        srcs = tuple(map(index, map(_SRC_KEY, entries)))
+        dsts = tuple(map(index, map(_DST_KEY, entries)))
         if weighted:
-            weights = [entry["weight"] for entry in entries]
+            weights = tuple(map(_WEIGHT_KEY, entries))
             typed = set(map(type, weights)) <= {int}
         else:
-            weights = repeat(0)
+            weights = (0,) * len(entries)
             typed = {type(entry.get("weight")) for entry in entries} <= {int, type(None)}
     except (KeyError, TypeError):
         pass
     else:
         if typed:
-            return _edge_columns(srcs, dsts, weights)
+            return srcs, dsts, weights
     _raise_for_bad_edge(entries, index_of, weighted, what)
 
 
@@ -741,28 +750,17 @@ def read_document(
         raise MalformedDocument(f"initial vertex {initial!r} is not a vertex id")
     if initial not in index_of:
         raise UnknownVertexReference(f"initial vertex {initial!r} not listed")
-    columns = {
-        "names": tuple(names),
-        "owner": tuple(owners),
-        "edges": _read_edges(doc["edges"], index_of, "weight" in cls.COLUMNS, "edge"),
-        "initial": index_of[initial],
-    }
+    src, dst, weight = _read_edges(doc["edges"], index_of, "weight" in cls.COLUMNS, "edge")
+    columns = {"initial": index_of[initial]}
     if "priority" in cls.COLUMNS:
         columns["priority"] = tuple(priorities)
     if "zero_edges" in cls.COLUMNS:
         zero_edges = doc.get("zero_edges", [])
-        columns["zero_edges"] = _read_edges(zero_edges, index_of, False, "zero edge")
-    game = cls(**columns)
+        columns["zero_edges"] = tuple(
+            map(Edge, *_read_edges(zero_edges, index_of, False, "zero edge"))
+        )
+    game = cls(tuple(names), tuple(owners), src, dst, weight, **columns, checked=True)
     return game if objective is None else (game, objective)
-
-
-def parse_game(text: str) -> tuple[GameGraph, Objective]:
-    """Parse and validate a payoff game document; parity and one-counter
-    documents, read by `read_document`, are rejected as unsupported."""
-    parsed = read_document(text)
-    if isinstance(parsed, Arena):
-        raise UnsupportedObjective(f"{parsed.PAYOFF} documents are not payoff games")
-    return parsed
 
 
 def _interval_to_doc(j: Interval) -> dict:
@@ -788,10 +786,10 @@ def write_document(
     if "priority" in game.COLUMNS:
         for entry, prio in zip(doc["vertices"], game.priority):
             entry["priority"] = prio
-    doc["edges"] = [{"src": names[e.src], "dst": names[e.dst]} for e in game.edges]
+    doc["edges"] = [{"src": names[s], "dst": names[d]} for s, d in zip(game.src, game.dst)]
     if "weight" in game.COLUMNS:
-        for entry, e in zip(doc["edges"], game.edges):
-            entry["weight"] = e.weight
+        for entry, w in zip(doc["edges"], game.weight):
+            entry["weight"] = w
     if "zero_edges" in game.COLUMNS:
         doc["zero_edges"] = [{"src": names[z.src], "dst": names[z.dst]} for z in game.zero_edges]
     doc["initial"] = names[game.initial]
@@ -812,20 +810,22 @@ def serialize_game(g: GameGraph, o: Objective, comment: Optional[str] = None) ->
 # ---------------------------------------------------------------------------
 # operations
 
-def normalize(g: GameGraph, o: Objective) -> tuple[GameGraph, Objective]:
-    """Rewrite sup-style payoffs as their inf counterpart.
-
-    Negating every weight and mirroring every interval preserves the
-    winner; inf-style and discounted objectives are returned unchanged.
-    """
+def inf_objective(o: Objective) -> tuple[int, Objective]:
+    """(sign, objective): a sup-style payoff as its inf counterpart on the
+    mirrored intervals, won on the weights times sign = -1, which
+    preserves the winner; any other objective as it is, with sign 1."""
     if o.payoff not in _SUP_TO_INF:
-        return g, o
-    return g.negate_weights(), Objective(
-        payoff=_SUP_TO_INF[o.payoff],
-        intervals=o.intervals.negate(),
-        lam=None,
-    )
+        return 1, o
+    return -1, Objective(payoff=_SUP_TO_INF[o.payoff], intervals=o.intervals.negate())
+
+
+def normalize(g: GameGraph, o: Objective) -> tuple[GameGraph, Objective]:
+    """Rewrite sup-style payoffs as their inf counterpart on a copy of `g`
+    with every weight negated; inf-style and discounted objectives are
+    returned unchanged."""
+    sign, o = inf_objective(o)
+    return (g if sign > 0 else replace(g, weight=tuple(map(neg, g.weight)))), o
 
 
 def max_abs_weight(g: GameGraph) -> int:
-    return max((abs(e.weight) for e in g.edges), default=0)
+    return max(map(abs, g.weight), default=0)

@@ -3,7 +3,7 @@
 Exit codes: 0 solved (any winner), 1 standard output closed by its
 reader before everything was written (as in `solve --regions | head`),
 2 document or parameter error, 3 unsupported objective or reduction,
-4 oracle disagreement, 5 resource guard tripped.
+4 oracle disagreement, 5 resource guard tripped or memory exhausted.
 
 `main` pauses Python's cyclic garbage collector for the one command it
 runs and restores the collector's prior state after.  The solvers leave
@@ -34,6 +34,7 @@ from .arena import (
     Payoff,
     UnsupportedObjective,
     Verdict,
+    inf_objective,
     normalize,
     parse_rational,
     read_document,
@@ -70,22 +71,23 @@ def _load_document(path: str):
 
 def _solve_game(g, o: Optional[Objective], bound: Optional[int]):
     """Dispatch one instance, a parity game when `o` is None; returns
-    (regions over g's vertices, meta)."""
+    (regions over g's vertices, meta).  A sup-style payoff is solved as its
+    inf counterpart, the solver reading every weight times -1."""
     if o is None:
         return solve_parity(g), {"payoff": "parity"}
-    g, o = normalize(g, o)
+    sign, o = inf_objective(o)
     meta: dict = {"payoff": o.payoff.value}
     if o.payoff is Payoff.LIMINF:
-        regions = solve_liminf(g, o.intervals)
+        regions = solve_liminf(g, o.intervals, sign)
         meta["algorithm"] = "liminf-to-parity"
     elif o.payoff is Payoff.MP_INF:
-        regions = solve_mp_interval(g, o.intervals)
+        regions = solve_mp_interval(g, o.intervals, sign)
         meta["algorithm"] = "mp-interval-fixpoint"
     elif o.payoff is Payoff.DISCOUNTED:
         regions = solve_ds_interval(g, o.lam, o.intervals)
         meta["algorithm"] = "ds-bounded-search"
-    else:  # total-inf, the one payoff `normalize` leaves
-        solved = solve_total_interval(g, o.intervals, bound=bound)
+    else:  # total-inf, the one payoff `inf_objective` leaves
+        solved = solve_total_interval(g, o.intervals, bound=bound, sign=sign)
         regions = solved.vertices
         meta["algorithm"] = "total-ocpg-bounded"
         meta["bound"] = solved.bound
@@ -246,39 +248,37 @@ def _check_expectation(path: str, verdict: Optional[Verdict], error: Optional[Ga
 
 def _oracle_suite(g, o: Optional[Objective], base) -> list[str]:
     """Cross-check the production solver against the matching oracle on
-    one instance; `base` is its `_solve_game` result.  Returns report
-    lines, raises OracleDisagreement."""
-    regions, _ = base
+    one instance; `base` is its `_solve_game` result.  The oracles read
+    the document's own objective, sup-style payoffs included.  Returns
+    report lines, raises OracleDisagreement."""
+    regions, meta = base
     if o is None:
         if brute_force_positional(g).win_eve != regions.win_eve:
             raise OracleDisagreement("parity solver disagrees with enumeration")
         return ["parity: agreement"]
-    gn, on = normalize(g, o)
-    if on.payoff is Payoff.DISCOUNTED:
-        if not check_ds_values(gn, on.lam, ds_optimal_values(gn, on.lam)):
+    if o.payoff is Payoff.DISCOUNTED:
+        if not check_ds_values(g, o.lam, ds_optimal_values(g, o.lam)):
             raise OracleDisagreement("discounted game values fail their one-step equations")
-        depth = decision_depth(gn, on.lam, on.intervals)
-        if brute_force_finite_horizon_ds(gn, on.lam, on.intervals, depth) != regions.win_eve:
+        depth = decision_depth(g, o.lam, o.intervals)
+        if brute_force_finite_horizon_ds(g, o.lam, o.intervals, depth) != regions.win_eve:
             raise OracleDisagreement("discounted solver disagrees with reference search")
         return [
             "discounted: game values certified by their one-step equations",
             "discounted: agreement with unpruned search",
         ]
-    if on.payoff is Payoff.TOTAL_INF:
+    payoff = meta["payoff"]  # inf-style, as solved
+    if payoff == Payoff.TOTAL_INF.value:
         return ["total-sum: no positional oracle suite (three-valued solver); skipped"]
-    reference = brute_force_positional(gn, on)
+    reference = brute_force_positional(g, o)
     if reference.exact:
         if reference.win_eve != regions.win_eve:
             raise OracleDisagreement("solver disagrees with exact positional oracle")
-        return [f"{on.payoff.value}: agreement"]
+        return [f"{payoff}: agreement"]
     if not reference.win_eve <= regions.win_eve:
         raise OracleDisagreement("positional Eve bound exceeds the solved region")
     if not reference.win_adam <= regions.win_adam:
         raise OracleDisagreement("positional Adam bound exceeds the solved region")
-    return [
-        f"{on.payoff.value}: bound-only oracle (objective may need memory); "
-        "no contradiction"
-    ]
+    return [f"{payoff}: bound-only oracle (objective may need memory); no contradiction"]
 
 
 def _stability_suite(g, o: Optional[Objective], base) -> list[str]:
@@ -397,6 +397,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except GameError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError:
+        # what the command built is freed by now, so there is room to say so
+        print("error: out of memory", file=sys.stderr)
+        return 5
     except BrokenPipeError:
         # the reader is gone: point stdout at devnull so that the flush at
         # interpreter exit has nowhere to fail

@@ -89,6 +89,7 @@ def _profile_values(
     vertex off the cycle whose chosen edge of weight w leads to a vertex of
     value num/den has (w*q*den + p*num)/(q*den)."""
     p, q = lam.numerator, lam.denominator
+    dst, weight = g.dst, g.weight
     values: list[Optional[tuple[int, int]]] = [None] * g.n
     for start in range(g.n):
         if values[start] is not None:
@@ -99,12 +100,12 @@ def _profile_values(
         while values[v] is None and v not in pos:
             pos[v] = len(path)
             path.append(v)
-            v = g.edges[choice[v]].dst
+            v = dst[choice[v]]
         if values[v] is None:
             # closed a fresh cycle: sum its weights at u_0, then step the
             # numerator forward, num_(j+1) = (num_j - w_j*den)*q/p exactly
             cycle = path[pos[v]:]
-            weights = [g.edges[choice[u]].weight for u in cycle]
+            weights = [weight[choice[u]] for u in cycle]
             num = 0
             power = 1
             for w in weights:
@@ -117,9 +118,9 @@ def _profile_values(
                 num = (num - w * den) // p * q
         for u in reversed(path):
             if values[u] is None:
-                e = g.edges[choice[u]]
-                num, den = values[e.dst]  # type: ignore[misc]
-                values[u] = (e.weight * q * den + p * num, q * den)
+                j = choice[u]
+                num, den = values[dst[j]]  # type: ignore[misc]
+                values[u] = (weight[j] * q * den + p * num, q * den)
     return values  # type: ignore[return-value]
 
 
@@ -137,14 +138,14 @@ def _improve(
     w + lam*num/den are compared by cross-multiplying, which keeps the
     order since denominators are positive."""
     p, q = lam.numerator, lam.denominator
+    dst, weight = g.dst, g.weight
     changed = False
     for v in vertices:
         best_j = choice[v]
         best_num, best_den = values[v]
         for j in g.out_edges[v]:
-            e = g.edges[j]
-            num, den = values[e.dst]
-            num = e.weight * q * den + p * num
+            num, den = values[dst[j]]
+            num = weight[j] * q * den + p * num
             den *= q
             diff = num * best_den - best_num * den
             if (diff > 0) if maximize else (diff < 0):
@@ -311,9 +312,10 @@ def solve_ds_interval(g: GameGraph, lam: Fraction, iu: IntervalUnion) -> Regions
     ]
     # the vertices reachable in exactly k steps shrink as k grows and
     # repeat within n steps
+    dst, weight = g.dst, g.weight
     layers = [list(range(n))]
     while len(layers) <= depth:
-        after = sorted({g.edges[j].dst for v in layers[-1] for j in g.out_edges[v]})
+        after = sorted({dst[j] for v in layers[-1] for j in g.out_edges[v]})
         if after == layers[-1]:
             break
         layers.append(after)
@@ -335,9 +337,8 @@ def solve_ds_interval(g: GameGraph, lam: Fraction, iu: IntervalUnion) -> Regions
             events = []
             count = 0
             for j in g.out_edges[v]:
-                e = g.edges[j]
-                bit, flips = later[e.dst]
-                shift = step * e.weight
+                bit, flips = later[dst[j]]
+                shift = step * weight[j]
                 count += bit
                 sign = -1 if bit else 1
                 for f in flips:
@@ -382,7 +383,7 @@ def subset_sum_to_ds(
         for value in (a, b):
             edges.append(Edge(i - 1, i, int(factor) * value))
     edges.append(Edge(n, n, 0))
-    g = GameGraph(names=names, owner=owner, edges=tuple(edges), initial=0)
+    g = GameGraph.from_edges(names, owner, edges, 0)
     iu = IntervalUnion(
         (Interval(Fraction(scale * (s.target - 1)), Fraction(scale * (s.target + 1)), True, True),)
     )

@@ -50,7 +50,7 @@ def random_game(
                 rng.randint(-max_weight, max_weight),
             )
         )
-    return GameGraph(names=names, owner=owner, edges=tuple(edges), initial=0)
+    return GameGraph.from_edges(names, owner, edges, 0)
 
 
 def random_parity_game(
@@ -60,9 +60,7 @@ def random_parity_game(
 ) -> ParityGame:
     g = random_game(rng, n_vertices, max_weight=0)
     return ParityGame(
-        names=g.names,
-        owner=g.owner,
-        edges=g.edges,  # weight 0 throughout
+        g.names, g.owner, g.src, g.dst, g.weight,  # weight 0 throughout
         priority=tuple(rng.randint(0, max_priority) for _ in range(n_vertices)),
         initial=0,
     )
@@ -167,5 +165,5 @@ def zero_cycle_game(rng: random.Random, n_vertices: int) -> GameGraph:
     at a vertex is a function of the vertex alone."""
     g = random_game(rng, n_vertices, max_weight=0)
     phi = [rng.randint(-3, 3) for _ in range(n_vertices)]
-    edges = tuple(Edge(e.src, e.dst, phi[e.dst] - phi[e.src]) for e in g.edges)
-    return GameGraph(names=g.names, owner=g.owner, edges=edges, initial=0)
+    weight = tuple(phi[dst] - phi[src] for src, dst in zip(g.src, g.dst))
+    return GameGraph(g.names, g.owner, g.src, g.dst, weight, initial=0)

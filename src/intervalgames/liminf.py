@@ -19,7 +19,6 @@ from functools import cached_property
 from typing import Union
 
 from .arena import (
-    Edge,
     GameGraph,
     Infinity,
     Interval,
@@ -112,8 +111,8 @@ def omega_I(n: int, pm: PriorityMap) -> int:
     return pm.lowest + bisect_right(pm.cuts, n)
 
 
-def _subdivision(g: GameGraph, pm: PriorityMap) -> Graph:
-    """The solver's view of `g` as a parity game.
+def _subdivision(g: GameGraph, pm: PriorityMap, sign: int = 1) -> Graph:
+    """The solver's view of `g`, its weights times `sign`, as a parity game.
 
     With top = 2r+1 and q(e) the priority of the weight of edge e, each
     vertex v of `g` carries label(v), the highest q(e) over the edges e
@@ -138,19 +137,18 @@ def _subdivision(g: GameGraph, pm: PriorityMap) -> Graph:
     A subdivider has a single successor, so its owner is inert.
     """
     n, top = g.n, 2 * pm.r + 1
-    srcs, dsts, weights = zip(*g.edges)
-    omega = {w: omega_I(w, pm) for w in set(weights)}
-    prios = list(map(omega.__getitem__, weights))
+    omega = {w: omega_I(sign * w, pm) for w in set(g.weight)}
+    prios = list(map(omega.__getitem__, g.weight))
     # every priority is at least 1, so 0 marks a vertex nothing enters
     label = [0] * n
-    for dst, q in zip(dsts, prios):
+    for dst, q in zip(g.dst, prios):
         if q > label[dst]:
             label[dst] = q
     label = [q or top for q in label]
     succ: list = [[] for _ in range(n)]
     subs: dict[tuple[int, int], int] = {}
     sub_ends, sub_prios = [], []
-    for src, dst, q in zip(srcs, dsts, prios):
+    for src, dst, q in zip(g.src, g.dst, prios):
         if q != label[dst]:
             sub = subs.get((dst, q))
             if sub is None:
@@ -173,14 +171,16 @@ def liminf_to_parity(g: GameGraph, iu: IntervalUnion) -> ParityGame:
     graph = _subdivision(g, integerize(iu))
     n = g.n
     fresh = fresh_namer(g.names)
-    sub_ends = [dst for (dst,) in graph.succ[n:]]
+    sub_ends = tuple(dst for (dst,) in graph.succ[n:])
     its = list(map(iter, graph.succ[:n]))
+    src = g.src + tuple(range(n, graph.n))
     return ParityGame(
         names=tuple(g.names)
         + tuple(fresh(f"{g.names[v]}@{q}") for v, q in zip(sub_ends, graph.priority[n:])),
         owner=graph.owner,
-        edges=tuple(Edge(e.src, next(its[e.src])) for e in g.edges)
-        + tuple(map(Edge, range(n, graph.n), sub_ends)),
+        src=src,
+        dst=tuple(next(its[v]) for v in g.src) + sub_ends,
+        weight=(0,) * len(src),
         priority=tuple(graph.priority),
         initial=g.initial,
     )
@@ -189,21 +189,21 @@ def liminf_to_parity(g: GameGraph, iu: IntervalUnion) -> ParityGame:
 def parity_to_liminf(p: ParityGame) -> tuple[GameGraph, IntervalUnion]:
     """Weight every edge with the priority of its source; the objective is
     the union of singletons at each even priority that occurs."""
-    edges = tuple(Edge(e.src, e.dst, p.priority[e.src]) for e in p.edges)
-    g = GameGraph(names=p.names, owner=p.owner, edges=edges, initial=p.initial)
+    weight = tuple(map(p.priority.__getitem__, p.src))
+    g = GameGraph(p.names, p.owner, p.src, p.dst, weight, initial=p.initial)
     evens = sorted({q for q in p.priority if q % 2 == 0})
     iu = IntervalUnion(tuple(Interval(Fraction(q), Fraction(q)) for q in evens))
     return g, iu
 
 
-def solve_liminf(g: GameGraph, iu: IntervalUnion) -> Regions:
-    """Exact winning regions.
+def solve_liminf(g: GameGraph, iu: IntervalUnion, sign: int = 1) -> Regions:
+    """Exact winning regions, on the weights of `g` times `sign`.
 
     When the objective contains no integer Adam wins everywhere; this is
     reported as a region, not an error.
     """
     everything = frozenset(range(g.n))
-    solved = solve_parity(_subdivision(g, integerize(iu)))
+    solved = solve_parity(_subdivision(g, integerize(iu), sign))
     regions = Regions(
         win_eve=solved.win_eve & everything,
         win_adam=solved.win_adam & everything,

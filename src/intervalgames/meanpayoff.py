@@ -80,7 +80,7 @@ def _energy_credits(
     never lets the running sum fall below -f[v], so `player` wins from
     every finite entry.  A lower cap only turns more entries to top.
     """
-    owner, edges = g.owner, g.edges
+    owner, dst, weight = g.owner, g.dst, g.weight
     # (successor, rescaled weight) per alive vertex
     succ: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     # (predecessor, rescaled weight) for every edge inside alive
@@ -92,10 +92,9 @@ def _energy_credits(
         out = succ[v]
         least = 0
         for j in g.out_edges[v]:
-            e = edges[j]
-            u = e.dst
+            u = dst[j]
             if u in alive:
-                w = scale * e.weight + offset
+                w = scale * weight[j] + offset
                 out.append((u, w))
                 pred[u].append((v, w))
                 if w < least:
@@ -148,9 +147,10 @@ def _energy_credits(
 
 
 def _threshold(
-    g: GameGraph, alive: frozenset[int], player: Player, a: Fraction, strict: bool
+    g: GameGraph, alive: frozenset[int], player: Player, a: Fraction, strict: bool, sign: int = 1
 ) -> frozenset[int]:
-    """Where `player` forces MP >= a (MP > a when `strict`) in `alive`.
+    """Where `player` forces MP >= a (MP > a when `strict`) in `alive`, on
+    the weights of `g` times `sign`.
 
     Each round solves both sides' energy games under one credit cap
     (`_energy_credits`): the first at one rescaled weight, each next one
@@ -166,7 +166,7 @@ def _threshold(
     # MP >= p/q  <=>  MP(q*n*w - p*n) >= 0; strict thresholds shift by one
     # unit, valid because cycle means have denominator <= n
     n = len(alive)
-    scale, offset = a.denominator * n, a.numerator * n
+    scale, offset = sign * a.denominator * n, a.numerator * n
     units = 1
     while True:
         cap_units = None if units >= n else units
@@ -214,7 +214,8 @@ def _nested_objectives(iu: IntervalUnion) -> list[IntervalUnion]:
 
 
 def _interval_win(
-    g: GameGraph, nested: list[IntervalUnion], level: int, alive: frozenset[int], player: Player
+    g: GameGraph, nested: list[IntervalUnion], level: int, alive: frozenset[int], player: Player,
+    sign: int,
 ):
     """Frame for `_run_frames`: `player`'s region of "mean-payoff lands in
     nested[level]" (empty past the last level) while play stays in
@@ -231,15 +232,15 @@ def _interval_win(
     iu = nested[level]
     a = iu.inf
     if a == MINUS_INF:
-        dual = yield _interval_win(g, nested, level + 1, alive, player.opponent)
+        dual = yield _interval_win(g, nested, level + 1, alive, player.opponent, sign)
         return alive - dual
     assert isinstance(a, Fraction)
     strict = iu.intervals[0].lo_open  # a in I iff the first interval is closed at a
     lost: frozenset[int] = frozenset()
     while len(lost) < len(alive):
         current = alive - lost
-        won = _threshold(g, current, player, a, strict)
-        won &= yield _interval_win(g, nested, level + 1, current, player)
+        won = _threshold(g, current, player, a, strict, sign)
+        won &= yield _interval_win(g, nested, level + 1, current, player, sign)
         if won == current:
             break
         # The opponent defeats the (prefix independent) objective from
@@ -252,14 +253,14 @@ def _interval_win(
     return alive - lost
 
 
-def solve_mp_interval(g: GameGraph, iu: IntervalUnion) -> Regions:
-    """Winning regions for "mean-payoff lands in the union", solved on `g`
-    itself: the nested fixpoint passes along which player wants the union
-    and runs one frame per finite boundary on an explicit stack, over
-    objectives built once per solve."""
+def solve_mp_interval(g: GameGraph, iu: IntervalUnion, sign: int = 1) -> Regions:
+    """Winning regions for "mean-payoff, on the weights times `sign`, lands
+    in the union", solved on `g` itself: the nested fixpoint passes along
+    which player wants the union and runs one frame per finite boundary on
+    an explicit stack, over objectives built once per solve."""
     alive = frozenset(range(g.n))
     nested = _nested_objectives(iu)
-    win_eve = _run_frames(_interval_win(g, nested, 0, alive, Player.EVE))
+    win_eve = _run_frames(_interval_win(g, nested, 0, alive, Player.EVE, sign))
     return Regions(win_eve=win_eve, win_adam=alive - win_eve)
 
 
@@ -302,10 +303,5 @@ def parity_to_mp(p: ParityGame) -> tuple[GameGraph, IntervalUnion]:
         edges.append(Edge(vm, v, q))
         edges.append(Edge(vp, vp, q + 1))
         edges.append(Edge(vm, vm, q - 1))
-    g = GameGraph(
-        names=tuple(names),
-        owner=tuple(owner),
-        edges=tuple(edges),
-        initial=p.initial,
-    )
+    g = GameGraph.from_edges(tuple(names), tuple(owner), edges, p.initial)
     return g, IntervalUnion(intervals)

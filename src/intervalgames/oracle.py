@@ -262,8 +262,7 @@ def brute_force_positional(
             )
             result = OracleRegions(eve, adam, exact=True)
         else:
-            result = _mp_union_bounds(game, iu if payoff is Payoff.MP_INF else iu.negate(),
-                                      negate=payoff is Payoff.MP_SUP)
+            result = _mp_union_bounds(game, iu)
     else:
         raise UnsupportedObjective(f"no positional oracle for {payoff}")
     return _checked(result, game.n)
@@ -280,38 +279,37 @@ def _checked(result: OracleRegions, n: int) -> OracleRegions:
     return result
 
 
-def _mp_union_bounds(g: GameGraph, iu: IntervalUnion, negate: bool) -> OracleRegions:
+def _mp_union_bounds(g: GameGraph, iu: IntervalUnion) -> OracleRegions:
     """One side fixes a positional strategy; the remaining one-player game
     achieves every mean in a reachable cycle-mean range, which decides the
-    residual exactly even though the full game may need infinite memory."""
-    work = g.negate_weights() if negate else g
+    residual exactly even though the full game may need infinite memory.
+    The inf and sup variants of the payoff read the same: a play's lower
+    and upper limit averages lie in the cycle-mean range of the component
+    it ends in, and each value there is the limit average of some play."""
     co = complement_intervals(iu)
-    eve_vertices, eve_slots = _strategy_space(work, Player.EVE)
-    adam_vertices, adam_slots = _strategy_space(work, Player.ADAM)
+    eve_vertices, eve_slots = _strategy_space(g, Player.EVE)
+    adam_vertices, adam_slots = _strategy_space(g, Player.ADAM)
 
     def residual(fixed_vertices, fixed_choice) -> GameGraph:
         chosen = dict(zip(fixed_vertices, fixed_choice))
         edges = []
-        for v in range(work.n):
+        for v in range(g.n):
             if v in chosen:
-                edges.append(work.edges[chosen[v]])
+                edges.append(g.edges[chosen[v]])
             else:
-                edges.extend(work.edges[j] for j in work.out_edges[v])
-        return GameGraph(
-            names=work.names,
-            owner=tuple(Player.EVE for _ in range(work.n)),
-            edges=tuple(edges),
-            initial=work.initial,
+                edges.extend(g.edges[j] for j in g.out_edges[v])
+        return GameGraph.from_edges(
+            g.names, tuple(Player.EVE for _ in range(g.n)), edges, g.initial
         )
 
     eve_lower = set()
     for sigma in itertools.product(*eve_slots):
         refuted = one_player_mp_achievable(residual(eve_vertices, sigma), co)
-        eve_lower |= {v for v in range(work.n) if not refuted[v]}
+        eve_lower |= {v for v in range(g.n) if not refuted[v]}
     adam_lower = set()
     for tau in itertools.product(*adam_slots):
         achieved = one_player_mp_achievable(residual(adam_vertices, tau), iu)
-        adam_lower |= {v for v in range(work.n) if not achieved[v]}
+        adam_lower |= {v for v in range(g.n) if not achieved[v]}
     return OracleRegions(frozenset(eve_lower), frozenset(adam_lower), exact=False)
 
 

@@ -143,18 +143,18 @@ def totalsum_to_ocpg(g: GameGraph, iu: IntervalUnion) -> OneCounterParityGame:
                 owner.append(g.owner[v] if b == 1 else Player.ADAM)
                 priority.append(i)
     top_priority = 2 * r + 1
-    names += [f"e{k}" for k in range(len(g.edges))] + list(_SINKS)
-    owner += [Player.EVE] * (len(g.edges) + len(_SINKS))
-    priority += [top_priority] * len(g.edges) + [2 * r, top_priority, top_priority]
-    v_zero, v_bot, v_top = (at(n + len(g.edges) + k) for k in range(3))
+    names += [f"e{k}" for k in range(len(g.src))] + list(_SINKS)
+    owner += [Player.EVE] * (len(g.src) + len(_SINKS))
+    priority += [top_priority] * len(g.src) + [2 * r, top_priority, top_priority]
+    v_zero, v_bot, v_top = (at(n + len(g.src) + k) for k in range(3))
 
     edges: list[Edge] = []
-    for k, e in enumerate(g.edges):
+    for k, (src, weight) in enumerate(zip(g.src, g.weight)):
         for j in range(width):
-            edges.append(Edge(at(e.src, 1, j), at(n + k), e.weight))
-    for k, e in enumerate(g.edges):
+            edges.append(Edge(at(src, 1, j), at(n + k), weight))
+    for k, dst in enumerate(g.dst):
         for j in range(width):
-            edges.append(Edge(at(n + k), at(e.dst, 0, j), 0))
+            edges.append(Edge(at(n + k), at(dst, 0, j), 0))
     for v in range(n):
         # region j holds the counters from cuts[j - 1] to cuts[j] - 1
         for j in range(width):
@@ -169,11 +169,11 @@ def totalsum_to_ocpg(g: GameGraph, iu: IntervalUnion) -> OneCounterParityGame:
     edges.append(Edge(v_zero, v_zero, 0))
     zero_edges = (Edge(v_bot, v_zero), Edge(v_top, v_zero))
 
-    return OneCounterParityGame(
+    return OneCounterParityGame.from_edges(
         names=tuple(names),
         owner=tuple(owner),
         priority=tuple(priority),
-        edges=tuple(edges),
+        edges=edges,
         zero_edges=zero_edges,
         initial=at(g.initial, 1, omega_I(0, pm) - pm.lowest),
     )
@@ -194,13 +194,14 @@ def _clamped_game(
     bound: int,
     down: list[Optional[int]],
     up: list[Optional[int]],
+    sign: int = 1,
 ) -> tuple[Graph, list[Config]]:
-    """The finite parity game of `g` with the running total clamped to
-    [-bound, bound], and its configurations: configuration k is vertex
-    len(_SINK_SUCC) + k.
+    """The finite parity game of `g`, its weights times `sign`, with the
+    running total clamped to [-bound, bound], and its configurations:
+    configuration k is vertex len(_SINK_SUCC) + k.
 
     Configuration (v, c) is owned by v's owner and has priority
-    omega_I(c, pm); arena edge (v, dst, w) leads to (dst, c + w).  Only
+    omega_I(c, pm); arena edge (v, dst, w) leads to (dst, c + sign*w).  Only
     configurations reachable from counter 0 are materialized.  An escape
     below the clamp onto dst goes to the sink the lowest region's priority
     wins for when `_pin_bounds` gives dst a need down[dst] <= bound, and
@@ -213,7 +214,8 @@ def _clamped_game(
         return [pinned if need is not None and need <= bound else LIMBO for need in needs]
 
     below, above = map(escapes, (down, up), _outer_priorities(pm))
-    moves = [tuple((g.edges[k].dst, g.edges[k].weight) for k in out) for out in g.out_edges]
+    dst, weight = g.dst, g.weight
+    moves = [tuple((dst[k], sign * weight[k]) for k in out) for out in g.out_edges]
     configs: list[Config] = [(v, 0) for v in range(g.n)]
     index: dict[Config, int] = {cfg: k for k, cfg in enumerate(configs, first)}
     succ: list[tuple[int, ...]] = list(_SINK_SUCC)
@@ -248,9 +250,10 @@ def _outer_priorities(pm: PriorityMap) -> tuple[int, int]:
 
 
 def _pin_bounds(
-    g: GameGraph, pm: PriorityMap
+    g: GameGraph, pm: PriorityMap, sign: int = 1
 ) -> tuple[list[Optional[int]], list[Optional[int]], int]:
-    """Per arena vertex v, the least clamp E + f[v] + 1 at which an escape
+    """On the weights of `g` times `sign`, per arena vertex v, the least
+    clamp E + f[v] + 1 at which an escape
     below (first list) or above (second list) onto v is pinned, None where
     no finite credit suffices; and the default clamp, one more than the
     largest of them (E + 2 when all are None).
@@ -261,7 +264,7 @@ def _pin_bounds(
     reach = max((abs(x) for piece in pm.intervals for x in piece if isinstance(x, int)), default=0)
     alive = frozenset(range(g.n))
     sides = []
-    for prio, scale in zip(_outer_priorities(pm), (-1, +1)):
+    for prio, scale in zip(_outer_priorities(pm), (-sign, sign)):
         # the winner of the outermost region on this side; on weights
         # scaled by -1 the running sum never rises by more than f[v], on
         # weights as they are it never falls by more than f[v]
@@ -285,10 +288,11 @@ def default_bound(g: GameGraph, iu: IntervalUnion) -> int:
 
 
 def solve_total_interval(
-    g: GameGraph, iu: IntervalUnion, bound: Optional[int] = None
+    g: GameGraph, iu: IntervalUnion, bound: Optional[int] = None, sign: int = 1
 ) -> TotalSolution:
-    """Solve the arena's configurations with the running total clamped to
-    [-B, B], B = `default_bound` unless `bound` is given.
+    """Solve the arena's configurations, on its weights times `sign`, with
+    the running total clamped to [-B, B], B = `default_bound` of those
+    weights unless `bound` is given.
 
     When the objective has no integer points at all Adam wins everywhere
     outright (finite totals are integers and infinite totals need an
@@ -336,9 +340,9 @@ def solve_total_interval(
         )
     if not pm.cuts:
         raise NoFiniteEndpoint("objective has no finite region boundary")
-    down, up, default = _pin_bounds(g, pm)
+    down, up, default = _pin_bounds(g, pm, sign)
     b = default if bound is None else bound
-    game, configs = _clamped_game(g, pm, b, down, up)
+    game, configs = _clamped_game(g, pm, b, down, up, sign)
     everything = frozenset(range(game.n))
     pessimistic = solve_parity(game, everything - {LIMBO_WIN})
     optimistic = solve_parity(game, everything - pessimistic.win_eve)
@@ -387,9 +391,7 @@ def countdown_to_total(cd: CountdownInstance) -> tuple[GameGraph, IntervalUnion]
     edges.append(Edge(v_entry, cd.initial, cd.credit))
     edges.append(Edge(v_stop, v_stop, 0))
 
-    g = GameGraph(
-        names=tuple(names), owner=tuple(owner), edges=tuple(edges), initial=v_entry
-    )
+    g = GameGraph.from_edges(tuple(names), tuple(owner), edges, v_entry)
     iu = IntervalUnion((Interval(Fraction(0), Fraction(0)),))
     return g, iu
 

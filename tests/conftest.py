@@ -24,7 +24,7 @@ def priority_line(n: int) -> ParityGame:
     i+1.  Zielonka nests one frame per priority.  Eve stays on an even
     loop or steps to one, so she wins everywhere except at the last vertex
     when its priority n - 1 is odd."""
-    return ParityGame(
+    return ParityGame.from_edges(
         names=tuple(f"v{i}" for i in range(n)),
         owner=(Player.EVE,) * n,
         edges=tuple(Edge(i, i) for i in range(n)) + tuple(Edge(i, i + 1) for i in range(n - 1)),

@@ -58,7 +58,7 @@ from conftest import make_rng, pm_has_finite_endpoint
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
-FIG1 = GameGraph(
+FIG1 = GameGraph.from_edges(
     ("q0", "q1"),
     (Player.EVE, Player.ADAM),
     (Edge(0, 1, 1), Edge(1, 1, 2), Edge(1, 0, 1), Edge(0, 0, 0)),
@@ -170,7 +170,7 @@ def test_acceptance_05_parity_to_mp():
         rng = make_rng(105)
         for _ in range(200):
             p = random_parity_game(rng, rng.randint(1, 5), max_priority=3)
-            p = ParityGame(
+            p = ParityGame.from_edges(
                 names=p.names,
                 owner=p.owner,
                 edges=p.edges,
@@ -202,7 +202,7 @@ def test_acceptance_06_single_interval_oracle():
                         edges.append(g.edges[chosen[v]])
                     else:
                         edges.extend(g.edges[j] for j in g.out_edges[v])
-                residual = GameGraph(
+                residual = GameGraph.from_edges(
                     g.names, tuple(Player.EVE for _ in range(g.n)), tuple(edges), g.initial
                 )
                 achievable = one_player_mp_achievable(residual, iu)
@@ -256,7 +256,7 @@ def test_acceptance_08_subset_sum():
 
 def test_acceptance_09_singleton_rejection():
     with criterion(9, "singleton intervals and gaps are rejected"):
-        g = GameGraph(("v",), (Player.EVE,), (Edge(0, 0, 1),), 0)
+        g = GameGraph.from_edges(("v",), (Player.EVE,), (Edge(0, 0, 1),), 0)
         for _ in range(3):  # deterministic across repeats
             with pytest.raises(SingletonNotSupported):
                 solve_ds_interval(g, F(1, 2), IntervalUnion((Interval(F(2), F(2)),)))

@@ -8,10 +8,12 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from intervalgames import cli
 from intervalgames.arena import (
+    Arena,
     DeadEndVertexError,
     Edge,
     EmptyInterval,
@@ -29,20 +31,25 @@ from intervalgames.arena import (
     Player,
     Regions,
     UnknownVertexReference,
-    UnsupportedObjective,
     complement_intervals,
     contains,
     max_abs_weight,
     normalize,
-    parse_game,
     parse_rational,
     read_document,
     serialize_game,
+    write_document,
 )
 from intervalgames.cli import main
 from intervalgames.generate import random_game, random_objective
+from intervalgames.liminf import solve_liminf
+from intervalgames.meanpayoff import solve_mp_interval
+from intervalgames.oracle import brute_force_positional
+from intervalgames.totalsum import solve_total_interval
 
-from conftest import make_rng
+from conftest import make_rng, pm_has_finite_endpoint
+
+ROOT = Path(__file__).resolve().parent.parent
 
 FIG1_DOC = """{
   "vertices": [{"id": "q0", "owner": "eve"}, {"id": "q1", "owner": "adam"}],
@@ -64,7 +71,7 @@ FIG1_DOC = """{
 
 
 def test_parse_smallest_legal_arena():
-    g, o = parse_game(
+    g, o = read_document(
         '{"vertices": [{"id": "q0", "owner": "eve"}],'
         ' "edges": [{"src": "q0", "dst": "q0", "weight": 0}],'
         ' "initial": "q0",'
@@ -77,7 +84,7 @@ def test_parse_smallest_legal_arena():
 
 
 def test_parse_band_union_document():
-    g, o = parse_game(FIG1_DOC)
+    g, o = read_document(FIG1_DOC)
     assert g.n == 2 and len(g.edges) == 4
     assert len(o.intervals.intervals) == 2
     assert max_abs_weight(g) == 2
@@ -85,7 +92,7 @@ def test_parse_band_union_document():
 
 def test_parse_dead_end_rejected():
     with pytest.raises(DeadEndVertexError):
-        parse_game(
+        read_document(
             '{"vertices": [{"id": "a", "owner": "eve"}, {"id": "b", "owner": "adam"}],'
             ' "edges": [{"src": "a", "dst": "b", "weight": 1}],'
             ' "initial": "a", "objective": {"payoff": "liminf", "intervals": []}}'
@@ -94,13 +101,13 @@ def test_parse_dead_end_rejected():
 
 def test_parse_unknown_vertex_and_bad_lambda():
     with pytest.raises(UnknownVertexReference):
-        parse_game(
+        read_document(
             '{"vertices": [{"id": "a", "owner": "eve"}],'
             ' "edges": [{"src": "a", "dst": "zz", "weight": 1}],'
             ' "initial": "a", "objective": {"payoff": "liminf", "intervals": []}}'
         )
     with pytest.raises(LambdaOutOfRange):
-        parse_game(
+        read_document(
             '{"vertices": [{"id": "a", "owner": "eve"}],'
             ' "edges": [{"src": "a", "dst": "a", "weight": 1}],'
             ' "initial": "a",'
@@ -110,9 +117,9 @@ def test_parse_unknown_vertex_and_bad_lambda():
 
 def test_parse_rejects_float_weights_and_bad_json():
     with pytest.raises(MalformedDocument):
-        parse_game("{")
+        read_document("{")
     with pytest.raises(MalformedDocument):
-        parse_game(
+        read_document(
             '{"vertices": [{"id": "a", "owner": "eve"}],'
             ' "edges": [{"src": "a", "dst": "a", "weight": 1.5}],'
             ' "initial": "a", "objective": {"payoff": "liminf", "intervals": []}}'
@@ -131,7 +138,7 @@ def test_parse_rejects_float_weights_and_bad_json():
 def test_non_int_vertex_index_rejected(edges, initial, message):
     # 1.0 and True equal the int 1, so a set of the indices cannot see them
     with pytest.raises(MalformedDocument, match=message):
-        GameGraph(("a", "b"), (Player.EVE, Player.ADAM), edges, initial)
+        GameGraph.from_edges(("a", "b"), (Player.EVE, Player.ADAM), edges, initial)
 
 
 def _document(objective=(), **changes):
@@ -157,7 +164,6 @@ def _interval(lo, hi, **flags):
 
 
 ONE_LOOP = (("a",), (Player.EVE,), (Edge(0, 0, 0),), 0)
-PARITY_LOOP = json.dumps(_parity_document({"id": "a", "owner": "eve", "priority": 0}))
 
 
 @pytest.mark.parametrize(
@@ -184,22 +190,22 @@ PARITY_LOOP = json.dumps(_parity_document({"id": "a", "owner": "eve", "priority"
          "vertex 'a': missing priority"),
         (_parity_document({"id": "a", "owner": "eve", "priority": -1}), MalformedDocument,
          "priority -1 is not a non-negative integer"),
-        (lambda: GameGraph((), (), (), 0), MalformedDocument, "a game needs at least one vertex"),
-        (lambda: GameGraph(("a",), (Player.EVE, Player.ADAM), (Edge(0, 0, 0),), 0),
+        (lambda: GameGraph.from_edges((), (), (), 0), MalformedDocument,
+         "a game needs at least one vertex"),
+        (lambda: GameGraph.from_edges(("a",), (Player.EVE, Player.ADAM), (Edge(0, 0, 0),), 0),
          MalformedDocument, "owner list does not match vertex list"),
-        (lambda: ParityGame(("a",), (Player.EVE,), (Edge(0, 0),), (0, 1), 0),
+        (lambda: ParityGame.from_edges(("a",), (Player.EVE,), (Edge(0, 0),), (0, 1), 0),
          MalformedDocument, "priority list does not match vertex list"),
-        (lambda: GameGraph(*ONE_LOOP[:3], 1), UnknownVertexReference, "initial vertex index 1"),
-        (lambda: GameGraph(*ONE_LOOP[:2], (Edge(0, 0, 0), Edge(0, 1, 0)), 0),
+        (lambda: GameGraph.from_edges(*ONE_LOOP[:3], 1), UnknownVertexReference,
+         "initial vertex index 1"),
+        (lambda: GameGraph.from_edges(*ONE_LOOP[:2], (Edge(0, 0, 0), Edge(0, 1, 0)), 0),
          UnknownVertexReference, "edge Edge(src=0, dst=1, weight=0) references a missing vertex"),
-        (lambda: GameGraph(*ONE_LOOP[:2], (Edge(0, 0, F(1, 2)),), 0), MalformedDocument,
+        (lambda: GameGraph.from_edges(*ONE_LOOP[:2], (Edge(0, 0, F(1, 2)),), 0), MalformedDocument,
          "edge weight Fraction(1, 2) is not an integer"),
         (lambda: Objective(Payoff.DISCOUNTED, IntervalUnion()), LambdaOutOfRange,
          "discounted objective needs a discount factor"),
         (lambda: Objective(Payoff.LIMINF, IntervalUnion(), F(1, 2)), MalformedDocument,
          "discount factor given for a non-discounted payoff"),
-        (lambda: parse_game(PARITY_LOOP), UnsupportedObjective,
-         "parity documents are not payoff games"),
     ],
 )
 def test_each_rejection_names_its_fault(case, error, message, capsys, tmp_path):
@@ -264,7 +270,7 @@ def test_round_trip_on_random_instances():
         payoff = rng.choice(list(Payoff))
         o = random_objective(rng, payoff)
         text = serialize_game(g, o)
-        g2, o2 = parse_game(text)
+        g2, o2 = read_document(text)
         assert g2 == g
         assert o2 == o
         assert serialize_game(g2, o2) == text
@@ -337,14 +343,14 @@ def test_interval_union_ignores_the_order_of_its_pieces():
 
 
 def test_normalize_limsup_and_total_sup():
-    g = GameGraph(("v",), (Player.EVE,), (Edge(0, 0, 2),), 0)
+    g = GameGraph.from_edges(("v",), (Player.EVE,), (Edge(0, 0, 2),), 0)
     o = Objective(Payoff.LIMSUP, IntervalUnion((Interval(F(2), F(2)),)))
     g2, o2 = normalize(g, o)
     assert o2.payoff is Payoff.LIMINF
     assert g2.edges[0].weight == -2
     assert o2.intervals.intervals[0] == Interval(F(-2), F(-2))
 
-    g = GameGraph(("v",), (Player.EVE,), (Edge(0, 0, 1),), 0)
+    g = GameGraph.from_edges(("v",), (Player.EVE,), (Edge(0, 0, 1),), 0)
     o = Objective(Payoff.TOTAL_SUP, IntervalUnion((Interval(F(0), PLUS_INF, False, True),)))
     g2, o2 = normalize(g, o)
     assert o2.payoff is Payoff.TOTAL_INF
@@ -360,9 +366,6 @@ def test_normalize_identity_on_inf_payoffs():
 
 
 def test_normalize_preserves_winners_through_the_solvers():
-    from intervalgames.liminf import solve_liminf
-    from intervalgames.oracle import brute_force_positional
-
     rng = make_rng(6)
     for _ in range(100):
         g = random_game(rng, rng.randint(1, 4), max_weight=3)
@@ -371,6 +374,65 @@ def test_normalize_preserves_winners_through_the_solvers():
         assert reference.exact
         g2, o2 = normalize(g, o)
         assert solve_liminf(g2, o2.intervals).win_eve == reference.win_eve
+
+
+@settings(max_examples=90, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from((Payoff.LIMSUP, Payoff.MP_SUP, Payoff.TOTAL_SUP)),
+    st.integers(1, 5),
+    st.integers(0, 2**32),
+)
+def test_sup_by_sign_equals_the_negated_game(payoff, n, seed):
+    # the command line solves a sup-style payoff on the weights as read,
+    # times -1; `normalize` builds the negated game instead
+    rng = make_rng(seed)
+    g = random_game(rng, n, max_weight=3)
+    o = random_objective(rng, payoff, max_pieces=2)
+    assume(payoff is not Payoff.TOTAL_SUP or pm_has_finite_endpoint(o.intervals))
+    regions, meta = cli._solve_game(g, o, None)
+    gn, on = normalize(g, o)
+    if payoff is Payoff.LIMSUP:
+        assert regions == solve_liminf(gn, on.intervals)
+    elif payoff is Payoff.MP_SUP:
+        assert regions == solve_mp_interval(gn, on.intervals)
+    else:
+        # all three regions, at the default bound and at a smaller one
+        assert (regions, meta["bound"]) == solve_total_interval(gn, on.intervals)[::2]
+        bound = rng.randint(1, max(1, meta["bound"]))
+        again = solve_total_interval(gn, on.intervals, bound=bound).vertices
+        assert cli._solve_game(g, o, bound)[0] == again
+    reference = brute_force_positional(g, o)
+    if reference.exact:
+        # total-sum may leave a vertex UNKNOWN; what it decides must agree
+        assert regions.win_eve <= reference.win_eve
+        assert regions.win_adam <= reference.win_adam
+        if payoff is not Payoff.TOTAL_SUP:
+            assert regions.win_eve == reference.win_eve
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((ROOT / "corpus").glob("*.game"))
+    + sorted((ROOT / "tests" / "golden").glob("*.game"))
+    + sorted((ROOT / "tests" / "golden").glob("*.ocpg")),
+    ids=lambda path: path.name,
+)
+def test_documents_round_trip_byte_for_byte(path):
+    # the writer puts the columns back as they were read
+    def round_trip(text):
+        parsed = read_document(text)
+        comment = json.loads(text).get("comment")
+        if isinstance(parsed, Arena):
+            return write_document(parsed, comment=comment)
+        return write_document(*parsed, comment=comment)
+
+    text = path.read_text(encoding="utf-8")
+    written = round_trip(text)
+    assert round_trip(written) == written
+    # escaped_ids.game is written by hand: it leaves out the default
+    # interval flags and holds non-ASCII characters unescaped
+    if path.name != "escaped_ids.game":
+        assert written == text
 
 
 def test_complement_examples():
@@ -432,9 +494,9 @@ def test_contains_endpoint_flags_and_infinities():
 
 
 def test_max_abs_weight():
-    g = GameGraph(("a",), (Player.EVE,), (Edge(0, 0, -3), Edge(0, 0, 2)), 0)
+    g = GameGraph.from_edges(("a",), (Player.EVE,), (Edge(0, 0, -3), Edge(0, 0, 2)), 0)
     assert max_abs_weight(g) == 3
-    z = GameGraph(("a",), (Player.EVE,), (Edge(0, 0, 0),), 0)
+    z = GameGraph.from_edges(("a",), (Player.EVE,), (Edge(0, 0, 0),), 0)
     assert max_abs_weight(z) == 0
 
 

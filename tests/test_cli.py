@@ -25,7 +25,7 @@ from intervalgames.arena import (
     Player,
     Regions,
     normalize,
-    parse_game,
+    read_document,
     write_document,
 )
 from intervalgames.cli import build_parser, main
@@ -336,11 +336,12 @@ def test_total_sum_bound_flag(capsys, tmp_path):
     }
 
 
-def test_large_total_sum_clamp_fits_in_512_mb(tmp_path):
-    # Adam's +1 loop at b lets the counter climb to the clamp, so a clamp
-    # of 100,000 materializes about 200,000 configurations; a fresh
-    # process whose address space alone is capped must still answer
-    g = GameGraph(
+def _solve_climb(tmp_path, bound: int, cap_mb: int) -> subprocess.CompletedProcess:
+    """Solve the climb game with the given clamp in a fresh process whose
+    address space alone is capped, at `cap_mb` megabytes.  Adam's +1 loop
+    at b lets the counter climb to the clamp, so a clamp of B materializes
+    about 2B configurations."""
+    g = GameGraph.from_edges(
         ("a", "b"),
         (Player.EVE, Player.ADAM),
         (Edge(0, 1, 1), Edge(0, 0, 0), Edge(1, 0, -1), Edge(1, 1, 1)),
@@ -349,20 +350,32 @@ def test_large_total_sum_clamp_fits_in_512_mb(tmp_path):
     o = Objective(Payoff.TOTAL_INF, IntervalUnion((Interval(Fraction(0), Fraction(1)),)))
     f = tmp_path / "climb.game"
     f.write_text(write_document(g, o))
-    cap = 512 * 2**20
+    cap = cap_mb * 2**20
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "intervalgames.cli", "solve", str(f), "--bound", "100000"],
+    return subprocess.run(
+        [sys.executable, "-m", "intervalgames.cli", "solve", str(f), "--bound", str(bound)],
         capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit,
     )
+
+
+def test_large_total_sum_clamp_fits_in_512_mb(tmp_path):
+    # a clamp of 100,000 must still answer
+    proc = _solve_climb(tmp_path, 100_000, 512)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "EVE"
     assert "Traceback" not in proc.stderr
+
+
+def test_running_out_of_memory_is_a_resource_guard(tmp_path):
+    # a clamp of 1,000,000 needs more than 384 MB; the limit is set in the
+    # child alone, so the machine is never asked for that much
+    proc = _solve_climb(tmp_path, 1_000_000, 384)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (5, "", "error: out of memory\n")
 
 
 def test_late_malformed_entries_keep_their_messages(capsys, tmp_path):
@@ -475,7 +488,7 @@ def test_solvers_leave_no_cyclic_garbage():
     }
     solved = set()
     for game in sorted(CORPUS.glob("*.game")):
-        g, o = normalize(*parse_game(game.read_text()))
+        g, o = normalize(*read_document(game.read_text()))
         gc.collect()
         gc.disable()
         try:
@@ -701,7 +714,7 @@ def test_reader_closing_early_is_no_traceback(tmp_path):
     # 3,000 long vertex names print far more than a pipe holds, so the
     # solve is still writing when the reader goes away
     n = 3000
-    g = GameGraph(
+    g = GameGraph.from_edges(
         names=tuple(f"{'v' * 100}{i}" for i in range(n)),
         owner=(Player.EVE,) * n,
         edges=tuple(Edge(i, i, i % 2) for i in range(n)),

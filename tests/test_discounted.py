@@ -1,5 +1,6 @@
 import gc
 import itertools
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -45,7 +46,7 @@ from conftest import make_rng
 
 
 def loop(weight, owner=Player.EVE):
-    return GameGraph(("v",), (owner,), (Edge(0, 0, weight),), 0)
+    return GameGraph.from_edges(("v",), (owner,), (Edge(0, 0, weight),), 0)
 
 
 def test_lasso_values():
@@ -60,7 +61,7 @@ def test_lasso_values():
         ds_value_lasso((1,), (), half)
 
 
-_LOOP = GameGraph(("v",), (Player.EVE,), (Edge(0, 0, 1),), 0)
+_LOOP = GameGraph.from_edges(("v",), (Player.EVE,), (Edge(0, 0, 1),), 0)
 _UNIT = IntervalUnion((Interval(F(0), F(1)),))
 
 
@@ -91,10 +92,10 @@ def test_four_values_single_loop():
 
 
 def test_four_values_controlled_by_one_player():
-    eve = GameGraph(("v",), (Player.EVE,), (Edge(0, 0, 0), Edge(0, 0, 1)), 0)
+    eve = GameGraph.from_edges(("v",), (Player.EVE,), (Edge(0, 0, 0), Edge(0, 0, 1)), 0)
     t = ds_optimal_values(eve, F(1, 2))
     assert (t.minmax[0], t.maxmin[0]) == (2, 0)
-    adam = GameGraph(("v",), (Player.ADAM,), (Edge(0, 0, 0), Edge(0, 0, 1)), 0)
+    adam = GameGraph.from_edges(("v",), (Player.ADAM,), (Edge(0, 0, 0), Edge(0, 0, 1)), 0)
     t = ds_optimal_values(adam, F(1, 2))
     assert (t.minmax[0], t.maxmin[0]) == (0, 2)
 
@@ -224,9 +225,10 @@ def test_integer_iteration_matches_the_fraction_reference():
     for i in range(1200):
         g = random_game(rng, rng.randint(1, 10), max_weight=rng.randint(0, 4))
         lam = lams[i % len(lams)]
+        negated = replace(g, weight=tuple(-w for w in g.weight))
         reference = DsValueTable(
             minmax=tuple(_fraction_minmax(g, lam)),
-            maxmin=tuple(-x for x in _fraction_minmax(g.negate_weights(), lam)),
+            maxmin=tuple(-x for x in _fraction_minmax(negated, lam)),
         )
         table = ds_optimal_values(g, lam)
         assert hash(table) == hash(reference) and table == reference, (g.edges, lam)
@@ -247,7 +249,7 @@ def _profile_with_cycle(rng, length, tail):
         choice.append(len(edges) + pair.index(chosen))
         edges += pair
     owner = tuple(rng.choice((Player.EVE, Player.ADAM)) for _ in range(n))
-    return GameGraph(tuple(f"v{v}" for v in range(n)), owner, tuple(edges), 0), choice
+    return GameGraph.from_edges(tuple(f"v{v}" for v in range(n)), owner, tuple(edges), 0), choice
 
 
 def test_profile_pairs_are_lasso_values():
@@ -332,14 +334,14 @@ def test_singleton_rejection():
 
 
 def test_unbounded_threshold_style_union():
-    adam = GameGraph(("v",), (Player.ADAM,), (Edge(0, 0, 0), Edge(0, 0, 1)), 0)
+    adam = GameGraph.from_edges(("v",), (Player.ADAM,), (Edge(0, 0, 0), Edge(0, 0, 1)), 0)
     ray = IntervalUnion((Interval(F(1), PLUS_INF, False, True),))
     # Adam minimizes to 0, below the ray
     assert solve_ds_interval(adam, F(1, 2), ray).win_adam == frozenset({0})
     low = IntervalUnion((Interval(MINUS_INF, F(0), True, False),))
     # and maximizes to 2 against the low ray
     assert solve_ds_interval(adam, F(1, 2), low).win_adam == frozenset({0})
-    eve = GameGraph(("v",), (Player.EVE,), (Edge(0, 0, 0), Edge(0, 0, 1)), 0)
+    eve = GameGraph.from_edges(("v",), (Player.EVE,), (Edge(0, 0, 0), Edge(0, 0, 1)), 0)
     assert solve_ds_interval(eve, F(1, 2), low).win_eve == frozenset({0})
     assert solve_ds_interval(eve, F(1, 2), ray).win_eve == frozenset({0})
 
@@ -476,7 +478,9 @@ def test_one_player_lasso_consistency():
     while done < 40:
         g = random_game(rng, rng.randint(1, 4), max_weight=2)
         if any(o is Player.ADAM for o in g.owner):
-            g = GameGraph(g.names, tuple(Player.EVE for _ in range(g.n)), g.edges, g.initial)
+            g = GameGraph.from_edges(
+                g.names, tuple(Player.EVE for _ in range(g.n)), g.edges, g.initial
+            )
         lam = F(1, 2)
         iu = random_interval_union(rng, 2, 3, forbid_singletons=True, half_grid=True)
         res = solve_ds_interval(g, lam, iu)
@@ -499,7 +503,7 @@ def test_discount_close_to_one():
         assert solve_ds_interval(g, F(9, 10), iu).win_eve == eve, seed
     # decision depths 528 and 1,196: Eve loops at a for a payoff of exactly
     # 0, and Adam loops at b for 1/(1 - lam), above the interval
-    g = GameGraph(
+    g = GameGraph.from_edges(
         ("a", "b"),
         (Player.EVE, Player.ADAM),
         (Edge(0, 1, 1), Edge(0, 0, 0), Edge(1, 0, -1), Edge(1, 1, 1)),

@@ -112,7 +112,7 @@ def test_omega_is_even_exactly_on_the_objective():
 
 def test_reduction_shape_and_forced_win():
     # the one edge enters v at v's own label: no subdivider
-    g = GameGraph(("v",), (Player.EVE,), (Edge(0, 0, 0),), 0)
+    g = GameGraph.from_edges(("v",), (Player.EVE,), (Edge(0, 0, 0),), 0)
     iu = IntervalUnion((Interval(F(0), F(0)),))
     p = liminf_to_parity(g, iu)
     assert p.n == 1
@@ -122,7 +122,7 @@ def test_reduction_shape_and_forced_win():
 
 
 def test_adam_picks_low_loop():
-    g = GameGraph(("v",), (Player.ADAM,), (Edge(0, 0, 1), Edge(0, 0, 2)), 0)
+    g = GameGraph.from_edges(("v",), (Player.ADAM,), (Edge(0, 0, 1), Edge(0, 0, 2)), 0)
     res = solve_liminf(g, IntervalUnion((Interval(F(2), F(2)),)))
     assert res.win_adam == frozenset({0})
     res2 = solve_liminf(g, IntervalUnion((Interval(F(1), F(2)),)))
@@ -130,7 +130,7 @@ def test_adam_picks_low_loop():
 
 
 def test_empty_integer_objective_reports_adam_everywhere():
-    g = GameGraph(("v",), (Player.EVE,), (Edge(0, 0, 0),), 0)
+    g = GameGraph.from_edges(("v",), (Player.EVE,), (Edge(0, 0, 0),), 0)
     iu = IntervalUnion((Interval(F(1, 3), F(2, 3)),))
     res = solve_liminf(g, iu)
     assert res.win_adam == frozenset({0})
@@ -163,13 +163,13 @@ def test_parity_round_trip_through_weights():
 
 
 def test_parity_to_liminf_singletons():
-    p = ParityGame(("v",), (Player.EVE,), (Edge(0, 0),), (0,), 0)
+    p = ParityGame.from_edges(("v",), (Player.EVE,), (Edge(0, 0),), (0,), 0)
     g, iu = parity_to_liminf(p)
     assert g.edges[0].weight == 0
     assert iu.intervals == (Interval(F(0), F(0)),)
     assert solve_liminf(g, iu).win_eve == frozenset({0})
 
-    podd = ParityGame(("v",), (Player.EVE,), (Edge(0, 0),), (1,), 0)
+    podd = ParityGame.from_edges(("v",), (Player.EVE,), (Edge(0, 0),), (1,), 0)
     g, iu = parity_to_liminf(podd)
     assert iu.is_empty
     assert solve_liminf(g, iu).win_adam == frozenset({0})
@@ -195,7 +195,7 @@ def _per_edge_reduction(g, iu):
     edges = []
     for sub, e in enumerate(g.edges, g.n):
         edges += [Edge(e.src, sub), Edge(sub, e.dst)]
-    return ParityGame(
+    return ParityGame.from_edges(
         names=g.names + tuple(fresh(f"e{k}") for k in range(len(g.edges))),
         owner=g.owner + (Player.EVE,) * len(g.edges),
         edges=tuple(edges),
@@ -218,7 +218,7 @@ def _merged_reduction(g, iu):
     subs = list(dict.fromkeys((e.dst, p) for e, p in zip(g.edges, q) if p != label[e.dst]))
     index = {s: j for j, s in enumerate(subs, g.n)}
     fresh = fresh_namer(g.names)
-    return ParityGame(
+    return ParityGame.from_edges(
         names=g.names + tuple(fresh(f"{g.names[v]}@{p}") for v, p in subs),
         owner=g.owner + (Player.EVE,) * len(subs),
         edges=tuple(
@@ -237,7 +237,7 @@ def _varied_game(rng, max_vertices):
     g = random_game(rng, rng.randint(1, max_vertices), max_weight=rng.randint(0, 4))
     first = f"{g.names[-1]}@{rng.randint(1, 3)}" if g.n > 1 else g.names[0]
     extra = rng.randint(0, 3)
-    return GameGraph(
+    return GameGraph.from_edges(
         (first,) + g.names[1:] + tuple(f"s{i}" for i in range(extra)),
         g.owner + tuple(rng.choice(tuple(Player)) for _ in range(extra)),
         g.edges
@@ -290,19 +290,19 @@ def test_lower_edges_into_a_vertex_share_one_subdivider():
     iu = IntervalUnion((Interval(F(0), F(0)),))  # priorities: <0 -> 1, 0 -> 2, >0 -> 3
     eve = (Player.EVE,) * 2
     # both edges into 1 have priority 3: it carries 3 and needs no subdivider
-    g = GameGraph(("a", "b"), eve, (Edge(0, 1, 5), Edge(1, 1, 4), Edge(0, 0, 0)), 0)
+    g = GameGraph.from_edges(("a", "b"), eve, (Edge(0, 1, 5), Edge(1, 1, 4), Edge(0, 0, 0)), 0)
     p = liminf_to_parity(g, iu)
     assert (p.n, p.priority, p.edges) == (2, (2, 3), tuple(Edge(e.src, e.dst) for e in g.edges))
     # priorities 2 and 1 into 1: it carries 2, and the edge at 1 passes
     # through the one subdivider, at 1, whose name "b@1" is taken
-    g = GameGraph(("b@1", "b"), eve, (Edge(0, 1, 0), Edge(1, 1, -1), Edge(0, 0, 0)), 0)
+    g = GameGraph.from_edges(("b@1", "b"), eve, (Edge(0, 1, 0), Edge(1, 1, -1), Edge(0, 0, 0)), 0)
     p = liminf_to_parity(g, iu)
     assert p.names == ("b@1", "b", "b@1_1")
     assert p.priority == (2, 2, 1)
     assert p.edges == (Edge(0, 1), Edge(1, 2), Edge(0, 0), Edge(2, 1))
     # two parallel edges and a third at the same lower priority into 1
     # share the subdivider; the edge at 3 is direct
-    g = GameGraph(
+    g = GameGraph.from_edges(
         ("a", "b"), eve,
         (Edge(0, 1, 1), Edge(0, 1, 0), Edge(0, 1, 0), Edge(1, 1, 0), Edge(1, 0, 0)), 0,
     )

@@ -41,10 +41,10 @@ from conftest import make_rng
 
 
 def loop(weight, owner=Player.EVE):
-    return GameGraph(("v",), (owner,), (Edge(0, 0, weight),), 0)
+    return GameGraph.from_edges(("v",), (owner,), (Edge(0, 0, weight),), 0)
 
 
-FIG1 = GameGraph(
+FIG1 = GameGraph.from_edges(
     names=("q0", "q1"),
     owner=(Player.EVE, Player.ADAM),
     edges=(Edge(0, 1, 1), Edge(1, 1, 2), Edge(1, 0, 1), Edge(0, 0, 0)),
@@ -58,7 +58,7 @@ FIG1_UNION = IntervalUnion(
 def test_threshold_trivia():
     assert mp_threshold(loop(1), F(0), Cmp.GE).win_eve == frozenset({0})
     assert mp_threshold(loop(0), F(0), Cmp.GT).win_adam == frozenset({0})
-    two = GameGraph(
+    two = GameGraph.from_edges(
         ("v",), (Player.ADAM,), (Edge(0, 0, 0), Edge(0, 0, 2)), 0
     )
     assert mp_threshold(two, F(1), Cmp.GE).win_adam == frozenset({0})
@@ -98,7 +98,7 @@ def test_threshold_credit_equal_to_the_cap(monkeypatch):
         names = tuple(f"v{i}" for i in range(n))
         everything = frozenset(range(n))
         for w, owner in itertools.product((-1, 1), Player):
-            chain = GameGraph(
+            chain = GameGraph.from_edges(
                 names,
                 (owner,) * n,
                 tuple(Edge(i, i + 1, w) for i in range(k)) + (Edge(k, k, 0),),
@@ -155,11 +155,11 @@ def energy_region(g, alive, player, scale, offset):
     return frozenset(v for v in alive if f[v] < top)
 
 
-def threshold_at_the_bound(g, alive, player, a, strict):
+def threshold_at_the_bound(g, alive, player, a, strict, sign=1):
     """The threshold solver before the credit cap grew in rounds: both
     energy games at Brim's bound, then the partition check."""
     n = len(alive)
-    scale, offset = a.denominator * n, a.numerator * n
+    scale, offset = sign * a.denominator * n, a.numerator * n
     won = energy_region(g, alive, player, scale, -offset - strict)
     lost = energy_region(g, alive, player.opponent, -scale, offset - 1 + strict)
     Regions(win_eve=won, win_adam=lost).check_partition(alive)
@@ -235,11 +235,11 @@ def test_interval_matches_thresholds():
 def test_single_interval_examples():
     zero = IntervalUnion((Interval(F(0), F(0)),))
     assert solve_mp_interval(loop(0), zero).win_eve == frozenset({0})
-    swing_adam = GameGraph(
+    swing_adam = GameGraph.from_edges(
         ("v",), (Player.ADAM,), (Edge(0, 0, -1), Edge(0, 0, 1)), 0
     )
     assert solve_mp_interval(swing_adam, zero).win_adam == frozenset({0})
-    swing_eve = GameGraph(
+    swing_eve = GameGraph.from_edges(
         ("v",), (Player.EVE,), (Edge(0, 0, -1), Edge(0, 0, 1)), 0
     )
     assert solve_mp_interval(swing_eve, zero).win_eve == frozenset({0})
@@ -265,7 +265,7 @@ def test_single_interval_against_adam_positional_oracle():
                     edges.append(g.edges[chosen[v]])
                 else:
                     edges.extend(g.edges[j] for j in g.out_edges[v])
-            residual = GameGraph(
+            residual = GameGraph.from_edges(
                 names=g.names,
                 owner=tuple(Player.EVE for _ in range(g.n)),
                 edges=tuple(edges),
@@ -311,7 +311,7 @@ def test_fixpoint_builds_no_graph(monkeypatch):
 def test_many_boundaries_nest_without_recursion():
     # 250 intervals give 500 finite boundaries, and so about a thousand
     # nested frames: past the interpreter's default recursion limit
-    g = GameGraph(
+    g = GameGraph.from_edges(
         names=("a", "b"),
         owner=(Player.EVE, Player.ADAM),
         edges=(Edge(0, 0, 0), Edge(0, 1, 1), Edge(1, 0, 0)),
@@ -331,7 +331,7 @@ def test_monotone_in_the_objective():
 
 
 def test_parity_gadget_structure():
-    p = ParityGame(("v",), (Player.EVE,), (Edge(0, 0),), (0,), 0)
+    p = ParityGame.from_edges(("v",), (Player.EVE,), (Edge(0, 0),), (0,), 0)
     g, iu = parity_to_mp(p)
     assert g.n == 4
     assert len(g.edges) == 1 + 6
@@ -340,7 +340,7 @@ def test_parity_gadget_structure():
     assert solve_parity(p).win_eve == frozenset({0})
     assert 0 in solve_mp_interval(g, iu).win_eve
 
-    podd = ParityGame(("v",), (Player.EVE,), (Edge(0, 0),), (1,), 0)
+    podd = ParityGame.from_edges(("v",), (Player.EVE,), (Edge(0, 0),), (1,), 0)
     g, iu = parity_to_mp(podd)
     assert 0 in solve_mp_interval(g, iu).win_adam
 
@@ -354,7 +354,7 @@ def test_parity_gadget_counts():
 
 
 def test_parity_priority_out_of_range():
-    p = ParityGame(("v",), (Player.EVE,), (Edge(0, 0),), (7,), 0)
+    p = ParityGame.from_edges(("v",), (Player.EVE,), (Edge(0, 0),), (7,), 0)
     with pytest.raises(PriorityOutOfRange):
         parity_to_mp(p)
 
@@ -363,7 +363,7 @@ def test_parity_winner_preserved_through_gadgets():
     rng = make_rng(48)
     for _ in range(200):
         p = random_parity_game(rng, rng.randint(1, 5), max_priority=3)
-        p = ParityGame(
+        p = ParityGame.from_edges(
             names=p.names,
             owner=p.owner,
             edges=p.edges,

@@ -89,7 +89,7 @@ def test_oracle_is_deterministic():
 
 
 def test_parity_mode_exact():
-    p = ParityGame(("v",), (Player.EVE,), (Edge(0, 0),), (0,), 0)
+    p = ParityGame.from_edges(("v",), (Player.EVE,), (Edge(0, 0),), (0,), 0)
     res = brute_force_positional(p)
     assert res.exact and res.win_eve == frozenset({0})
 
@@ -105,9 +105,10 @@ def test_region_checks_run_under_optimization():
         "from intervalgames.parity import ParityGame\n"
         "assert False, 'asserts are not stripped'\n"
         "oracle._pair_enumeration = lambda game, wins: (frozenset({0}), frozenset({0}))\n"
-        "g = GameGraph(('v',), (Player.EVE,), (Edge(0, 0, 0),), 0)\n"
+        "g = GameGraph.from_edges(('v',), (Player.EVE,), (Edge(0, 0, 0),), 0)\n"
         "o = Objective(Payoff.LIMINF, IntervalUnion((Interval(Fraction(0), Fraction(0)),)))\n"
-        "for args in ((ParityGame(('v',), (Player.EVE,), (Edge(0, 0),), (0,), 0),), (g, o)):\n"
+        "p = ParityGame.from_edges(('v',), (Player.EVE,), (Edge(0, 0),), (0,), 0)\n"
+        "for args in ((p,), (g, o)):\n"
         "    try:\n"
         "        oracle.brute_force_positional(*args)\n"
         "    except AssertionError as e:\n"
@@ -124,7 +125,7 @@ def test_region_checks_run_under_optimization():
 
 
 def test_memory_hard_instance_gets_empty_lower_bound():
-    fig1 = GameGraph(
+    fig1 = GameGraph.from_edges(
         ("q0", "q1"),
         (Player.EVE, Player.ADAM),
         (Edge(0, 1, 1), Edge(1, 1, 2), Edge(1, 0, 1), Edge(0, 0, 0)),
@@ -183,15 +184,15 @@ def test_matches_threshold_solver_on_small_games():
 
 
 def test_one_player_achievability():
-    swing = GameGraph(("v",), (Player.EVE,), (Edge(0, 0, -1), Edge(0, 0, 1)), 0)
+    swing = GameGraph.from_edges(("v",), (Player.EVE,), (Edge(0, 0, -1), Edge(0, 0, 1)), 0)
     zero = IntervalUnion((Interval(F(0), F(0)),))
     assert one_player_mp_achievable(swing, zero) == [True]
-    lone = GameGraph(("v",), (Player.EVE,), (Edge(0, 0, 1),), 0)
+    lone = GameGraph.from_edges(("v",), (Player.EVE,), (Edge(0, 0, 1),), 0)
     assert one_player_mp_achievable(lone, zero) == [False]
 
 
 def test_guards_are_hard_errors():
-    big = GameGraph(
+    big = GameGraph.from_edges(
         tuple(f"v{i}" for i in range(9)),
         tuple(Player.EVE for _ in range(9)),
         tuple(Edge(i, (i + 1) % 9, 0) for i in range(9)) + (Edge(0, 0, 1),),
@@ -200,7 +201,7 @@ def test_guards_are_hard_errors():
     with pytest.raises(TooLarge):
         one_player_mp_achievable(big, IntervalUnion((Interval(F(0), F(0)),)))
 
-    wide = GameGraph(
+    wide = GameGraph.from_edges(
         tuple(f"v{i}" for i in range(10)),
         tuple(Player.EVE for _ in range(10)),
         tuple(
@@ -231,7 +232,7 @@ def test_discounted_values_certified_by_one_step_equations():
         assert not check_ds_values(g, lam, moved), (g.edges, lam, column, v)
     # the two tables of a game where the players' roles matter differ,
     # and swapping them fails
-    eve = GameGraph(("v",), (Player.EVE,), (Edge(0, 0, 0), Edge(0, 0, 1)), 0)
+    eve = GameGraph.from_edges(("v",), (Player.EVE,), (Edge(0, 0, 0), Edge(0, 0, 1)), 0)
     table = ds_optimal_values(eve, F(1, 2))
     assert check_ds_values(eve, F(1, 2), table)
     assert not check_ds_values(eve, F(1, 2), DsValueTable(table.maxmin, table.minmax))
@@ -239,7 +240,9 @@ def test_discounted_values_certified_by_one_step_equations():
 
 @pytest.mark.parametrize("column", ["minmax", "maxmin"])
 def test_value_table_of_the_wrong_length_fails(column):
-    two = GameGraph(("a", "b"), (Player.EVE, Player.ADAM), (Edge(0, 1, 1), Edge(1, 0, 0)), 0)
+    two = GameGraph.from_edges(
+        ("a", "b"), (Player.EVE, Player.ADAM), (Edge(0, 1, 1), Edge(1, 0, 0)), 0
+    )
     table = ds_optimal_values(two, F(1, 2))
     assert check_ds_values(two, F(1, 2), table)
     short = dataclasses.replace(table, **{column: getattr(table, column)[:1]})

@@ -14,7 +14,7 @@ from conftest import make_rng, priority_line
 
 def chain_game():
     # v0 -> v1 -> t, plus a loop on t; everything owned by Eve
-    return ParityGame(
+    return ParityGame.from_edges(
         names=("v0", "v1", "t"),
         owner=(Player.EVE, Player.EVE, Player.EVE),
         edges=(Edge(0, 1), Edge(1, 2), Edge(2, 2)),
@@ -36,7 +36,7 @@ def test_attractor_chain():
 def test_attractor_opponent_escape():
     # Adam vertex a with two parallel edges into the target and one
     # escaping; b, Adam's too, has only the two parallel edges
-    p = ParityGame(
+    p = ParityGame.from_edges(
         names=("a", "t", "esc", "b"),
         owner=(Player.ADAM, Player.EVE, Player.EVE, Player.ADAM),
         edges=(Edge(0, 1), Edge(0, 1), Edge(0, 2), Edge(1, 1), Edge(2, 2), Edge(3, 1), Edge(3, 1)),
@@ -64,7 +64,7 @@ def naive_attractor(game, target, player, alive):
 def parallel_edge_game(rng, n):
     # few targets per vertex, so parallel edges are common
     edges = [Edge(v, rng.randrange(n)) for v in range(n) for _ in range(rng.randint(1, 4))]
-    return GameGraph(
+    return GameGraph.from_edges(
         names=tuple(f"v{i}" for i in range(n)),
         owner=tuple(rng.choice((Player.EVE, Player.ADAM)) for _ in range(n)),
         edges=tuple(edges),
@@ -138,7 +138,7 @@ def test_priority_line_with_odd_last_priority_takes_linear_attractor_calls(monke
 
 
 def one_vertex(priority, owner=Player.EVE):
-    return ParityGame(
+    return ParityGame.from_edges(
         names=("v",), owner=(owner,), edges=(Edge(0, 0),), priority=(priority,), initial=0
     )
 
@@ -167,7 +167,7 @@ def test_solve_parity_single_loops():
 
 
 def test_adam_picks_the_odd_loop():
-    p = ParityGame(
+    p = ParityGame.from_edges(
         names=("v", "w1", "w2"),
         owner=(Player.ADAM, Player.ADAM, Player.ADAM),
         edges=(Edge(0, 1), Edge(0, 2), Edge(1, 0), Edge(2, 0)),

@@ -55,7 +55,7 @@ POINT_ZERO = IntervalUnion((Interval(F(0), F(0)),))
 
 
 def adam_loop(weight):
-    return GameGraph(("a",), (Player.ADAM,), (Edge(0, 0, weight),), 0)
+    return GameGraph.from_edges(("a",), (Player.ADAM,), (Edge(0, 0, weight),), 0)
 
 
 def test_reduction_vertex_count_and_zero_edges():
@@ -178,7 +178,9 @@ def test_reduced_zero_loop_won_by_eve_at_small_bound():
 
 
 def test_bounded_solver_all_even_zero_weights():
-    g = GameGraph(("a", "b"), (Player.EVE, Player.ADAM), (Edge(0, 1, 0), Edge(1, 0, 0)), 0)
+    g = GameGraph.from_edges(
+        ("a", "b"), (Player.EVE, Player.ADAM), (Edge(0, 1, 0), Edge(1, 0, 0)), 0
+    )
     for bound in (1, 5):
         res = solve_total_interval(g, POINT_ZERO, bound)
         assert res.configs == Regions(win_eve=frozenset({(0, 0), (1, 0)}), win_adam=frozenset())
@@ -286,7 +288,9 @@ def test_empty_integer_objective_is_adam_everywhere():
 def test_objective_without_integers_explores_no_configuration():
     # Adam's win is decided before any one-counter game is built, so no
     # configuration of one exists to report
-    g = GameGraph(("a", "b"), (Player.EVE, Player.ADAM), (Edge(0, 1, 1), Edge(1, 0, -1)), 1)
+    g = GameGraph.from_edges(
+        ("a", "b"), (Player.EVE, Player.ADAM), (Edge(0, 1, 1), Edge(1, 0, -1)), 1
+    )
     res = solve_total_interval(g, IntervalUnion((Interval(F(1, 3), F(2, 3)),)))
     assert res.vertices == Regions(win_eve=frozenset(), win_adam=frozenset({0, 1}))
     assert res.configs == Regions(win_eve=frozenset(), win_adam=frozenset())
@@ -304,7 +308,7 @@ def test_vertex_verdicts_read_the_builders_start_copies():
 
 
 def test_unbounded_memory_instance_stays_unknown():
-    g = GameGraph(
+    g = GameGraph.from_edges(
         names=("q0", "q1", "q2", "qge", "qlt", "q3"),
         owner=(Player.ADAM, Player.ADAM, Player.EVE, Player.ADAM, Player.ADAM, Player.ADAM),
         edges=(
@@ -405,7 +409,7 @@ def test_pinned_escape_decides_despite_cycles_of_both_signs():
     # Adam's -1 loop at c is a negative cycle, so escapes above cannot all
     # be pinned.  Eve holds the sum from a with credit 0, so an escape
     # above onto a is pinned once the clamp reaches E + 0 + 1 = 2
-    g = GameGraph(
+    g = GameGraph.from_edges(
         ("a", "c"),
         (Player.EVE, Player.ADAM),
         (Edge(0, 0, 1), Edge(0, 1, 0), Edge(1, 1, -1), Edge(1, 0, 0)),
