@@ -8,11 +8,14 @@ rationals with denominator at most n.  Each threshold solves both sides'
 energy games under a growing credit cap: a finite entry of a capped
 measure is already a winning certificate for its side, so the rounds stop
 as soon as the two finite regions cover the vertices, and only a last
-round, which always covers, climbs to the exact bound.  The interval
-solver iterates threshold calls, peeling off regions the opponent wins
-outright, and nests objectives with fewer finite interval boundaries,
-swapping the players' roles at each complement; a single interval is the
-one-piece union.
+round, which always covers, climbs to the exact bound.  Between rounds
+each side's region is closed under its attractor, and the next round
+solves only the undecided rest.  The interval solver iterates threshold
+calls, peeling off regions the opponent wins outright, and nests
+objectives with fewer finite interval boundaries, swapping the players'
+roles at each complement; a single interval is the one-piece union.  A
+threshold region that is empty already decides its round, so the next
+level is solved only under a nonempty one.
 """
 
 from __future__ import annotations
@@ -153,31 +156,51 @@ def _threshold(
     the weights of `g` times `sign`.
 
     Each round solves both sides' energy games under one credit cap
-    (`_energy_credits`): the first at one rescaled weight, each next one
-    four times higher, and the last, once the multiple reaches |alive|, at
-    Brim's bound M.  Under any cap a finite entry certifies its side: the
+    (`_energy_credits`) on the vertices still undecided: the first at one
+    rescaled weight, each next one four times higher, and the last, once
+    the multiple reaches the number of undecided vertices, at Brim's bound
+    M over them.  Under any cap a finite entry certifies its side: the
     player's rescaled sums stay bounded below, so her mean is at least a
     (above a, by the one-unit shift, when strict), and the opponent's sums
     on negated weights keep the mean below a (at most a when strict).  So
-    the two regions are disjoint, and once they cover `alive` they are the
-    answer.  At M each region is exact, so the last round always covers,
-    and checking the partition there also checks the strict rescaling at
-    run time."""
+    the two regions are disjoint, and once they cover the round's vertices
+    they decide them.  At M each region is exact, so the last round always
+    covers, and checking the partition of `alive` also checks the strict
+    rescaling at run time.
+
+    A round that leaves vertices undecided hands the next one only the
+    rest: the vertices outside the player's attractor of her region and
+    outside the opponent's attractor of his region in what remains.
+    Mean-payoff is prefix independent, so each side wins its attractor.
+    Every vertex of the rest keeps an edge into it, and an edge that
+    leaves it enters the region of the side that does not own the edge's
+    source, so leaving loses and each rest vertex has the same winner in
+    the rest as in `alive`.  The rescale keeps n = |alive|, which still
+    bounds the rest's cycle lengths."""
     # MP >= p/q  <=>  MP(q*n*w - p*n) >= 0; strict thresholds shift by one
     # unit, valid because cycle means have denominator <= n
     n = len(alive)
     scale, offset = sign * a.denominator * n, a.numerator * n
+    won = lost = frozenset()
+    rest = alive
     units = 1
-    while True:
-        cap_units = None if units >= n else units
-        f, top = _energy_credits(g, alive, player, scale, -offset - strict, cap_units)
-        won = frozenset(v for v in alive if f[v] < top)
+    while rest:
+        cap_units = None if units >= len(rest) else units
+        f, top = _energy_credits(g, rest, player, scale, -offset - strict, cap_units)
+        won_here = frozenset(v for v in rest if f[v] < top)
         # the opponent forces the complementary strict/non-strict
         # threshold on negated weights
-        f, top = _energy_credits(g, alive, player.opponent, -scale, offset - 1 + strict, cap_units)
-        lost = frozenset(v for v in alive if f[v] < top)
-        if cap_units is None or len(won | lost) == n:
+        f, top = _energy_credits(g, rest, player.opponent, -scale, offset - 1 + strict, cap_units)
+        lost_here = frozenset(v for v in rest if f[v] < top)
+        if cap_units is None or len(won_here) + len(lost_here) == len(rest):
+            won, lost = won | won_here, lost | lost_here
             break
+        # each side also wins wherever it can force play into its region;
+        # the next round solves only the rest, which keeps the winners
+        won_here = attractor(g, won_here, player, rest)
+        lost_here = attractor(g, lost_here, player.opponent, rest - won_here)
+        won, lost = won | won_here, lost | lost_here
+        rest = rest - won_here - lost_here
         units *= 4
     Regions(win_eve=won, win_adam=lost).check_partition(alive)
     return won
@@ -224,8 +247,11 @@ def _interval_win(
     Peels the opponent's regions to a fixpoint: the opponent wins
     outright wherever `player` loses the threshold game just below the
     union, or the next level's game, whose objective also admits
-    everything below the first interval.  A union unbounded below is the
-    opponent's complement, the next level.
+    everything below the first interval.  The next level's frame is
+    entered only when the threshold region is nonempty: `player`'s region
+    is the intersection of the two, so an empty threshold region already
+    makes it empty.  A union unbounded below is the opponent's
+    complement, the next level.
     """
     if level == len(nested):
         return frozenset()
@@ -240,7 +266,8 @@ def _interval_win(
     while len(lost) < len(alive):
         current = alive - lost
         won = _threshold(g, current, player, a, strict, sign)
-        won &= yield _interval_win(g, nested, level + 1, current, player, sign)
+        if won:
+            won &= yield _interval_win(g, nested, level + 1, current, player, sign)
         if won == current:
             break
         # The opponent defeats the (prefix independent) objective from

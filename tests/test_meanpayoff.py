@@ -17,6 +17,7 @@ from intervalgames.arena import (
     Player,
     Regions,
     complement_intervals,
+    inf_objective,
     normalize,
 )
 from intervalgames.generate import (
@@ -30,12 +31,13 @@ from intervalgames.meanpayoff import (
     Cmp,
     PriorityOutOfRange,
     _energy_credits,
+    _nested_objectives,
     mp_threshold,
     parity_to_mp,
     solve_mp_interval,
 )
 from intervalgames.oracle import brute_force_positional, one_player_mp_achievable
-from intervalgames.parity import ParityGame, solve_parity
+from intervalgames.parity import ParityGame, _run_frames, attractor, solve_parity
 
 from conftest import make_rng
 
@@ -94,24 +96,41 @@ def test_threshold_credit_equal_to_the_cap(monkeypatch):
     # (the sum of every vertex's most negative rescaled edge)
     thresholds = record_rounds(monkeypatch)
     for k in range(1, 5):
-        n = k + 1
-        names = tuple(f"v{i}" for i in range(n))
-        everything = frozenset(range(n))
         for w, owner in itertools.product((-1, 1), Player):
+            chain_edges = tuple(Edge(i, i + 1, w) for i in range(k)) + (Edge(k, k, 0),)
+            n = k + 1
+            everything = frozenset(range(n))
             chain = GameGraph.from_edges(
-                names,
+                tuple(f"v{i}" for i in range(n)),
                 (owner,) * n,
-                tuple(Edge(i, i + 1, w) for i in range(k)) + (Edge(k, k, 0),),
+                chain_edges,
                 0,
             )
             # w = -1 tests Eve's measure at the cap, w = 1 tests Adam's
             assert mp_threshold(chain, F(0), Cmp.GE).win_eve == everything
             assert mp_threshold(chain, F(0), Cmp.GT).win_adam == everything
-            # the head's credit k * n is past the first cap of one rescaled
-            # weight, n + 1, in Eve's game for GE on a losing chain and in
-            # Adam's game for GT on a winning one
+            # The same chain and one more vertex r = k + 1, which enters
+            # the chain head at weight w or loops at weight 0, owned by the
+            # other side than the one whose measure is tested (Adam for
+            # w = -1).  Rescaled by n = k + 2, r needs credit (k + 1) * n,
+            # the cap again, and past the first cap of one rescaled weight,
+            # n + 1.  That first round certifies the chain's tail, and the
+            # closure takes the whole chain, whose vertices have one edge
+            # each, but not r, whose owner may stay on its loop: so only a
+            # later round, with a higher cap, decides r.
+            n = k + 2
+            everything = frozenset(range(n))
+            r_owner = Player.ADAM if w == -1 else Player.EVE
+            escape = GameGraph.from_edges(
+                tuple(f"v{i}" for i in range(n)),
+                (owner,) * (k + 1) + (r_owner,),
+                chain_edges + (Edge(k + 1, 0, w), Edge(k + 1, k + 1, 0)),
+                0,
+            )
+            assert mp_threshold(escape, F(0), Cmp.GE).win_eve == everything
+            assert mp_threshold(escape, F(0), Cmp.GT).win_adam == everything
             ge_rounds, gt_rounds = (len(caps) // 2 for caps in thresholds[-2:])
-            assert (ge_rounds if w == -1 else gt_rounds) > 1 or k == 1
+            assert (ge_rounds if w == -1 else gt_rounds) > 1
 
 
 def test_capped_measure_is_a_certificate():
@@ -205,6 +224,131 @@ def test_most_thresholds_decided_under_a_low_cap(monkeypatch):
     second = sum(caps == [1, 1, 4, 4] for caps in thresholds)
     assert thresholds and first >= 0.6 * len(thresholds)
     assert first + second >= 0.9 * len(thresholds)
+
+
+def threshold_on_all_of_alive(g, alive, player, a, strict, sign=1):
+    """The threshold solver before its rounds shrank: every round solves
+    both energy games on all of `alive`, and the cap grows until the two
+    regions cover it."""
+    n = len(alive)
+    scale, offset = sign * a.denominator * n, a.numerator * n
+    units = 1
+    while True:
+        cap_units = None if units >= n else units
+        f, top = _energy_credits(g, alive, player, scale, -offset - strict, cap_units)
+        won = frozenset(v for v in alive if f[v] < top)
+        f, top = _energy_credits(g, alive, player.opponent, -scale, offset - 1 + strict, cap_units)
+        lost = frozenset(v for v in alive if f[v] < top)
+        if cap_units is None or len(won | lost) == n:
+            break
+        units *= 4
+    Regions(win_eve=won, win_adam=lost).check_partition(alive)
+    return won
+
+
+def interval_win_every_frame(g, nested, level, alive, player, sign):
+    """`meanpayoff._interval_win` before it skipped frames: it solves the
+    next level's frame after every threshold, an empty one too, and each
+    threshold with `threshold_on_all_of_alive`."""
+    if level == len(nested):
+        return frozenset()
+    iu = nested[level]
+    a = iu.inf
+    if a == MINUS_INF:
+        dual = yield interval_win_every_frame(g, nested, level + 1, alive, player.opponent, sign)
+        return alive - dual
+    strict = iu.intervals[0].lo_open
+    lost = frozenset()
+    while len(lost) < len(alive):
+        current = alive - lost
+        won = threshold_on_all_of_alive(g, current, player, a, strict, sign)
+        won &= yield interval_win_every_frame(g, nested, level + 1, current, player, sign)
+        if won == current:
+            break
+        lost = attractor(g, alive - won, player.opponent, alive)
+    return alive - lost
+
+
+def solve_every_frame(g, iu, sign=1):
+    alive = frozenset(range(g.n))
+    frame = interval_win_every_frame(g, _nested_objectives(iu), 0, alive, Player.EVE, sign)
+    win_eve = _run_frames(frame)
+    return Regions(win_eve=win_eve, win_adam=alive - win_eve)
+
+
+def test_pruned_fixpoint_agrees_with_the_full_one():
+    rng = make_rng(53)
+    for _ in range(1500):
+        g = random_game(rng, rng.randint(1, 6), max_weight=3)
+        iu = IntervalUnion(())
+        while not 1 <= len(iu.intervals) <= 4:
+            iu = random_interval_union(rng, 4, half_grid=True)
+        sign = rng.choice((1, -1))  # mp-inf or mp-sup
+        assert solve_mp_interval(g, iu, sign) == solve_every_frame(g, iu, sign)
+    for _ in range(200):
+        p = random_parity_game(rng, rng.randint(1, 5), max_priority=3)
+        p = dataclasses.replace(p, priority=tuple(min(q, p.n) for q in p.priority))
+        g, iu = parity_to_mp(p)
+        assert solve_mp_interval(g, iu) == solve_every_frame(g, iu)
+
+
+def test_fixpoint_prunes_frames_and_rounds(monkeypatch):
+    # the benchmark's two mean-payoff families: arenas of 30-60 vertices
+    # with unions of up to two pieces, and parity gadgets of 4-5 vertices
+    # None for a frame entry, a threshold's region, "solved" after a solve
+    events = []
+    rounds = []  # per threshold, the vertices of each energy game
+    threshold, frame, credits = (
+        meanpayoff._threshold, meanpayoff._interval_win, meanpayoff._energy_credits
+    )
+
+    def logged_threshold(*args):
+        rounds.append([])
+        won = threshold(*args)
+        events.append(won)
+        return won
+
+    def logged_frame(*args):
+        events.append(None)
+        return frame(*args)
+
+    def logged_credits(g, alive, *args):
+        rounds[-1].append(alive)
+        return credits(g, alive, *args)
+
+    monkeypatch.setattr(meanpayoff, "_threshold", logged_threshold)
+    monkeypatch.setattr(meanpayoff, "_interval_win", logged_frame)
+    monkeypatch.setattr(meanpayoff, "_energy_credits", logged_credits)
+    rng = make_rng(54)
+    for _ in range(20):
+        g = random_game(rng, rng.randint(30, 60))
+        payoff = rng.choice((Payoff.MP_INF, Payoff.MP_SUP))
+        sign, o = inf_objective(random_objective(rng, payoff, max_pieces=2))
+        solve_mp_interval(g, o.intervals, sign)
+        events.append("solved")
+    for _ in range(20):
+        g, iu = parity_to_mp(random_parity_game(rng, rng.randint(4, 5)))
+        solve_mp_interval(g, iu)
+        events.append("solved")
+    # a level+1 frame follows every nonempty threshold region, and no
+    # frame follows an empty one
+    follows = [
+        (won, after)
+        for won, after in zip(events, events[1:])
+        if isinstance(won, frozenset)
+    ]
+    assert any(not won for won, _ in follows)
+    for won, after in follows:
+        assert (after is None) == bool(won)
+    # both energy games of a round solve the same vertices, and each later
+    # round solves some of the earlier round's
+    shrank = False
+    for games in rounds:
+        assert games[::2] == games[1::2]
+        for earlier, later in zip(games[::2], games[2::2]):
+            assert later <= earlier
+            shrank |= later < earlier
+    assert shrank
 
 
 def test_interval_solver_empty_union():
