@@ -92,7 +92,7 @@ class Payoff(Enum):
     TOTAL_SUP = "total-sup"
 
 
-# sup-style payoffs normalize to their inf counterpart by weight negation
+# `inf_objective`'s table: each sup-style payoff's inf counterpart
 _SUP_TO_INF = {
     Payoff.LIMSUP: Payoff.LIMINF,
     Payoff.MP_SUP: Payoff.MP_INF,
@@ -150,9 +150,10 @@ def parse_rational(text) -> Fraction:
         if "e" in text.lower():
             raise MalformedDocument(f"bad rational {text!r}: exponent notation")
         s = text.strip()
-        # Fraction accepts digit separators from Python 3.11 and spaces
-        # around the slash from 3.12; the format is the same on every version
-        if "_" in s or s.split() != [s]:
+        # Fraction accepts digit separators from Python 3.11, spaces around
+        # the slash from 3.12 and any Unicode digit; the format is ASCII,
+        # the same on every version
+        if "_" in s or s.split() != [s] or not s.isascii():
             raise MalformedDocument(f"bad rational {text!r}")
         try:
             return Fraction(s)
@@ -217,7 +218,7 @@ class Arena:
     "weight", "zero_edges") and `PAYOFF` the payoff of its documents, None
     where documents carry a separate objective.  A reader passes `checked`
     for edge columns it has checked; the validator then checks only the
-    vertices and the dead ends.
+    vertices and the dead ends, and otherwise walks the edges once first.
     """
 
     names: tuple[str, ...]
@@ -252,38 +253,27 @@ class Arena:
         if not len(self.src) == len(self.dst) == len(self.weight):
             raise MalformedDocument("edge columns differ in length")
         zero = getattr(self, "zero_edges", ())
+        if not checked:
+            self._walk_edges(zero)
+        # every source is now an index in range, so a missing one is a
+        # dead end
         srcs = set(self.src).union(z[0] for z in zero)
-        if len(srcs) == n and checked:
-            return
-        # set operations over the columns; only a failed check walks the
-        # edges, to name the first offender
-        if not (
-            len(srcs) == n
-            # every index and weight of every edge, not the index set,
-            # where 1.0 or True would hide behind an equal int
-            and set(map(type, chain(self.src, self.dst, self.weight, *zero))) == {int}
-            and min(ends := srcs.union(self.dst, (z[1] for z in zero))) >= 0
-            and max(ends) < n
-        ):
-            self._walk_edges()
+        if len(srcs) < n:
+            raise DeadEndVertexError(self.names[min(set(range(n)) - srcs)])
 
-    def _walk_edges(self) -> None:
-        """Raise for the first edge with a non-integer index, out of range
-        or with a non-integer weight, in edge-list order, and then for the
-        first dead end."""
+    def _walk_edges(self, zero: Iterable[Edge]) -> None:
+        """Raise for the first edge, in edge-list order and then the
+        zero-test edges, with a non-integer index, out of range or with a
+        non-integer weight; an index is tested by its type, where 1.0 or
+        True would pass as an equal int."""
         n = self.n
-        has_out = [False] * n
-        for e in chain(self.edges, getattr(self, "zero_edges", ())):
+        for e in chain(map(Edge, self.src, self.dst, self.weight), zero):
             if not (type(e.src) is int and type(e.dst) is int):
                 raise MalformedDocument(f"edge {e} has a vertex index that is not an integer")
             if not (0 <= e.src < n and 0 <= e.dst < n):
                 raise UnknownVertexReference(f"edge {e} references a missing vertex")
             if type(e.weight) is not int:
                 raise MalformedDocument(f"edge weight {e.weight!r} is not an integer")
-            has_out[e.src] = True
-        for v, ok in enumerate(has_out):
-            if not ok:
-                raise DeadEndVertexError(self.names[v])
 
     @classmethod
     def from_edges(cls, names, owner, edges: Iterable[Edge], *fields, **named):

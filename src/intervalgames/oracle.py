@@ -229,7 +229,8 @@ def brute_force_positional(
     mean-payoff unions the per-strategy residual is a one-player game and
     is decided exactly through reachable cycle-mean ranges, so the
     returned sets are sound bounds on the true regions; objectives that
-    may require infinite memory keep them strictly smaller.
+    may require infinite memory keep them strictly smaller.  Other
+    total-sum unions get the enumeration itself, also read as bounds.
     """
     _guard_pairs(game)
     if isinstance(game, ParityGame):
@@ -240,31 +241,19 @@ def brute_force_positional(
         )
         return _checked(OracleRegions(eve, adam, exact=True), game.n)
 
-    payoff, iu, lam = objective.payoff, objective.intervals, objective.lam
+    payoff, iu = objective.payoff, objective.intervals
     if payoff is Payoff.DISCOUNTED:
         raise UnsupportedObjective(
             "no positional oracle for discounted payoffs; use the finite-horizon search"
         )
-    if payoff in (Payoff.LIMINF, Payoff.LIMSUP):
-        eve, adam = _pair_enumeration(
-            game, lambda lasso: contains(iu, play_value(lasso, payoff))
-        )
-        result = OracleRegions(eve, adam, exact=True)
-    elif payoff in (Payoff.TOTAL_INF, Payoff.TOTAL_SUP):
-        eve, adam = _pair_enumeration(
-            game, lambda lasso: contains(iu, play_value(lasso, payoff))
-        )
-        result = OracleRegions(eve, adam, exact=_is_threshold(iu))
-    elif payoff in (Payoff.MP_INF, Payoff.MP_SUP):
-        if _is_threshold(iu):
-            eve, adam = _pair_enumeration(
-                game, lambda lasso: contains(iu, play_value(lasso, payoff))
-            )
-            result = OracleRegions(eve, adam, exact=True)
-        else:
-            result = _mp_union_bounds(game, iu)
+    if payoff in (Payoff.MP_INF, Payoff.MP_SUP) and not _is_threshold(iu):
+        result = _mp_union_bounds(game, iu)
     else:
-        raise UnsupportedObjective(f"no positional oracle for {payoff}")
+        eve, adam = _pair_enumeration(
+            game, lambda lasso: contains(iu, play_value(lasso, payoff))
+        )
+        exact = payoff not in (Payoff.TOTAL_INF, Payoff.TOTAL_SUP) or _is_threshold(iu)
+        result = OracleRegions(eve, adam, exact=exact)
     return _checked(result, game.n)
 
 

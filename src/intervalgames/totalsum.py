@@ -27,8 +27,8 @@ negated weights (`meanpayoff._energy_credits`).  An escape below the clamp
 onto v is pinned to the lowest region's priority when f_down[v] is finite
 and B >= E + f_down[v] + 1, E the largest |finite endpoint|; escapes
 above are the mirror image, with P_up, f_up and the weights as they are.
-`solve_total_interval` gives the soundness argument, and `default_bound`
-sizes the clamp from the largest finite credit.  This closes, among
+`solve_total_interval` gives the soundness argument, and `_pin_bounds`
+sizes the default clamp from the largest finite credit.  This closes, among
 others, the whole countdown family.
 """
 
@@ -256,7 +256,11 @@ def _pin_bounds(
     clamp E + f[v] + 1 at which an escape
     below (first list) or above (second list) onto v is pinned, None where
     no finite credit suffices; and the default clamp, one more than the
-    largest of them (E + 2 when all are None).
+    largest of them (E + 2 when all are None), which pins every escape
+    onto a vertex with a finite credit, with one to spare.  A finite
+    credit is at most Brim et al.'s cap, the sum over the vertices of
+    their most negative weight, so the default clamp never exceeds the
+    credit-free E + |V| * W + 2.
 
     The energy games keep `_energy_credits`' default cap, Brim et al.'s
     bound, under which every credit is exact: a lower cap would still pin
@@ -275,24 +279,12 @@ def _pin_bounds(
     return sides[0], sides[1], default
 
 
-def default_bound(g: GameGraph, iu: IntervalUnion) -> int:
-    """E + the largest finite energy credit + 2, E the largest |finite
-    endpoint|, or E + 2 when no credit is finite.
-
-    This is the least clamp, with one to spare, at which
-    `solve_total_interval` pins every escape onto a vertex whose credit is
-    finite.  A finite credit is at most Brim et al.'s cap, the sum over
-    the vertices of their most negative weight, so the clamp never exceeds
-    the credit-free E + |V| * W + 2."""
-    return _pin_bounds(g, integerize(iu))[2]
-
-
 def solve_total_interval(
     g: GameGraph, iu: IntervalUnion, bound: Optional[int] = None, sign: int = 1
 ) -> TotalSolution:
     """Solve the arena's configurations, on its weights times `sign`, with
-    the running total clamped to [-B, B], B = `default_bound` of those
-    weights unless `bound` is given.
+    the running total clamped to [-B, B], B = `_pin_bounds`' default
+    clamp on those weights unless `bound` is given.
 
     When the objective has no integer points at all Adam wins everywhere
     outright (finite totals are integers and infinite totals need an

@@ -25,6 +25,7 @@ from intervalgames.arena import (
     MINUS_INF,
     MalformedDocument,
     Objective,
+    OneCounterParityGame,
     PLUS_INF,
     ParityGame,
     Payoff,
@@ -141,6 +142,16 @@ def test_non_int_vertex_index_rejected(edges, initial, message):
         GameGraph.from_edges(("a", "b"), (Player.EVE, Player.ADAM), edges, initial)
 
 
+TWO = (("a", "b"), (Player.EVE, Player.ADAM))
+
+
+def test_valid_game_built_in_code_holds_no_edge_tuples():
+    # the validator walks the columns; only a reader of `edges` builds them
+    g = GameGraph.from_edges(*TWO, (Edge(0, 1, 2), Edge(1, 0, -1)), 0)
+    assert "edges" not in g.__dict__
+    assert g.edges == (Edge(0, 1, 2), Edge(1, 0, -1))
+
+
 def _document(objective=(), **changes):
     """A valid one-vertex liminf document with the given top-level keys
     replaced and the `objective` keys merged into its objective."""
@@ -206,6 +217,19 @@ ONE_LOOP = (("a",), (Player.EVE,), (Edge(0, 0, 0),), 0)
          "discounted objective needs a discount factor"),
         (lambda: Objective(Payoff.LIMINF, IntervalUnion(), F(1, 2)), MalformedDocument,
          "discount factor given for a non-discounted payoff"),
+        (lambda: GameGraph.from_edges(*ONE_LOOP[:2], (Edge(0, 0, True),), 0), MalformedDocument,
+         "edge weight True is not an integer"),
+        (lambda: GameGraph.from_edges(*ONE_LOOP[:2], (Edge(-1, 0, 0),), 0),
+         UnknownVertexReference, "edge Edge(src=-1, dst=0, weight=0) references a missing vertex"),
+        (lambda: GameGraph.from_edges(*TWO, (Edge(0, 1, 0),), 0), DeadEndVertexError,
+         "vertex 'b' has no outgoing edge"),
+        (lambda: OneCounterParityGame.from_edges(
+            *ONE_LOOP[:3], (0,), zero_edges=(Edge(0, 3),), initial=0),
+         UnknownVertexReference, "edge Edge(src=0, dst=3, weight=0) references a missing vertex"),
+        (lambda: GameGraph.from_edges(*TWO, (Edge(0, 1, 0), Edge(0, 0, 1.5)), 0),
+         MalformedDocument, "edge weight 1.5 is not an integer"),
+        (lambda: GameGraph.from_edges(*ONE_LOOP[:2], (Edge([0], 0, 0),), 0), MalformedDocument,
+         "edge Edge(src=[0], dst=0, weight=0) has a vertex index that is not an integer"),
     ],
 )
 def test_each_rejection_names_its_fault(case, error, message, capsys, tmp_path):
@@ -237,10 +261,13 @@ def test_each_rejection_names_its_fault(case, error, message, capsys, tmp_path):
     ("-3", F(-3)),
     ("1.5", F(3, 2)),
     ("2/3", F(2, 3)),
+    ("\u0661/\u0662", None),
+    ("\uff11/\uff12", None),
+    ("\u0663", None),
 ])
 def test_rationals_read_the_same_on_every_python(text, value):
-    # Fraction alone accepts digit separators from Python 3.11 and spaces
-    # around the slash from 3.12
+    # Fraction alone accepts digit separators from Python 3.11, spaces
+    # around the slash from 3.12 and non-ASCII digits on every version
     doc = json.dumps(_interval(text, "inf"))
     if value is None:
         message = f"bad rational {text!r}"

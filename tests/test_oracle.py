@@ -18,6 +18,7 @@ from intervalgames.arena import (
     PLUS_INF,
     Payoff,
     Player,
+    UnsupportedObjective,
 )
 from intervalgames.discounted import DsValueTable, ds_optimal_values
 from intervalgames.generate import random_game, random_interval_union
@@ -92,6 +93,30 @@ def test_parity_mode_exact():
     p = ParityGame.from_edges(("v",), (Player.EVE,), (Edge(0, 0),), (0,), 0)
     res = brute_force_positional(p)
     assert res.exact and res.win_eve == frozenset({0})
+
+
+SHAPES = {
+    "threshold": IntervalUnion((Interval(F(0), PLUS_INF, False, True),)),
+    "bounded-union": IntervalUnion((Interval(F(-1), F(0)), Interval(F(1), F(2)))),
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("payoff", list(Payoff), ids=lambda p: p.value)
+def test_exactness_by_payoff_and_objective_shape(payoff, shape):
+    # liminf and limsup are exact on every union; mean-payoff and total-sum
+    # only on a one-sided threshold; discounted has no positional oracle
+    g = GameGraph.from_edges(
+        ("a", "b"), (Player.EVE, Player.ADAM),
+        (Edge(0, 1, 1), Edge(0, 0, -1), Edge(1, 0, 2), Edge(1, 1, 0)), 0,
+    )
+    iu = SHAPES[shape]
+    if payoff is Payoff.DISCOUNTED:
+        with pytest.raises(UnsupportedObjective):
+            brute_force_positional(g, Objective(payoff, iu, F(1, 2)))
+        return
+    res = brute_force_positional(g, Objective(payoff, iu))
+    assert res.exact is (payoff in (Payoff.LIMINF, Payoff.LIMSUP) or shape == "threshold")
 
 
 def test_region_checks_run_under_optimization():

@@ -44,7 +44,6 @@ from intervalgames.totalsum import (
     _outer_priorities,
     _pin_bounds,
     countdown_to_total,
-    default_bound,
     solve_total_interval,
     totalsum_to_ocpg,
 )
@@ -145,7 +144,7 @@ def clamped_reduction(g, iu, bound):
 
 
 def assert_matches_the_clamped_reduction(g, iu):
-    default = default_bound(g, iu)
+    default = _pin_bounds(g, integerize(iu))[2]
     for bound in range(1, default + 3):
         solved = solve_total_interval(g, iu, bound=bound)
         assert solved.vertices == clamped_reduction(g, iu, bound), (g, iu, bound)
@@ -225,8 +224,9 @@ def test_pessimistic_first_equals_two_full_solves():
     rng = make_rng(67)
     for _ in range(300):
         g, iu, pm = random_total_case(rng)
-        bound = rng.randint(1, default_bound(g, iu) + 1)
-        game, configs = _clamped_game(g, pm, bound, *_pin_bounds(g, pm)[:2])
+        down, up, default = _pin_bounds(g, pm)
+        bound = rng.randint(1, default + 1)
+        game, configs = _clamped_game(g, pm, bound, down, up)
         everything = frozenset(range(game.n))
         optimistic = solve_parity(game)
         pessimistic = solve_parity(game, everything - {LIMBO_WIN})
@@ -247,8 +247,9 @@ def test_clamped_graph_is_well_formed():
     rng = make_rng(67)
     for _ in range(300):
         g, iu, pm = random_total_case(rng)
-        bound = rng.randint(1, default_bound(g, iu) + 1)
-        game, configs = _clamped_game(g, pm, bound, *_pin_bounds(g, pm)[:2])
+        down, up, default = _pin_bounds(g, pm)
+        bound = rng.randint(1, default + 1)
+        game, configs = _clamped_game(g, pm, bound, down, up)
         first = len(_SINK_SUCC)
         assert game.n == first + len(configs) == len(game.owner) == len(game.priority)
         assert len(game.succ) == len(game.pred) == game.n
@@ -395,7 +396,7 @@ def test_no_definite_verdict_flips_across_clamps():
             continue
         base = solve_total_interval(g, iu)
         reach = max(abs(x) for piece in pm.intervals for x in piece if isinstance(x, int))
-        assert base.bound == default_bound(g, iu) <= reach + g.n * max_abs_weight(g) + 2
+        assert base.bound == _pin_bounds(g, pm)[2] <= reach + g.n * max_abs_weight(g) + 2
         for b in range(1, base.bound + 4):
             again = solve_total_interval(g, iu, bound=b).vertices
             for v in range(g.n):
