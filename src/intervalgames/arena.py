@@ -705,14 +705,15 @@ def _read_objective(obj: dict, payoff_name: str) -> Objective:
     )
 
 
-def read_document(
-    text: str,
-) -> Union[tuple[GameGraph, Objective], ParityGame, OneCounterParityGame]:
-    """Decode and validate a document, dispatching on its payoff.
+def read_document(text: str) -> tuple[Arena, Optional[Objective]]:
+    """Decode and validate a document into (game, objective), dispatching
+    on its payoff.
 
-    Payoff "parity" gives a ParityGame (edge weights are ignored), "ocpg"
-    a OneCounterParityGame, and every `Payoff` value a game graph with its
-    objective.  A malformed document raises a DocumentError.
+    Payoff "parity" gives a ParityGame (edge weights are ignored) and
+    "ocpg" a OneCounterParityGame, each with objective None; every
+    `Payoff` value gives a game graph with its objective.  So
+    `write_document(*read_document(text))` writes any document back.  A
+    malformed document raises a DocumentError.
     """
     try:
         doc = json.loads(text)
@@ -750,7 +751,7 @@ def read_document(
             map(Edge, *_read_edges(zero_edges, index_of, False, "zero edge"))
         )
     game = cls(tuple(names), tuple(owners), src, dst, weight, **columns, checked=True)
-    return game if objective is None else (game, objective)
+    return game, objective
 
 
 def _interval_to_doc(j: Interval) -> dict:

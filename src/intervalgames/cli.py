@@ -30,7 +30,6 @@ from .arena import (
     MalformedDocument,
     Objective,
     OneCounterParityGame,
-    ParityGame,
     Payoff,
     UnsupportedObjective,
     Verdict,
@@ -53,20 +52,18 @@ class OracleDisagreement(GameError):
 
 
 def _load_document(path: str):
-    """Returns (graph, objective) for a payoff game and (game, None) for a
-    ParityGame."""
+    """Returns the document's (game, objective), the objective None for a
+    parity game; a one-counter document is refused."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise MalformedDocument(f"cannot read {path}: {exc}") from exc
-    parsed = read_document(text)
-    if isinstance(parsed, OneCounterParityGame):
+    g, o = read_document(text)
+    if isinstance(g, OneCounterParityGame):
         raise UnsupportedObjective(
             "one-counter documents are reduction outputs and cannot be solved directly"
         )
-    if isinstance(parsed, ParityGame):
-        return parsed, None
-    return parsed
+    return g, o
 
 
 def _solve_game(g, o: Optional[Objective], bound: Optional[int]):
@@ -74,7 +71,7 @@ def _solve_game(g, o: Optional[Objective], bound: Optional[int]):
     (regions over g's vertices, meta).  A sup-style payoff is solved as its
     inf counterpart, the solver reading every weight times -1."""
     if o is None:
-        return solve_parity(g), {"payoff": "parity"}
+        return solve_parity(g), {"payoff": "parity", "algorithm": "zielonka"}
     sign, o = inf_objective(o)
     meta: dict = {"payoff": o.payoff.value}
     if o.payoff is Payoff.LIMINF:
@@ -98,10 +95,6 @@ def cmd_solve(args) -> int:
     if args.bound is not None and args.bound < 1:
         raise BadParameters(f"--bound {args.bound} must be at least 1")
     g, o = _load_document(args.file)
-    if o is None:
-        raise UnsupportedObjective(
-            "parity documents are only accepted by reduce/check"
-        )
     regions, meta = _solve_game(g, o, args.bound)
     verdict = regions.verdict(g.initial)
     if args.regions:
@@ -130,33 +123,24 @@ def cmd_solve(args) -> int:
 
 def cmd_reduce(args) -> int:
     g, o = _load_document(args.file)
-    target = args.to
-    if o is None:
-        if target == "liminf":
+    if o is not None:
+        g, o = normalize(g, o)
+    source = "parity" if o is None else o.payoff.value
+    match source, args.to:
+        case "parity", "liminf":
             g, iu = parity_to_liminf(g)
-            sys.stdout.write(write_document(g, Objective(payoff=Payoff.LIMINF, intervals=iu)))
-            return 0
-        if target == "mp":
+            o = Objective(payoff=Payoff.LIMINF, intervals=iu)
+        case "parity", "mp":
             g, iu = parity_to_mp(g)
-            sys.stdout.write(write_document(g, Objective(payoff=Payoff.MP_INF, intervals=iu)))
-            return 0
-        raise UnsupportedObjective(f"cannot reduce a parity game to {target!r}")
-    g, o = normalize(g, o)
-    if target == "parity":
-        if o.payoff is not Payoff.LIMINF:
-            raise UnsupportedObjective(
-                f"cannot reduce payoff {o.payoff.value!r} to a parity game"
-            )
-        sys.stdout.write(write_document(liminf_to_parity(g, o.intervals)))
-        return 0
-    if target == "ocpg":
-        if o.payoff is not Payoff.TOTAL_INF:
-            raise UnsupportedObjective(
-                f"cannot reduce payoff {o.payoff.value!r} to a one-counter game"
-            )
-        sys.stdout.write(write_document(totalsum_to_ocpg(g, o.intervals)))
-        return 0
-    raise UnsupportedObjective(f"cannot reduce a payoff game to {target!r}")
+            o = Objective(payoff=Payoff.MP_INF, intervals=iu)
+        case "liminf", "parity":
+            g, o = liminf_to_parity(g, o.intervals), None
+        case "total-inf", "ocpg":
+            g, o = totalsum_to_ocpg(g, o.intervals), None
+        case _:
+            raise UnsupportedObjective(f"cannot reduce payoff {source!r} to {args.to!r}")
+    sys.stdout.write(write_document(g, o))
+    return 0
 
 
 def cmd_generate(args) -> int:
@@ -208,12 +192,8 @@ def cmd_generate(args) -> int:
         raise BadParameters("random-arena needs --max-weight >= 0")
     if args.intervals < 0:
         raise BadParameters("random-arena needs --intervals >= 0")
-    try:
-        payoff = Payoff(args.payoff)
-    except ValueError:
-        raise BadParameters(f"unknown payoff {args.payoff!r}")
     g = generate.random_game(rng, args.vertices, max_weight=args.max_weight)
-    o = generate.random_objective(rng, payoff, max_pieces=args.intervals)
+    o = generate.random_objective(rng, Payoff(args.payoff), max_pieces=args.intervals)
     sys.stdout.write(write_document(g, o))
     return 0
 
@@ -222,28 +202,29 @@ def _sidecar(path: str) -> Path:
     return Path(path).with_suffix(".expect")
 
 
-def _check_expectation(path: str, verdict: Optional[Verdict], error: Optional[GameError]) -> Optional[str]:
-    """Compare against a sidecar file, if present.  Returns a complaint or
-    None; sidecars may expect a winner or that solving errors out."""
+def _check_expectation(path: str, verdict: Optional[Verdict], error: Optional[GameError]) -> None:
+    """Compare against a sidecar file, if present, and raise
+    OracleDisagreement with the complaint; sidecars may expect a winner or
+    that solving errors out."""
     sidecar = _sidecar(path)
     if not sidecar.exists():
-        return None
+        return
     try:
         expect = json.loads(sidecar.read_text())
     except (OSError, ValueError, RecursionError) as exc:
-        return f"cannot read expectation sidecar: {exc}"
+        raise OracleDisagreement(f"cannot read expectation sidecar: {exc}")
     if not isinstance(expect, dict):
-        return "cannot read expectation sidecar: not a JSON object"
+        raise OracleDisagreement("cannot read expectation sidecar: not a JSON object")
     want = expect.get("winner")
     if want == "error":
         if error is None:
-            return f"expected an unsupported-objective error, got {verdict.value}"
-        return None
-    if error is not None:
-        return f"expected winner {want!r}, got error: {error}"
-    if verdict.value != want:
-        return f"expected winner {want!r}, got {verdict.value}"
-    return None
+            raise OracleDisagreement(
+                f"expected an unsupported-objective error, got {verdict.value}"
+            )
+    elif error is not None:
+        raise OracleDisagreement(f"expected winner {want!r}, got error: {error}")
+    elif verdict.value != want:
+        raise OracleDisagreement(f"expected winner {want!r}, got {verdict.value}")
 
 
 def _oracle_suite(g, o: Optional[Objective], base) -> list[str]:
@@ -308,8 +289,6 @@ def _stability_suite(g, o: Optional[Objective], base) -> list[str]:
 
 def cmd_check(args) -> int:
     g, o = _load_document(args.file)
-    solved = None
-    solve_error: Optional[GameError] = None
     try:
         solved = _solve_game(g, o, None)
     except UnsupportedObjective as exc:
@@ -317,23 +296,14 @@ def cmd_check(args) -> int:
         # does under `solve`
         if not _sidecar(args.file).exists():
             raise
-        solve_error = exc
-    verdict: Optional[Verdict] = solved[0].verdict(g.initial) if solved else None
-    complaint = _check_expectation(args.file, verdict, solve_error)
-    if complaint:
-        raise OracleDisagreement(complaint)
-    lines = []
-    if verdict is not None:
-        lines.append(f"winner: {verdict.value}")
-    if solve_error is not None:
-        lines.append(f"solve error (expected): {solve_error}")
-    if solve_error is None:
-        if args.suite == "oracle":
-            lines += _oracle_suite(g, o, solved)
-        else:
-            lines += _stability_suite(g, o, solved)
-    for line in lines:
-        print(line)
+        _check_expectation(args.file, None, exc)
+        print(f"solve error (expected): {exc}")
+        return 0
+    verdict = solved[0].verdict(g.initial)
+    _check_expectation(args.file, verdict, None)
+    suite = _oracle_suite if args.suite == "oracle" else _stability_suite
+    lines = suite(g, o, solved)  # a disagreement raises before anything prints
+    print(f"winner: {verdict.value}", *lines, sep="\n")
     return 0
 
 
@@ -374,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--credit", type=int, default=None)
     p_gen.add_argument("--max-weight", type=int, default=3)
     p_gen.add_argument("--max-priority", type=int, default=3)
-    p_gen.add_argument("--payoff", default="mp-inf")
+    p_gen.add_argument("--payoff", choices=[p.value for p in Payoff], default="mp-inf")
     p_gen.add_argument("--intervals", type=int, default=2)
     p_gen.set_defaults(func=cmd_generate)
 

@@ -377,11 +377,9 @@ def subset_sum_to_ds(
     ) + (Player.EVE,)
     edges = []
     for i, (a, b) in enumerate(s.pairs, start=1):
-        factor = Fraction(scale) / lam ** (i - 1)
-        if factor.denominator != 1:
-            raise AssertionError(f"round {i} scale {factor} is not an integer")
+        factor = p ** (n - i) * q ** (i - 1)  # scale / lam^(i-1)
         for value in (a, b):
-            edges.append(Edge(i - 1, i, int(factor) * value))
+            edges.append(Edge(i - 1, i, factor * value))
     edges.append(Edge(n, n, 0))
     g = GameGraph.from_edges(names, owner, edges, 0)
     iu = IntervalUnion(

@@ -216,10 +216,19 @@ def test_generate_bad_parameters(capsys):
         ("random-arena", "--vertices", "3", "--intervals", "-1"),
         ("random-parity", "--vertices", "3", "--max-priority", "-1"),
         ("subset-sum", "--pairs", "2", "--max-value", "-1"),
+        ("subset-sum", "--pairs", "0"),
+        ("countdown", "--vertices", "4", "--credit", "0"),
+        ("random-parity", "--vertices", "0"),
+        ("random-arena", "--vertices", "0"),
     ]
     for args in cases:
         code, _, err = run(capsys, "generate", *args, "--seed", "3")
         assert code == 2 and "error" in err, args
+    # argparse refuses a value outside --payoff's choices, also with exit 2
+    with pytest.raises(SystemExit) as caught:
+        main(["generate", "random-arena", "--vertices", "3", "--seed", "3", "--payoff", "bogus"])
+    assert caught.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_generate_subset_sum_with_a_discount(capsys, tmp_path):
@@ -288,14 +297,67 @@ def test_reduce_incompatible(capsys):
     assert code == 3
 
 
-def test_solve_rejects_parity_documents(capsys, tmp_path):
-    _, parity_text, _ = run(
-        capsys, "generate", "random-parity", "--vertices", "2", "--seed", "9"
-    )
+# the pairs `reduce` supports, by (payoff as reduced, target); a sup-style
+# payoff reduces as its inf counterpart
+REDUCTIONS = {("parity", "liminf"), ("parity", "mp"), ("liminf", "parity"), ("total-inf", "ocpg")}
+INF_STYLE = {"limsup": "liminf", "mp-sup": "mp-inf", "total-sup": "total-inf"}
+
+
+@pytest.mark.parametrize("target", ["parity", "ocpg", "mp", "liminf"])
+@pytest.mark.parametrize("payoff", ["parity"] + [p.value for p in Payoff])
+def test_reduce_supports_four_pairs_and_rejects_the_rest(capsys, tmp_path, payoff, target):
+    f = tmp_path / "loop.game"
+    if payoff == "parity":
+        f.write_text(write_document(priority_line(2)))
+    else:
+        g = GameGraph.from_edges(("a",), (Player.EVE,), (Edge(0, 0, 1),), 0)
+        lam = Fraction(1, 2) if payoff == "discounted" else None
+        o = Objective(Payoff(payoff), IntervalUnion((Interval(Fraction(0), Fraction(1)),)), lam)
+        f.write_text(write_document(g, o))
+    source = INF_STYLE.get(payoff, payoff)
+    code, out, err = run(capsys, "reduce", f, "--to", target)
+    if (source, target) in REDUCTIONS:
+        assert (code, err) == (0, "") and out
+    else:
+        assert (code, out) == (3, "")
+        assert err == f"error: cannot reduce payoff {source!r} to {target!r}\n"
+
+
+def test_solve_answers_parity_documents(capsys, tmp_path):
+    # a parity document solves as it does under check, by Zielonka
     pfile = tmp_path / "p.game"
-    pfile.write_text(parity_text)
-    code, _, err = run(capsys, "solve", pfile)
-    assert code == 3
+    for vertices, seed in (("2", "9"), ("6", "4")):
+        _, parity_text, _ = run(
+            capsys, "generate", "random-parity", "--vertices", vertices, "--seed", seed
+        )
+        pfile.write_text(parity_text)
+        code, out, _ = run(capsys, "check", pfile, "--suite", "oracle")
+        assert code == 0
+        winner = out.splitlines()[0].removeprefix("winner: ")
+        code, out, err = run(capsys, "solve", pfile)
+        assert (code, out, err) == (0, f"{winner.upper()}\n", "")
+        code, out, _ = run(capsys, "solve", pfile, "--regions", "--format", "structured")
+        doc = json.loads(out)
+        assert code == 0 and doc["winner"] == winner
+        assert doc["meta"] == {"payoff": "parity", "algorithm": "zielonka"}
+        p, _ = read_document(parity_text)
+        regions = solve_parity(p)
+        assert doc["regions"] == {name: regions.verdict(v).value for v, name in enumerate(p.names)}
+
+
+def test_every_command_refuses_one_counter_documents(capsys, tmp_path):
+    code, text, _ = run(capsys, "reduce", CORPUS / "loop0_total.game", "--to", "ocpg")
+    assert code == 0
+    f = tmp_path / "loop0.ocpg"
+    f.write_text(text)
+    message = "error: one-counter documents are reduction outputs and cannot be solved directly\n"
+    for argv in (
+        ("solve", f),
+        ("check", f, "--suite", "oracle"),
+        ("check", f, "--suite", "stability"),
+        ("reduce", f, "--to", "parity"),
+    ):
+        assert run(capsys, *argv) == (3, "", message), argv
 
 
 def test_total_sum_bound_flag(capsys, tmp_path):

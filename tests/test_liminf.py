@@ -317,15 +317,15 @@ def test_lower_edges_into_a_vertex_share_one_subdivider():
 def test_reduce_to_parity_output_on_corpus(capsys):
     games = []
     for path in sorted(CORPUS.glob("*.game")):
-        parsed = read_document(path.read_text())
-        if isinstance(parsed, tuple) and parsed[1].payoff in (Payoff.LIMINF, Payoff.LIMSUP):
-            games.append((path, *normalize(*parsed)))
+        g, o = read_document(path.read_text())
+        if o is not None and o.payoff in (Payoff.LIMINF, Payoff.LIMSUP):
+            games.append((path, *normalize(g, o)))
     assert games
     for path, g, o in games:
         assert main(["reduce", str(path), "--to", "parity"]) == 0
         out = capsys.readouterr().out
         assert out == write_document(_merged_reduction(g, o.intervals)), path.name
         everything = frozenset(range(g.n))
-        reduced = solve_parity(read_document(out))
+        reduced = solve_parity(read_document(out)[0])
         per_edge = solve_parity(_per_edge_reduction(g, o.intervals))
         assert reduced.win_eve & everything == per_edge.win_eve & everything, path.name

@@ -512,8 +512,8 @@ def test_ocpg_document_round_trip():
     g = random_game(rng, 3, max_weight=2)
     p = totalsum_to_ocpg(g, IntervalUnion((Interval(F(0), F(1)),)))
     text = write_document(p)
-    again = read_document(text)
-    assert again == p
+    again, objective = read_document(text)
+    assert again == p and objective is None
 
 
 def test_ocpg_document_rejects_untyped_zero_edges():
