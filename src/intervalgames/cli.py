@@ -143,58 +143,45 @@ def cmd_reduce(args) -> int:
     return 0
 
 
+# each kind's integer flags and their least values, checked in this order
+_GENERATE_MINIMUMS = {
+    "subset-sum": {"pairs": 1, "max_value": 0},
+    "countdown": {"vertices": 2, "credit": 1, "max_weight": 1},
+    "random-parity": {"vertices": 1, "max_priority": 0},
+    "random-arena": {"vertices": 1, "max_weight": 0, "intervals": 0},
+}
+
+
 def cmd_generate(args) -> int:
+    kind = args.kind
+    for flag, least in _GENERATE_MINIMUMS[kind].items():
+        value = getattr(args, flag)
+        if value is None or value < least:
+            raise BadParameters(f"{kind} needs --{flag.replace('_', '-')} >= {least}")
     rng = random.Random(args.seed)
-    if args.kind == "subset-sum":
-        if args.pairs is None or args.pairs < 1:
-            raise BadParameters("subset-sum needs --pairs >= 1")
-        lam = parse_rational(args.discount)
-        if args.max_value < 0:
-            raise BadParameters("subset-sum needs --max-value >= 0")
+    if kind == "subset-sum":
         instance = generate.random_subset_sum(
             rng, args.pairs, target=args.target, max_value=args.max_value
         )
-        g, iu, lam, scale = subset_sum_to_ds(instance, lam)
+        g, iu, lam, scale = subset_sum_to_ds(instance, parse_rational(args.discount))
+        o = Objective(payoff=Payoff.DISCOUNTED, intervals=iu, lam=lam)
         comment = (
             f"subset-sum instance target={instance.target} "
             f"pairs={list(instance.pairs)} scale={scale}"
         )
-        o = Objective(payoff=Payoff.DISCOUNTED, intervals=iu, lam=lam)
-        sys.stdout.write(write_document(g, o, comment=comment))
-        return 0
-    if args.kind == "countdown":
-        if args.vertices is None or args.vertices < 2:
-            raise BadParameters("countdown needs --vertices >= 2")
-        if args.credit is None or args.credit < 1:
-            raise BadParameters("countdown needs --credit >= 1")
-        if args.max_weight < 1:
-            raise BadParameters("countdown needs --max-weight >= 1")
-        cd = generate.random_countdown(
-            rng, args.vertices, args.credit, max_weight=args.max_weight
-        )
+    elif kind == "countdown":
+        cd = generate.random_countdown(rng, args.vertices, args.credit, max_weight=args.max_weight)
         g, iu = countdown_to_total(cd)
-        comment = f"countdown instance credit={cd.credit}"
         o = Objective(payoff=Payoff.TOTAL_INF, intervals=iu)
-        sys.stdout.write(write_document(g, o, comment=comment))
-        return 0
-    if args.kind == "random-parity":
-        if args.vertices is None or args.vertices < 1:
-            raise BadParameters("random-parity needs --vertices >= 1")
-        if args.max_priority < 0:
-            raise BadParameters("random-parity needs --max-priority >= 0")
-        p = generate.random_parity_game(rng, args.vertices, args.max_priority)
-        sys.stdout.write(write_document(p))
-        return 0
-    # random-arena, the last kind argparse allows
-    if args.vertices is None or args.vertices < 1:
-        raise BadParameters("random-arena needs --vertices >= 1")
-    if args.max_weight < 0:
-        raise BadParameters("random-arena needs --max-weight >= 0")
-    if args.intervals < 0:
-        raise BadParameters("random-arena needs --intervals >= 0")
-    g = generate.random_game(rng, args.vertices, max_weight=args.max_weight)
-    o = generate.random_objective(rng, Payoff(args.payoff), max_pieces=args.intervals)
-    sys.stdout.write(write_document(g, o))
+        comment = f"countdown instance credit={cd.credit}"
+    elif kind == "random-parity":
+        g = generate.random_parity_game(rng, args.vertices, args.max_priority)
+        o = comment = None
+    else:  # random-arena, the last kind argparse allows
+        g = generate.random_game(rng, args.vertices, max_weight=args.max_weight)
+        o = generate.random_objective(rng, Payoff(args.payoff), max_pieces=args.intervals)
+        comment = None
+    sys.stdout.write(write_document(g, o, comment=comment))
     return 0
 
 
@@ -230,14 +217,11 @@ def _check_expectation(path: str, verdict: Optional[Verdict], error: Optional[Ga
 def _oracle_suite(g, o: Optional[Objective], base) -> list[str]:
     """Cross-check the production solver against the matching oracle on
     one instance; `base` is its `_solve_game` result.  The oracles read
-    the document's own objective, sup-style payoffs included.  Returns
-    report lines, raises OracleDisagreement."""
+    the document's own objective, sup-style payoffs included; a parity
+    game, with none, meets the exact positional oracle.  Returns report
+    lines, raises OracleDisagreement."""
     regions, meta = base
-    if o is None:
-        if brute_force_positional(g).win_eve != regions.win_eve:
-            raise OracleDisagreement("parity solver disagrees with enumeration")
-        return ["parity: agreement"]
-    if o.payoff is Payoff.DISCOUNTED:
+    if o is not None and o.payoff is Payoff.DISCOUNTED:
         if not check_ds_values(g, o.lam, ds_optimal_values(g, o.lam)):
             raise OracleDisagreement("discounted game values fail their one-step equations")
         depth = decision_depth(g, o.lam, o.intervals)
@@ -247,7 +231,7 @@ def _oracle_suite(g, o: Optional[Objective], base) -> list[str]:
             "discounted: game values certified by their one-step equations",
             "discounted: agreement with unpruned search",
         ]
-    payoff = meta["payoff"]  # inf-style, as solved
+    payoff = meta["payoff"]  # inf-style, as solved, or parity
     if payoff == Payoff.TOTAL_INF.value:
         return ["total-sum: no positional oracle suite (three-valued solver); skipped"]
     reference = brute_force_positional(g, o)

@@ -33,8 +33,6 @@ def random_game(
     max_weight: int = 3,
 ) -> GameGraph:
     """Random arena: one guaranteed exit per vertex plus n_vertices more."""
-    if n_vertices < 1:
-        raise BadParameters("need at least one vertex")
     names = tuple(f"q{i}" for i in range(n_vertices))
     owner = tuple(rng.choice((Player.EVE, Player.ADAM)) for _ in range(n_vertices))
     edges = []

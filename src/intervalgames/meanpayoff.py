@@ -13,14 +13,15 @@ each side's region is closed under its attractor, and the next round
 solves only the undecided rest.  The interval solver iterates threshold
 calls, peeling off regions the opponent wins outright, and nests
 objectives with fewer finite interval boundaries, swapping the players'
-roles at each complement; a single interval is the one-piece union.  A
-threshold region that is empty already decides its round, so the next
-level is solved only under a nonempty one.
+roles at each complement, as mean-payoff games are positionally
+determined (Ehrenfeucht & Mycielski 1979).  A single interval is the
+one-piece union, and a threshold question such as MP >= a the one-ray
+union [a, inf).  A threshold region that is empty already decides its
+round, so the next level is solved only under a nonempty one.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 
 from .arena import (
@@ -41,13 +42,6 @@ from .parity import _run_frames, attractor
 
 class PriorityOutOfRange(UnsupportedObjective):
     pass
-
-
-class Cmp(Enum):
-    GE = ">="
-    GT = ">"
-    LE = "<="
-    LT = "<"
 
 
 def _energy_credits(
@@ -204,19 +198,6 @@ def _threshold(
         units *= 4
     Regions(win_eve=won, win_adam=lost).check_partition(alive)
     return won
-
-
-def mp_threshold(g: GameGraph, a: Fraction, cmp: Cmp) -> Regions:
-    """Exact partition for "Eve forces MP ~ a".  For <= and < the roles
-    swap: mean-payoff games are positionally determined (Ehrenfeucht &
-    Mycielski 1979), so Eve keeps MP <= a exactly where Adam cannot force
-    MP > a, and MP < a exactly where he cannot force MP >= a."""
-    alive = frozenset(range(g.n))
-    if cmp in (Cmp.GE, Cmp.GT):
-        win_eve = _threshold(g, alive, Player.EVE, a, cmp is Cmp.GT)
-    else:
-        win_eve = alive - _threshold(g, alive, Player.ADAM, a, cmp is Cmp.LE)
-    return Regions(win_eve=win_eve, win_adam=alive - win_eve)
 
 
 def _nested_objectives(iu: IntervalUnion) -> list[IntervalUnion]:

@@ -2,12 +2,21 @@ import random
 
 import pytest
 
-from intervalgames.arena import Edge, ParityGame, Player
+from intervalgames.arena import MINUS_INF, PLUS_INF, Edge, Interval, ParityGame, Player
 from intervalgames.liminf import integerize
 
 
 def make_rng(seed: int) -> random.Random:
     return random.Random(seed)
+
+
+# the one-sided ray on which "MP ~ a" holds, by comparison
+RAYS = {
+    ">=": lambda a: Interval(a, PLUS_INF, False, True),
+    ">": lambda a: Interval(a, PLUS_INF, True, True),
+    "<=": lambda a: Interval(MINUS_INF, a, True, False),
+    "<": lambda a: Interval(MINUS_INF, a, True, True),
+}
 
 
 def pm_has_finite_endpoint(iu) -> bool:

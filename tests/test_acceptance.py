@@ -37,12 +37,7 @@ from intervalgames.generate import (
     random_subset_sum,
 )
 from intervalgames.liminf import integerize, liminf_to_parity, parity_to_liminf, solve_liminf
-from intervalgames.meanpayoff import (
-    Cmp,
-    mp_threshold,
-    parity_to_mp,
-    solve_mp_interval,
-)
+from intervalgames.meanpayoff import _threshold, parity_to_mp, solve_mp_interval
 from intervalgames.oracle import (
     TooLarge,
     brute_force_finite_horizon_ds,
@@ -151,17 +146,18 @@ def test_acceptance_04_threshold_consistency():
             g = random_game(rng, rng.randint(1, 6), max_weight=3)
             a = F(rng.randint(-2, 2), rng.randint(1, 3))
             ray = IntervalUnion((Interval(a, PLUS_INF, False, True),))
-            assert (
-                solve_mp_interval(g, ray).win_eve
-                == mp_threshold(g, a, Cmp.GE).win_eve
+            everything = frozenset(range(g.n))
+            assert solve_mp_interval(g, ray).win_eve == _threshold(
+                g, everything, Player.EVE, a, False
             )
         for _ in range(200):
             g = random_game(rng, rng.randint(1, 6), max_weight=3)
             b = F(rng.randint(-2, 2), rng.randint(1, 3))
             ray = IntervalUnion((Interval(MINUS_INF, b, True, False),))
-            assert (
-                solve_mp_interval(g, ray).win_eve
-                == mp_threshold(g, b, Cmp.LE).win_eve
+            everything = frozenset(range(g.n))
+            # Eve keeps MP <= b exactly where Adam cannot force MP > b
+            assert solve_mp_interval(g, ray).win_eve == everything - _threshold(
+                g, everything, Player.ADAM, b, True
             )
 
 

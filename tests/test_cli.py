@@ -1,8 +1,11 @@
 import copy
+import dataclasses
 import gc
+import hashlib
 import inspect
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -30,6 +33,7 @@ from intervalgames.arena import (
 )
 from intervalgames.cli import build_parser, main
 from intervalgames.discounted import solve_ds_interval
+from intervalgames.generate import random_parity_game
 from intervalgames.liminf import solve_liminf
 from intervalgames.meanpayoff import solve_mp_interval
 from intervalgames.parity import solve_parity
@@ -187,6 +191,41 @@ def test_generate_is_deterministic(capsys):
     assert doc["objective"]["payoff"] == "discounted"
 
 
+# the first 16 hex digits of each document's sha256 for seeds 1, 2 and 3;
+# perfbench draws its instance pools from these generators, so the order in
+# which they draw from the seeded rng must not change
+GENERATED_DIGESTS = {
+    ("subset-sum", "--pairs", "3"):
+        ("0f77df851b15a29c", "d16007519476c64c", "3b572630d83fd1f7"),
+    ("countdown", "--vertices", "4", "--credit", "5"):
+        ("fcf1808be2147d41", "4a9f2fde41a9b520", "e6364a0d57dc05a8"),
+    ("random-parity", "--vertices", "5"):
+        ("e9de054b6f4cebc6", "f35c83551a13d84d", "8f936699e0e73bcb"),
+    ("random-arena", "--vertices", "4", "--payoff", "liminf"):
+        ("7a3d2e46bd5d8fe6", "db2f6ddf093bfea7", "6e6576bf40a5cca6"),
+    ("random-arena", "--vertices", "4", "--payoff", "limsup"):
+        ("54d2c5ba7199e15a", "bf91e0b09b750d65", "ebb348e0bde4d210"),
+    ("random-arena", "--vertices", "4", "--payoff", "mp-inf"):
+        ("d2b49cd97aba1412", "b795f47ff115f601", "01715d562718efd0"),
+    ("random-arena", "--vertices", "4", "--payoff", "mp-sup"):
+        ("d70f0c608295e531", "3e0f15f61ca0bf89", "1f2b7072903858b3"),
+    ("random-arena", "--vertices", "4", "--payoff", "discounted"):
+        ("5dcb1f51bf679e16", "2ef9d9cc86e6482a", "a5cb8b6b22895d3b"),
+    ("random-arena", "--vertices", "4", "--payoff", "total-inf"):
+        ("1ef774048be6f5a8", "71d890c743a4931a", "18c0f073c6fe9f89"),
+    ("random-arena", "--vertices", "4", "--payoff", "total-sup"):
+        ("35efa1b9579b9f86", "58aa2a602df07108", "381919d5e3f711fa"),
+}
+
+
+@pytest.mark.parametrize("args", GENERATED_DIGESTS, ids=" ".join)
+def test_generate_output_bytes_are_pinned(capsys, args):
+    for seed, digest in zip((1, 2, 3), GENERATED_DIGESTS[args]):
+        code, out, err = run(capsys, "generate", *args, "--seed", seed)
+        assert (code, err) == (0, ""), (args, seed)
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, (args, seed)
+
+
 def test_generate_solve_round_trips(capsys, tmp_path):
     _, text, _ = run(
         capsys, "generate", "subset-sum", "--pairs", "2", "--target", "4", "--seed", "7"
@@ -205,25 +244,41 @@ def test_generate_solve_round_trips(capsys, tmp_path):
     assert code == 0 and out.strip() in ("EVE", "ADAM")
 
 
+# each kind's integer flags at one below their least values, or missing,
+# in the order in which `generate` checks them
+FLAG_MINIMUM_ERRORS = {
+    ("subset-sum",): "subset-sum needs --pairs >= 1",
+    ("subset-sum", "--pairs", "0"): "subset-sum needs --pairs >= 1",
+    ("subset-sum", "--pairs", "2", "--max-value", "-1"):
+        "subset-sum needs --max-value >= 0",
+    ("countdown", "--credit", "5"): "countdown needs --vertices >= 2",
+    ("countdown", "--vertices", "1", "--credit", "5"): "countdown needs --vertices >= 2",
+    ("countdown", "--vertices", "4"): "countdown needs --credit >= 1",
+    ("countdown", "--vertices", "4", "--credit", "0"): "countdown needs --credit >= 1",
+    ("countdown", "--vertices", "4", "--credit", "5", "--max-weight", "0"):
+        "countdown needs --max-weight >= 1",
+    ("random-parity", "--vertices", "0"): "random-parity needs --vertices >= 1",
+    ("random-parity", "--vertices", "3", "--max-priority", "-1"):
+        "random-parity needs --max-priority >= 0",
+    ("random-arena", "--vertices", "0"): "random-arena needs --vertices >= 1",
+    ("random-arena", "--vertices", "3", "--max-weight", "-1"):
+        "random-arena needs --max-weight >= 0",
+    ("random-arena", "--vertices", "3", "--intervals", "-1"):
+        "random-arena needs --intervals >= 0",
+}
+
+
+@pytest.mark.parametrize("args", FLAG_MINIMUM_ERRORS, ids=" ".join)
+def test_generate_names_each_flag_minimum(capsys, args):
+    expected = (2, "", f"error: {FLAG_MINIMUM_ERRORS[args]}\n")
+    assert run(capsys, "generate", *args, "--seed", "3") == expected
+
+
 def test_generate_bad_parameters(capsys):
-    code, _, err = run(capsys, "generate", "countdown", "--vertices", "1",
-                       "--credit", "5", "--seed", "3")
-    assert code == 2
-    # flags whose value leaves a generator an empty range to draw from
-    cases = [
-        ("countdown", "--vertices", "4", "--credit", "5", "--max-weight", "0"),
-        ("random-arena", "--vertices", "3", "--max-weight", "-1"),
-        ("random-arena", "--vertices", "3", "--intervals", "-1"),
-        ("random-parity", "--vertices", "3", "--max-priority", "-1"),
-        ("subset-sum", "--pairs", "2", "--max-value", "-1"),
-        ("subset-sum", "--pairs", "0"),
-        ("countdown", "--vertices", "4", "--credit", "0"),
-        ("random-parity", "--vertices", "0"),
-        ("random-arena", "--vertices", "0"),
-    ]
-    for args in cases:
-        code, _, err = run(capsys, "generate", *args, "--seed", "3")
-        assert code == 2 and "error" in err, args
+    # the flag minimums are checked before the discount is read
+    result = run(capsys, "generate", "subset-sum", "--pairs", "2", "--seed", "3",
+                 "--discount", "x", "--max-value", "-1")
+    assert result == (2, "", "error: subset-sum needs --max-value >= 0\n")
     # argparse refuses a value outside --payoff's choices, also with exit 2
     with pytest.raises(SystemExit) as caught:
         main(["generate", "random-arena", "--vertices", "3", "--seed", "3", "--payoff", "bogus"])
@@ -597,34 +652,92 @@ def test_check_solves_a_parity_document_for_its_sidecar(capsys, tmp_path):
         assert code == 4 and "expected winner 'eve', got adam" in err
 
 
+def _corpus(name):
+    return lambda: (CORPUS / f"{name}.game").read_text()
+
+
+def _band_loop(weight):
+    """One Eve vertex looping at `weight`, under mean-payoff in {0} u {2}:
+    the positional oracle gives bounds only, and claims the vertex for Eve
+    at weight 0 and for Adam at weight 1."""
+    g = GameGraph.from_edges(("v",), (Player.EVE,), (Edge(0, 0, weight),), 0)
+    iu = IntervalUnion((Interval(Fraction(0), Fraction(0)), Interval(Fraction(2), Fraction(2))))
+    return lambda: write_document(g, Objective(Payoff.MP_INF, iu))
+
+
+def _flip_later(monkeypatch):
+    # every solve after the first gives Adam everything
+    solve, solves = cli._solve_game, []
+
+    def flipping(g, o, bound):
+        regions, meta = solve(g, o, bound)
+        solves.append(regions)
+        if len(solves) > 1:
+            regions = Regions(win_eve=frozenset(), win_adam=frozenset(range(g.n)))
+        return regions, meta
+
+    monkeypatch.setattr(cli, "_solve_game", flipping)
+
+
+def _flip_start(monkeypatch):
+    # every solve gives the start vertex to the other player
+    solve = cli._solve_game
+
+    def flipping(g, o, bound):
+        regions, meta = solve(g, o, bound)
+        start = frozenset({g.initial})
+        return Regions(win_eve=regions.win_eve ^ start, win_adam=regions.win_adam ^ start), meta
+
+    monkeypatch.setattr(cli, "_solve_game", flipping)
+
+
+def _move_a_value(monkeypatch):
+    # the start vertex's minmax value is one more than the game's
+    values = cli.ds_optimal_values
+
+    def moved(g, lam):
+        table = values(g, lam)
+        minmax = list(table.minmax)
+        minmax[g.initial] += 1
+        return dataclasses.replace(table, minmax=tuple(minmax))
+
+    monkeypatch.setattr(cli, "ds_optimal_values", moved)
+
+
 @pytest.mark.parametrize(
-    "sidecar, flip, complaint",
+    "document, suite, sidecar, patch, complaint",
     [
-        pytest.param({"winner": "error"}, False,
+        pytest.param(_corpus("fig1"), "stability", {"winner": "error"}, None,
                      "expected an unsupported-objective error, got eve", id="error-sidecar"),
-        pytest.param(None, True, "verdict for q0 flipped from eve to adam at a second solve",
+        pytest.param(_corpus("fig1"), "stability", None, _flip_later,
+                     "verdict for q0 flipped from eve to adam at a second solve",
                      id="stability-flip"),
+        pytest.param(lambda: write_document(random_parity_game(random.Random(2), 4)), "oracle",
+                     None, _flip_start, "solver disagrees with exact positional oracle",
+                     id="parity"),
+        pytest.param(_corpus("liminf_two_loops"), "oracle", None, _flip_start,
+                     "solver disagrees with exact positional oracle", id="exact-oracle"),
+        pytest.param(_band_loop(0), "oracle", None, _flip_start,
+                     "positional Eve bound exceeds the solved region", id="eve-bound"),
+        pytest.param(_band_loop(1), "oracle", None, _flip_start,
+                     "positional Adam bound exceeds the solved region", id="adam-bound"),
+        pytest.param(_corpus("ds_thirds"), "oracle", None, _flip_start,
+                     "discounted solver disagrees with reference search", id="reference-search"),
+        pytest.param(_corpus("ds_thirds"), "oracle", None, _move_a_value,
+                     "discounted game values fail their one-step equations",
+                     id="value-certificate"),
     ],
 )
-def test_check_names_each_disagreement(capsys, tmp_path, monkeypatch, sidecar, flip, complaint):
-    f = tmp_path / "fig1.game"
-    f.write_text((CORPUS / "fig1.game").read_text())
+def test_check_names_each_disagreement(
+    capsys, tmp_path, monkeypatch, document, suite, sidecar, patch, complaint
+):
+    f = tmp_path / "doc.game"
+    f.write_text(document())
     if sidecar is not None:
-        (tmp_path / "fig1.expect").write_text(json.dumps(sidecar))
-    if flip:
-        # every solve after the first gives Adam everything
-        solve, solves = cli._solve_game, []
-
-        def flipping(g, o, bound):
-            regions, meta = solve(g, o, bound)
-            solves.append(regions)
-            if len(solves) > 1:
-                regions = Regions(win_eve=frozenset(), win_adam=frozenset(range(g.n)))
-            return regions, meta
-
-        monkeypatch.setattr(cli, "_solve_game", flipping)
-    code, out, err = run(capsys, "check", f, "--suite", "stability")
-    assert code == 4 and out == "" and complaint in err
+        (tmp_path / "doc.expect").write_text(json.dumps(sidecar))
+    if patch is not None:
+        patch(monkeypatch)
+    assert run(capsys, "check", f, "--suite", suite) == (4, "", f"error: {complaint}\n")
 
 
 def test_resource_guard_exit_code(capsys, tmp_path):

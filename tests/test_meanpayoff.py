@@ -28,18 +28,22 @@ from intervalgames.generate import (
 )
 from intervalgames import meanpayoff
 from intervalgames.meanpayoff import (
-    Cmp,
     PriorityOutOfRange,
     _energy_credits,
     _nested_objectives,
-    mp_threshold,
+    _threshold,
     parity_to_mp,
     solve_mp_interval,
 )
 from intervalgames.oracle import brute_force_positional, one_player_mp_achievable
 from intervalgames.parity import ParityGame, _run_frames, attractor, solve_parity
 
-from conftest import make_rng
+from conftest import RAYS, make_rng
+
+
+def mp_ray(g, cmp, a):
+    """The regions of "MP cmp a", solved as the one-ray union."""
+    return solve_mp_interval(g, IntervalUnion((RAYS[cmp](a),)))
 
 
 def loop(weight, owner=Player.EVE):
@@ -58,17 +62,17 @@ FIG1_UNION = IntervalUnion(
 
 
 def test_threshold_trivia():
-    assert mp_threshold(loop(1), F(0), Cmp.GE).win_eve == frozenset({0})
-    assert mp_threshold(loop(0), F(0), Cmp.GT).win_adam == frozenset({0})
+    assert mp_ray(loop(1), ">=", F(0)).win_eve == frozenset({0})
+    assert mp_ray(loop(0), ">", F(0)).win_adam == frozenset({0})
     two = GameGraph.from_edges(
         ("v",), (Player.ADAM,), (Edge(0, 0, 0), Edge(0, 0, 2)), 0
     )
-    assert mp_threshold(two, F(1), Cmp.GE).win_adam == frozenset({0})
+    assert mp_ray(two, ">=", F(1)).win_adam == frozenset({0})
 
 
 def test_threshold_le_lt():
-    assert mp_threshold(loop(1), F(1), Cmp.LE).win_eve == frozenset({0})
-    assert mp_threshold(loop(1), F(1), Cmp.LT).win_adam == frozenset({0})
+    assert mp_ray(loop(1), "<=", F(1)).win_eve == frozenset({0})
+    assert mp_ray(loop(1), "<", F(1)).win_adam == frozenset({0})
 
 
 def record_rounds(monkeypatch) -> list[list]:
@@ -107,8 +111,8 @@ def test_threshold_credit_equal_to_the_cap(monkeypatch):
                 0,
             )
             # w = -1 tests Eve's measure at the cap, w = 1 tests Adam's
-            assert mp_threshold(chain, F(0), Cmp.GE).win_eve == everything
-            assert mp_threshold(chain, F(0), Cmp.GT).win_adam == everything
+            assert mp_ray(chain, ">=", F(0)).win_eve == everything
+            assert mp_ray(chain, ">", F(0)).win_adam == everything
             # The same chain and one more vertex r = k + 1, which enters
             # the chain head at weight w or loops at weight 0, owned by the
             # other side than the one whose measure is tested (Adam for
@@ -127,8 +131,9 @@ def test_threshold_credit_equal_to_the_cap(monkeypatch):
                 chain_edges + (Edge(k + 1, 0, w), Edge(k + 1, k + 1, 0)),
                 0,
             )
-            assert mp_threshold(escape, F(0), Cmp.GE).win_eve == everything
-            assert mp_threshold(escape, F(0), Cmp.GT).win_adam == everything
+            # one side wins everything, so each ray solve is one threshold
+            assert mp_ray(escape, ">=", F(0)).win_eve == everything
+            assert mp_ray(escape, ">", F(0)).win_adam == everything
             ge_rounds, gt_rounds = (len(caps) // 2 for caps in thresholds[-2:])
             assert (ge_rounds if w == -1 else gt_rounds) > 1
 
@@ -196,7 +201,7 @@ def test_threshold_agrees_with_both_games_at_the_bound(monkeypatch):
     def solve_all():
         return [
             (solve_mp_interval(g, iu),)
-            + tuple(mp_threshold(g, a, cmp) for cmp in Cmp)
+            + tuple(mp_ray(g, cmp, a) for cmp in RAYS)
             for g, iu, a in cases
         ]
 
@@ -370,10 +375,12 @@ def test_interval_matches_thresholds():
     for _ in range(200):
         g = random_game(rng, rng.randint(1, 6), max_weight=3)
         a = F(rng.choice((-1, 0, 1)))
-        ge = solve_mp_interval(g, IntervalUnion((Interval(a, PLUS_INF, False, True),)))
-        assert ge.win_eve == mp_threshold(g, a, Cmp.GE).win_eve
-        le = solve_mp_interval(g, IntervalUnion((Interval(MINUS_INF, a, True, False),)))
-        assert le.win_eve == mp_threshold(g, a, Cmp.LE).win_eve
+        everything = frozenset(range(g.n))
+        ge = mp_ray(g, ">=", a)
+        assert ge.win_eve == _threshold(g, everything, Player.EVE, a, False)
+        # Eve keeps MP <= a exactly where Adam cannot force MP > a
+        le = mp_ray(g, "<=", a)
+        assert le.win_eve == everything - _threshold(g, everything, Player.ADAM, a, True)
 
 
 def test_single_interval_examples():

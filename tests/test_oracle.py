@@ -22,7 +22,7 @@ from intervalgames.arena import (
 )
 from intervalgames.discounted import DsValueTable, ds_optimal_values
 from intervalgames.generate import random_game, random_interval_union
-from intervalgames.meanpayoff import Cmp, mp_threshold
+from intervalgames.meanpayoff import solve_mp_interval
 from intervalgames.oracle import (
     Lasso,
     TooLarge,
@@ -34,7 +34,7 @@ from intervalgames.oracle import (
 )
 from intervalgames.parity import ParityGame
 
-from conftest import make_rng
+from conftest import RAYS, make_rng
 
 
 def lasso(prefix, cycle):
@@ -181,15 +181,6 @@ def simple_cycle_means(g):
     return sorted(means)
 
 
-# the one-sided ray on which "MP ~ a" holds
-RAYS = {
-    Cmp.GE: lambda a: Interval(a, PLUS_INF, False, True),
-    Cmp.GT: lambda a: Interval(a, PLUS_INF, True, True),
-    Cmp.LE: lambda a: Interval(MINUS_INF, a, True, False),
-    Cmp.LT: lambda a: Interval(MINUS_INF, a, True, True),
-}
-
-
 def test_matches_threshold_solver_on_small_games():
     rng = make_rng(73)
     for _ in range(100):
@@ -198,13 +189,14 @@ def test_matches_threshold_solver_on_small_games():
         iu = IntervalUnion((Interval(a, PLUS_INF, False, True),))
         ref = brute_force_positional(g, Objective(Payoff.MP_INF, iu))
         assert ref.exact
-        assert ref.win_eve == mp_threshold(g, a, Cmp.GE).win_eve
+        assert ref.win_eve == solve_mp_interval(g, iu).win_eve
         # a threshold equal to a simple cycle's mean is a tie, where the
         # strict and non-strict games part
         for tie, (cmp, ray) in itertools.product(simple_cycle_means(g), RAYS.items()):
-            ref = brute_force_positional(g, Objective(Payoff.MP_INF, IntervalUnion((ray(tie),))))
+            iu = IntervalUnion((ray(tie),))
+            ref = brute_force_positional(g, Objective(Payoff.MP_INF, iu))
             assert ref.exact
-            res = mp_threshold(g, tie, cmp)
+            res = solve_mp_interval(g, iu)
             assert (res.win_eve, res.win_adam) == (ref.win_eve, ref.win_adam), (cmp, tie)
 
 
