@@ -217,8 +217,9 @@ class Arena:
     `COLUMNS` names the optional columns a type writes ("priority",
     "weight", "zero_edges") and `PAYOFF` the payoff of its documents, None
     where documents carry a separate objective.  A reader passes `checked`
-    for edge columns it has checked; the validator then checks only the
-    vertices and the dead ends, and otherwise walks the edges once first.
+    for edge columns it has checked, as does a game built from the columns
+    of one already built; the validator then checks only the vertices, the
+    priorities and the dead ends, and otherwise walks the edges once first.
     """
 
     names: tuple[str, ...]
@@ -815,7 +816,7 @@ def normalize(g: GameGraph, o: Objective) -> tuple[GameGraph, Objective]:
     with every weight negated; inf-style and discounted objectives are
     returned unchanged."""
     sign, o = inf_objective(o)
-    return (g if sign > 0 else replace(g, weight=tuple(map(neg, g.weight)))), o
+    return (g if sign > 0 else replace(g, weight=tuple(map(neg, g.weight)), checked=True)), o
 
 
 def max_abs_weight(g: GameGraph) -> int:

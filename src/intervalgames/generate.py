@@ -61,6 +61,7 @@ def random_parity_game(
         g.names, g.owner, g.src, g.dst, g.weight,  # weight 0 throughout
         priority=tuple(rng.randint(0, max_priority) for _ in range(n_vertices)),
         initial=0,
+        checked=True,
     )
 
 
@@ -164,4 +165,4 @@ def zero_cycle_game(rng: random.Random, n_vertices: int) -> GameGraph:
     g = random_game(rng, n_vertices, max_weight=0)
     phi = [rng.randint(-3, 3) for _ in range(n_vertices)]
     weight = tuple(phi[dst] - phi[src] for src, dst in zip(g.src, g.dst))
-    return GameGraph(g.names, g.owner, g.src, g.dst, weight, initial=0)
+    return GameGraph(g.names, g.owner, g.src, g.dst, weight, initial=0, checked=True)

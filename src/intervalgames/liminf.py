@@ -190,7 +190,7 @@ def parity_to_liminf(p: ParityGame) -> tuple[GameGraph, IntervalUnion]:
     """Weight every edge with the priority of its source; the objective is
     the union of singletons at each even priority that occurs."""
     weight = tuple(map(p.priority.__getitem__, p.src))
-    g = GameGraph(p.names, p.owner, p.src, p.dst, weight, initial=p.initial)
+    g = GameGraph(p.names, p.owner, p.src, p.dst, weight, initial=p.initial, checked=True)
     evens = sorted({q for q in p.priority if q % 2 == 0})
     iu = IntervalUnion(tuple(Interval(Fraction(q), Fraction(q)) for q in evens))
     return g, iu

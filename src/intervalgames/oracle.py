@@ -145,13 +145,14 @@ def _strategy_space(game, player: Player):
     return vertices, slots
 
 
-def _assemble(n: int, eve_vertices, sigma, adam_vertices, tau) -> list[int]:
-    """The edge chosen at each of n vertices when Eve's vertices follow
-    `sigma` and Adam's follow `tau`, one edge per vertex in list order."""
+def _assemble(n: int, own_vertices, mine, other_vertices, theirs) -> list[int]:
+    """The edge chosen at each of n vertices when one player's vertices
+    follow `mine` and the other's follow `theirs`, one edge per vertex in
+    list order."""
     choice = [0] * n
-    for v, j in zip(eve_vertices, sigma):
+    for v, j in zip(own_vertices, mine):
         choice[v] = j
-    for v, j in zip(adam_vertices, tau):
+    for v, j in zip(other_vertices, theirs):
         choice[v] = j
     return choice
 
@@ -185,37 +186,30 @@ def _is_threshold(iu: IntervalUnion) -> bool:
 
 
 def _pair_enumeration(game, wins_for_eve) -> tuple[frozenset[int], frozenset[int]]:
-    """eve set: some Eve choice beats every Adam choice from the vertex;
-    adam set: symmetric.  `wins_for_eve(lasso)` evaluates one play."""
+    """(Eve's set, Adam's set): the vertices from which one positional
+    strategy of that player wins against every positional strategy of the
+    other.  `wins_for_eve(lasso)` evaluates one play."""
     n = game.n
-    eve_vertices, eve_slots = _strategy_space(game, Player.EVE)
-    adam_vertices, adam_slots = _strategy_space(game, Player.ADAM)
-
-    eve_lower = set()
-    for sigma in itertools.product(*eve_slots):
-        pending = set(range(n)) - eve_lower
-        if not pending:
-            break
-        good = set(pending)
-        for tau in itertools.product(*adam_slots):
-            choice = _assemble(n, eve_vertices, sigma, adam_vertices, tau)
-            good = {v for v in good if wins_for_eve(_lasso_from(choice, game, v))}
+    regions = []
+    for player, passes in (
+        (Player.EVE, wins_for_eve),
+        (Player.ADAM, lambda lasso: not wins_for_eve(lasso)),
+    ):
+        own_vertices, own_slots = _strategy_space(game, player)
+        other_vertices, other_slots = _strategy_space(game, player.opponent)
+        won = set()
+        for mine in itertools.product(*own_slots):
+            good = set(range(n)) - won
             if not good:
                 break
-        eve_lower |= good
-    adam_lower = set()
-    for tau in itertools.product(*adam_slots):
-        pending = set(range(n)) - adam_lower
-        if not pending:
-            break
-        bad = set(pending)
-        for sigma in itertools.product(*eve_slots):
-            choice = _assemble(n, eve_vertices, sigma, adam_vertices, tau)
-            bad = {v for v in bad if not wins_for_eve(_lasso_from(choice, game, v))}
-            if not bad:
-                break
-        adam_lower |= bad
-    return frozenset(eve_lower), frozenset(adam_lower)
+            for theirs in itertools.product(*other_slots):
+                choice = _assemble(n, own_vertices, mine, other_vertices, theirs)
+                good = {v for v in good if passes(_lasso_from(choice, game, v))}
+                if not good:
+                    break
+            won |= good
+        regions.append(frozenset(won))
+    return tuple(regions)
 
 
 def brute_force_positional(
@@ -275,9 +269,6 @@ def _mp_union_bounds(g: GameGraph, iu: IntervalUnion) -> OracleRegions:
     The inf and sup variants of the payoff read the same: a play's lower
     and upper limit averages lie in the cycle-mean range of the component
     it ends in, and each value there is the limit average of some play."""
-    co = complement_intervals(iu)
-    eve_vertices, eve_slots = _strategy_space(g, Player.EVE)
-    adam_vertices, adam_slots = _strategy_space(g, Player.ADAM)
 
     def residual(fixed_vertices, fixed_choice) -> GameGraph:
         chosen = dict(zip(fixed_vertices, fixed_choice))
@@ -291,15 +282,17 @@ def _mp_union_bounds(g: GameGraph, iu: IntervalUnion) -> OracleRegions:
             g.names, tuple(Player.EVE for _ in range(g.n)), edges, g.initial
         )
 
-    eve_lower = set()
-    for sigma in itertools.product(*eve_slots):
-        refuted = one_player_mp_achievable(residual(eve_vertices, sigma), co)
-        eve_lower |= {v for v in range(g.n) if not refuted[v]}
-    adam_lower = set()
-    for tau in itertools.product(*adam_slots):
-        achieved = one_player_mp_achievable(residual(adam_vertices, tau), iu)
-        adam_lower |= {v for v in range(g.n) if not achieved[v]}
-    return OracleRegions(frozenset(eve_lower), frozenset(adam_lower), exact=False)
+    regions = []
+    # a fixed strategy wins where the other side, playing the rest alone,
+    # cannot reach a mean in its own union
+    for player, opposed in ((Player.EVE, complement_intervals(iu)), (Player.ADAM, iu)):
+        vertices, slots = _strategy_space(g, player)
+        won = set()
+        for fixed in itertools.product(*slots):
+            reached = one_player_mp_achievable(residual(vertices, fixed), opposed)
+            won |= {v for v in range(g.n) if not reached[v]}
+        regions.append(frozenset(won))
+    return OracleRegions(*regions, exact=False)
 
 
 def _sccs(n: int, succ: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -414,6 +407,34 @@ def one_player_mp_achievable(g: GameGraph, iu: IntervalUnion) -> list[bool]:
     return achievable
 
 
+def positional_ds_values(g: GameGraph, lam: Fraction) -> tuple[tuple[Fraction, ...], ...]:
+    """(minmax, maxmin, maxmax, minmin) per vertex, enumerating each pair
+    of positional strategies once: minmax is the best over Eve's
+    strategies of the worst over Adam's and maxmin the worst of the best;
+    maxmax is Adam's best against the first Eve strategy that attains
+    minmax everywhere, and minmin his worst against the first that attains
+    maxmin."""
+    _guard_pairs(g)
+    n = g.n
+    eve_vertices, eve_slots = _strategy_space(g, Player.EVE)
+    adam_vertices, adam_slots = _strategy_space(g, Player.ADAM)
+    taus = list(itertools.product(*adam_slots))
+    columns = []  # per Eve strategy: the (min, max) over Adam's, per vertex
+    for sigma in itertools.product(*eve_slots):
+        lows = highs = None
+        for tau in taus:
+            choice = _assemble(n, eve_vertices, sigma, adam_vertices, tau)
+            row = [play_value(_lasso_from(choice, g, v), Payoff.DISCOUNTED, lam) for v in range(n)]
+            lows = row if lows is None else list(map(min, lows, row))
+            highs = row if highs is None else list(map(max, highs, row))
+        columns.append((tuple(lows), tuple(highs)))
+    minmax = tuple(max(lows[v] for lows, _ in columns) for v in range(n))
+    maxmin = tuple(min(highs[v] for _, highs in columns) for v in range(n))
+    maxmax = next(highs for lows, highs in columns if lows == minmax)
+    minmin = next(lows for lows, highs in columns if highs == maxmin)
+    return minmax, maxmin, maxmax, minmin
+
+
 def brute_force_finite_horizon_ds(
     g: GameGraph,
     lam: Fraction,
@@ -424,8 +445,8 @@ def brute_force_finite_horizon_ds(
 
     `depth` is the number of edges explored before the endgame check; use
     the horizon plus one to mirror the production solver.  Returns the set
-    of vertices Eve wins from.  The endgame strategies and their values
-    are recomputed here by plain enumeration of positional strategy pairs.
+    of vertices Eve wins from.  The endgame values are recomputed here by
+    plain enumeration of positional strategy pairs (`positional_ds_values`).
     The search recurses once per step; deeper than the interpreter stack
     allows, it raises `TooLarge` naming the depth.
     """
@@ -447,43 +468,7 @@ def brute_force_finite_horizon_ds(
             raise TooLarge("finite-horizon search exceeds the node guard")
         layer *= branching
 
-    _guard_pairs(g)
-    eve_vertices, eve_slots = _strategy_space(g, Player.EVE)
-    adam_vertices, adam_slots = _strategy_space(g, Player.ADAM)
-
-    sigmas = list(itertools.product(*eve_slots))
-    taus = list(itertools.product(*adam_slots))
-    values = {}
-    for sigma in sigmas:
-        for tau in taus:
-            choice = _assemble(n, eve_vertices, sigma, adam_vertices, tau)
-            row = []
-            for v in range(n):
-                lasso = _lasso_from(choice, g, v)
-                row.append(
-                    ds_value_lasso(
-                        [e.weight for e in lasso.prefix],
-                        [e.weight for e in lasso.cycle],
-                        lam,
-                    )
-                )
-            values[(sigma, tau)] = row
-
-    def vec_min(sigma):
-        return [min(values[(sigma, tau)][v] for tau in taus) for v in range(n)]
-
-    def vec_max(sigma):
-        return [max(values[(sigma, tau)][v] for tau in taus) for v in range(n)]
-
-    mins = {sigma: vec_min(sigma) for sigma in sigmas}
-    maxs = {sigma: vec_max(sigma) for sigma in sigmas}
-    minmax = [max(mins[s][v] for s in sigmas) for v in range(n)]
-    maxmin = [min(maxs[s][v] for s in sigmas) for v in range(n)]
-    sigma_max = next(s for s in sigmas if mins[s] == minmax)
-    sigma_min = next(s for s in sigmas if maxs[s] == maxmin)
-    maxmax = maxs[sigma_max]
-    minmin = mins[sigma_min]
-
+    minmax, maxmin, maxmax, minmin = positional_ds_values(g, lam)
     reach = Fraction(w) / (1 - lam)
 
     def endgame(v: int, x: Fraction, factor: Fraction) -> bool:

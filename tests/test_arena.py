@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from intervalgames import cli
 from intervalgames.arena import (
+    Arena,
     DeadEndVertexError,
     Edge,
     EmptyInterval,
@@ -41,8 +42,13 @@ from intervalgames.arena import (
     write_document,
 )
 from intervalgames.cli import main
-from intervalgames.generate import random_game, random_objective
-from intervalgames.liminf import solve_liminf
+from intervalgames.generate import (
+    random_game,
+    random_objective,
+    random_parity_game,
+    zero_cycle_game,
+)
+from intervalgames.liminf import parity_to_liminf, solve_liminf
 from intervalgames.meanpayoff import solve_mp_interval
 from intervalgames.oracle import brute_force_positional
 from intervalgames.totalsum import solve_total_interval
@@ -149,6 +155,29 @@ def test_valid_game_built_in_code_holds_no_edge_tuples():
     g = GameGraph.from_edges(*TWO, (Edge(0, 1, 2), Edge(1, 0, -1)), 0)
     assert "edges" not in g.__dict__
     assert g.edges == (Edge(0, 1, 2), Edge(1, 0, -1))
+
+
+def test_games_built_from_built_columns_walk_no_edges(monkeypatch):
+    # a game whose edge columns come from a game already built skips the
+    # walk: each generator walks once, for the `random_game` it starts from
+    walked = []
+    walk = Arena._walk_edges
+
+    def counted(self, zero):
+        walked.append(self)
+        walk(self, zero)
+
+    monkeypatch.setattr(Arena, "_walk_edges", counted)
+    rng = make_rng(8)
+    p = random_parity_game(rng, 5)
+    assert len(walked) == 1
+    g = zero_cycle_game(rng, 5)
+    assert len(walked) == 2
+    reweighted, _ = parity_to_liminf(p)
+    negated, _ = normalize(g, Objective(Payoff.LIMSUP, IntervalUnion(())))
+    assert len(walked) == 2
+    assert negated.weight == tuple(-w for w in g.weight)
+    assert reweighted.weight == tuple(p.priority[v] for v in p.src)
 
 
 def _document(objective=(), **changes):

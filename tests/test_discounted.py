@@ -1,5 +1,4 @@
 import gc
-import itertools
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -38,7 +37,7 @@ from intervalgames.oracle import (
     brute_force_finite_horizon_ds,
     check_ds_values,
     ds_value_lasso,
-    play_value,
+    positional_ds_values,
     subset_sum_winner,
 )
 
@@ -130,23 +129,8 @@ def test_four_values_match_positional_strategy_enumeration():
     for _ in range(60):
         g = random_game(rng, rng.randint(1, 5), max_weight=3)
         lam = rng.choice((F(1, 2), F(2, 3), F(3, 5), F(9, 10)))
-        eve_vertices = [v for v in range(g.n) if g.owner[v] is Player.EVE]
-        adam_vertices = [v for v in range(g.n) if g.owner[v] is Player.ADAM]
-        # values[sigma][tau][v]
-        values = []
-        for sigma in itertools.product(*(g.out_edges[v] for v in eve_vertices)):
-            row = []
-            for tau in itertools.product(*(g.out_edges[v] for v in adam_vertices)):
-                choice = dict(zip(eve_vertices + adam_vertices, sigma + tau))
-                row.append(
-                    [play_value(induced_lasso(g, choice, v), Payoff.DISCOUNTED, lam)
-                     for v in range(g.n)]
-                )
-            values.append(row)
         t = ds_optimal_values(g, lam)
-        for v in range(g.n):
-            assert t.minmax[v] == max(min(r[v] for r in row) for row in values), (g, lam, v)
-            assert t.maxmin[v] == min(max(r[v] for r in row) for row in values), (g, lam, v)
+        assert (t.minmax, t.maxmin) == positional_ds_values(g, lam)[:2], (g, lam)
 
 
 # The strategy iteration as it was on `Fraction`s, kept as the reference

@@ -405,26 +405,9 @@ def test_single_interval_against_adam_positional_oracle():
         b = a + F(rng.randint(0, 4), 2)
         iu = IntervalUnion((Interval(a, b),))
         solved = solve_mp_interval(g, iu)
-        adam_vs = [v for v in range(g.n) if g.owner[v] is Player.ADAM]
-        slots = [g.out_edges[v] for v in adam_vs]
-        adam_wins = set()
-        for tau in itertools.product(*slots):
-            chosen = dict(zip(adam_vs, tau))
-            edges = []
-            for v in range(g.n):
-                if v in chosen:
-                    edges.append(g.edges[chosen[v]])
-                else:
-                    edges.extend(g.edges[j] for j in g.out_edges[v])
-            residual = GameGraph.from_edges(
-                names=g.names,
-                owner=tuple(Player.EVE for _ in range(g.n)),
-                edges=tuple(edges),
-                initial=g.initial,
-            )
-            achievable = one_player_mp_achievable(residual, iu)
-            adam_wins |= {v for v in range(g.n) if not achievable[v]}
-        assert solved.win_adam == frozenset(adam_wins)
+        reference = brute_force_positional(g, Objective(Payoff.MP_INF, iu))
+        assert solved.win_adam == reference.win_adam
+        assert reference.win_eve <= solved.win_eve
 
 
 def test_duality_with_swapped_players():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import os
 import subprocess
@@ -20,12 +21,13 @@ from intervalgames.arena import (
     Player,
     UnsupportedObjective,
 )
-from intervalgames.discounted import DsValueTable, ds_optimal_values
-from intervalgames.generate import random_game, random_interval_union
+from intervalgames.discounted import DsValueTable, decision_depth, ds_optimal_values
+from intervalgames.generate import random_game, random_interval_union, random_parity_game
 from intervalgames.meanpayoff import solve_mp_interval
 from intervalgames.oracle import (
     Lasso,
     TooLarge,
+    brute_force_finite_horizon_ds,
     brute_force_positional,
     check_ds_values,
     ds_value_lasso,
@@ -264,3 +266,43 @@ def test_value_table_of_the_wrong_length_fails(column):
     assert check_ds_values(two, F(1, 2), table)
     short = dataclasses.replace(table, **{column: getattr(table, column)[:1]})
     assert not check_ds_values(two, F(1, 2), short)
+
+
+def test_oracle_results_are_pinned():
+    # sha256 over the oracle's own answers on seeded families, recorded
+    # once: positional regions and exactness for parity games and every
+    # non-discounted payoff on rays and 0-3-piece unions, and the
+    # finite-horizon search at the decision depth K and at K + 1, where
+    # lambda = 19/20 mostly trips the node guard
+    rng = make_rng(91)
+    kinds = (None, Payoff.LIMINF, Payoff.LIMSUP, Payoff.MP_INF, Payoff.MP_SUP,
+             Payoff.TOTAL_INF, Payoff.TOTAL_SUP)
+    positional = hashlib.sha256()
+    for i in range(1400):
+        payoff = kinds[i % len(kinds)]
+        if payoff is None:
+            res = brute_force_positional(random_parity_game(rng, rng.randint(1, 4), max_priority=3))
+        else:
+            g = random_game(rng, rng.randint(1, 4), max_weight=2)
+            res = brute_force_positional(g, Objective(payoff, random_interval_union(rng, 3, 3)))
+        positional.update(repr((sorted(res.win_eve), sorted(res.win_adam), res.exact)).encode())
+    assert positional.hexdigest() == (
+        "ce9af7d5b6783fec8f5aeadae9723e550b90415adae664796959528bbe188626"
+    )
+
+    rng = make_rng(92)
+    searches = hashlib.sha256()
+    for _ in range(300):
+        g = random_game(rng, rng.randint(1, 3), max_weight=2)
+        lam = rng.choice((F(1, 3), F(1, 2), F(2, 3), F(19, 20)))
+        iu = random_interval_union(rng, 2, 3, forbid_singletons=True, half_grid=True)
+        k = decision_depth(g, lam, iu)
+        for depth in (k, k + 1):
+            try:
+                won = sorted(brute_force_finite_horizon_ds(g, lam, iu, depth))
+            except TooLarge:
+                won = "TooLarge"
+            searches.update(repr(won).encode())
+    assert searches.hexdigest() == (
+        "af303cc31dfca0f8fc5c96eee8ea1b25fc371d02840e79156c068272d3f9088c"
+    )

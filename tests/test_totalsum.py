@@ -1,4 +1,3 @@
-import itertools
 import json
 from fractions import Fraction as F
 
@@ -17,7 +16,6 @@ from intervalgames.arena import (
     Player,
     Regions,
     Verdict,
-    contains,
     max_abs_weight,
     read_document,
     write_document,
@@ -29,7 +27,7 @@ from intervalgames.generate import (
     zero_cycle_game,
 )
 from intervalgames.liminf import integerize, omega_I
-from intervalgames.oracle import Lasso, brute_force_positional, countdown_winner, play_value
+from intervalgames.oracle import brute_force_positional, countdown_winner
 from intervalgames.parity import Graph, attractor, solve_parity
 from intervalgames.totalsum import (
     ADAM_WINS,
@@ -459,38 +457,6 @@ def test_unknown_configs_non_increasing_in_bound():
         done += 1
 
 
-def _positional_total_regions(g, iu):
-    """Exact on arenas where the running sum is a function of the vertex:
-    enumerate positional pairs and evaluate lasso totals."""
-    eve_vs = [v for v in range(g.n) if g.owner[v] is Player.EVE]
-    adam_vs = [v for v in range(g.n) if g.owner[v] is Player.ADAM]
-
-    def lasso(choice, start):
-        seen, path, v = {}, [], start
-        while v not in seen:
-            seen[v] = len(path)
-            e = g.edges[choice[v]]
-            path.append(e)
-            v = e.dst
-        k = seen[v]
-        return Lasso(prefix=tuple(path[:k]), cycle=tuple(path[k:]))
-
-    winners = set()
-    for v in range(g.n):
-        for sigma in itertools.product(*(g.out_edges[u] for u in eve_vs)):
-            ok = True
-            for tau in itertools.product(*(g.out_edges[u] for u in adam_vs)):
-                choice = dict(zip(eve_vs, sigma)) | dict(zip(adam_vs, tau))
-                value = play_value(lasso(choice, v), Payoff.TOTAL_INF)
-                if not contains(iu, value):
-                    ok = False
-                    break
-            if ok:
-                winners.add(v)
-                break
-    return winners
-
-
 def test_zero_cycle_arenas_resolve_exactly():
     rng = make_rng(65)
     done = 0
@@ -501,9 +467,8 @@ def test_zero_cycle_arenas_resolve_exactly():
             continue
         res = solve_total_interval(g, iu)
         assert not res.vertices.unknown
-        reference = _positional_total_regions(g, iu)
-        solved = res.vertices.win_eve
-        assert solved == reference, (g.edges, iu)
+        reference = brute_force_positional(g, Objective(Payoff.TOTAL_INF, iu)).win_eve
+        assert res.vertices.win_eve == reference, (g.edges, iu)
         done += 1
 
 
