@@ -92,7 +92,7 @@ class Payoff(Enum):
     TOTAL_SUP = "total-sup"
 
 
-# `inf_objective`'s table: each sup-style payoff's inf counterpart
+# `normalize`'s table: each sup-style payoff's inf counterpart
 _SUP_TO_INF = {
     Payoff.LIMSUP: Payoff.LIMINF,
     Payoff.MP_SUP: Payoff.MP_INF,
@@ -802,21 +802,16 @@ def serialize_game(g: GameGraph, o: Objective, comment: Optional[str] = None) ->
 # ---------------------------------------------------------------------------
 # operations
 
-def inf_objective(o: Objective) -> tuple[int, Objective]:
-    """(sign, objective): a sup-style payoff as its inf counterpart on the
-    mirrored intervals, won on the weights times sign = -1, which
-    preserves the winner; any other objective as it is, with sign 1."""
-    if o.payoff not in _SUP_TO_INF:
-        return 1, o
-    return -1, Objective(payoff=_SUP_TO_INF[o.payoff], intervals=o.intervals.negate())
-
-
 def normalize(g: GameGraph, o: Objective) -> tuple[GameGraph, Objective]:
-    """Rewrite sup-style payoffs as their inf counterpart on a copy of `g`
-    with every weight negated; inf-style and discounted objectives are
-    returned unchanged."""
-    sign, o = inf_objective(o)
-    return (g if sign > 0 else replace(g, weight=tuple(map(neg, g.weight)), checked=True)), o
+    """Rewrite a sup-style payoff as its inf counterpart on the mirrored
+    intervals and a copy of `g` with every weight negated, which preserves
+    the winner; inf-style and discounted objectives come back as the same
+    objects."""
+    payoff = _SUP_TO_INF.get(o.payoff)
+    if payoff is None:
+        return g, o
+    negated = replace(g, weight=tuple(map(neg, g.weight)), checked=True)
+    return negated, Objective(payoff=payoff, intervals=o.intervals.negate())
 
 
 def max_abs_weight(g: GameGraph) -> int:

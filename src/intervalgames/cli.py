@@ -33,7 +33,6 @@ from .arena import (
     Payoff,
     UnsupportedObjective,
     Verdict,
-    inf_objective,
     normalize,
     parse_rational,
     read_document,
@@ -69,22 +68,22 @@ def _load_document(path: str):
 def _solve_game(g, o: Optional[Objective], bound: Optional[int]):
     """Dispatch one instance, a parity game when `o` is None; returns
     (regions over g's vertices, meta).  A sup-style payoff is solved as its
-    inf counterpart, the solver reading every weight times -1."""
+    inf counterpart on `normalize`'s negated copy, whose vertices are g's."""
     if o is None:
         return solve_parity(g), {"payoff": "parity", "algorithm": "zielonka"}
-    sign, o = inf_objective(o)
+    g, o = normalize(g, o)
     meta: dict = {"payoff": o.payoff.value}
     if o.payoff is Payoff.LIMINF:
-        regions = solve_liminf(g, o.intervals, sign)
+        regions = solve_liminf(g, o.intervals)
         meta["algorithm"] = "liminf-to-parity"
     elif o.payoff is Payoff.MP_INF:
-        regions = solve_mp_interval(g, o.intervals, sign)
+        regions = solve_mp_interval(g, o.intervals)
         meta["algorithm"] = "mp-interval-fixpoint"
     elif o.payoff is Payoff.DISCOUNTED:
         regions = solve_ds_interval(g, o.lam, o.intervals)
         meta["algorithm"] = "ds-bounded-search"
-    else:  # total-inf, the one payoff `inf_objective` leaves
-        solved = solve_total_interval(g, o.intervals, bound=bound, sign=sign)
+    else:  # total-inf: `normalize` leaves no sup-style payoff
+        solved = solve_total_interval(g, o.intervals, bound=bound)
         regions = solved.vertices
         meta["algorithm"] = "total-ocpg-bounded"
         meta["bound"] = solved.bound

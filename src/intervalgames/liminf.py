@@ -111,8 +111,8 @@ def omega_I(n: int, pm: PriorityMap) -> int:
     return pm.lowest + bisect_right(pm.cuts, n)
 
 
-def _subdivision(g: GameGraph, pm: PriorityMap, sign: int = 1) -> Graph:
-    """The solver's view of `g`, its weights times `sign`, as a parity game.
+def _subdivision(g: GameGraph, pm: PriorityMap) -> Graph:
+    """The solver's view of `g` as a parity game.
 
     With top = 2r+1 and q(e) the priority of the weight of edge e, each
     vertex v of `g` carries label(v), the highest q(e) over the edges e
@@ -137,7 +137,7 @@ def _subdivision(g: GameGraph, pm: PriorityMap, sign: int = 1) -> Graph:
     A subdivider has a single successor, so its owner is inert.
     """
     n, top = g.n, 2 * pm.r + 1
-    omega = {w: omega_I(sign * w, pm) for w in set(g.weight)}
+    omega = {w: omega_I(w, pm) for w in set(g.weight)}
     prios = list(map(omega.__getitem__, g.weight))
     # every priority is at least 1, so 0 marks a vertex nothing enters
     label = [0] * n
@@ -196,14 +196,14 @@ def parity_to_liminf(p: ParityGame) -> tuple[GameGraph, IntervalUnion]:
     return g, iu
 
 
-def solve_liminf(g: GameGraph, iu: IntervalUnion, sign: int = 1) -> Regions:
-    """Exact winning regions, on the weights of `g` times `sign`.
+def solve_liminf(g: GameGraph, iu: IntervalUnion) -> Regions:
+    """Exact winning regions.
 
     When the objective contains no integer Adam wins everywhere; this is
     reported as a region, not an error.
     """
     everything = frozenset(range(g.n))
-    solved = solve_parity(_subdivision(g, integerize(iu), sign))
+    solved = solve_parity(_subdivision(g, integerize(iu)))
     regions = Regions(
         win_eve=solved.win_eve & everything,
         win_adam=solved.win_adam & everything,

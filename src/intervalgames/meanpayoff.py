@@ -144,10 +144,9 @@ def _energy_credits(
 
 
 def _threshold(
-    g: GameGraph, alive: frozenset[int], player: Player, a: Fraction, strict: bool, sign: int = 1
+    g: GameGraph, alive: frozenset[int], player: Player, a: Fraction, strict: bool
 ) -> frozenset[int]:
-    """Where `player` forces MP >= a (MP > a when `strict`) in `alive`, on
-    the weights of `g` times `sign`.
+    """Where `player` forces MP >= a (MP > a when `strict`) in `alive`.
 
     Each round solves both sides' energy games under one credit cap
     (`_energy_credits`) on the vertices still undecided: the first at one
@@ -174,7 +173,7 @@ def _threshold(
     # MP >= p/q  <=>  MP(q*n*w - p*n) >= 0; strict thresholds shift by one
     # unit, valid because cycle means have denominator <= n
     n = len(alive)
-    scale, offset = sign * a.denominator * n, a.numerator * n
+    scale, offset = a.denominator * n, a.numerator * n
     won = lost = frozenset()
     rest = alive
     units = 1
@@ -218,8 +217,7 @@ def _nested_objectives(iu: IntervalUnion) -> list[IntervalUnion]:
 
 
 def _interval_win(
-    g: GameGraph, nested: list[IntervalUnion], level: int, alive: frozenset[int], player: Player,
-    sign: int,
+    g: GameGraph, nested: list[IntervalUnion], level: int, alive: frozenset[int], player: Player
 ):
     """Frame for `_run_frames`: `player`'s region of "mean-payoff lands in
     nested[level]" (empty past the last level) while play stays in
@@ -239,16 +237,16 @@ def _interval_win(
     iu = nested[level]
     a = iu.inf
     if a == MINUS_INF:
-        dual = yield _interval_win(g, nested, level + 1, alive, player.opponent, sign)
+        dual = yield _interval_win(g, nested, level + 1, alive, player.opponent)
         return alive - dual
     assert isinstance(a, Fraction)
     strict = iu.intervals[0].lo_open  # a in I iff the first interval is closed at a
     lost: frozenset[int] = frozenset()
     while len(lost) < len(alive):
         current = alive - lost
-        won = _threshold(g, current, player, a, strict, sign)
+        won = _threshold(g, current, player, a, strict)
         if won:
-            won &= yield _interval_win(g, nested, level + 1, current, player, sign)
+            won &= yield _interval_win(g, nested, level + 1, current, player)
         if won == current:
             break
         # The opponent defeats the (prefix independent) objective from
@@ -261,14 +259,14 @@ def _interval_win(
     return alive - lost
 
 
-def solve_mp_interval(g: GameGraph, iu: IntervalUnion, sign: int = 1) -> Regions:
-    """Winning regions for "mean-payoff, on the weights times `sign`, lands
-    in the union", solved on `g` itself: the nested fixpoint passes along
-    which player wants the union and runs one frame per finite boundary on
-    an explicit stack, over objectives built once per solve."""
+def solve_mp_interval(g: GameGraph, iu: IntervalUnion) -> Regions:
+    """Winning regions for "mean-payoff lands in the union", solved on `g`
+    itself: the nested fixpoint passes along which player wants the union
+    and runs one frame per finite boundary on an explicit stack, over
+    objectives built once per solve."""
     alive = frozenset(range(g.n))
     nested = _nested_objectives(iu)
-    win_eve = _run_frames(_interval_win(g, nested, 0, alive, Player.EVE, sign))
+    win_eve = _run_frames(_interval_win(g, nested, 0, alive, Player.EVE))
     return Regions(win_eve=win_eve, win_adam=alive - win_eve)
 
 

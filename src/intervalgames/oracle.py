@@ -447,8 +447,9 @@ def brute_force_finite_horizon_ds(
     the horizon plus one to mirror the production solver.  Returns the set
     of vertices Eve wins from.  The endgame values are recomputed here by
     plain enumeration of positional strategy pairs (`positional_ds_values`).
-    The search recurses once per step; deeper than the interpreter stack
-    allows, it raises `TooLarge` naming the depth.
+    The node guard counts the trees of all n roots.  The search recurses
+    once per step; deeper than the interpreter stack allows, it raises
+    `TooLarge` naming the depth.
     """
     if iu.has_singleton_interval or iu.has_singleton_gap:
         raise UnsupportedObjective("singleton intervals unsupported for discounted sum")
@@ -464,7 +465,7 @@ def brute_force_finite_horizon_ds(
     layer = 1
     for _ in range(depth + 1):
         nodes += layer
-        if nodes > NODE_GUARD:
+        if n * nodes > NODE_GUARD:
             raise TooLarge("finite-horizon search exceeds the node guard")
         layer *= branching
 

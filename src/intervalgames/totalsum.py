@@ -194,14 +194,13 @@ def _clamped_game(
     bound: int,
     down: list[Optional[int]],
     up: list[Optional[int]],
-    sign: int = 1,
 ) -> tuple[Graph, list[Config]]:
-    """The finite parity game of `g`, its weights times `sign`, with the
-    running total clamped to [-bound, bound], and its configurations:
-    configuration k is vertex len(_SINK_SUCC) + k.
+    """The finite parity game of `g` with the running total clamped to
+    [-bound, bound], and its configurations: configuration k is vertex
+    len(_SINK_SUCC) + k.
 
     Configuration (v, c) is owned by v's owner and has priority
-    omega_I(c, pm); arena edge (v, dst, w) leads to (dst, c + sign*w).  Only
+    omega_I(c, pm); arena edge (v, dst, w) leads to (dst, c + w).  Only
     configurations reachable from counter 0 are materialized.  An escape
     below the clamp onto dst goes to the sink the lowest region's priority
     wins for when `_pin_bounds` gives dst a need down[dst] <= bound, and
@@ -215,7 +214,7 @@ def _clamped_game(
 
     below, above = map(escapes, (down, up), _outer_priorities(pm))
     dst, weight = g.dst, g.weight
-    moves = [tuple((dst[k], sign * weight[k]) for k in out) for out in g.out_edges]
+    moves = [tuple((dst[k], weight[k]) for k in out) for out in g.out_edges]
     configs: list[Config] = [(v, 0) for v in range(g.n)]
     index: dict[Config, int] = {cfg: k for k, cfg in enumerate(configs, first)}
     succ: list[tuple[int, ...]] = list(_SINK_SUCC)
@@ -250,10 +249,9 @@ def _outer_priorities(pm: PriorityMap) -> tuple[int, int]:
 
 
 def _pin_bounds(
-    g: GameGraph, pm: PriorityMap, sign: int = 1
+    g: GameGraph, pm: PriorityMap
 ) -> tuple[list[Optional[int]], list[Optional[int]], int]:
-    """On the weights of `g` times `sign`, per arena vertex v, the least
-    clamp E + f[v] + 1 at which an escape
+    """Per arena vertex v, the least clamp E + f[v] + 1 at which an escape
     below (first list) or above (second list) onto v is pinned, None where
     no finite credit suffices; and the default clamp, one more than the
     largest of them (E + 2 when all are None), which pins every escape
@@ -268,7 +266,7 @@ def _pin_bounds(
     reach = max((abs(x) for piece in pm.intervals for x in piece if isinstance(x, int)), default=0)
     alive = frozenset(range(g.n))
     sides = []
-    for prio, scale in zip(_outer_priorities(pm), (-sign, sign)):
+    for prio, scale in zip(_outer_priorities(pm), (-1, 1)):
         # the winner of the outermost region on this side; on weights
         # scaled by -1 the running sum never rises by more than f[v], on
         # weights as they are it never falls by more than f[v]
@@ -280,11 +278,10 @@ def _pin_bounds(
 
 
 def solve_total_interval(
-    g: GameGraph, iu: IntervalUnion, bound: Optional[int] = None, sign: int = 1
+    g: GameGraph, iu: IntervalUnion, bound: Optional[int] = None
 ) -> TotalSolution:
-    """Solve the arena's configurations, on its weights times `sign`, with
-    the running total clamped to [-B, B], B = `_pin_bounds`' default
-    clamp on those weights unless `bound` is given.
+    """Solve the arena's configurations with the running total clamped to
+    [-B, B], B = `_pin_bounds`' default clamp unless `bound` is given.
 
     When the objective has no integer points at all Adam wins everywhere
     outright (finite totals are integers and infinite totals need an
@@ -332,9 +329,9 @@ def solve_total_interval(
         )
     if not pm.cuts:
         raise NoFiniteEndpoint("objective has no finite region boundary")
-    down, up, default = _pin_bounds(g, pm, sign)
+    down, up, default = _pin_bounds(g, pm)
     b = default if bound is None else bound
-    game, configs = _clamped_game(g, pm, b, down, up, sign)
+    game, configs = _clamped_game(g, pm, b, down, up)
     everything = frozenset(range(game.n))
     pessimistic = solve_parity(game, everything - {LIMBO_WIN})
     optimistic = solve_parity(game, everything - pessimistic.win_eve)

@@ -49,7 +49,6 @@ from intervalgames.generate import (
     zero_cycle_game,
 )
 from intervalgames.liminf import parity_to_liminf, solve_liminf
-from intervalgames.meanpayoff import solve_mp_interval
 from intervalgames.oracle import brute_force_positional
 from intervalgames.totalsum import solve_total_interval
 
@@ -415,11 +414,18 @@ def test_normalize_limsup_and_total_sup():
     assert o2.intervals.intervals[0] == Interval(MINUS_INF, F(0), True, False)
 
 
-def test_normalize_identity_on_inf_payoffs():
+@pytest.mark.parametrize(
+    "payoff",
+    [Payoff.LIMINF, Payoff.MP_INF, Payoff.DISCOUNTED, Payoff.TOTAL_INF],
+    ids=lambda payoff: payoff.value,
+)
+def test_normalize_identity_on_inf_payoffs(payoff):
+    # every solve calls `normalize`, so an inf-style solve must not pay for a copy
     rng = make_rng(5)
     g = random_game(rng, 3)
-    o = random_objective(rng, Payoff.LIMINF)
-    assert normalize(g, o) == (g, o)
+    o = random_objective(rng, payoff)
+    gn, on = normalize(g, o)
+    assert gn is g and on is o
 
 
 def test_normalize_preserves_winners_through_the_solvers():
@@ -439,30 +445,29 @@ def test_normalize_preserves_winners_through_the_solvers():
     st.integers(1, 5),
     st.integers(0, 2**32),
 )
-def test_sup_by_sign_equals_the_negated_game(payoff, n, seed):
-    # the command line solves a sup-style payoff on the weights as read,
-    # times -1; `normalize` builds the negated game instead
+def test_sup_solves_agree_with_the_oracle(payoff, n, seed):
+    # the command line solves a sup-style payoff as its inf counterpart on
+    # `normalize`'s negated copy; the oracle reads the sup payoff itself
     rng = make_rng(seed)
     g = random_game(rng, n, max_weight=3)
     o = random_objective(rng, payoff, max_pieces=2)
     assume(payoff is not Payoff.TOTAL_SUP or pm_has_finite_endpoint(o.intervals))
     regions, meta = cli._solve_game(g, o, None)
-    gn, on = normalize(g, o)
-    if payoff is Payoff.LIMSUP:
-        assert regions == solve_liminf(gn, on.intervals)
-    elif payoff is Payoff.MP_SUP:
-        assert regions == solve_mp_interval(gn, on.intervals)
-    else:
+    solved = [regions]
+    if payoff is Payoff.TOTAL_SUP:
         # all three regions, at the default bound and at a smaller one
+        gn, on = normalize(g, o)
         assert (regions, meta["bound"]) == solve_total_interval(gn, on.intervals)[::2]
         bound = rng.randint(1, max(1, meta["bound"]))
         again = solve_total_interval(gn, on.intervals, bound=bound).vertices
         assert cli._solve_game(g, o, bound)[0] == again
+        solved.append(again)
     reference = brute_force_positional(g, o)
     if reference.exact:
-        # total-sum may leave a vertex UNKNOWN; what it decides must agree
-        assert regions.win_eve <= reference.win_eve
-        assert regions.win_adam <= reference.win_adam
+        for r in solved:
+            # total-sum may leave a vertex UNKNOWN; what it decides must agree
+            assert r.win_eve <= reference.win_eve
+            assert r.win_adam <= reference.win_adam
         if payoff is not Payoff.TOTAL_SUP:
             assert regions.win_eve == reference.win_eve
 

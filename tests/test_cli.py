@@ -582,6 +582,22 @@ def test_output_bytes_match_the_recorded_files(capsys):
         assert out == (GOLDEN / recorded).read_text(), recorded
 
 
+@pytest.mark.parametrize("name", ["fig1", "fig5", "liminf_two_loops"])
+def test_sup_twins_print_their_originals_bytes(capsys, name):
+    # each twin has its original's owners, negated weights, the mirrored
+    # union and the sup-style payoff, so Eve wins exactly where she wins
+    # the original, and the meta names the inf payoff that is solved
+    def solve(game, *flags):
+        code, out, err = run(capsys, "solve", game, *flags, "--regions", "--format", "structured")
+        assert (code, err) == (0, ""), game
+        return out
+
+    twin = CORPUS / f"{name}_sup.game"
+    assert solve(twin) == solve(CORPUS / f"{name}.game")
+    if name == "fig5":
+        assert solve(twin, "--bound", "8") == (GOLDEN / "fig5_bound8.structured.json").read_text()
+
+
 def test_commands_restore_the_collector_state(capsys):
     # main pauses the cyclic collector for one command
     for enabled in (True, False):

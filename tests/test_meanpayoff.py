@@ -17,7 +17,6 @@ from intervalgames.arena import (
     Player,
     Regions,
     complement_intervals,
-    inf_objective,
     normalize,
 )
 from intervalgames.generate import (
@@ -288,8 +287,10 @@ def test_pruned_fixpoint_agrees_with_the_full_one():
         iu = IntervalUnion(())
         while not 1 <= len(iu.intervals) <= 4:
             iu = random_interval_union(rng, 4, half_grid=True)
-        sign = rng.choice((1, -1))  # mp-inf or mp-sup
-        assert solve_mp_interval(g, iu, sign) == solve_every_frame(g, iu, sign)
+        sign = rng.choice((1, -1))  # mp-inf, or mp-sup on the mirrored union
+        o = Objective(Payoff.MP_INF, iu) if sign > 0 else Objective(Payoff.MP_SUP, iu.negate())
+        gn, on = normalize(g, o)
+        assert solve_mp_interval(gn, on.intervals) == solve_every_frame(g, iu, sign)
     for _ in range(200):
         p = random_parity_game(rng, rng.randint(1, 5), max_priority=3)
         p = dataclasses.replace(p, priority=tuple(min(q, p.n) for q in p.priority))
@@ -328,8 +329,8 @@ def test_fixpoint_prunes_frames_and_rounds(monkeypatch):
     for _ in range(20):
         g = random_game(rng, rng.randint(30, 60))
         payoff = rng.choice((Payoff.MP_INF, Payoff.MP_SUP))
-        sign, o = inf_objective(random_objective(rng, payoff, max_pieces=2))
-        solve_mp_interval(g, o.intervals, sign)
+        g, o = normalize(g, random_objective(rng, payoff, max_pieces=2))
+        solve_mp_interval(g, o.intervals)
         events.append("solved")
     for _ in range(20):
         g, iu = parity_to_mp(random_parity_game(rng, rng.randint(4, 5)))

@@ -23,6 +23,7 @@ from intervalgames.arena import (
 )
 from intervalgames.discounted import DsValueTable, decision_depth, ds_optimal_values
 from intervalgames.generate import random_game, random_interval_union, random_parity_game
+from intervalgames import oracle
 from intervalgames.meanpayoff import solve_mp_interval
 from intervalgames.oracle import (
     Lasso,
@@ -232,6 +233,24 @@ def test_guards_are_hard_errors():
         brute_force_positional(
             wide, Objective(Payoff.LIMINF, IntervalUnion((Interval(F(0), F(0)),)))
         )
+
+
+def test_finite_horizon_guard_counts_every_root(monkeypatch):
+    # two vertices with two edges each: one root's tree to depth 3 has
+    # 1 + 2 + 4 + 8 = 15 nodes, and the search grows one tree per vertex
+    g = GameGraph.from_edges(
+        ("a", "b"),
+        (Player.EVE, Player.ADAM),
+        (Edge(0, 0, 1), Edge(0, 1, -1), Edge(1, 0, 1), Edge(1, 1, -1)),
+        0,
+    )
+    iu = IntervalUnion((Interval(F(0), PLUS_INF, False, True),))
+    for guard in (15, 2 * 15 - 1):
+        monkeypatch.setattr(oracle, "NODE_GUARD", guard)
+        with pytest.raises(TooLarge, match="node guard"):
+            brute_force_finite_horizon_ds(g, F(1, 2), iu, 3)
+    monkeypatch.setattr(oracle, "NODE_GUARD", 2 * 15)
+    assert brute_force_finite_horizon_ds(g, F(1, 2), iu, 3) <= {0, 1}
 
 
 def test_discounted_values_certified_by_one_step_equations():
