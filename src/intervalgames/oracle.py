@@ -21,6 +21,7 @@ from .arena import (
     IntervalUnion,
     MINUS_INF,
     PLUS_INF,
+    ParityGame,
     Payoff,
     Player,
     UnsupportedObjective,
@@ -28,7 +29,6 @@ from .arena import (
     complement_intervals,
     contains,
 )
-from .parity import ParityGame
 
 PAIR_GUARD = 10 ** 6
 NODE_GUARD = 2 * 10 ** 6
@@ -169,9 +169,11 @@ def _guard_pairs(game) -> None:
 
 @dataclass(frozen=True)
 class OracleRegions:
-    """Brute-force result.  When `exact` is false the sets are lower
-    bounds computed from positional play only (the objective may require
-    memory) and the partition may leave vertices unclaimed."""
+    """Brute-force result.  When `exact` is false the sets come from
+    positional play only (the objective may require memory): for a
+    mean-payoff union they are lower bounds and may leave vertices
+    unclaimed; for a total-sum union they are no bound at all (see
+    `brute_force_positional`)."""
 
     win_eve: frozenset[int]
     win_adam: frozenset[int]
@@ -224,7 +226,13 @@ def brute_force_positional(
     is decided exactly through reachable cycle-mean ranges, so the
     returned sets are sound bounds on the true regions; objectives that
     may require infinite memory keep them strictly smaller.  Other
-    total-sum unions get the enumeration itself, also read as bounds.
+    total-sum unions get the enumeration itself, which is no bound: each
+    set is won against the other player's positional strategies only, so
+    where the other player needs memory it may hold vertices that player
+    wins.  Adam's vertex with a +1 loop and a 0 edge into a 0 loop is Eve's
+    under (-inf, 3) u (3, inf) by enumeration, each positional play
+    totalling +inf or 0, yet Adam wins it by looping three times and
+    leaving.
     """
     _guard_pairs(game)
     if isinstance(game, ParityGame):
@@ -295,67 +303,11 @@ def _mp_union_bounds(g: GameGraph, iu: IntervalUnion) -> OracleRegions:
     return OracleRegions(*regions, exact=False)
 
 
-def _sccs(n: int, succ: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Tarjan, iterative."""
-    index = [0] * n
-    low = [0] * n
-    state = [0] * n  # 0 unvisited, 1 on stack, 2 done
-    counter = itertools.count(1)
-    stack: list[int] = []
-    out: list[list[int]] = []
-    for root in range(n):
-        if state[root]:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = next(counter)
-        state[root] = 1
-        stack.append(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for u in it:
-                if not state[u]:
-                    index[u] = low[u] = next(counter)
-                    state[u] = 1
-                    stack.append(u)
-                    work.append((u, iter(succ[u])))
-                    advanced = True
-                    break
-                if state[u] == 1:
-                    low[v] = min(low[v], index[u])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    state[u] = 2
-                    comp.append(u)
-                    if u == v:
-                        break
-                out.append(comp)
-    return out
-
-
-def _simple_cycle_means(g: GameGraph, comp: Sequence[int]) -> Optional[tuple[Fraction, Fraction]]:
-    """(min, max) mean over the simple cycles inside one component."""
+def _simple_cycle_means(g: GameGraph, comp: Sequence[int]) -> list[Fraction]:
+    """The sorted means of the simple cycles inside one vertex set."""
     inside = set(comp)
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
-
-    def note(total: int, length: int):
-        nonlocal lo, hi
-        mean = Fraction(total, length)
-        if lo is None or mean < lo:
-            lo = mean
-        if hi is None or mean > hi:
-            hi = mean
-
-    for start in sorted(comp):
+    means = set()
+    for start in sorted(inside):
         # simple paths through vertices >= start only, so each cycle is
         # discovered exactly once from its smallest vertex
         stack = [(start, 0, 0, {start})]
@@ -364,47 +316,34 @@ def _simple_cycle_means(g: GameGraph, comp: Sequence[int]) -> Optional[tuple[Fra
             for j in g.out_edges[v]:
                 e = g.edges[j]
                 if e.dst == start:
-                    note(total + e.weight, length + 1)
+                    means.add(Fraction(total + e.weight, length + 1))
                 elif e.dst in inside and e.dst > start and e.dst not in visited:
                     stack.append((e.dst, total + e.weight, length + 1, visited | {e.dst}))
-    if lo is None:
-        return None
-    return lo, hi
+    return sorted(means)
 
 
 def one_player_mp_achievable(g: GameGraph, iu: IntervalUnion) -> list[bool]:
     """Per vertex: can the single controller reach mean-payoff inside the
     union?  Every value in a reachable component's cycle-mean range is
     attainable by mixing its cycles, so the achievable set is the union of
-    those closed ranges."""
+    those closed ranges.  One reflexive-transitive closure (Warshall) gives
+    both the components and what each vertex reaches."""
     if g.n > 8:
         raise TooLarge("one-player cycle enumeration is limited to 8 vertices")
-    succ = [[g.edges[j].dst for j in g.out_edges[v]] for v in range(g.n)]
-    comps = _sccs(g.n, succ)
-    good_comp = []
-    for comp in comps:
+    reach = [{v, *g.succ[v]} for v in range(g.n)]
+    for k in range(g.n):
+        for v in range(g.n):
+            if k in reach[v]:
+                reach[v] |= reach[k]
+    good = set()
+    for v in range(g.n):
+        comp = [u for u in reach[v] if v in reach[u]]
+        if min(comp) < v:
+            continue  # the component was read at its least vertex
         means = _simple_cycle_means(g, comp)
-        if means is None:
-            continue
-        lo, hi = means
-        if any(j.intersects_closed(lo, hi) for j in iu.intervals):
-            good_comp.append(set(comp))
-    achievable = [False] * g.n
-    targets = set().union(*good_comp) if good_comp else set()
-    if targets:
-        # backward reachability to any good component
-        reach = set(targets)
-        changed = True
-        while changed:
-            changed = False
-            for v in range(g.n):
-                if v in reach:
-                    continue
-                if any(u in reach for u in succ[v]):
-                    reach.add(v)
-                    changed = True
-        achievable = [v in reach for v in range(g.n)]
-    return achievable
+        if means and any(j.intersects_closed(means[0], means[-1]) for j in iu.intervals):
+            good.update(comp)
+    return [not good.isdisjoint(reach[v]) for v in range(g.n)]
 
 
 def positional_ds_values(g: GameGraph, lam: Fraction) -> tuple[tuple[Fraction, ...], ...]:

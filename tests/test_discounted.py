@@ -18,7 +18,7 @@ from intervalgames.arena import (
     Player,
     contains,
 )
-from intervalgames import discounted
+from intervalgames import discounted, oracle
 from intervalgames.discounted import (
     DsValueTable,
     NonpositiveWidth,
@@ -32,7 +32,6 @@ from intervalgames.discounted import (
 )
 from intervalgames.generate import random_game, random_interval_union, random_subset_sum
 from intervalgames.oracle import (
-    Lasso,
     TooLarge,
     brute_force_finite_horizon_ds,
     check_ds_values,
@@ -109,17 +108,6 @@ def test_four_values_bounded_by_weight_range():
         for v in range(g.n):
             assert -bound <= t.minmax[v] <= bound
             assert -bound <= t.maxmin[v] <= bound
-
-
-def induced_lasso(g, choice, v):
-    """The play from v when every vertex u takes edge choice[u]."""
-    seen = {}
-    walk = []
-    while v not in seen:
-        seen[v] = len(walk)
-        walk.append(g.edges[choice[v]])
-        v = walk[-1].dst
-    return Lasso(tuple(walk[: seen[v]]), tuple(walk[seen[v]:]))
 
 
 def test_four_values_match_positional_strategy_enumeration():
@@ -246,7 +234,7 @@ def test_profile_pairs_are_lasso_values():
             pairs = discounted._profile_values(g, lam, choice)
             for v, (num, den) in enumerate(pairs):
                 assert den > 0
-                play = induced_lasso(g, choice, v)
+                play = oracle._lasso_from(choice, g, v)
                 assert len(play.cycle) == length
                 expected = ds_value_lasso(
                     [e.weight for e in play.prefix], [e.weight for e in play.cycle], lam

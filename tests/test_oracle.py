@@ -20,6 +20,7 @@ from intervalgames.arena import (
     Payoff,
     Player,
     UnsupportedObjective,
+    Verdict,
 )
 from intervalgames.discounted import DsValueTable, decision_depth, ds_optimal_values
 from intervalgames.generate import random_game, random_interval_union, random_parity_game
@@ -36,6 +37,7 @@ from intervalgames.oracle import (
     play_value,
 )
 from intervalgames.parity import ParityGame
+from intervalgames.totalsum import solve_total_interval
 
 from conftest import RAYS, make_rng
 
@@ -142,14 +144,35 @@ def test_region_checks_run_under_optimization():
         "    except AssertionError as e:\n"
         "        print(e)\n"
     )
+    proc = _fresh_python("-O", "-c", code)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "oracle regions overlap\n" * 2
+
+
+def _fresh_python(*args):
+    """Run a new interpreter on this checkout's `src`."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
     )
+
+
+def test_oracle_loads_no_solver_module():
+    # the oracle shares only the data model with the solvers, so importing
+    # it loads none of them
+    code = (
+        "import sys\n"
+        "import intervalgames.oracle\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    proc = _fresh_python("-c", code)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "oracle regions overlap\n" * 2
+    loaded = set(proc.stdout.split())
+    assert "intervalgames.oracle" in loaded
+    solvers = ("parity", "liminf", "meanpayoff", "discounted", "totalsum", "generate", "cli")
+    assert loaded & {f"intervalgames.{name}" for name in solvers} == set()
 
 
 def test_memory_hard_instance_gets_empty_lower_bound():
@@ -168,20 +191,23 @@ def test_memory_hard_instance_gets_empty_lower_bound():
     assert res.win_adam == frozenset()
 
 
-def simple_cycle_means(g):
-    """Mean weight of every simple cycle, each found from its least vertex."""
-    means = set()
-    for start in range(g.n):
-        stack = [(start, 0, 0, {start})]
-        while stack:
-            v, total, length, seen = stack.pop()
-            for j in g.out_edges[v]:
-                e = g.edges[j]
-                if e.dst == start:
-                    means.add(F(total + e.weight, length + 1))
-                elif e.dst > start and e.dst not in seen:
-                    stack.append((e.dst, total + e.weight, length + 1, seen | {e.dst}))
-    return sorted(means)
+def test_total_sum_union_enumeration_is_no_bound():
+    # Adam's v0 has a +1 loop and a 0 edge to v1, which loops at 0; the
+    # objective excludes only a total of 3.  Each positional Adam strategy
+    # gives +inf or 0, so the enumeration gives Eve both vertices, but Adam
+    # wins v0 by looping three times and then leaving
+    g = GameGraph.from_edges(
+        ("v0", "v1"), (Player.ADAM, Player.ADAM),
+        (Edge(0, 0, 1), Edge(0, 1, 0), Edge(1, 1, 0)), 0,
+    )
+    iu = IntervalUnion(
+        (Interval(MINUS_INF, F(3), True, True), Interval(F(3), PLUS_INF, True, True))
+    )
+    res = brute_force_positional(g, Objective(Payoff.TOTAL_INF, iu))
+    assert res == oracle.OracleRegions(frozenset({0, 1}), frozenset(), exact=False)
+    three_times = Lasso(prefix=(Edge(0, 0, 1),) * 3 + (Edge(0, 1, 0),), cycle=(Edge(1, 1, 0),))
+    assert play_value(three_times, Payoff.TOTAL_INF) == 3
+    assert solve_total_interval(g, iu).vertices.verdict(0) is Verdict.ADAM
 
 
 def test_matches_threshold_solver_on_small_games():
@@ -195,7 +221,8 @@ def test_matches_threshold_solver_on_small_games():
         assert ref.win_eve == solve_mp_interval(g, iu).win_eve
         # a threshold equal to a simple cycle's mean is a tie, where the
         # strict and non-strict games part
-        for tie, (cmp, ray) in itertools.product(simple_cycle_means(g), RAYS.items()):
+        ties = oracle._simple_cycle_means(g, range(g.n))
+        for tie, (cmp, ray) in itertools.product(ties, RAYS.items()):
             iu = IntervalUnion((ray(tie),))
             ref = brute_force_positional(g, Objective(Payoff.MP_INF, iu))
             assert ref.exact
@@ -209,6 +236,28 @@ def test_one_player_achievability():
     assert one_player_mp_achievable(swing, zero) == [True]
     lone = GameGraph.from_edges(("v",), (Player.EVE,), (Edge(0, 0, 1),), 0)
     assert one_player_mp_achievable(lone, zero) == [False]
+    # a -> b -> c: only c's loop has its mean in the union, a's own loop
+    # does not, and b lies on no cycle, so a reaches a good component only
+    # through b
+    chain = GameGraph.from_edges(
+        ("a", "b", "c"), (Player.EVE,) * 3,
+        (Edge(0, 0, 1), Edge(0, 1, 0), Edge(1, 2, 0), Edge(2, 2, 0)), 0,
+    )
+    assert one_player_mp_achievable(chain, zero) == [True, True, True]
+
+
+def test_one_player_achievability_is_pinned():
+    # sha256 over the analysis' answers on seeded games of 1-8 vertices,
+    # recorded once; the owners are ignored, one controller moves everywhere
+    rng = make_rng(93)
+    answers = hashlib.sha256()
+    for _ in range(4000):
+        g = random_game(rng, rng.randint(1, 8), max_weight=rng.randint(0, 3))
+        iu = random_interval_union(rng, rng.randint(0, 3), 3, half_grid=rng.random() < 0.5)
+        answers.update(repr(one_player_mp_achievable(g, iu)).encode())
+    assert answers.hexdigest() == (
+        "794bc1465d87ac43b0f2a6269de8e0860eddecf2e3b0efd38b342ed20cc39aad"
+    )
 
 
 def test_guards_are_hard_errors():
