@@ -24,7 +24,7 @@ from typing import Sequence, Union
 class GameError(Exception):
     """Base class for all errors raised by this package."""
 
-    exit_code = 1
+    exit_code = 2
 
 
 class DocumentError(GameError):

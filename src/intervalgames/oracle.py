@@ -28,6 +28,7 @@ from .arena import (
     check_discount,
     complement_intervals,
     contains,
+    max_abs_weight,
 )
 
 PAIR_GUARD = 10 ** 6
@@ -56,10 +57,6 @@ class Lasso:
                 raise GameError("lasso edges are not contiguous")
         if self.cycle[-1].dst != self.cycle[0].src:
             raise GameError("lasso cycle does not close")
-
-
-def _cycle_mean(cycle: Sequence[Edge]) -> Fraction:
-    return Fraction(sum(e.weight for e in cycle), len(cycle))
 
 
 def ds_value_lasso(prefix: Sequence[int], cycle: Sequence[int], lam: Fraction) -> Fraction:
@@ -92,7 +89,7 @@ def play_value(
         return Fraction(max(cycle_weights))
     if payoff in (Payoff.MP_INF, Payoff.MP_SUP):
         # periodic running averages converge, both variants agree
-        return _cycle_mean(lasso.cycle)
+        return Fraction(sum(cycle_weights), len(cycle_weights))
     if payoff is Payoff.DISCOUNTED:
         if lam is None:
             raise GameError("discounted payoff needs a discount factor")
@@ -115,28 +112,18 @@ def play_value(
     raise GameError(f"no play value for payoff {payoff}")
 
 
-def _lasso_from(choice: Sequence[int], game, start: int) -> Lasso:
+def _lasso_from(choice: Sequence[int], g: GameGraph, start: int) -> Lasso:
     """Follow one edge choice per vertex until a vertex repeats."""
     seen: dict[int, int] = {}
     path_edges = []
     v = start
     while v not in seen:
         seen[v] = len(path_edges)
-        j = choice[v]
-        e = game.edges[j]
+        e = g.edges[choice[v]]
         path_edges.append(e)
         v = e.dst
     k = seen[v]
-    prefix = tuple(path_edges[:k])
-    cycle = tuple(path_edges[k:])
-    if isinstance(game, GameGraph):
-        return Lasso(prefix=prefix, cycle=cycle)
-    # parity edges carry no weight; substitute the source priority so the
-    # liminf of the weight sequence is the minimal recurring priority
-    def reweight(edges):
-        return tuple(Edge(e.src, e.dst, game.priority[e.src]) for e in edges)
-
-    return Lasso(prefix=reweight(prefix), cycle=reweight(cycle))
+    return Lasso(prefix=tuple(path_edges[:k]), cycle=tuple(path_edges[k:]))
 
 
 def _strategy_space(game, player: Player):
@@ -187,7 +174,7 @@ def _is_threshold(iu: IntervalUnion) -> bool:
     return isinstance(j.lo, Infinity) or isinstance(j.hi, Infinity)
 
 
-def _pair_enumeration(game, wins_for_eve) -> tuple[frozenset[int], frozenset[int]]:
+def _pair_enumeration(game: GameGraph, wins_for_eve) -> tuple[frozenset[int], frozenset[int]]:
     """(Eve's set, Adam's set): the vertices from which one positional
     strategy of that player wins against every positional strategy of the
     other.  `wins_for_eve(lasso)` evaluates one play."""
@@ -220,6 +207,10 @@ def brute_force_positional(
 ) -> OracleRegions:
     """Enumerate positional strategies and evaluate induced lassos.
 
+    A parity game is read once as the arena on its own edges where each
+    edge weighs its source's priority: Eve wins a play iff the liminf of
+    that weight sequence is even.
+
     Exact for parity games, liminf/limsup objectives and single-sided
     threshold intervals (positional determinacy holds there).  For other
     mean-payoff unions the per-strategy residual is a one-player game and
@@ -238,8 +229,12 @@ def brute_force_positional(
     if isinstance(game, ParityGame):
         if objective is not None:
             raise GameError("parity games carry no separate objective")
+        weight = tuple(map(game.priority.__getitem__, game.src))
+        arena = GameGraph(
+            game.names, game.owner, game.src, game.dst, weight, initial=game.initial, checked=True
+        )
         eve, adam = _pair_enumeration(
-            game, lambda lasso: play_value(lasso, Payoff.LIMINF).numerator % 2 == 0
+            arena, lambda lasso: play_value(lasso, Payoff.LIMINF).numerator % 2 == 0
         )
         return _checked(OracleRegions(eve, adam, exact=True), game.n)
 
@@ -279,16 +274,12 @@ def _mp_union_bounds(g: GameGraph, iu: IntervalUnion) -> OracleRegions:
     it ends in, and each value there is the limit average of some play."""
 
     def residual(fixed_vertices, fixed_choice) -> GameGraph:
+        # g's own columns at the kept edges: the chosen one at each fixed
+        # vertex and every edge elsewhere
         chosen = dict(zip(fixed_vertices, fixed_choice))
-        edges = []
-        for v in range(g.n):
-            if v in chosen:
-                edges.append(g.edges[chosen[v]])
-            else:
-                edges.extend(g.edges[j] for j in g.out_edges[v])
-        return GameGraph.from_edges(
-            g.names, tuple(Player.EVE for _ in range(g.n)), edges, g.initial
-        )
+        kept = [j for v in range(g.n) for j in g.out_edges[v] if chosen.get(v, j) == j]
+        columns = (tuple(map(c.__getitem__, kept)) for c in (g.src, g.dst, g.weight))
+        return GameGraph(g.names, (Player.EVE,) * g.n, *columns, initial=g.initial, checked=True)
 
     regions = []
     # a fixed strategy wins where the other side, playing the rest alone,
@@ -395,7 +386,7 @@ def brute_force_finite_horizon_ds(
     n = g.n
     if iu.is_empty:
         return frozenset()
-    w = max((abs(e.weight) for e in g.edges), default=0)
+    w = max_abs_weight(g)
     if w == 0:
         zero_ok = contains(iu, Fraction(0))
         return frozenset(range(n)) if zero_ok else frozenset()

@@ -34,11 +34,10 @@ def attractor(
     game,
     target: Iterable[int],
     player: Player,
-    within: Optional[frozenset[int]] = None,
+    alive: frozenset[int],
 ) -> frozenset[int]:
-    """Vertices of `within` (by default every vertex) from which `player`
-    forces play into `target` while it stays in `within`."""
-    alive = frozenset(range(game.n)) if within is None else within
+    """Vertices of `alive` from which `player` forces play into `target`
+    while it stays in `alive`."""
     owner, succ, pred = game.owner, game.succ, game.pred
     attr = {v for v in target if v in alive}
     # countdown of edges into not-yet-attracted vertices for opponent

@@ -310,6 +310,13 @@ def test_rationals_read_the_same_on_every_python(text, value):
         assert o.intervals.intervals[0].lo == value
 
 
+@pytest.mark.parametrize("lo, hi", [("-inf", "inf"), (" -inf", "+inf"), ("-inf", " +inf ")])
+def test_unbounded_endpoints_read_with_an_optional_plus(lo, hi):
+    _, o = read_document(json.dumps(_interval(lo, hi, lo_open=True, hi_open=True)))
+    j = o.intervals.intervals[0]
+    assert (j.lo, j.hi) == (MINUS_INF, PLUS_INF)
+
+
 def test_empty_interval_rejected():
     with pytest.raises(EmptyInterval):
         Interval(F(1), F(0))

@@ -2,9 +2,11 @@ import copy
 import dataclasses
 import gc
 import hashlib
+import importlib
 import inspect
 import json
 import os
+import pkgutil
 import random
 import resource
 import subprocess
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import intervalgames
 from intervalgames import cli
 from intervalgames.arena import (
     Edge,
@@ -125,6 +128,22 @@ def test_exit_codes(capsys, tmp_path):
         bad.write_bytes(raw)
         code, _, err = run(capsys, "solve", bad)
         assert code == 2 and "error" in err and "Traceback" not in err, raw[:40]
+
+
+def test_every_package_error_exits_with_a_documented_code():
+    # exit 1 means only that stdout was closed early; every error the
+    # package defines, in any module, ends in 2, 3, 4 or 5
+    for info in pkgutil.iter_modules(intervalgames.__path__):
+        importlib.import_module(f"intervalgames.{info.name}")
+    errors, todo = [], [GameError]
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if cls.__module__.startswith("intervalgames."):
+            errors.append(cls)
+    assert len(errors) > 10
+    wrong = {cls.__qualname__: cls.exit_code for cls in errors if cls.exit_code not in (2, 3, 4, 5)}
+    assert wrong == {}
 
 
 def test_corpus_golden_run(capsys):

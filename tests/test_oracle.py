@@ -24,6 +24,7 @@ from intervalgames.arena import (
 )
 from intervalgames.discounted import DsValueTable, decision_depth, ds_optimal_values
 from intervalgames.generate import random_game, random_interval_union, random_parity_game
+from intervalgames.liminf import parity_to_liminf
 from intervalgames import oracle
 from intervalgames.meanpayoff import solve_mp_interval
 from intervalgames.oracle import (
@@ -98,6 +99,20 @@ def test_parity_mode_exact():
     p = ParityGame.from_edges(("v",), (Player.EVE,), (Edge(0, 0),), (0,), 0)
     res = brute_force_positional(p)
     assert res.exact and res.win_eve == frozenset({0})
+
+
+def test_parity_reads_as_its_liminf_reduction():
+    # Eve wins a parity play iff the liminf of its source priorities is
+    # even, so the oracle answers a parity game as it answers the liminf
+    # arena of the paper's reduction
+    rng = make_rng(93)
+    for _ in range(300):
+        p = random_parity_game(rng, rng.randint(1, 6), max_priority=5)
+        g, iu = parity_to_liminf(p)
+        as_parity = brute_force_positional(p)
+        as_liminf = brute_force_positional(g, Objective(Payoff.LIMINF, iu))
+        assert as_parity.exact and as_liminf.exact
+        assert as_parity == as_liminf
 
 
 SHAPES = {

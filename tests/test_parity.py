@@ -25,12 +25,12 @@ def chain_game():
 
 def test_attractor_whole_vertex_set():
     p = chain_game()
-    assert attractor(p, {0, 1, 2}, Player.EVE) == frozenset({0, 1, 2})
+    assert attractor(p, {0, 1, 2}, Player.EVE, frozenset(range(3))) == frozenset({0, 1, 2})
 
 
 def test_attractor_chain():
     p = chain_game()
-    assert attractor(p, {2}, Player.EVE) == frozenset({0, 1, 2})
+    assert attractor(p, {2}, Player.EVE, frozenset(range(3))) == frozenset({0, 1, 2})
 
 
 def test_attractor_opponent_escape():
@@ -43,8 +43,9 @@ def test_attractor_opponent_escape():
         priority=(0, 0, 0, 0),
         initial=0,
     )
-    assert attractor(p, {1}, Player.EVE) == frozenset({1, 3})
-    assert attractor(p, {1}, Player.ADAM) == frozenset({0, 1, 3})
+    everything = frozenset(range(4))
+    assert attractor(p, {1}, Player.EVE, everything) == frozenset({1, 3})
+    assert attractor(p, {1}, Player.ADAM, everything) == frozenset({0, 1, 3})
 
 
 def naive_attractor(game, target, player, alive):
@@ -88,12 +89,14 @@ def test_attractor_matches_naive_fixpoint():
         trap = everything
         if rng.random() < 0.5:
             seed = {v for v in range(n) if rng.random() < 0.2}
-            trap = everything - attractor(game, seed, rng.choice((Player.EVE, Player.ADAM)))
+            trap = everything - attractor(
+                game, seed, rng.choice((Player.EVE, Player.ADAM)), everything
+            )
         target = {v for v in range(n) if rng.random() < 0.3}
         for player in (Player.EVE, Player.ADAM):
             want = naive_attractor(game, target, player, trap)
             if trap == everything:
-                assert attractor(game, target, player) == want
+                assert attractor(game, target, player, everything) == want
             assert attractor(game, target, player, trap) == want
 
 

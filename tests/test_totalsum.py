@@ -228,7 +228,7 @@ def test_pessimistic_first_equals_two_full_solves():
         everything = frozenset(range(game.n))
         optimistic = solve_parity(game)
         pessimistic = solve_parity(game, everything - {LIMBO_WIN})
-        assert attractor(game, pessimistic.win_eve, Player.EVE) == pessimistic.win_eve
+        assert attractor(game, pessimistic.win_eve, Player.EVE, everything) == pessimistic.win_eve
         first = game.n - len(configs)
         win_eve = {cfg for k, cfg in enumerate(configs, first) if k in pessimistic.win_eve}
         win_adam = {cfg for k, cfg in enumerate(configs, first) if k in optimistic.win_adam}
