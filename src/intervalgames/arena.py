@@ -30,8 +30,6 @@ class GameError(Exception):
 class DocumentError(GameError):
     """A document could not be parsed or validated."""
 
-    exit_code = 2
-
 
 class MalformedDocument(DocumentError):
     pass

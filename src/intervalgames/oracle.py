@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .arena import (
-    Edge,
     ExtRational,
     GameError,
     GameGraph,
@@ -24,6 +23,7 @@ from .arena import (
     ParityGame,
     Payoff,
     Player,
+    Regions,
     UnsupportedObjective,
     check_discount,
     complement_intervals,
@@ -41,89 +41,59 @@ class TooLarge(GameError):
     exit_code = 5
 
 
-@dataclass(frozen=True)
-class Lasso:
-    """Ultimately periodic play: a finite prefix and a repeated cycle."""
-
-    prefix: tuple[Edge, ...]
-    cycle: tuple[Edge, ...]
-
-    def __post_init__(self):
-        if not self.cycle:
-            raise GameError("lasso cycle must be nonempty")
-        walk = list(self.prefix) + list(self.cycle)
-        for a, b in zip(walk, walk[1:]):
-            if a.dst != b.src:
-                raise GameError("lasso edges are not contiguous")
-        if self.cycle[-1].dst != self.cycle[0].src:
-            raise GameError("lasso cycle does not close")
-
-
-def ds_value_lasso(prefix: Sequence[int], cycle: Sequence[int], lam: Fraction) -> Fraction:
-    """Exact discounted sum of the ultimately periodic weight sequence."""
-    check_discount(lam)
+def play_value(
+    prefix: Sequence[int], cycle: Sequence[int], payoff: Payoff, lam: Optional[Fraction] = None
+) -> ExtRational:
+    """Exact payoff of the ultimately periodic play whose edges weigh
+    `prefix` once and then `cycle` forever."""
     if not cycle:
         raise GameError("lasso cycle must be nonempty")
-    total = Fraction(0)
-    power = Fraction(1)
-    for w in prefix:
-        total += power * w
-        power *= lam
-    cyc = Fraction(0)
-    cpow = Fraction(1)
-    for w in cycle:
-        cyc += cpow * w
-        cpow *= lam
-    return total + power * cyc / (1 - lam ** len(cycle))
-
-
-def play_value(
-    lasso: Lasso, payoff: Payoff, lam: Optional[Fraction] = None
-) -> ExtRational:
-    """Exact payoff of the ultimately periodic play."""
-    cycle_weights = [e.weight for e in lasso.cycle]
-    prefix_weights = [e.weight for e in lasso.prefix]
     if payoff is Payoff.LIMINF:
-        return Fraction(min(cycle_weights))
+        return Fraction(min(cycle))
     if payoff is Payoff.LIMSUP:
-        return Fraction(max(cycle_weights))
+        return Fraction(max(cycle))
     if payoff in (Payoff.MP_INF, Payoff.MP_SUP):
         # periodic running averages converge, both variants agree
-        return Fraction(sum(cycle_weights), len(cycle_weights))
+        return Fraction(sum(cycle), len(cycle))
     if payoff is Payoff.DISCOUNTED:
         if lam is None:
             raise GameError("discounted payoff needs a discount factor")
-        return ds_value_lasso(prefix_weights, cycle_weights, lam)
+        check_discount(lam)
+        # Horner's rule, back to front: one pass of the cycle, repeated
+        # forever by the geometric factor, then the prefix
+        value = Fraction(0)
+        for w in reversed(cycle):
+            value = w + lam * value
+        value /= 1 - lam ** len(cycle)
+        for w in reversed(prefix):
+            value = w + lam * value
+        return value
     if payoff in (Payoff.TOTAL_INF, Payoff.TOTAL_SUP):
-        cycle_sum = sum(cycle_weights)
+        cycle_sum = sum(cycle)
         if cycle_sum > 0:
             return PLUS_INF
         if cycle_sum < 0:
             return MINUS_INF
-        base = sum(prefix_weights)
-        running = []
-        acc = 0
-        for w in cycle_weights:
-            acc += w
-            running.append(base + acc)
+        base = sum(prefix)
+        running = [base + acc for acc in itertools.accumulate(cycle)]
         if payoff is Payoff.TOTAL_INF:
             return Fraction(min(running))
         return Fraction(max(running))
     raise GameError(f"no play value for payoff {payoff}")
 
 
-def _lasso_from(choice: Sequence[int], g: GameGraph, start: int) -> Lasso:
-    """Follow one edge choice per vertex until a vertex repeats."""
+def _lasso_from(choice: Sequence[int], g: GameGraph, start: int) -> tuple[list[int], list[int]]:
+    """The (prefix, cycle) weights of the play that follows one edge choice
+    per vertex from `start` until a vertex repeats."""
     seen: dict[int, int] = {}
-    path_edges = []
+    weights = []
     v = start
     while v not in seen:
-        seen[v] = len(path_edges)
-        e = g.edges[choice[v]]
-        path_edges.append(e)
-        v = e.dst
+        seen[v] = len(weights)
+        weights.append(g.weight[choice[v]])
+        v = g.dst[choice[v]]
     k = seen[v]
-    return Lasso(prefix=tuple(path_edges[:k]), cycle=tuple(path_edges[k:]))
+    return weights[:k], weights[k:]
 
 
 def _strategy_space(game, player: Player):
@@ -177,7 +147,7 @@ def _is_threshold(iu: IntervalUnion) -> bool:
 def _pair_enumeration(game: GameGraph, wins_for_eve) -> tuple[frozenset[int], frozenset[int]]:
     """(Eve's set, Adam's set): the vertices from which one positional
     strategy of that player wins against every positional strategy of the
-    other.  `wins_for_eve(lasso)` evaluates one play."""
+    other.  `wins_for_eve(lasso)` reads one play's (prefix, cycle) weights."""
     n = game.n
     regions = []
     for player, passes in (
@@ -234,7 +204,7 @@ def brute_force_positional(
             game.names, game.owner, game.src, game.dst, weight, initial=game.initial, checked=True
         )
         eve, adam = _pair_enumeration(
-            arena, lambda lasso: play_value(lasso, Payoff.LIMINF).numerator % 2 == 0
+            arena, lambda lasso: play_value(*lasso, Payoff.LIMINF).numerator % 2 == 0
         )
         return _checked(OracleRegions(eve, adam, exact=True), game.n)
 
@@ -247,7 +217,7 @@ def brute_force_positional(
         result = _mp_union_bounds(game, iu)
     else:
         eve, adam = _pair_enumeration(
-            game, lambda lasso: contains(iu, play_value(lasso, payoff))
+            game, lambda lasso: contains(iu, play_value(*lasso, payoff))
         )
         exact = payoff not in (Payoff.TOTAL_INF, Payoff.TOTAL_SUP) or _is_threshold(iu)
         result = OracleRegions(eve, adam, exact=exact)
@@ -255,13 +225,12 @@ def brute_force_positional(
 
 
 def _checked(result: OracleRegions, n: int) -> OracleRegions:
-    """`result` once its regions are disjoint and, when exact, cover all n
-    vertices.  Raises `AssertionError` explicitly, so the check also runs
-    under `python -O`."""
-    if result.win_eve & result.win_adam:
-        raise AssertionError("oracle regions overlap")
-    if result.exact and len(result.win_eve | result.win_adam) != n:
-        raise AssertionError("exact oracle regions do not cover every vertex")
+    """`result` once its regions and the vertices neither side claims (none
+    when exact) partition the n vertices.  `Regions.check_partition` raises
+    explicitly, so the check also runs under `python -O`."""
+    everything = frozenset(range(n))
+    unclaimed = frozenset() if result.exact else everything - result.win_eve - result.win_adam
+    Regions(result.win_eve, result.win_adam, unclaimed).check_partition(everything)
     return result
 
 
@@ -305,11 +274,11 @@ def _simple_cycle_means(g: GameGraph, comp: Sequence[int]) -> list[Fraction]:
         while stack:
             v, total, length, visited = stack.pop()
             for j in g.out_edges[v]:
-                e = g.edges[j]
-                if e.dst == start:
-                    means.add(Fraction(total + e.weight, length + 1))
-                elif e.dst in inside and e.dst > start and e.dst not in visited:
-                    stack.append((e.dst, total + e.weight, length + 1, visited | {e.dst}))
+                u, w = g.dst[j], g.weight[j]
+                if u == start:
+                    means.add(Fraction(total + w, length + 1))
+                elif u in inside and u > start and u not in visited:
+                    stack.append((u, total + w, length + 1, visited | {u}))
     return sorted(means)
 
 
@@ -354,7 +323,7 @@ def positional_ds_values(g: GameGraph, lam: Fraction) -> tuple[tuple[Fraction, .
         lows = highs = None
         for tau in taus:
             choice = _assemble(n, eve_vertices, sigma, adam_vertices, tau)
-            row = [play_value(_lasso_from(choice, g, v), Payoff.DISCOUNTED, lam) for v in range(n)]
+            row = [play_value(*_lasso_from(choice, g, v), Payoff.DISCOUNTED, lam) for v in range(n)]
             lows = row if lows is None else list(map(min, lows, row))
             highs = row if highs is None else list(map(max, highs, row))
         columns.append((tuple(lows), tuple(highs)))
@@ -421,8 +390,7 @@ def brute_force_finite_horizon_ds(
             return endgame(v, x, factor)
         results = []
         for j in g.out_edges[v]:
-            e = g.edges[j]
-            results.append(wins(e.dst, k + 1, x + factor * e.weight, factor * lam))
+            results.append(wins(g.dst[j], k + 1, x + factor * g.weight[j], factor * lam))
         return any(results) if g.owner[v] is Player.EVE else all(results)
 
     try:
@@ -451,10 +419,7 @@ def check_ds_values(g: GameGraph, lam: Fraction, table) -> bool:
         if len(values) != g.n:
             return False
         for v in range(g.n):
-            steps = []
-            for j in g.out_edges[v]:
-                e = g.edges[j]
-                steps.append(e.weight + lam * values[e.dst])
+            steps = [g.weight[j] + lam * values[g.dst[j]] for j in g.out_edges[v]]
             maximizes = (g.owner[v] is Player.EVE) == eve_maximizes
             if values[v] != (max(steps) if maximizes else min(steps)):
                 return False

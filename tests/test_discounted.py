@@ -35,7 +35,7 @@ from intervalgames.oracle import (
     TooLarge,
     brute_force_finite_horizon_ds,
     check_ds_values,
-    ds_value_lasso,
+    play_value,
     positional_ds_values,
     subset_sum_winner,
 )
@@ -49,14 +49,14 @@ def loop(weight, owner=Player.EVE):
 
 def test_lasso_values():
     half = F(1, 2)
-    assert ds_value_lasso((), (1,), half) == 2
-    assert ds_value_lasso((1,), (0,), half) == 1
-    assert ds_value_lasso((), (1, 0), half) == F(4, 3)
+    assert play_value((), (1,), Payoff.DISCOUNTED, half) == 2
+    assert play_value((1,), (0,), Payoff.DISCOUNTED, half) == 1
+    assert play_value((), (1, 0), Payoff.DISCOUNTED, half) == F(4, 3)
     for lam in (F(0), F(1), F(3, 2)):
         with pytest.raises(GameError, match="not in"):
-            ds_value_lasso((), (1,), lam)
+            play_value((), (1,), Payoff.DISCOUNTED, lam)
     with pytest.raises(GameError, match="nonempty"):
-        ds_value_lasso((1,), (), half)
+        play_value((1,), (), Payoff.DISCOUNTED, half)
 
 
 _LOOP = GameGraph.from_edges(("v",), (Player.EVE,), (Edge(0, 0, 1),), 0)
@@ -72,11 +72,11 @@ _UNIT = IntervalUnion((Interval(F(0), F(1)),))
         lambda lam: horizon(_LOOP, lam, F(1)),
         lambda lam: solve_ds_interval(_LOOP, lam, _UNIT),
         lambda lam: subset_sum_to_ds(SubsetSumInstance(1, ((1, 0),)), lam),
-        lambda lam: ds_value_lasso((), (1,), lam),
+        lambda lam: play_value((), (1,), Payoff.DISCOUNTED, lam),
         lambda lam: check_ds_values(_LOOP, lam, DsValueTable((F(2),), (F(2),))),
     ],
     ids=["Objective", "ds_optimal_values", "horizon", "solve_ds_interval",
-         "subset_sum_to_ds", "ds_value_lasso", "check_ds_values"],
+         "subset_sum_to_ds", "play_value", "check_ds_values"],
 )
 def test_every_entry_point_rejects_a_discount_out_of_range(entry, lam):
     with pytest.raises(LambdaOutOfRange) as raised:
@@ -139,7 +139,7 @@ def _fraction_profile_values(g, lam, choice):
             v = g.edges[choice[v]].dst
         if values[v] is None:
             cycle = path[pos[v]:]
-            cur = ds_value_lasso((), [g.edges[choice[u]].weight for u in cycle], lam)
+            cur = play_value((), [g.weight[choice[u]] for u in cycle], Payoff.DISCOUNTED, lam)
             for u in cycle:
                 values[u] = cur
                 cur = (cur - g.edges[choice[u]].weight) / lam
@@ -234,11 +234,9 @@ def test_profile_pairs_are_lasso_values():
             pairs = discounted._profile_values(g, lam, choice)
             for v, (num, den) in enumerate(pairs):
                 assert den > 0
-                play = oracle._lasso_from(choice, g, v)
-                assert len(play.cycle) == length
-                expected = ds_value_lasso(
-                    [e.weight for e in play.prefix], [e.weight for e in play.cycle], lam
-                )
+                prefix, cycle = oracle._lasso_from(choice, g, v)
+                assert len(cycle) == length
+                expected = play_value(prefix, cycle, Payoff.DISCOUNTED, lam)
                 assert F(num, den) == expected, (g.edges, choice, lam, v)
 
 
@@ -426,15 +424,17 @@ def test_agreement_with_unpruned_reference_off_the_half_grid():
 
 
 def _all_lassos(g, start, max_len):
-    """Every lasso from start with prefix and cycle at most max_len long:
-    any split of a walk whose suffix returns to its own first vertex."""
+    """The (prefix, cycle) weights of every lasso from start with prefix
+    and cycle at most max_len long: any split of a walk whose suffix
+    returns to its own first vertex."""
     out = []
 
     def extend(walk):
         if walk:
             for i in range(max(0, len(walk) - max_len), len(walk)):
                 if i <= max_len and walk[i].src == walk[-1].dst:
-                    out.append((tuple(walk[:i]), tuple(walk[i:])))
+                    weights = tuple(e.weight for e in walk)
+                    out.append((weights[:i], weights[i:]))
         if len(walk) < 2 * max_len:
             v = walk[-1].dst if walk else start
             for j in g.out_edges[v]:
@@ -458,9 +458,8 @@ def test_one_player_lasso_consistency():
         res = solve_ds_interval(g, lam, iu)
         for v in range(g.n):
             achievable = any(
-                contains(iu, ds_value_lasso(
-                    [e.weight for e in pre], [e.weight for e in cyc], lam))
-                for pre, cyc in _all_lassos(g, v, g.n)
+                contains(iu, play_value(*lasso, Payoff.DISCOUNTED, lam))
+                for lasso in _all_lassos(g, v, g.n)
             )
             assert (v in res.win_eve) == achievable, (g.edges, iu, v)
         done += 1

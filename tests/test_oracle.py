@@ -28,12 +28,10 @@ from intervalgames.liminf import parity_to_liminf
 from intervalgames import oracle
 from intervalgames.meanpayoff import solve_mp_interval
 from intervalgames.oracle import (
-    Lasso,
     TooLarge,
     brute_force_finite_horizon_ds,
     brute_force_positional,
     check_ds_values,
-    ds_value_lasso,
     one_player_mp_achievable,
     play_value,
 )
@@ -43,29 +41,21 @@ from intervalgames.totalsum import solve_total_interval
 from conftest import RAYS, make_rng
 
 
-def lasso(prefix, cycle):
-    edges = []
-    v = 0
-    for w in list(prefix) + list(cycle):
-        edges.append(Edge(v, 0, w))
-        v = 0
-    return Lasso(prefix=tuple(edges[: len(prefix)]), cycle=tuple(edges[len(prefix):]))
-
-
 def test_play_value_examples():
-    up = lasso((1,), (2,))
-    assert play_value(up, Payoff.LIMINF) == 2
-    assert play_value(up, Payoff.MP_INF) == 2
-    assert play_value(up, Payoff.TOTAL_INF) == PLUS_INF
+    up = ((1,), (2,))
+    assert play_value(*up, Payoff.LIMINF) == 2
+    assert play_value(*up, Payoff.MP_INF) == 2
+    assert play_value(*up, Payoff.TOTAL_INF) == PLUS_INF
 
-    seesaw = lasso((), (-1, 1))
-    assert play_value(seesaw, Payoff.MP_INF) == 0
-    assert play_value(seesaw, Payoff.TOTAL_INF) == -1
-    assert play_value(seesaw, Payoff.TOTAL_SUP) == 0
+    seesaw = ((), (-1, 1))
+    assert play_value(*seesaw, Payoff.MP_INF) == 0
+    assert play_value(*seesaw, Payoff.TOTAL_INF) == -1
+    assert play_value(*seesaw, Payoff.TOTAL_SUP) == 0
 
-    pulse = lasso((), (1, 0))
-    assert play_value(pulse, Payoff.DISCOUNTED, F(1, 2)) == F(4, 3)
-    assert play_value(pulse, Payoff.DISCOUNTED, F(1, 2)) == ds_value_lasso((), (1, 0), F(1, 2))
+    pulse = ((), (1, 0))
+    assert play_value(*pulse, Payoff.DISCOUNTED, F(1, 2)) == F(4, 3)
+    # the cycle read once more as a prefix leaves the value as it is
+    assert play_value((1, 0), (1, 0), Payoff.DISCOUNTED, F(1, 2)) == F(4, 3)
 
 
 def test_play_value_negation_swaps_inf_and_sup():
@@ -73,16 +63,29 @@ def test_play_value_negation_swaps_inf_and_sup():
     for _ in range(100):
         prefix = [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))]
         cycle = [rng.randint(-3, 3) for _ in range(rng.randint(1, 4))]
-        plain = lasso(prefix, cycle)
-        flipped = lasso([-w for w in prefix], [-w for w in cycle])
-        assert play_value(plain, Payoff.LIMSUP) == -play_value(flipped, Payoff.LIMINF)
-        assert play_value(plain, Payoff.MP_SUP) == -play_value(flipped, Payoff.MP_INF)
-        a = play_value(plain, Payoff.TOTAL_SUP)
-        b = play_value(flipped, Payoff.TOTAL_INF)
-        if a in (PLUS_INF, MINUS_INF):
-            assert b == -a
-        else:
-            assert b == -a
+        plain = (prefix, cycle)
+        flipped = ([-w for w in prefix], [-w for w in cycle])
+        assert play_value(*plain, Payoff.LIMSUP) == -play_value(*flipped, Payoff.LIMINF)
+        assert play_value(*plain, Payoff.MP_SUP) == -play_value(*flipped, Payoff.MP_INF)
+        assert play_value(*flipped, Payoff.TOTAL_INF) == -play_value(*plain, Payoff.TOTAL_SUP)
+
+
+def test_play_value_is_pinned():
+    # sha256 over the values of seeded plays, recorded once: prefixes of
+    # 0-3 weights (a quarter empty), cycles of 1-4, every payoff, the
+    # discounted one at four discount factors
+    rng = make_rng(94)
+    discounts = (F(1, 3), F(1, 2), F(2, 3), F(19, 20))
+    values = hashlib.sha256()
+    for _ in range(3000):
+        prefix = tuple(rng.randint(-4, 4) for _ in range(rng.randint(0, 3)))
+        cycle = tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 4)))
+        for payoff in Payoff:
+            for lam in discounts if payoff is Payoff.DISCOUNTED else (None,):
+                values.update(repr(play_value(prefix, cycle, payoff, lam)).encode())
+    assert values.hexdigest() == (
+        "7bbb3b54145acf1fc15aa7066263c7b9f16835b2b3df8bb8c215e03f367380c4"
+    )
 
 
 def test_oracle_is_deterministic():
@@ -161,7 +164,7 @@ def test_region_checks_run_under_optimization():
     )
     proc = _fresh_python("-O", "-c", code)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "oracle regions overlap\n" * 2
+    assert proc.stdout == "region sizes do not sum to the vertex count\n" * 2
 
 
 def _fresh_python(*args):
@@ -220,8 +223,8 @@ def test_total_sum_union_enumeration_is_no_bound():
     )
     res = brute_force_positional(g, Objective(Payoff.TOTAL_INF, iu))
     assert res == oracle.OracleRegions(frozenset({0, 1}), frozenset(), exact=False)
-    three_times = Lasso(prefix=(Edge(0, 0, 1),) * 3 + (Edge(0, 1, 0),), cycle=(Edge(1, 1, 0),))
-    assert play_value(three_times, Payoff.TOTAL_INF) == 3
+    # three times around v0's loop, then to v1 and around its loop
+    assert play_value((1, 1, 1, 0), (0,), Payoff.TOTAL_INF) == 3
     assert solve_total_interval(g, iu).vertices.verdict(0) is Verdict.ADAM
 
 
