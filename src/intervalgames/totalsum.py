@@ -23,13 +23,15 @@ winner P_down (Adam when the lowest piece is bounded below, Eve
 otherwise) wins every play that stays there.  The least credit f_down[v]
 with which P_down keeps the running sum from ever rising by more than
 f_down[v] from arena vertex v is Brim et al.'s progress measure on
-negated weights (`meanpayoff._energy_credits`).  An escape below the clamp
-onto v is pinned to the lowest region's priority when f_down[v] is finite
-and B >= E + f_down[v] + 1, E the largest |finite endpoint|; escapes
-above are the mirror image, with P_up, f_up and the weights as they are.
-`solve_total_interval` gives the soundness argument, and `_pin_bounds`
-sizes the default clamp from the largest finite credit.  This closes, among
-others, the whole countdown family.
+negated weights (`meanpayoff._energy_credits`).  When f_down[v] is finite
+and need = E + f_down[v] + 1 <= B, E the largest |finite endpoint|, a
+step onto v that takes the counter below -need is pinned to the lowest
+region's priority, so v's configurations stop at -need rather than at
+-B; escapes above are the mirror image, with P_up, f_up and the weights
+as they are, and a vertex with no finite credit on a side keeps the
+clamp there.  `solve_total_interval` gives the soundness argument, and
+`_pin_bounds` sizes the default clamp from the largest finite credit.
+This closes, among others, the whole countdown family.
 """
 
 from __future__ import annotations
@@ -201,10 +203,12 @@ def _clamped_game(
 
     Configuration (v, c) is owned by v's owner and has priority
     omega_I(c, pm); arena edge (v, dst, w) leads to (dst, c + w).  Only
-    configurations reachable from counter 0 are materialized.  An escape
-    below the clamp onto dst goes to the sink the lowest region's priority
-    wins for when `_pin_bounds` gives dst a need down[dst] <= bound, and
-    to LIMBO otherwise; escapes above are the mirror image with `up`.
+    configurations reachable from counter 0 are materialized.  Each arena
+    vertex has its own window: when `_pin_bounds` gives dst a need
+    down[dst] <= bound, a step to (dst, c2) with c2 < -down[dst] escapes
+    to the sink the lowest region's priority wins for; otherwise a step
+    below -bound escapes to LIMBO.  Escapes above are the mirror image
+    with `up`, past up[dst] or bound.
     """
     first = len(_SINK_SUCC)
 
@@ -213,6 +217,9 @@ def _clamped_game(
         return [pinned if need is not None and need <= bound else LIMBO for need in needs]
 
     below, above = map(escapes, (down, up), _outer_priorities(pm))
+    # per arena vertex, the lowest and the highest counter it is kept at
+    lows = [-bound if need is None else -min(need, bound) for need in down]
+    highs = [bound if need is None else min(need, bound) for need in up]
     dst, weight = g.dst, g.weight
     moves = [tuple((dst[k], weight[k]) for k in out) for out in g.out_edges]
     configs: list[Config] = [(v, 0) for v in range(g.n)]
@@ -225,9 +232,9 @@ def _clamped_game(
         out = []
         for dst, weight in moves[v]:
             c2 = c + weight
-            if c2 < -bound:
+            if c2 < lows[dst]:
                 out.append(below[dst])
-            elif c2 > bound:
+            elif c2 > highs[dst]:
                 out.append(above[dst])
             else:
                 cfg = (dst, c2)
@@ -295,23 +302,34 @@ def solve_total_interval(
     are sound for the true infinite game; the rest is UNKNOWN.
 
     The pessimistic run is solved first, and the optimistic run only
-    outside its Eve region.  Adam's edges are the same in both readings,
-    and LIMBO, the only way into LIMBO_WIN, is Eve's.  So the pessimistic
-    Eve region is an Eve dominion of the optimistic game: Adam cannot
-    leave it and Eve wins inside it.  Zielonka's Eve region is closed
-    under Eve's attractor in the pessimistic game.  The optimistic game
-    adds only LIMBO_WIN, whose one successor is itself and whose other
-    predecessor, LIMBO, lies outside the region; so the region is its own
-    Eve attractor there too.  What remains is a trap for Eve, and its
-    regions are the optimistic game's regions there.
+    outside its Eve region, and only when LIMBO has a predecessor there.
+    Adam's edges are the same in both readings, and LIMBO, the only way
+    into LIMBO_WIN, is Eve's.  So the pessimistic Eve region is an Eve
+    dominion of the optimistic game: Adam cannot leave it and Eve wins
+    inside it.  Zielonka's Eve region is closed under Eve's attractor in
+    the pessimistic game.  The optimistic game adds only LIMBO_WIN, whose
+    one successor is itself and whose other predecessor, LIMBO, lies
+    outside the region; so the region is its own Eve attractor there too.
+    What remains is a trap for Eve, and its regions are the optimistic
+    game's regions there.
 
-    An escape below the clamp onto arena vertex v is pinned to the lowest
-    region's priority when f_down[v] is finite and the clamp B is at
-    least E + f_down[v] + 1 (`_pin_bounds`).  Escapes above are the
-    mirror image.  The pin is the true worth of the escape, for every B
-    that passes the test.  The escape leaves the counter at c <= -B - 1.
-    With P_down's energy strategy from v, whatever the opponent does,
-    every later total is at most c + f_down[v] <= -E - 2.  Every finite
+    When no vertex outside the pessimistic Eve region has LIMBO as a
+    successor, the optimistic run is skipped.  In that trap no
+    configuration can reach LIMBO, so none can reach LIMBO_WIN, the only
+    vertex the two readings differ on: every configuration there sees
+    the same game in both readings, and the pessimistic reading gives it
+    to Adam.  So the optimistic regions on the configurations equal the
+    pessimistic ones, and no configuration is UNKNOWN.
+
+    A step onto arena vertex v that takes the counter below -need, where
+    need = E + f_down[v] + 1 (`_pin_bounds`), is pinned to the lowest
+    region's priority when f_down[v] is finite and need <= B; v's
+    configurations then stop at -need, not at -B.  Escapes above
+    are the mirror image.  The pin is the true worth of the escape, for
+    every B that passes the test.  The escape leaves the counter at
+    c <= -need - 1 = -E - f_down[v] - 2, whether or not c < -B.  With
+    P_down's energy strategy from v, whatever the opponent does, every
+    later total is at most c + f_down[v] <= -E - 2.  Every finite
     boundary is at least -E, so the counter stays strictly below all of
     them: the lowest region holds every later total, its priority is the
     one seen infinitely often, and it is P_down's.  So P_down wins from
@@ -334,7 +352,10 @@ def solve_total_interval(
     game, configs = _clamped_game(g, pm, b, down, up)
     everything = frozenset(range(game.n))
     pessimistic = solve_parity(game, everything - {LIMBO_WIN})
-    optimistic = solve_parity(game, everything - pessimistic.win_eve)
+    if pessimistic.win_adam.isdisjoint(game.pred[LIMBO]):
+        optimistic = pessimistic
+    else:
+        optimistic = solve_parity(game, everything - pessimistic.win_eve)
 
     first = len(_SINK_SUCC)
     explored = frozenset(configs)

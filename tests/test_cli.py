@@ -472,19 +472,26 @@ def test_total_sum_bound_flag(capsys, tmp_path):
     }
 
 
-def _solve_climb(tmp_path, bound: int, cap_mb: int) -> subprocess.CompletedProcess:
-    """Solve the climb game with the given clamp in a fresh process whose
-    address space alone is capped, at `cap_mb` megabytes.  Adam's +1 loop
-    at b lets the counter climb to the clamp, so a clamp of B materializes
-    about 2B configurations."""
-    g = GameGraph.from_edges(
-        ("a", "b"),
-        (Player.EVE, Player.ADAM),
-        (Edge(0, 1, 1), Edge(0, 0, 0), Edge(1, 0, -1), Edge(1, 1, 1)),
-        0,
-    )
+# Eve's a and Adam's b under total-inf [0, 1].  In the climb game Adam's
+# +1 loop at b lets the counter climb, but both vertices have finite
+# credits, so every escape is pinned within a few counters of zero and the
+# game has 6 configurations at any clamp.  In the wander game each vertex
+# has a +1 and a -1 loop and a 0 edge to the other, so Eve can drive the
+# counter either way from a: a has no finite credit, and a clamp of B
+# materializes about 2B configurations.
+CLIMB = (Edge(0, 1, 1), Edge(0, 0, 0), Edge(1, 0, -1), Edge(1, 1, 1))
+WANDER = (
+    Edge(0, 0, 1), Edge(0, 0, -1), Edge(0, 1, 0), Edge(1, 1, 1), Edge(1, 1, -1), Edge(1, 0, 0),
+)
+
+
+def _solve_total(tmp_path, edges, bound: int, cap_mb: int) -> subprocess.CompletedProcess:
+    """Solve the game on a and b with these edges and the given clamp in a
+    fresh process whose address space alone is capped, at `cap_mb`
+    megabytes."""
+    g = GameGraph.from_edges(("a", "b"), (Player.EVE, Player.ADAM), edges, 0)
     o = Objective(Payoff.TOTAL_INF, IntervalUnion((Interval(Fraction(0), Fraction(1)),)))
-    f = tmp_path / "climb.game"
+    f = tmp_path / "total.game"
     f.write_text(write_document(g, o))
     cap = cap_mb * 2**20
 
@@ -501,7 +508,7 @@ def _solve_climb(tmp_path, bound: int, cap_mb: int) -> subprocess.CompletedProce
 
 def test_large_total_sum_clamp_fits_in_512_mb(tmp_path):
     # a clamp of 100,000 must still answer
-    proc = _solve_climb(tmp_path, 100_000, 512)
+    proc = _solve_total(tmp_path, WANDER, 100_000, 512)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "EVE"
     assert "Traceback" not in proc.stderr
@@ -510,8 +517,15 @@ def test_large_total_sum_clamp_fits_in_512_mb(tmp_path):
 def test_running_out_of_memory_is_a_resource_guard(tmp_path):
     # a clamp of 1,000,000 needs more than 384 MB; the limit is set in the
     # child alone, so the machine is never asked for that much
-    proc = _solve_climb(tmp_path, 1_000_000, 384)
+    proc = _solve_total(tmp_path, WANDER, 1_000_000, 384)
     assert (proc.returncode, proc.stdout, proc.stderr) == (5, "", "error: out of memory\n")
+
+
+def test_pinned_escapes_do_not_grow_with_the_clamp(tmp_path):
+    # the climb game's escapes are pinned at each vertex's own need, so a
+    # clamp of 1,000,000 answers within the cap the wander game exceeds
+    proc = _solve_total(tmp_path, CLIMB, 1_000_000, 384)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "EVE\n", "")
 
 
 def test_late_malformed_entries_keep_their_messages(capsys, tmp_path):

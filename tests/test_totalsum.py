@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,7 @@ from intervalgames.generate import (
 )
 from intervalgames.liminf import integerize, omega_I
 from intervalgames.oracle import brute_force_positional, countdown_winner
+from intervalgames import totalsum
 from intervalgames.parity import Graph, attractor, solve_parity
 from intervalgames.totalsum import (
     ADAM_WINS,
@@ -48,6 +50,7 @@ from intervalgames.totalsum import (
 
 from conftest import make_rng, pm_has_finite_endpoint
 
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 POINT_ZERO = IntervalUnion((Interval(F(0), F(0)),))
 
 
@@ -74,7 +77,7 @@ def test_reduction_rejects_no_finite_boundary():
         totalsum_to_ocpg(g, IntervalUnion(()))
 
 
-def clamped_reduction(g, iu, bound):
+def clamped_reduction(g, iu, bound, windows=True):
     """Vertex verdicts of `totalsum_to_ocpg`'s one-counter game with its
     counter clamped to [-bound, bound], found by name in the reduced game.
 
@@ -83,18 +86,26 @@ def clamped_reduction(g, iu, bound):
     moving away from zero a pump never reaches its zero test again, while
     overshooting into a pump lets Eve ride it back to the test.  An escape
     onto the vertex of edge k is pinned to the outermost region's priority
-    on its side when the credit of g.edges[k].dst allows it at this
-    clamp, and goes to LIMBO otherwise.  The game is solved pessimistically
-    and then optimistically outside the pessimistic Eve region."""
+    on its side when the need of g.edges[k].dst on that side is at most
+    the clamp, and goes to LIMBO otherwise.  With `windows`, a pinned
+    edge vertex escapes past its own need, as the solver's vertices do;
+    without, every vertex escapes past the clamp.  The game is solved
+    pessimistically and then optimistically outside the pessimistic Eve
+    region."""
     pm = integerize(iu)
     p = totalsum_to_ocpg(g, iu)
     at = {name: u for u, name in enumerate(p.names)}
     top = 2 * pm.r + 1
     pins = ({at["bot"]: top, at["top"]: top - 1}, {at["top"]: top, at["bot"]: top - 1})
-    for need, pin, outer in zip(_pin_bounds(g, pm), pins, _outer_priorities(pm)):
+    # the last counter below and above at which each vertex is kept
+    lows, highs = [-bound] * p.n, [bound] * p.n
+    sides = zip(_pin_bounds(g, pm), pins, _outer_priorities(pm), (lows, highs), (-1, 1))
+    for need, pin, outer, last, side in sides:
         for k, e in enumerate(g.edges):
             if need[e.dst] is not None and need[e.dst] <= bound:
                 pin[at[f"e{k}"]] = outer
+                if windows:
+                    last[at[f"e{k}"]] = side * need[e.dst]
 
     first = len(_SINK_SUCC)
     configs = [(u, 0) for u in range(p.n)]
@@ -107,7 +118,7 @@ def clamped_reduction(g, iu, bound):
         out = []
         for dst, weight in moves:
             c2 = c + weight
-            if abs(c2) > bound:
+            if not lows[dst] <= c2 <= highs[dst]:
                 pin = pins[c2 > 0].get(dst)
                 out.append(LIMBO if pin is None else ADAM_WINS if pin % 2 else EVE_WINS)
                 continue
@@ -142,10 +153,16 @@ def clamped_reduction(g, iu, bound):
 
 
 def assert_matches_the_clamped_reduction(g, iu):
+    # equal to the reduction under the same windows; against the uniform
+    # clamp, every verdict the reduction decides is the solver's too
     default = _pin_bounds(g, integerize(iu))[2]
     for bound in range(1, default + 3):
-        solved = solve_total_interval(g, iu, bound=bound)
-        assert solved.vertices == clamped_reduction(g, iu, bound), (g, iu, bound)
+        solved = solve_total_interval(g, iu, bound=bound).vertices
+        assert solved == clamped_reduction(g, iu, bound), (g, iu, bound)
+        uniform = clamped_reduction(g, iu, bound, windows=False)
+        for v in range(g.n):
+            want = uniform.verdict(v)
+            assert want is Verdict.UNKNOWN or solved.verdict(v) is want, (g, iu, bound, v)
 
 
 def test_clamped_arena_matches_the_clamped_reduction():
@@ -215,27 +232,116 @@ def random_total_case(rng):
             return g, iu, pm
 
 
+def two_full_solves(game, configs):
+    """The configurations' Eve region in the pessimistic reading and Adam
+    region in the optimistic one, each solved on the whole game."""
+    everything = frozenset(range(game.n))
+    pessimistic = solve_parity(game, everything - {LIMBO_WIN})
+    optimistic = solve_parity(game)
+    assert attractor(game, pessimistic.win_eve, Player.EVE, everything) == pessimistic.win_eve
+    first = game.n - len(configs)
+    win_eve = {cfg for k, cfg in enumerate(configs, first) if k in pessimistic.win_eve}
+    win_adam = {cfg for k, cfg in enumerate(configs, first) if k in optimistic.win_adam}
+    return win_eve, win_adam
+
+
 def test_pessimistic_first_equals_two_full_solves():
     # the optimistic run is solved only outside the pessimistic Eve
-    # region, which is its own Eve attractor in the whole game; it must
-    # agree with solving the whole game
+    # region, which is its own Eve attractor in the whole game, and only
+    # when LIMBO has a predecessor there; it must agree with solving the
+    # whole game
     rng = make_rng(67)
     for _ in range(300):
         g, iu, pm = random_total_case(rng)
         down, up, default = _pin_bounds(g, pm)
         bound = rng.randint(1, default + 1)
         game, configs = _clamped_game(g, pm, bound, down, up)
-        everything = frozenset(range(game.n))
-        optimistic = solve_parity(game)
-        pessimistic = solve_parity(game, everything - {LIMBO_WIN})
-        assert attractor(game, pessimistic.win_eve, Player.EVE, everything) == pessimistic.win_eve
-        first = game.n - len(configs)
-        win_eve = {cfg for k, cfg in enumerate(configs, first) if k in pessimistic.win_eve}
-        win_adam = {cfg for k, cfg in enumerate(configs, first) if k in optimistic.win_adam}
+        win_eve, win_adam = two_full_solves(game, configs)
         res = solve_total_interval(g, iu, bound).configs
         assert res.win_eve == win_eve
         assert res.win_adam == win_adam
         assert res.unknown == set(configs) - win_eve - win_adam
+
+
+def test_optimistic_run_only_when_an_escape_is_left_to_chance(monkeypatch):
+    # with every escape pinned, LIMBO has no predecessor and one parity
+    # solve decides every configuration; an unpinned escape outside the
+    # pessimistic Eve region takes the second.  Both give the regions of
+    # two full solves
+    calls = []
+
+    def counting(game, alive=None):
+        calls.append(alive)
+        return solve_parity(game, alive)
+
+    monkeypatch.setattr(totalsum, "solve_parity", counting)
+    countdown, objective = read_document((CORPUS / "countdown_even.game").read_text())
+    zero_or_two = IntervalUnion((Interval(F(0), F(0)), Interval(F(2), F(2))))
+    cases = [(countdown, objective.intervals, None, 1), (adam_loop(2), zero_or_two, 1, 2)]
+    for g, iu, bound, want in cases:
+        calls.clear()
+        res = solve_total_interval(g, iu, bound)
+        assert len(calls) == want, g.names
+        pm = integerize(iu)
+        game, configs = _clamped_game(g, pm, res.bound, *_pin_bounds(g, pm)[:2])
+        assert bool(game.pred[LIMBO]) == (want == 2)
+        assert (res.configs.win_eve, res.configs.win_adam) == two_full_solves(game, configs)
+
+
+def uniform_clamp(g, iu, bound):
+    """Vertex verdicts of the arena's configurations with every vertex
+    kept out to the clamp: a step past [-bound, bound] escapes to its
+    pinned sink when `_pin_bounds` gives its target a need <= bound on
+    that side, and to LIMBO otherwise; both readings solved in full."""
+    pm = integerize(iu)
+    needs = _pin_bounds(g, pm)[:2]
+    pinned = [ADAM_WINS if p % 2 else EVE_WINS for p in _outer_priorities(pm)]
+    first = len(_SINK_SUCC)
+    configs = [(v, 0) for v in range(g.n)]
+    index = {cfg: k for k, cfg in enumerate(configs, first)}
+    succ = list(_SINK_SUCC)
+    for v, c in configs:
+        out = []
+        for k in g.out_edges[v]:
+            dst, c2 = g.dst[k], c + g.weight[k]
+            if abs(c2) > bound:
+                need = needs[c2 > 0][dst]
+                out.append(pinned[c2 > 0] if need is not None and need <= bound else LIMBO)
+                continue
+            if (dst, c2) not in index:
+                index[dst, c2] = first + len(configs)
+                configs.append((dst, c2))
+            out.append(index[dst, c2])
+        succ.append(out)
+    owner = (Player.EVE,) * first + tuple(g.owner[v] for v, _ in configs)
+    priority = _SINK_PRIORITIES + tuple(omega_I(c, pm) for _, c in configs)
+    win_eve, win_adam = two_full_solves(Graph.of(owner, priority, succ), configs)
+    return Regions(
+        win_eve=frozenset(v for v, c in win_eve if c == 0),
+        win_adam=frozenset(v for v, c in win_adam if c == 0),
+        unknown=frozenset(v for v, c in set(configs) - win_eve - win_adam if c == 0),
+    )
+
+
+def test_windows_never_flip_or_lose_a_uniform_clamp_verdict():
+    # pinning an escape at its own vertex's need replaces configurations
+    # by their true worth, so every verdict the uniform clamp decides is
+    # kept, and an UNKNOWN one may become definite
+    rng = make_rng(73)
+    done = 0
+    while done < 1000:
+        g = random_game(rng, rng.randint(1, 7), max_weight=rng.randint(1, 3))
+        iu = random_interval_union(rng, rng.randint(1, 3), 3)
+        pm = integerize(iu)
+        if pm.is_empty or not pm_has_finite_endpoint(iu):
+            continue
+        for bound in (None, 1, 2, 8, 20):
+            res = solve_total_interval(g, iu, bound)
+            uniform = uniform_clamp(g, iu, res.bound)
+            for v in range(g.n):
+                want, got = uniform.verdict(v), res.vertices.verdict(v)
+                assert want is Verdict.UNKNOWN or got is want, (g, iu, bound, v)
+        done += 1
 
 
 def test_clamped_graph_is_well_formed():
