@@ -42,10 +42,6 @@ class UnknownVertexReference(DocumentError):
 class DeadEndVertexError(DocumentError):
     """A vertex has no outgoing edge (zero-test edges count as exits)."""
 
-    def __init__(self, vertex: str):
-        super().__init__(f"vertex {vertex!r} has no outgoing edge")
-        self.vertex = vertex
-
 
 class LambdaOutOfRange(DocumentError):
     pass
@@ -258,7 +254,8 @@ class Arena:
         # dead end
         srcs = set(self.src).union(z[0] for z in zero)
         if len(srcs) < n:
-            raise DeadEndVertexError(self.names[min(set(range(n)) - srcs)])
+            name = self.names[min(set(range(n)) - srcs)]
+            raise DeadEndVertexError(f"vertex {name!r} has no outgoing edge")
 
     def _walk_edges(self, zero: Iterable[Edge]) -> None:
         """Raise for the first edge, in edge-list order and then the
@@ -388,16 +385,6 @@ class Interval:
         ):
             raise EmptyInterval(f"empty interval {self}")
 
-    @property
-    def is_singleton(self) -> bool:
-        return self.lo == self.hi
-
-    def width(self) -> ExtRational:
-        """hi - lo; PLUS_INF when either endpoint is infinite."""
-        if isinstance(self.lo, Infinity) or isinstance(self.hi, Infinity):
-            return PLUS_INF
-        return self.hi - self.lo
-
     def contains(self, x: ExtRational) -> bool:
         if x == PLUS_INF:
             return self.hi == PLUS_INF
@@ -464,15 +451,18 @@ class IntervalUnion:
         return not self.intervals
 
     @property
-    def has_singleton_interval(self) -> bool:
-        return any(j.is_singleton for j in self.intervals)
+    def endpoints(self) -> tuple[ExtRational, ...]:
+        """lo, hi of each interval in order: two neighbours bound an interval
+        or a gap, and only the first and the last may be infinite."""
+        return tuple(x for j in self.intervals for x in (j.lo, j.hi))
 
     @property
-    def has_singleton_gap(self) -> bool:
-        for a, b in zip(self.intervals, self.intervals[1:]):
-            if a.hi == b.lo and a.hi_open and b.lo_open:
-                return True
-        return False
+    def has_singleton(self) -> bool:
+        """Whether an interval or a gap is one point: two neighbouring
+        endpoints are equal (intervals that touch merge unless both ends
+        there are open)."""
+        ends = self.endpoints
+        return any(a == b for a, b in zip(ends, ends[1:]))
 
     @property
     def inf(self) -> Optional[ExtRational]:
@@ -566,7 +556,6 @@ class Regions:
 # documents
 
 _PAYOFF_BY_NAME = {p.value: p for p in Payoff}
-_ARENA_BY_PAYOFF = {cls.PAYOFF: cls for cls in (ParityGame, OneCounterParityGame)}
 _OWNER_BY_NAME = {p.value: p for p in Player}
 
 
@@ -619,12 +608,12 @@ _SRC_KEY, _DST_KEY, _WEIGHT_KEY = map(itemgetter, ("src", "dst", "weight"))
 
 
 def _read_edges(
-    entries, index_of: Mapping[str, int], weighted: bool, what: str
+    entries, index_of: Mapping[str, int], weighted: bool
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """The src, dst and weight columns of a document's edges, in range as
     `index_of` lookups and checked: a weight is required on `weighted`
     edges and ignored, once checked, on the others, which weigh 0."""
-    entries = _expect_list(entries, what + "s")
+    entries = _expect_list(entries, "edges")
     index = index_of.__getitem__
     try:
         srcs = tuple(map(index, map(_SRC_KEY, entries)))
@@ -640,32 +629,30 @@ def _read_edges(
     else:
         if typed:
             return srcs, dsts, weights
-    _raise_for_bad_edge(entries, index_of, weighted, what)
+    _raise_for_bad_edge(entries, index_of, weighted)
 
 
-def _raise_for_bad_edge(
-    entries: list, index_of: Mapping[str, int], weighted: bool, what: str
-) -> NoReturn:
+def _raise_for_bad_edge(entries: list, index_of: Mapping[str, int], weighted: bool) -> NoReturn:
     """Raise for the first edge entry, in list order, that `_read_edges`
     could not read."""
     for entry in entries:
         if not isinstance(entry, dict):
-            raise MalformedDocument(f"bad {what} entry {entry!r}")
-        _expect_keys(entry, ("src", "dst"), what)
+            raise MalformedDocument(f"bad edge entry {entry!r}")
+        _expect_keys(entry, ("src", "dst"), "edge")
         for end in (entry["src"], entry["dst"]):
             try:
                 known = end in index_of
             except TypeError:
-                raise MalformedDocument(f"{what} {entry!r}: vertex ids must be strings")
+                raise MalformedDocument(f"edge {entry!r}: vertex ids must be strings")
             if not known:
-                raise UnknownVertexReference(f"{what} references unknown vertex {end!r}")
+                raise UnknownVertexReference(f"edge references unknown vertex {end!r}")
         weight = entry.get("weight")
         if weight is None:
             if weighted:
-                raise MalformedDocument(f"{what} {entry!r}: missing weight")
+                raise MalformedDocument(f"edge {entry!r}: missing weight")
         elif type(weight) is not int:
-            raise MalformedDocument(f"{what} {entry!r}: weight must be an integer")
-    raise AssertionError(f"{what} entries rejected in bulk are each readable")
+            raise MalformedDocument(f"edge {entry!r}: weight must be an integer")
+    raise AssertionError("edge entries rejected in bulk are each readable")
 
 
 def _read_flag(entry: dict, key: str, default: bool) -> bool:
@@ -708,11 +695,13 @@ def read_document(text: str) -> tuple[Arena, Optional[Objective]]:
     """Decode and validate a document into (game, objective), dispatching
     on its payoff.
 
-    Payoff "parity" gives a ParityGame (edge weights are ignored) and
-    "ocpg" a OneCounterParityGame, each with objective None; every
-    `Payoff` value gives a game graph with its objective.  So
-    `write_document(*read_document(text))` writes any document back.  A
-    malformed document raises a DocumentError.
+    Payoff "parity" gives a ParityGame (edge weights are ignored) with
+    objective None, and every `Payoff` value a game graph with its
+    objective: the two kinds of game that commands solve.  Payoff "ocpg",
+    which `write_document` writes for a one-counter game, is refused by
+    its name with `UnsupportedObjective` before any vertex or edge is read.
+    So `write_document(*read_document(text))` writes back any document
+    this reader accepts.  A malformed document raises a DocumentError.
     """
     try:
         doc = json.loads(text)
@@ -730,7 +719,11 @@ def read_document(text: str) -> tuple[Arena, Optional[Objective]]:
     payoff_name = obj["payoff"]
     if not isinstance(payoff_name, str):
         raise MalformedDocument(f"payoff {payoff_name!r} is not a string")
-    cls = _ARENA_BY_PAYOFF.get(payoff_name, GameGraph)
+    if payoff_name == OneCounterParityGame.PAYOFF:
+        raise UnsupportedObjective(
+            "one-counter documents are reduction outputs and cannot be solved directly"
+        )
+    cls = ParityGame if payoff_name == ParityGame.PAYOFF else GameGraph
     objective = _read_objective(obj, payoff_name) if cls is GameGraph else None
 
     names, owners, priorities = _read_vertices(doc["vertices"], "priority" in cls.COLUMNS)
@@ -740,15 +733,10 @@ def read_document(text: str) -> tuple[Arena, Optional[Objective]]:
         raise MalformedDocument(f"initial vertex {initial!r} is not a vertex id")
     if initial not in index_of:
         raise UnknownVertexReference(f"initial vertex {initial!r} not listed")
-    src, dst, weight = _read_edges(doc["edges"], index_of, "weight" in cls.COLUMNS, "edge")
+    src, dst, weight = _read_edges(doc["edges"], index_of, "weight" in cls.COLUMNS)
     columns = {"initial": index_of[initial]}
     if "priority" in cls.COLUMNS:
         columns["priority"] = tuple(priorities)
-    if "zero_edges" in cls.COLUMNS:
-        zero_edges = doc.get("zero_edges", [])
-        columns["zero_edges"] = tuple(
-            map(Edge, *_read_edges(zero_edges, index_of, False, "zero edge"))
-        )
     game = cls(tuple(names), tuple(owners), src, dst, weight, **columns, checked=True)
     return game, objective
 
@@ -765,11 +753,15 @@ def _interval_to_doc(j: Interval) -> dict:
 def write_document(
     game: Arena, objective: Optional[Objective] = None, comment: Optional[str] = None
 ) -> str:
-    """Document text of a game, read back by `read_document`.
+    """Document text of a game, read back by `read_document` unless it is
+    a one-counter game's.
 
     Only the columns the game's type has are written; a game graph's
-    document takes its payoff and intervals from `objective`.
+    document takes its payoff and intervals from `objective`, which is
+    required for a game graph and refused for a type with its own payoff.
     """
+    if (objective is None) != (game.PAYOFF is not None):
+        raise BadParameters("a document has an objective exactly when its game is a game graph")
     names = game.names
     doc: dict = {} if comment is None else {"comment": comment}
     doc["vertices"] = [{"id": name, "owner": owner.value} for name, owner in zip(names, game.owner)]

@@ -29,7 +29,6 @@ from .arena import (
     GameError,
     MalformedDocument,
     Objective,
-    OneCounterParityGame,
     Payoff,
     UnsupportedObjective,
     Verdict,
@@ -51,18 +50,12 @@ class OracleDisagreement(GameError):
 
 
 def _load_document(path: str):
-    """Returns the document's (game, objective), the objective None for a
-    parity game; a one-counter document is refused."""
+    """The document's (game, objective), the objective None for a parity game."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise MalformedDocument(f"cannot read {path}: {exc}") from exc
-    g, o = read_document(text)
-    if isinstance(g, OneCounterParityGame):
-        raise UnsupportedObjective(
-            "one-counter documents are reduction outputs and cannot be solved directly"
-        )
-    return g, o
+    return read_document(text)
 
 
 def _solve_game(g, o: Optional[Objective], bound: Optional[int]):

@@ -221,16 +221,11 @@ def horizon(g: GameGraph, lam: Fraction, width: Fraction) -> int:
 
 
 def _min_decision_width(iu: IntervalUnion) -> Optional[Fraction]:
-    """Minimum over bounded interval widths and bounded gap widths; None
-    when there is no bounded piece on either side."""
-    widths = []
-    for j in iu.intervals:
-        w = j.width()
-        if not isinstance(w, Infinity):
-            widths.append(w)
-    for a, b in zip(iu.intervals, iu.intervals[1:]):
-        widths.append(b.lo - a.hi)
-    return min(widths) if widths else None
+    """Minimum over bounded interval widths and bounded gap widths, the
+    differences of two finite neighbouring endpoints; None when there is
+    no bounded piece on either side."""
+    ends = [x for x in iu.endpoints if not isinstance(x, Infinity)]
+    return min((b - a for a, b in zip(ends, ends[1:])), default=None)
 
 
 def decision_depth(g: GameGraph, lam: Fraction, iu: IntervalUnion) -> int:
@@ -282,7 +277,7 @@ def solve_ds_interval(g: GameGraph, lam: Fraction, iu: IntervalUnion) -> Regions
     reach from 0, and the vertices reachable in exactly k steps matter.
     Eve wins from v when S(v, 0) holds 0.
     """
-    if iu.has_singleton_interval or iu.has_singleton_gap:
+    if iu.has_singleton:
         raise SingletonNotSupported(
             "singleton intervals unsupported for discounted sum"
         )

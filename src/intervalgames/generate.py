@@ -96,7 +96,7 @@ def random_interval_union(
         if allow_unbounded and rng.random() < 0.2:
             pieces.append(Interval(MINUS_INF, point(), True, rng.random() < 0.5))
         union = IntervalUnion(tuple(pieces))
-        if forbid_singletons and (union.has_singleton_interval or union.has_singleton_gap):
+        if forbid_singletons and union.has_singleton:
             continue
         return union
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .arena import (
     ExtRational,
@@ -82,7 +82,7 @@ def play_value(
     raise GameError(f"no play value for payoff {payoff}")
 
 
-def _lasso_from(choice: Sequence[int], g: GameGraph, start: int) -> tuple[list[int], list[int]]:
+def _lasso_from(choice: Mapping[int, int], g: GameGraph, start: int) -> tuple[list[int], list[int]]:
     """The (prefix, cycle) weights of the play that follows one edge choice
     per vertex from `start` until a vertex repeats."""
     seen: dict[int, int] = {}
@@ -96,22 +96,12 @@ def _lasso_from(choice: Sequence[int], g: GameGraph, start: int) -> tuple[list[i
     return weights[:k], weights[k:]
 
 
-def _strategy_space(game, player: Player):
+def _strategies(game, player: Player) -> Iterator[dict[int, int]]:
+    """Each positional strategy of `player` as a map from their vertices to
+    the edge chosen there; two players' maps merge into a profile."""
     vertices = [v for v in range(game.n) if game.owner[v] is player]
-    slots = [game.out_edges[v] for v in vertices]
-    return vertices, slots
-
-
-def _assemble(n: int, own_vertices, mine, other_vertices, theirs) -> list[int]:
-    """The edge chosen at each of n vertices when one player's vertices
-    follow `mine` and the other's follow `theirs`, one edge per vertex in
-    list order."""
-    choice = [0] * n
-    for v, j in zip(own_vertices, mine):
-        choice[v] = j
-    for v, j in zip(other_vertices, theirs):
-        choice[v] = j
-    return choice
+    for choice in itertools.product(*(game.out_edges[v] for v in vertices)):
+        yield dict(zip(vertices, choice))
 
 
 def _guard_pairs(game) -> None:
@@ -154,15 +144,13 @@ def _pair_enumeration(game: GameGraph, wins_for_eve) -> tuple[frozenset[int], fr
         (Player.EVE, wins_for_eve),
         (Player.ADAM, lambda lasso: not wins_for_eve(lasso)),
     ):
-        own_vertices, own_slots = _strategy_space(game, player)
-        other_vertices, other_slots = _strategy_space(game, player.opponent)
         won = set()
-        for mine in itertools.product(*own_slots):
+        for mine in _strategies(game, player):
             good = set(range(n)) - won
             if not good:
                 break
-            for theirs in itertools.product(*other_slots):
-                choice = _assemble(n, own_vertices, mine, other_vertices, theirs)
+            for theirs in _strategies(game, player.opponent):
+                choice = {**mine, **theirs}
                 good = {v for v in good if passes(_lasso_from(choice, game, v))}
                 if not good:
                     break
@@ -242,10 +230,9 @@ def _mp_union_bounds(g: GameGraph, iu: IntervalUnion) -> OracleRegions:
     and upper limit averages lie in the cycle-mean range of the component
     it ends in, and each value there is the limit average of some play."""
 
-    def residual(fixed_vertices, fixed_choice) -> GameGraph:
+    def residual(chosen: dict[int, int]) -> GameGraph:
         # g's own columns at the kept edges: the chosen one at each fixed
         # vertex and every edge elsewhere
-        chosen = dict(zip(fixed_vertices, fixed_choice))
         kept = [j for v in range(g.n) for j in g.out_edges[v] if chosen.get(v, j) == j]
         columns = (tuple(map(c.__getitem__, kept)) for c in (g.src, g.dst, g.weight))
         return GameGraph(g.names, (Player.EVE,) * g.n, *columns, initial=g.initial, checked=True)
@@ -254,10 +241,9 @@ def _mp_union_bounds(g: GameGraph, iu: IntervalUnion) -> OracleRegions:
     # a fixed strategy wins where the other side, playing the rest alone,
     # cannot reach a mean in its own union
     for player, opposed in ((Player.EVE, complement_intervals(iu)), (Player.ADAM, iu)):
-        vertices, slots = _strategy_space(g, player)
         won = set()
-        for fixed in itertools.product(*slots):
-            reached = one_player_mp_achievable(residual(vertices, fixed), opposed)
+        for fixed in _strategies(g, player):
+            reached = one_player_mp_achievable(residual(fixed), opposed)
             won |= {v for v in range(g.n) if not reached[v]}
         regions.append(frozenset(won))
     return OracleRegions(*regions, exact=False)
@@ -307,31 +293,25 @@ def one_player_mp_achievable(g: GameGraph, iu: IntervalUnion) -> list[bool]:
 
 
 def positional_ds_values(g: GameGraph, lam: Fraction) -> tuple[tuple[Fraction, ...], ...]:
-    """(minmax, maxmin, maxmax, minmin) per vertex, enumerating each pair
-    of positional strategies once: minmax is the best over Eve's
-    strategies of the worst over Adam's and maxmin the worst of the best;
-    maxmax is Adam's best against the first Eve strategy that attains
-    minmax everywhere, and minmin his worst against the first that attains
-    maxmin."""
+    """(minmax, maxmin) per vertex, the two discounted game values,
+    enumerating each pair of positional strategies once: minmax is the
+    best over Eve's strategies of the worst over Adam's (Eve maximizing)
+    and maxmin the worst of the best (Eve minimizing)."""
     _guard_pairs(g)
     n = g.n
-    eve_vertices, eve_slots = _strategy_space(g, Player.EVE)
-    adam_vertices, adam_slots = _strategy_space(g, Player.ADAM)
-    taus = list(itertools.product(*adam_slots))
+    taus = list(_strategies(g, Player.ADAM))
     columns = []  # per Eve strategy: the (min, max) over Adam's, per vertex
-    for sigma in itertools.product(*eve_slots):
+    for sigma in _strategies(g, Player.EVE):
         lows = highs = None
         for tau in taus:
-            choice = _assemble(n, eve_vertices, sigma, adam_vertices, tau)
+            choice = {**sigma, **tau}
             row = [play_value(*_lasso_from(choice, g, v), Payoff.DISCOUNTED, lam) for v in range(n)]
             lows = row if lows is None else list(map(min, lows, row))
             highs = row if highs is None else list(map(max, highs, row))
-        columns.append((tuple(lows), tuple(highs)))
+        columns.append((lows, highs))
     minmax = tuple(max(lows[v] for lows, _ in columns) for v in range(n))
     maxmin = tuple(min(highs[v] for _, highs in columns) for v in range(n))
-    maxmax = next(highs for lows, highs in columns if lows == minmax)
-    minmin = next(lows for lows, highs in columns if highs == maxmin)
-    return minmax, maxmin, maxmax, minmin
+    return minmax, maxmin
 
 
 def brute_force_finite_horizon_ds(
@@ -349,8 +329,18 @@ def brute_force_finite_horizon_ds(
     The node guard counts the trees of all n roots.  The search recurses
     once per step; deeper than the interpreter stack allows, it raises
     `TooLarge` naming the depth.
+
+    The endgame asks if the interval meeting the reach window holds
+    x + factor*val(v), val minmax when its lower endpoint is in the window
+    and maxmin when not.  From `decision_depth` on the window is narrower
+    than any bounded interval or gap, so there that interval is an upward
+    ray in the first case and a downward one in the second.  With maxmax
+    and minmin Adam's best and worst replies to Eve's strategies attaining
+    minmax and maxmin, maxmax >= minmax >= minmin and maxmax >= maxmin >=
+    minmin, so asking that minmax and maxmax, or minmin and maxmin, both
+    land inside says the same.
     """
-    if iu.has_singleton_interval or iu.has_singleton_gap:
+    if iu.has_singleton:
         raise UnsupportedObjective("singleton intervals unsupported for discounted sum")
     n = g.n
     if iu.is_empty:
@@ -368,22 +358,16 @@ def brute_force_finite_horizon_ds(
             raise TooLarge("finite-horizon search exceeds the node guard")
         layer *= branching
 
-    minmax, maxmin, maxmax, minmin = positional_ds_values(g, lam)
+    minmax, maxmin = positional_ds_values(g, lam)
     reach = Fraction(w) / (1 - lam)
 
     def endgame(v: int, x: Fraction, factor: Fraction) -> bool:
         lo, hi = x - factor * reach, x + factor * reach
-        candidates = [j for j in iu.intervals if j.intersects_closed(lo, hi)]
-        if not candidates:
+        target = next((j for j in iu.intervals if j.intersects_closed(lo, hi)), None)
+        if target is None:
             return False
-        target = candidates[0]
-        if target.contains(x + factor * minmax[v]) and target.contains(
-            x + factor * maxmax[v]
-        ):
-            return True
-        return target.contains(x + factor * minmin[v]) and target.contains(
-            x + factor * maxmin[v]
-        )
+        values = minmax if target.lo >= lo else maxmin
+        return target.contains(x + factor * values[v])
 
     def wins(v: int, k: int, x: Fraction, factor: Fraction) -> bool:
         if k == depth:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from intervalgames import cli
 from intervalgames.arena import (
     Arena,
+    BadParameters,
     DeadEndVertexError,
     Edge,
     EmptyInterval,
@@ -42,6 +43,7 @@ from intervalgames.arena import (
     write_document,
 )
 from intervalgames.cli import main
+from intervalgames.discounted import _min_decision_width
 from intervalgames.generate import (
     random_game,
     random_objective,
@@ -85,7 +87,7 @@ def test_parse_smallest_legal_arena():
     )
     assert g.n == 1 and len(g.edges) == 1
     assert o.payoff is Payoff.LIMINF
-    assert o.intervals.intervals[0].is_singleton
+    assert o.intervals.has_singleton
 
 
 def test_parse_band_union_document():
@@ -339,6 +341,18 @@ def test_round_trip_on_random_instances():
         assert serialize_game(g2, o2) == text
 
 
+def test_writer_needs_an_objective_for_a_game_graph():
+    g, _ = read_document(FIG1_DOC)
+    with pytest.raises(BadParameters):
+        write_document(g)
+
+
+def test_writer_refuses_an_objective_for_a_parity_game():
+    _, o = read_document(FIG1_DOC)
+    with pytest.raises(BadParameters):
+        write_document(random_parity_game(make_rng(12), 3), o)
+
+
 def test_interval_union_canonical_merge():
     # [0,1] u (1,2] merges, [0,1) u (1,2] does not
     a = IntervalUnion((Interval(F(0), F(1)), Interval(F(1), F(2), True, False)))
@@ -346,8 +360,7 @@ def test_interval_union_canonical_merge():
     assert a.intervals[0] == Interval(F(0), F(2))
     b = IntervalUnion((Interval(F(0), F(1), False, True), Interval(F(1), F(2), True, False)))
     assert len(b.intervals) == 2
-    assert b.has_singleton_gap
-    assert not b.has_singleton_interval
+    assert b.has_singleton and not a.has_singleton
 
 
 def _rank(x):
@@ -482,8 +495,7 @@ def test_sup_solves_agree_with_the_oracle(payoff, n, seed):
 @pytest.mark.parametrize(
     "path",
     sorted((ROOT / "corpus").glob("*.game"))
-    + sorted((ROOT / "tests" / "golden").glob("*.game"))
-    + sorted((ROOT / "tests" / "golden").glob("*.ocpg")),
+    + sorted((ROOT / "tests" / "golden").glob("*.game")),
     ids=lambda path: path.name,
 )
 def test_documents_round_trip_byte_for_byte(path):
@@ -536,6 +548,19 @@ def interval_unions(draw):
 @given(interval_unions())
 def test_complement_is_involution(iu):
     assert complement_intervals(complement_intervals(iu)) == iu
+
+
+@settings(max_examples=300, deadline=None)
+@given(interval_unions())
+def test_endpoint_view_matches_pieces_and_gaps(iu):
+    # the per-piece and per-gap definitions that the endpoint view replaced
+    pieces, gaps = iu.intervals, list(zip(iu.intervals, iu.intervals[1:]))
+    singleton = any(j.lo == j.hi for j in pieces)
+    singleton |= any(a.hi == b.lo and a.hi_open and b.lo_open for a, b in gaps)
+    assert iu.has_singleton == singleton
+    bounded = [j for j in pieces if not (isinstance(j.lo, Infinity) or isinstance(j.hi, Infinity))]
+    widths = [j.hi - j.lo for j in bounded] + [b.lo - a.hi for a, b in gaps]
+    assert _min_decision_width(iu) == (min(widths) if widths else None)
 
 
 @settings(max_examples=300, deadline=None)

@@ -424,14 +424,18 @@ def test_every_command_refuses_one_counter_documents(capsys, tmp_path):
     assert code == 0
     f = tmp_path / "loop0.ocpg"
     f.write_text(text)
+    # the payoff name alone refuses it, whatever the rest of the document holds
+    junk = tmp_path / "junk.ocpg"
+    junk.write_text(json.dumps({**json.loads(text), "zero_edges": [5, {"src": 1}]}))
     message = "error: one-counter documents are reduction outputs and cannot be solved directly\n"
-    for argv in (
-        ("solve", f),
-        ("check", f, "--suite", "oracle"),
-        ("check", f, "--suite", "stability"),
-        ("reduce", f, "--to", "parity"),
-    ):
-        assert run(capsys, *argv) == (3, "", message), argv
+    for path in (f, junk):
+        for argv in (
+            ("solve", path),
+            ("check", path, "--suite", "oracle"),
+            ("check", path, "--suite", "stability"),
+            ("reduce", path, "--to", "parity"),
+        ):
+            assert run(capsys, *argv) == (3, "", message), argv
 
 
 def test_total_sum_bound_flag(capsys, tmp_path):
