@@ -4,14 +4,16 @@ The threshold problem ("can Eve force the liminf average weight to be at
 least a") is solved with an energy-style progress measure after an affine
 rescale to integer weights and threshold zero.  Strict comparisons reduce
 to non-strict ones because cycle means in a game with n vertices are
-rationals with denominator at most n.  Each threshold solves both sides'
-energy games under a growing credit cap: a finite entry of a capped
-measure is already a winning certificate for its side, so the rounds stop
-as soon as the two finite regions cover the vertices, and only a last
-round, which always covers, climbs to the exact bound.  Between rounds
-each side's region is closed under its attractor, and the next round
-solves only the undecided rest.  The interval solver iterates threshold
-calls, peeling off regions the opponent wins outright, and nests
+rationals with denominator at most n.  Each threshold solves energy
+games in rounds under a growing credit cap: a finite entry of a capped
+measure is already a winning certificate for its side.  A round solves
+the player's game, closes her certified region under her attractor, and
+solves the opponent's game only on the trap left outside it, so the
+rounds stop as soon as the two regions cover the vertices, and only a
+last round, which always covers, climbs to the exact bound.  The next
+round solves only the rest outside both sides' attractors.  The
+interval solver iterates threshold calls, peeling off regions the
+opponent wins outright, and nests
 objectives with fewer finite interval boundaries, swapping the players'
 roles at each complement, as mean-payoff games are positionally
 determined (Ehrenfeucht & Mycielski 1979).  A single interval is the
@@ -148,23 +150,31 @@ def _threshold(
 ) -> frozenset[int]:
     """Where `player` forces MP >= a (MP > a when `strict`) in `alive`.
 
-    Each round solves both sides' energy games under one credit cap
-    (`_energy_credits`) on the vertices still undecided: the first at one
-    rescaled weight, each next one four times higher, and the last, once
-    the multiple reaches the number of undecided vertices, at Brim's bound
-    M over them.  Under any cap a finite entry certifies its side: the
-    player's rescaled sums stay bounded below, so her mean is at least a
-    (above a, by the one-unit shift, when strict), and the opponent's sums
-    on negated weights keep the mean below a (at most a when strict).  So
-    the two regions are disjoint, and once they cover the round's vertices
-    they decide them.  At M each region is exact, so the last round always
+    Each round solves energy games under one credit cap
+    (`_energy_credits`) on the vertices still undecided, `rest`: the first
+    at one rescaled weight, each next one four times higher, and the last,
+    once the multiple reaches |rest|, at Brim's bound M.  Under any cap a
+    finite entry certifies its side: the player's rescaled sums stay
+    bounded below, so her mean is at least a (above a, by the one-unit
+    shift, when strict), and the opponent's sums on negated weights keep
+    the mean below a (at most a when strict).
+
+    A round solves the player's game first and closes her finite region
+    under her attractor in `rest`, which gives A; mean-payoff is prefix
+    independent, so she wins all of A.  The opponent's game runs only on
+    `other` = rest - A, and not at all when that is empty.  `other` is a
+    subgame, since a player vertex outside A has no edge into it and an
+    opponent vertex outside A keeps an edge outside it, and a trap for
+    the player.  So a finite entry of his measure on `other` certifies
+    his win in `rest` too: playing by it he never leaves `other`, and the
+    player cannot.  The two regions are disjoint, and once A and his
+    region cover `rest` they decide it.  At M, A is the player's exact
+    region, the opponent wins all of `other`, so the last round always
     covers, and checking the partition of `alive` also checks the strict
     rescaling at run time.
 
-    A round that leaves vertices undecided hands the next one only the
-    rest: the vertices outside the player's attractor of her region and
-    outside the opponent's attractor of his region in what remains.
-    Mean-payoff is prefix independent, so each side wins its attractor.
+    A round that leaves vertices undecided closes the opponent's region
+    under his attractor in `other` and hands the next round the rest.
     Every vertex of the rest keeps an edge into it, and an edge that
     leaves it enters the region of the side that does not own the edge's
     source, so leaving loses and each rest vertex has the same winner in
@@ -180,20 +190,23 @@ def _threshold(
     while rest:
         cap_units = None if units >= len(rest) else units
         f, top = _energy_credits(g, rest, player, scale, -offset - strict, cap_units)
-        won_here = frozenset(v for v in rest if f[v] < top)
-        # the opponent forces the complementary strict/non-strict
-        # threshold on negated weights
-        f, top = _energy_credits(g, rest, player.opponent, -scale, offset - 1 + strict, cap_units)
-        lost_here = frozenset(v for v in rest if f[v] < top)
+        # she also wins wherever she can force play into her region, and
+        # the opponent's game runs only on the trap she leaves him
+        won_here = attractor(g, (v for v in rest if f[v] < top), player, rest)
+        other = rest - won_here
+        lost_here = frozenset()
+        if other:
+            # the opponent forces the complementary strict/non-strict
+            # threshold on negated weights
+            f, top = _energy_credits(g, other, player.opponent, -scale, offset - 1 + strict, cap_units)
+            lost_here = frozenset(v for v in other if f[v] < top)
         if cap_units is None or len(won_here) + len(lost_here) == len(rest):
             won, lost = won | won_here, lost | lost_here
             break
-        # each side also wins wherever it can force play into its region;
         # the next round solves only the rest, which keeps the winners
-        won_here = attractor(g, won_here, player, rest)
-        lost_here = attractor(g, lost_here, player.opponent, rest - won_here)
+        lost_here = attractor(g, lost_here, player.opponent, other)
         won, lost = won | won_here, lost | lost_here
-        rest = rest - won_here - lost_here
+        rest = other - lost_here
         units *= 4
     Regions(win_eve=won, win_adam=lost).check_partition(alive)
     return won

@@ -75,22 +75,31 @@ def test_threshold_le_lt():
 
 
 def record_rounds(monkeypatch) -> list[list]:
-    """Patch the threshold solver to log, per threshold, the `_cap_units`
-    of each of its energy games (None for the round at Brim's bound)."""
+    """Patch the threshold solver to log, per threshold, each of its energy
+    games as (side, cap): side "player" for the game of the player the
+    threshold asks about, which opens every round, and "opponent" for his
+    game; cap the `_cap_units` (None for the round at Brim's bound)."""
     thresholds: list[list] = []
+    sides: dict[Player, str] = {}
     threshold, credits = meanpayoff._threshold, meanpayoff._energy_credits
 
-    def logged_threshold(*args):
+    def logged_threshold(g, alive, player, a, strict):
         thresholds.append([])
-        return threshold(*args)
+        sides[player], sides[player.opponent] = "player", "opponent"
+        return threshold(g, alive, player, a, strict)
 
     def logged_credits(g, alive, player, scale, offset, _cap_units=None):
-        thresholds[-1].append(_cap_units)
+        thresholds[-1].append((sides[player], _cap_units))
         return credits(g, alive, player, scale, offset, _cap_units)
 
     monkeypatch.setattr(meanpayoff, "_threshold", logged_threshold)
     monkeypatch.setattr(meanpayoff, "_energy_credits", logged_credits)
     return thresholds
+
+
+def round_caps(games: list) -> list:
+    """The cap of each round of one threshold, read off its player's games."""
+    return [cap for side, cap in games if side == "player"]
 
 
 def test_threshold_credit_equal_to_the_cap(monkeypatch):
@@ -133,7 +142,7 @@ def test_threshold_credit_equal_to_the_cap(monkeypatch):
             # one side wins everything, so each ray solve is one threshold
             assert mp_ray(escape, ">=", F(0)).win_eve == everything
             assert mp_ray(escape, ">", F(0)).win_adam == everything
-            ge_rounds, gt_rounds = (len(caps) // 2 for caps in thresholds[-2:])
+            ge_rounds, gt_rounds = (len(round_caps(games)) for games in thresholds[-2:])
             assert (ge_rounds if w == -1 else gt_rounds) > 1
 
 
@@ -209,7 +218,7 @@ def test_threshold_agrees_with_both_games_at_the_bound(monkeypatch):
         at_the_bound = solve_all()
     thresholds = record_rounds(monkeypatch)
     assert solve_all() == at_the_bound
-    escalated = [caps for caps in thresholds if len(caps) > 2]
+    escalated = [round_caps(games) for games in thresholds if len(round_caps(games)) > 1]
     assert escalated
     assert any(caps[-1] is None for caps in escalated)
 
@@ -224,8 +233,8 @@ def test_most_thresholds_decided_under_a_low_cap(monkeypatch):
         o = random_objective(rng, rng.choice((Payoff.MP_INF, Payoff.MP_SUP)), max_pieces=2)
         g, o = normalize(g, o)
         solve_mp_interval(g, o.intervals)
-    first = sum(caps == [1, 1] for caps in thresholds)
-    second = sum(caps == [1, 1, 4, 4] for caps in thresholds)
+    first = sum(round_caps(games) == [1] for games in thresholds)
+    second = sum(round_caps(games) == [1, 4] for games in thresholds)
     assert thresholds and first >= 0.6 * len(thresholds)
     assert first + second >= 0.9 * len(thresholds)
 
@@ -303,14 +312,16 @@ def test_fixpoint_prunes_frames_and_rounds(monkeypatch):
     # with unions of up to two pieces, and parity gadgets of 4-5 vertices
     # None for a frame entry, a threshold's region, "solved" after a solve
     events = []
-    rounds = []  # per threshold, the vertices of each energy game
+    # per threshold, its arena, its player and, for each energy game, the
+    # side solving it, its vertices and its finite region
+    rounds = []
     threshold, frame, credits = (
         meanpayoff._threshold, meanpayoff._interval_win, meanpayoff._energy_credits
     )
 
-    def logged_threshold(*args):
-        rounds.append([])
-        won = threshold(*args)
+    def logged_threshold(g, alive, player, a, strict):
+        rounds.append((g, player, []))
+        won = threshold(g, alive, player, a, strict)
         events.append(won)
         return won
 
@@ -318,9 +329,14 @@ def test_fixpoint_prunes_frames_and_rounds(monkeypatch):
         events.append(None)
         return frame(*args)
 
-    def logged_credits(g, alive, *args):
-        rounds[-1].append(alive)
-        return credits(g, alive, *args)
+    def logged_credits(g, alive, player, *args):
+        # every energy game is solved on a subgame: each of its vertices
+        # keeps an edge into it
+        for v in alive:
+            assert any(g.dst[j] in alive for j in g.out_edges[v])
+        f, top = credits(g, alive, player, *args)
+        rounds[-1][2].append((player, alive, frozenset(v for v in alive if f[v] < top)))
+        return f, top
 
     monkeypatch.setattr(meanpayoff, "_threshold", logged_threshold)
     monkeypatch.setattr(meanpayoff, "_interval_win", logged_frame)
@@ -346,15 +362,43 @@ def test_fixpoint_prunes_frames_and_rounds(monkeypatch):
     assert any(not won for won, _ in follows)
     for won, after in follows:
         assert (after is None) == bool(won)
-    # both energy games of a round solve the same vertices, and each later
-    # round solves some of the earlier round's
-    shrank = False
-    for games in rounds:
-        assert games[::2] == games[1::2]
-        for earlier, later in zip(games[::2], games[2::2]):
+    # a round opens with the player's game on the round's vertices; the
+    # opponent's game follows on exactly those outside her attractor of
+    # her finite region there, and is absent exactly when none are; each
+    # later round solves some of the earlier round's vertices
+    shrank = skipped = False
+    for g, player, games in rounds:
+        rests = []
+        i = 0
+        while i < len(games):
+            side, rest, won_here = games[i]
+            assert side is player
+            other = rest - attractor(g, won_here, player, rest)
+            if other:
+                assert games[i + 1][:2] == (player.opponent, other)
+                i += 1
+            skipped |= not other
+            rests.append(rest)
+            i += 1
+        for earlier, later in zip(rests, rests[1:]):
             assert later <= earlier
             shrank |= later < earlier
-    assert shrank
+    assert shrank and skipped
+
+
+def test_threshold_agrees_with_both_games_on_all_of_alive(monkeypatch):
+    # weights up to 20 make the first caps too low to cover, so many
+    # thresholds run later rounds on what the player's attractor leaves
+    thresholds = record_rounds(monkeypatch)
+    rng = make_rng(55)
+    for _ in range(300):
+        g = random_game(rng, rng.randint(4, 16), max_weight=20)
+        alive = frozenset(range(g.n))
+        a = F(rng.randint(-10, 10), rng.randint(1, 2))
+        for player, strict in itertools.product(Player, (False, True)):
+            expected = threshold_on_all_of_alive(g, alive, player, a, strict)
+            assert meanpayoff._threshold(g, alive, player, a, strict) == expected
+    assert sum(len(round_caps(games)) >= 2 for games in thresholds) >= 50
 
 
 def test_interval_solver_empty_union():
