@@ -9,6 +9,12 @@ reader before everything was written (as in `solve --regions | head`),
 runs and restores the collector's prior state after.  The solvers leave
 no reference cycles, so everything a command frees is freed by reference
 counting; the collector would only rescan the command's live containers.
+
+A command loads the oracle or the generators only when it runs them:
+`check --suite oracle` imports `oracle`, and `generate` imports
+`generate` and `random`, so `solve`, `reduce` and `check --suite
+stability` never compile either.  Every module a solve runs stays a
+top-level import.
 """
 
 from __future__ import annotations
@@ -18,12 +24,10 @@ import functools
 import gc
 import json
 import os
-import random
 import sys
 from pathlib import Path
 from typing import Optional
 
-from . import generate
 from .arena import (
     BadParameters,
     GameError,
@@ -40,7 +44,6 @@ from .arena import (
 from .discounted import decision_depth, ds_optimal_values, solve_ds_interval, subset_sum_to_ds
 from .liminf import liminf_to_parity, parity_to_liminf, solve_liminf
 from .meanpayoff import parity_to_mp, solve_mp_interval
-from .oracle import brute_force_finite_horizon_ds, brute_force_positional, check_ds_values
 from .parity import solve_parity
 from .totalsum import countdown_to_total, solve_total_interval, totalsum_to_ocpg
 
@@ -150,6 +153,10 @@ def cmd_generate(args) -> int:
         value = getattr(args, flag)
         if value is None or value < least:
             raise BadParameters(f"{kind} needs --{flag.replace('_', '-')} >= {least}")
+    import random
+
+    from . import generate
+
     rng = random.Random(args.seed)
     if kind == "subset-sum":
         instance = generate.random_subset_sum(
@@ -212,6 +219,8 @@ def _oracle_suite(g, o: Optional[Objective], base) -> list[str]:
     the document's own objective, sup-style payoffs included; a parity
     game, with none, meets the exact positional oracle.  Returns report
     lines, raises OracleDisagreement."""
+    from .oracle import brute_force_finite_horizon_ds, brute_force_positional, check_ds_values
+
     regions, meta = base
     if o is not None and o.payoff is Payoff.DISCOUNTED:
         if not check_ds_values(g, o.lam, ds_optimal_values(g, o.lam)):

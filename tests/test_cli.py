@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import intervalgames
-from intervalgames import cli
+from intervalgames import cli, meanpayoff
 from intervalgames.arena import (
     Edge,
     GameError,
@@ -53,6 +53,16 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _fresh_python(*args, timeout=60, **kwargs) -> subprocess.CompletedProcess:
+    """Run a new interpreter on this checkout's `src`."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *map(str, args)],
+        capture_output=True, text=True, env=env, timeout=timeout, **kwargs,
+    )
 
 
 def test_solve_prints_single_token(capsys):
@@ -502,11 +512,8 @@ def _solve_total(tmp_path, edges, bound: int, cap_mb: int) -> subprocess.Complet
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    return subprocess.run(
-        [sys.executable, "-m", "intervalgames.cli", "solve", str(f), "--bound", str(bound)],
-        capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit,
+    return _fresh_python(
+        "-m", "intervalgames.cli", "solve", f, "--bound", bound, timeout=120, preexec_fn=limit
     )
 
 
@@ -905,17 +912,61 @@ def test_parser_is_built_once(capsys):
         ["reduce", str(CORPUS / "liminf_two_loops.game"), "--to", "parity"],
         ["check", str(CORPUS / "fig1.game"), "--suite", "stability"],
     ]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
     build_parser.cache_clear()
     for argv in commands:
-        fresh = subprocess.run(
-            [sys.executable, "-m", "intervalgames.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        fresh = _fresh_python("-m", "intervalgames.cli", *argv)
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
     assert build_parser.cache_info().misses == 1
+
+
+def test_commands_load_the_oracle_and_the_generators_only_to_run_them():
+    # one fresh interpreter runs the commands in turn and prints, after the
+    # import and after each command, its exit code and which of the two
+    # modules are loaded
+    code = (
+        "import contextlib, io, sys\n"
+        "from intervalgames import cli\n"
+        "fig1, two_loops = sys.argv[1:]\n"
+        "def report(code):\n"
+        "    names = ('oracle', 'generate')\n"
+        "    print(code, *(m for m in names if f'intervalgames.{m}' in sys.modules))\n"
+        "report('import')\n"
+        "for argv in (['solve', fig1], ['reduce', two_loops, '--to', 'parity'],\n"
+        "             ['check', fig1, '--suite', 'stability'], ['check', fig1, '--suite', 'oracle'],\n"
+        "             ['generate', 'random-arena', '--seed', '1', '--vertices', '3']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    report(code)\n"
+    )
+    proc = _fresh_python("-c", code, CORPUS / "fig1.game", CORPUS / "liminf_two_loops.game")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "import", "0", "0", "0", "0 oracle", "0 oracle generate",
+    ]
+
+
+def test_credit_caps_decide_a_2000_vertex_arena(capsys, tmp_path, monkeypatch):
+    # every energy game of this solve runs under a credit cap below Brim's
+    # bound (14 of them); solved straight at the bound the command takes
+    # about 35 times longer, which a timeout cannot tell from a slow host
+    code, text, _ = run(
+        capsys, "generate", "random-arena", "--seed", 1, "--vertices", 2000, "--payoff", "mp-inf"
+    )
+    assert code == 0
+    f = tmp_path / "arena2000.game"
+    f.write_text(text)
+    caps = []
+    energy_credits = meanpayoff._energy_credits
+
+    def recorded(g, alive, player, scale, offset, _cap_units=None):
+        caps.append(_cap_units)
+        return energy_credits(g, alive, player, scale, offset, _cap_units)
+
+    monkeypatch.setattr(meanpayoff, "_energy_credits", recorded)
+    code, _, err = run(capsys, "solve", f)
+    assert (code, err) == (0, "")
+    assert caps and None not in caps
 
 
 def test_deep_parity_game_needs_no_recursion(capsys, tmp_path):
