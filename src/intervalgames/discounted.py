@@ -69,15 +69,6 @@ class SubsetSumInstance:
             raise GameError("subset sum instance needs at least one pair")
 
 
-@dataclass(frozen=True)
-class DsValueTable:
-    """Per-vertex values of the two ordinary discounted games: minmax with
-    Eve maximizing, maxmin with Eve minimizing."""
-
-    minmax: tuple[Fraction, ...]
-    maxmin: tuple[Fraction, ...]
-
-
 def _profile_values(
     g: GameGraph, lam: Fraction, choice: Sequence[int]
 ) -> list[tuple[int, int]]:
@@ -179,14 +170,14 @@ def _minmax(g: GameGraph, lam: Fraction, eve_maximizes: bool) -> list[tuple[int,
             return values
 
 
-def ds_optimal_values(g: GameGraph, lam: Fraction) -> DsValueTable:
-    """Both game values at every vertex, exact; both players have optimal
-    positional strategies that attain them.  maxmin, where Eve minimizes
-    and Adam maximizes, is the same iteration on `g` with the aims swapped:
-    on negated weights every profile pair would be (-num, den), so every
-    comparison would flip and each player make the same switches.  Every
-    value lies within W/(1 - lam) of 0, which is checked on the integer
-    pairs: |num|*(q - p) <= W*q*den."""
+def ds_optimal_values(g: GameGraph, lam: Fraction) -> tuple[tuple[Fraction, ...], ...]:
+    """(minmax, maxmin), both game values at every vertex, exact; both
+    players have optimal positional strategies that attain them.  maxmin,
+    where Eve minimizes and Adam maximizes, is the same iteration on `g`
+    with the aims swapped: on negated weights every profile pair would be
+    (-num, den), so every comparison would flip and each player make the
+    same switches.  Every value lies within W/(1 - lam) of 0, which is
+    checked on the integer pairs: |num|*(q - p) <= W*q*den."""
     check_discount(lam)
     p, q = lam.numerator, lam.denominator
     scale = max_abs_weight(g) * q
@@ -197,7 +188,7 @@ def ds_optimal_values(g: GameGraph, lam: Fraction) -> DsValueTable:
             if abs(num) * (q - p) > scale * den:
                 raise AssertionError(f"value at vertex {v} exceeds W/(1 - lam)")
         tables.append(tuple(Fraction(num, den) for num, den in pairs))
-    return DsValueTable(minmax=tables[0], maxmin=tables[1])
+    return tables[0], tables[1]
 
 
 def horizon(g: GameGraph, lam: Fraction, width: Fraction) -> int:
@@ -286,14 +277,14 @@ def solve_ds_interval(g: GameGraph, lam: Fraction, iu: IntervalUnion) -> Regions
     if iu.is_empty:
         return Regions(win_eve=frozenset(), win_adam=frozenset(range(n)))
     depth = decision_depth(g, lam, iu)
-    table = ds_optimal_values(g, lam)
+    minmax, maxmin = ds_optimal_values(g, lam)
     w = max_abs_weight(g)
     # each finite endpoint t: (t, the values Eve plays against it, is the
     # flip one further, the change in membership there)
-    ends = [(j.lo, table.minmax, j.lo_open, 1) for j in iu.intervals]
-    ends += [(j.hi, table.maxmin, not j.hi_open, -1) for j in iu.intervals]
+    ends = [(j.lo, minmax, j.lo_open, 1) for j in iu.intervals]
+    ends += [(j.hi, maxmin, not j.hi_open, -1) for j in iu.intervals]
     ends = [end for end in ends if not isinstance(end[0], Infinity)]
-    values = table.minmax + table.maxmin
+    values = minmax + maxmin
     d = math.lcm(*(t.denominator for t, *_ in ends), *(x.denominator for x in values))
     p, q = lam.numerator, lam.denominator
     pk, qk = p**depth, q**depth

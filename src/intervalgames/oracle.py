@@ -388,7 +388,7 @@ def brute_force_finite_horizon_ds(
 
 
 def check_ds_values(g: GameGraph, lam: Fraction, table) -> bool:
-    """Whether `table.minmax` and `table.maxmin` are the two discounted
+    """Whether `table`, a (minmax, maxmin) pair, holds the two discounted
     game values of `g`, with Eve maximizing and with Eve minimizing.
 
     Each table must solve its one-step optimality equations exactly:
@@ -399,7 +399,7 @@ def check_ds_values(g: GameGraph, lam: Fraction, table) -> bool:
     that passes is certified whatever computed it.
     """
     check_discount(lam)
-    for values, eve_maximizes in ((table.minmax, True), (table.maxmin, False)):
+    for values, eve_maximizes in zip(table, (True, False)):
         if len(values) != g.n:
             return False
         for v in range(g.n):

@@ -88,12 +88,10 @@ Config = tuple[int, int]  # (arena vertex index, counter value)
 
 class TotalSolution(NamedTuple):
     """A solved total-sum game: `vertices` holds the verdict of starting
-    at each arena vertex with counter 0, `configs` the verdicts of the
-    clamped configurations (arena vertex, counter) it was read from, and
-    `bound` the clamp."""
+    at each arena vertex with counter 0, read at the clamped game's start
+    configurations (v, 0), and `bound` the clamp."""
 
     vertices: Regions
-    configs: Regions
     bound: int
 
 
@@ -287,7 +285,7 @@ def _pin_bounds(
 def solve_total_interval(
     g: GameGraph, iu: IntervalUnion, bound: Optional[int] = None
 ) -> TotalSolution:
-    """Solve the arena's configurations with the running total clamped to
+    """Solve each arena vertex with the running total at 0 and clamped to
     [-B, B], B = `_pin_bounds`' default clamp unless `bound` is given.
 
     When the objective has no integer points at all Adam wins everywhere
@@ -299,7 +297,10 @@ def solve_total_interval(
     where unpinned escapes count for Adam (LIMBO_WIN masked out), and
     optimistic, where they count for Eve.  EVE verdicts come from the
     pessimistic reading and ADAM verdicts from the optimistic one, so both
-    are sound for the true infinite game; the rest is UNKNOWN.
+    are sound for the true infinite game; the rest is UNKNOWN.  Both are
+    read at the start configurations (v, 0), `_clamped_game`'s first ones,
+    and cannot overlap: the optimistic run is solved only outside the
+    pessimistic Eve region, or is the pessimistic run itself.
 
     The pessimistic run is solved first, and the optimistic run only
     outside its Eve region, and only when LIMBO has a predecessor there.
@@ -340,16 +341,12 @@ def solve_total_interval(
         raise BadParameters(f"counter bound {bound} must be positive")
     pm = integerize(iu)
     if pm.is_empty:
-        return TotalSolution(
-            vertices=Regions(win_eve=frozenset(), win_adam=frozenset(range(g.n))),
-            configs=Regions(win_eve=frozenset(), win_adam=frozenset()),
-            bound=bound if bound is not None else 0,
-        )
+        return TotalSolution(Regions(frozenset(), frozenset(range(g.n))), bound or 0)
     if not pm.cuts:
         raise NoFiniteEndpoint("objective has no finite region boundary")
     down, up, default = _pin_bounds(g, pm)
     b = default if bound is None else bound
-    game, configs = _clamped_game(g, pm, b, down, up)
+    game, _ = _clamped_game(g, pm, b, down, up)
     everything = frozenset(range(game.n))
     pessimistic = solve_parity(game, everything - {LIMBO_WIN})
     if pessimistic.win_adam.isdisjoint(game.pred[LIMBO]):
@@ -358,17 +355,12 @@ def solve_total_interval(
         optimistic = solve_parity(game, everything - pessimistic.win_eve)
 
     first = len(_SINK_SUCC)
-    explored = frozenset(configs)
-    win_eve = frozenset(cfg for k, cfg in enumerate(configs, first) if k in pessimistic.win_eve)
-    win_adam = frozenset(cfg for k, cfg in enumerate(configs, first) if k in optimistic.win_adam)
-    solved = Regions(win_eve=win_eve, win_adam=win_adam, unknown=explored - win_eve - win_adam)
-    solved.check_partition(explored)
-    vertices = Regions(
-        win_eve=frozenset(v for v, c in win_eve if c == 0),
-        win_adam=frozenset(v for v, c in win_adam if c == 0),
-        unknown=frozenset(v for v, c in solved.unknown if c == 0),
-    )
-    return TotalSolution(vertices=vertices, configs=solved, bound=b)
+    win_eve = frozenset(v for v in range(g.n) if first + v in pessimistic.win_eve)
+    win_adam = frozenset(v for v in range(g.n) if first + v in optimistic.win_adam)
+    starts = frozenset(range(g.n))
+    vertices = Regions(win_eve=win_eve, win_adam=win_adam, unknown=starts - win_eve - win_adam)
+    vertices.check_partition(starts)
+    return TotalSolution(vertices=vertices, bound=b)
 
 
 def countdown_to_total(cd: CountdownInstance) -> tuple[GameGraph, IntervalUnion]:

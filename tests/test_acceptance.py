@@ -47,7 +47,7 @@ from intervalgames.oracle import (
 from intervalgames.parity import ParityGame, solve_parity
 from intervalgames.totalsum import countdown_to_total, solve_total_interval
 
-from conftest import make_rng, pm_has_finite_endpoint
+from conftest import config_regions, make_rng, pm_has_finite_endpoint
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -281,14 +281,17 @@ def test_acceptance_11_total_monotone():
             if not pm_has_finite_endpoint(iu):
                 continue
             base = solve_total_interval(g, iu)
+            # configurations solved in full, read at every counter
+            base_configs = config_regions(g, iu, base.bound)
             for extra in (1, 2, 3, 4):
                 wider = solve_total_interval(g, iu, bound=base.bound + extra)
                 for v in range(g.n):
                     was = base.vertices.verdict(v)
                     if was is not Verdict.UNKNOWN:
                         assert wider.vertices.verdict(v) is was
-                assert wider.configs.unknown & base.configs.win_eve == frozenset()
-                assert wider.configs.unknown & base.configs.win_adam == frozenset()
+                wider_configs = config_regions(g, iu, wider.bound)
+                assert wider_configs.unknown & base_configs.win_eve == frozenset()
+                assert wider_configs.unknown & base_configs.win_adam == frozenset()
             done += 1
 
 

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import gc
 import hashlib
 import importlib
@@ -42,7 +41,7 @@ from intervalgames.meanpayoff import solve_mp_interval
 from intervalgames.parity import solve_parity
 from intervalgames.totalsum import solve_total_interval
 
-from conftest import priority_line
+from conftest import fresh_python, priority_line
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -53,16 +52,6 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-def _fresh_python(*args, timeout=60, **kwargs) -> subprocess.CompletedProcess:
-    """Run a new interpreter on this checkout's `src`."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    return subprocess.run(
-        [sys.executable, *map(str, args)],
-        capture_output=True, text=True, env=env, timeout=timeout, **kwargs,
-    )
 
 
 def test_solve_prints_single_token(capsys):
@@ -512,7 +501,7 @@ def _solve_total(tmp_path, edges, bound: int, cap_mb: int) -> subprocess.Complet
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    return _fresh_python(
+    return fresh_python(
         "-m", "intervalgames.cli", "solve", f, "--bound", bound, timeout=120, preexec_fn=limit
     )
 
@@ -756,10 +745,10 @@ def _move_a_value(monkeypatch):
     values = cli.ds_optimal_values
 
     def moved(g, lam):
-        table = values(g, lam)
-        minmax = list(table.minmax)
+        minmax, maxmin = values(g, lam)
+        minmax = list(minmax)
         minmax[g.initial] += 1
-        return dataclasses.replace(table, minmax=tuple(minmax))
+        return tuple(minmax), maxmin
 
     monkeypatch.setattr(cli, "ds_optimal_values", moved)
 
@@ -914,7 +903,7 @@ def test_parser_is_built_once(capsys):
     ]
     build_parser.cache_clear()
     for argv in commands:
-        fresh = _fresh_python("-m", "intervalgames.cli", *argv)
+        fresh = fresh_python("-m", "intervalgames.cli", *argv)
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
     assert build_parser.cache_info().misses == 1
@@ -939,7 +928,7 @@ def test_commands_load_the_oracle_and_the_generators_only_to_run_them():
         "        code = cli.main(argv)\n"
         "    report(code)\n"
     )
-    proc = _fresh_python("-c", code, CORPUS / "fig1.game", CORPUS / "liminf_two_loops.game")
+    proc = fresh_python("-c", code, CORPUS / "fig1.game", CORPUS / "liminf_two_loops.game")
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines() == [
         "import", "0", "0", "0", "0 oracle", "0 oracle generate",

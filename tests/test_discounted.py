@@ -20,7 +20,6 @@ from intervalgames.arena import (
 )
 from intervalgames import discounted, oracle
 from intervalgames.discounted import (
-    DsValueTable,
     NonpositiveWidth,
     SingletonNotSupported,
     SubsetSumInstance,
@@ -40,11 +39,7 @@ from intervalgames.oracle import (
     subset_sum_winner,
 )
 
-from conftest import make_rng
-
-
-def loop(weight, owner=Player.EVE):
-    return GameGraph.from_edges(("v",), (owner,), (Edge(0, 0, weight),), 0)
+from conftest import loop, make_rng
 
 
 def test_lasso_values():
@@ -59,7 +54,7 @@ def test_lasso_values():
         play_value((1,), (), Payoff.DISCOUNTED, half)
 
 
-_LOOP = GameGraph.from_edges(("v",), (Player.EVE,), (Edge(0, 0, 1),), 0)
+_LOOP = loop(1)
 _UNIT = IntervalUnion((Interval(F(0), F(1)),))
 
 
@@ -73,7 +68,7 @@ _UNIT = IntervalUnion((Interval(F(0), F(1)),))
         lambda lam: solve_ds_interval(_LOOP, lam, _UNIT),
         lambda lam: subset_sum_to_ds(SubsetSumInstance(1, ((1, 0),)), lam),
         lambda lam: play_value((), (1,), Payoff.DISCOUNTED, lam),
-        lambda lam: check_ds_values(_LOOP, lam, DsValueTable((F(2),), (F(2),))),
+        lambda lam: check_ds_values(_LOOP, lam, ((F(2),), (F(2),))),
     ],
     ids=["Objective", "ds_optimal_values", "horizon", "solve_ds_interval",
          "subset_sum_to_ds", "play_value", "check_ds_values"],
@@ -85,17 +80,17 @@ def test_every_entry_point_rejects_a_discount_out_of_range(entry, lam):
 
 
 def test_four_values_single_loop():
-    t = ds_optimal_values(loop(1), F(1, 2))
-    assert t.minmax == t.maxmin == (F(2),)
+    minmax, maxmin = ds_optimal_values(loop(1), F(1, 2))
+    assert minmax == maxmin == (F(2),)
 
 
 def test_four_values_controlled_by_one_player():
     eve = GameGraph.from_edges(("v",), (Player.EVE,), (Edge(0, 0, 0), Edge(0, 0, 1)), 0)
-    t = ds_optimal_values(eve, F(1, 2))
-    assert (t.minmax[0], t.maxmin[0]) == (2, 0)
+    minmax, maxmin = ds_optimal_values(eve, F(1, 2))
+    assert (minmax[0], maxmin[0]) == (2, 0)
     adam = GameGraph.from_edges(("v",), (Player.ADAM,), (Edge(0, 0, 0), Edge(0, 0, 1)), 0)
-    t = ds_optimal_values(adam, F(1, 2))
-    assert (t.minmax[0], t.maxmin[0]) == (0, 2)
+    minmax, maxmin = ds_optimal_values(adam, F(1, 2))
+    assert (minmax[0], maxmin[0]) == (0, 2)
 
 
 def test_four_values_bounded_by_weight_range():
@@ -103,11 +98,11 @@ def test_four_values_bounded_by_weight_range():
     for _ in range(50):
         g = random_game(rng, rng.randint(1, 4), max_weight=2)
         lam = rng.choice((F(1, 2), F(2, 3)))
-        t = ds_optimal_values(g, lam)
+        minmax, maxmin = ds_optimal_values(g, lam)
         bound = F(max(abs(e.weight) for e in g.edges)) / (1 - lam)
         for v in range(g.n):
-            assert -bound <= t.minmax[v] <= bound
-            assert -bound <= t.maxmin[v] <= bound
+            assert -bound <= minmax[v] <= bound
+            assert -bound <= maxmin[v] <= bound
 
 
 def test_four_values_match_positional_strategy_enumeration():
@@ -117,8 +112,7 @@ def test_four_values_match_positional_strategy_enumeration():
     for _ in range(60):
         g = random_game(rng, rng.randint(1, 5), max_weight=3)
         lam = rng.choice((F(1, 2), F(2, 3), F(3, 5), F(9, 10)))
-        t = ds_optimal_values(g, lam)
-        assert (t.minmax, t.maxmin) == positional_ds_values(g, lam), (g, lam)
+        assert ds_optimal_values(g, lam) == positional_ds_values(g, lam), (g, lam)
 
 
 # The strategy iteration as it was on `Fraction`s, kept as the reference
@@ -198,9 +192,9 @@ def test_integer_iteration_matches_the_fraction_reference():
         g = random_game(rng, rng.randint(1, 10), max_weight=rng.randint(0, 4))
         lam = lams[i % len(lams)]
         negated = replace(g, weight=tuple(-w for w in g.weight))
-        reference = DsValueTable(
-            minmax=tuple(_fraction_minmax(g, lam)),
-            maxmin=tuple(-x for x in _fraction_minmax(negated, lam)),
+        reference = (
+            tuple(_fraction_minmax(g, lam)),
+            tuple(-x for x in _fraction_minmax(negated, lam)),
         )
         table = ds_optimal_values(g, lam)
         assert hash(table) == hash(reference) and table == reference, (g.edges, lam)

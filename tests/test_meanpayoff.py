@@ -37,16 +37,12 @@ from intervalgames.meanpayoff import (
 from intervalgames.oracle import brute_force_positional, one_player_mp_achievable
 from intervalgames.parity import ParityGame, _run_frames, attractor, solve_parity
 
-from conftest import RAYS, make_rng
+from conftest import RAYS, loop, make_rng
 
 
 def mp_ray(g, cmp, a):
     """The regions of "MP cmp a", solved as the one-ray union."""
     return solve_mp_interval(g, IntervalUnion((RAYS[cmp](a),)))
-
-
-def loop(weight, owner=Player.EVE):
-    return GameGraph.from_edges(("v",), (owner,), (Edge(0, 0, weight),), 0)
 
 
 FIG1 = GameGraph.from_edges(

@@ -30,7 +30,7 @@ from intervalgames.generate import (
 from intervalgames.liminf import integerize, omega_I
 from intervalgames.oracle import brute_force_positional, countdown_winner
 from intervalgames import totalsum
-from intervalgames.parity import Graph, attractor, solve_parity
+from intervalgames.parity import Graph, solve_parity
 from intervalgames.totalsum import (
     ADAM_WINS,
     EVE_WINS,
@@ -48,14 +48,24 @@ from intervalgames.totalsum import (
     totalsum_to_ocpg,
 )
 
-from conftest import make_rng, pm_has_finite_endpoint
+from conftest import (
+    config_regions,
+    loop,
+    make_rng,
+    pm_has_finite_endpoint,
+    two_full_solves,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 POINT_ZERO = IntervalUnion((Interval(F(0), F(0)),))
 
 
-def adam_loop(weight):
-    return GameGraph.from_edges(("a",), (Player.ADAM,), (Edge(0, 0, weight),), 0)
+def at_counter_zero(regions):
+    """Vertex regions read at the configurations (v, 0)."""
+    return Regions(
+        *(frozenset(v for v, c in side if c == 0)
+          for side in (regions.win_eve, regions.win_adam, regions.unknown))
+    )
 
 
 def test_reduction_vertex_count_and_zero_edges():
@@ -70,7 +80,7 @@ def test_reduction_vertex_count_and_zero_edges():
 
 
 def test_reduction_rejects_no_finite_boundary():
-    g = adam_loop(0)
+    g = loop(0, Player.ADAM)
     with pytest.raises(NoFiniteEndpoint):
         totalsum_to_ocpg(g, IntervalUnion((Interval(MINUS_INF, PLUS_INF, True, True),)))
     with pytest.raises(NoFiniteEndpoint):
@@ -187,8 +197,9 @@ def test_clamped_countdown_matches_the_clamped_reduction():
 
 
 def test_reduced_zero_loop_won_by_eve_at_small_bound():
-    assert clamped_reduction(adam_loop(0), POINT_ZERO, 2).verdict(0) is Verdict.EVE
-    assert solve_total_interval(adam_loop(0), POINT_ZERO, 2).vertices.verdict(0) is Verdict.EVE
+    g = loop(0, Player.ADAM)
+    assert clamped_reduction(g, POINT_ZERO, 2).verdict(0) is Verdict.EVE
+    assert solve_total_interval(g, POINT_ZERO, 2).vertices.verdict(0) is Verdict.EVE
 
 
 def test_bounded_solver_all_even_zero_weights():
@@ -197,7 +208,8 @@ def test_bounded_solver_all_even_zero_weights():
     )
     for bound in (1, 5):
         res = solve_total_interval(g, POINT_ZERO, bound)
-        assert res.configs == Regions(win_eve=frozenset({(0, 0), (1, 0)}), win_adam=frozenset())
+        assert res.vertices == Regions(win_eve=frozenset({0, 1}), win_adam=frozenset())
+        assert res.vertices == at_counter_zero(config_regions(g, POINT_ZERO, bound))
 
 
 def test_bounded_solver_sinks():
@@ -215,11 +227,12 @@ def test_bounded_solver_sinks():
         (2, zero_or_two, LIMBO, Verdict.UNKNOWN),
     ]
     for weight, iu, sink, want in cases:
-        x, pm = adam_loop(weight), integerize(iu)
+        x, pm = loop(weight, Player.ADAM), integerize(iu)
         game, configs = _clamped_game(x, pm, 1, *_pin_bounds(x, pm)[:2])
         assert configs == [(0, 0)] and game.succ[len(_SINK_SUCC)] == (sink,), iu
         assert solve_total_interval(x, iu, bound=1).vertices.verdict(0) is want, iu
-    assert solve_total_interval(adam_loop(2), zero_or_two, 3).vertices.verdict(0) is Verdict.ADAM
+    res = solve_total_interval(loop(2, Player.ADAM), zero_or_two, 3)
+    assert res.vertices.verdict(0) is Verdict.ADAM
 
 
 def random_total_case(rng):
@@ -232,19 +245,6 @@ def random_total_case(rng):
             return g, iu, pm
 
 
-def two_full_solves(game, configs):
-    """The configurations' Eve region in the pessimistic reading and Adam
-    region in the optimistic one, each solved on the whole game."""
-    everything = frozenset(range(game.n))
-    pessimistic = solve_parity(game, everything - {LIMBO_WIN})
-    optimistic = solve_parity(game)
-    assert attractor(game, pessimistic.win_eve, Player.EVE, everything) == pessimistic.win_eve
-    first = game.n - len(configs)
-    win_eve = {cfg for k, cfg in enumerate(configs, first) if k in pessimistic.win_eve}
-    win_adam = {cfg for k, cfg in enumerate(configs, first) if k in optimistic.win_adam}
-    return win_eve, win_adam
-
-
 def test_pessimistic_first_equals_two_full_solves():
     # the optimistic run is solved only outside the pessimistic Eve
     # region, which is its own Eve attractor in the whole game, and only
@@ -253,14 +253,9 @@ def test_pessimistic_first_equals_two_full_solves():
     rng = make_rng(67)
     for _ in range(300):
         g, iu, pm = random_total_case(rng)
-        down, up, default = _pin_bounds(g, pm)
-        bound = rng.randint(1, default + 1)
-        game, configs = _clamped_game(g, pm, bound, down, up)
-        win_eve, win_adam = two_full_solves(game, configs)
-        res = solve_total_interval(g, iu, bound).configs
-        assert res.win_eve == win_eve
-        assert res.win_adam == win_adam
-        assert res.unknown == set(configs) - win_eve - win_adam
+        bound = rng.randint(1, _pin_bounds(g, pm)[2] + 1)
+        res = solve_total_interval(g, iu, bound)
+        assert res.vertices == at_counter_zero(config_regions(g, iu, bound))
 
 
 def test_optimistic_run_only_when_an_escape_is_left_to_chance(monkeypatch):
@@ -277,15 +272,15 @@ def test_optimistic_run_only_when_an_escape_is_left_to_chance(monkeypatch):
     monkeypatch.setattr(totalsum, "solve_parity", counting)
     countdown, objective = read_document((CORPUS / "countdown_even.game").read_text())
     zero_or_two = IntervalUnion((Interval(F(0), F(0)), Interval(F(2), F(2))))
-    cases = [(countdown, objective.intervals, None, 1), (adam_loop(2), zero_or_two, 1, 2)]
+    cases = [(countdown, objective.intervals, None, 1), (loop(2, Player.ADAM), zero_or_two, 1, 2)]
     for g, iu, bound, want in cases:
         calls.clear()
         res = solve_total_interval(g, iu, bound)
         assert len(calls) == want, g.names
         pm = integerize(iu)
-        game, configs = _clamped_game(g, pm, res.bound, *_pin_bounds(g, pm)[:2])
+        game, _ = _clamped_game(g, pm, res.bound, *_pin_bounds(g, pm)[:2])
         assert bool(game.pred[LIMBO]) == (want == 2)
-        assert (res.configs.win_eve, res.configs.win_adam) == two_full_solves(game, configs)
+        assert res.vertices == at_counter_zero(config_regions(g, iu, res.bound))
 
 
 def uniform_clamp(g, iu, bound):
@@ -316,11 +311,7 @@ def uniform_clamp(g, iu, bound):
     owner = (Player.EVE,) * first + tuple(g.owner[v] for v, _ in configs)
     priority = _SINK_PRIORITIES + tuple(omega_I(c, pm) for _, c in configs)
     win_eve, win_adam = two_full_solves(Graph.of(owner, priority, succ), configs)
-    return Regions(
-        win_eve=frozenset(v for v, c in win_eve if c == 0),
-        win_adam=frozenset(v for v, c in win_adam if c == 0),
-        unknown=frozenset(v for v, c in set(configs) - win_eve - win_adam if c == 0),
-    )
+    return at_counter_zero(Regions(win_eve, win_adam, set(configs) - win_eve - win_adam))
 
 
 def test_windows_never_flip_or_lose_a_uniform_clamp_verdict():
@@ -372,44 +363,50 @@ def test_clamped_graph_is_well_formed():
 
 
 def test_solve_total_trivial_loops():
-    assert solve_total_interval(adam_loop(0), POINT_ZERO).vertices.verdict(0) is Verdict.EVE
-    assert solve_total_interval(adam_loop(1), POINT_ZERO).vertices.verdict(0) is Verdict.ADAM
+    for weight, want in ((0, Verdict.EVE), (1, Verdict.ADAM)):
+        res = solve_total_interval(loop(weight, Player.ADAM), POINT_ZERO)
+        assert res.vertices.verdict(0) is want
 
 
 def test_divergence_follows_unbounded_intervals():
     up = IntervalUnion((Interval(F(0), PLUS_INF, False, True),))
-    assert solve_total_interval(adam_loop(1), up).vertices.verdict(0) is Verdict.EVE
-    assert solve_total_interval(adam_loop(-1), up).vertices.verdict(0) is Verdict.ADAM
+    assert solve_total_interval(loop(1, Player.ADAM), up).vertices.verdict(0) is Verdict.EVE
+    assert solve_total_interval(loop(-1, Player.ADAM), up).vertices.verdict(0) is Verdict.ADAM
 
 
 def test_empty_integer_objective_is_adam_everywhere():
-    g = adam_loop(0)
+    g = loop(0, Player.ADAM)
     iu = IntervalUnion((Interval(F(1, 3), F(2, 3)),))
     res = solve_total_interval(g, iu)
     assert res.vertices.verdict(g.initial) is Verdict.ADAM
     assert not res.vertices.unknown
 
 
-def test_objective_without_integers_explores_no_configuration():
-    # Adam's win is decided before any one-counter game is built, so no
-    # configuration of one exists to report
+def test_objective_without_integers_explores_no_configuration(monkeypatch):
+    # Adam's win is decided before any pin need or clamped game is built,
+    # so no configuration is explored
+    def unreachable(*args):
+        raise AssertionError("no configuration should be explored")
+
+    monkeypatch.setattr(totalsum, "_pin_bounds", unreachable)
+    monkeypatch.setattr(totalsum, "_clamped_game", unreachable)
     g = GameGraph.from_edges(
         ("a", "b"), (Player.EVE, Player.ADAM), (Edge(0, 1, 1), Edge(1, 0, -1)), 1
     )
     res = solve_total_interval(g, IntervalUnion((Interval(F(1, 3), F(2, 3)),)))
     assert res.vertices == Regions(win_eve=frozenset(), win_adam=frozenset({0, 1}))
-    assert res.configs == Regions(win_eve=frozenset(), win_adam=frozenset())
     assert res.bound == 0
 
 
 def test_vertex_verdicts_read_the_builders_start_copies():
-    # the verdict of v is that of its configuration at counter 0
+    # the solver reads the verdict of v at clamped vertex
+    # len(_SINK_SUCC) + v, so the builder must intern (v, 0) there
     rng = make_rng(68)
     for _ in range(100):
-        g, iu, _ = random_total_case(rng)
-        res = solve_total_interval(g, iu)
-        for v in range(g.n):
-            assert res.configs.verdict((v, 0)) is res.vertices.verdict(v), (g, iu, v)
+        g, iu, pm = random_total_case(rng)
+        down, up, default = _pin_bounds(g, pm)
+        for bound in (1, 2, 3, 8, default):
+            assert _clamped_game(g, pm, bound, down, up)[1][: g.n] == [(v, 0) for v in range(g.n)]
 
 
 def test_unbounded_memory_instance_stays_unknown():
@@ -556,10 +553,10 @@ def test_unknown_configs_non_increasing_in_bound():
         iu = random_interval_union(rng, 2, 2)
         if not pm_has_finite_endpoint(iu):
             continue
-        base = solve_total_interval(g, iu)
-        bigger = solve_total_interval(g, iu, bound=base.bound + 2)
-        assert bigger.configs.unknown & base.configs.win_eve == frozenset()
-        assert bigger.configs.unknown & base.configs.win_adam == frozenset()
+        bound = solve_total_interval(g, iu).bound
+        was, now = config_regions(g, iu, bound), config_regions(g, iu, bound + 2)
+        assert now.unknown & was.win_eve == frozenset()
+        assert now.unknown & was.win_adam == frozenset()
         done += 1
 
 
